@@ -1,10 +1,9 @@
-"""Pure-Python dilogarithm kernel.
+"""Dilogarithm kernel in plain Python.
 
-Reference implementation of the numerical core: principal logarithm,
-Euler dilogarithm Li2, Rogers dilogarithm R, and the Bloch-Wigner
-function D. An identical algorithm exists as a compiled extension
-(_dilog_core); the dispatcher in `dilog` picks whichever is available,
-so this module must stay behaviourally interchangeable with it.
+The numerical core of the package: principal logarithm, Euler
+dilogarithm Li2, Rogers dilogarithm R, and the Bloch-Wigner function
+D. `dilog` re-exports these four functions; everything else in the
+package reaches them through it.
 
 Branch conventions used everywhere in the package:
   - principal log with Im in (-pi, pi]; the -pi boundary produced by
@@ -25,8 +24,6 @@ import cmath
 import math
 
 from .errors import DomainError
-
-BACKEND = "pure"
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi

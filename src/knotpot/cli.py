@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 usage or I/O, 2 complete-structure failure,
 
 All numeric output is printed with 15 significant digits; scans are
 byte-deterministic so repeated runs can be diffed.
+
+Every command returns a Record, and one renderer prints it in the
+chosen format: complete and fill are key/value records, scan, trace
+and selftest are row tables, and every JSON document carries
+"schema": 1.
 """
 
 import argparse
@@ -29,14 +34,15 @@ from .errors import (
     ValidationError,
     ZeroDenominatorError,
 )
-from .invariants import im_v_alpha_parts, report_for, rogers_combo, volume_from_shapes
+from .invariants import report_for, rogers_combo, volume_from_shapes
 from .potential import (
     BUILTINS,
     eval_eta,
     eval_v,
-    make_point,
+    load_spec,
     reduced_residual,
     shapes_from_point,
+    signed_d_sum,
 )
 from . import selftest as selftest_mod
 from .solver import normalize_slope, solve_complete, solve_filling, trace_deformation
@@ -49,20 +55,12 @@ EXIT_SELFTEST = 4
 
 CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps"
 
+_TRACE_FIELDS = (
+    "u_re,u_im,x_re,x_im,y_re,y_im,v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"
+)
 
-@dataclass
-class RunConfig:
-    spec_source: str
-    command: str
-    fmt: str
-    output: Optional[str]
-    newton_tol: float
-    accept_tol: float
-    slope: Optional[str] = None
-    pmax: int = 8
-    qmax: int = 1
-    u_end: Optional[str] = None
-    samples: int = 8
+_SHAPE_NAMES = ("c2", "d4", "a5", "b5", "d5")
+_SCAN_VALUES = ("volume", "cs_mod_half", "length", "torsion", "residual")
 
 
 def _f(x: float) -> str:
@@ -81,6 +79,42 @@ def _jc(z: complex) -> dict:
 def _fc(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return "%s%s%si" % (_f(z.real), sign, _f(abs(z.imag)))
+
+
+def _residual(pt) -> float:
+    return max(abs(r) for r in reduced_residual(pt))
+
+
+class UsageError(Exception):
+    """Bad input caught by the CLI itself; the message is printed bare."""
+
+
+@dataclass
+class Record:
+    """One command's output: the JSON body and its text form.
+
+    A key/value record sets `pairs` (key, text); a row table sets
+    `rows` (lists of cells) under an optional CSV `header`.
+    """
+
+    doc: dict
+    pairs: Optional[list] = None
+    header: Optional[str] = None
+    rows: Optional[list] = None
+
+
+def render(rec: Record, fmt: str) -> str:
+    """Text of a record: table and csv differ only for key/value records."""
+    if fmt == "json":
+        return json.dumps({"schema": 1, **rec.doc}, indent=2) + "\n"
+    if rec.pairs is not None:
+        lines = ["%s = %s" % kv for kv in rec.pairs]
+        if fmt == "csv":
+            lines = [ln.replace(" = ", ",", 1).replace(" ", "") for ln in lines]
+    else:
+        lines = [rec.header] if rec.header else []
+        lines += [",".join(cells) for cells in rec.rows]
+    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,16 +150,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_spec(cfg: RunConfig):
-    src = cfg.spec_source
+def _load_spec(src: str):
     if src.startswith("builtin:"):
         name = src[len("builtin:"):]
         if name not in BUILTINS:
@@ -133,8 +158,6 @@ def _load_spec(cfg: RunConfig):
                 "unknown builtin %r (have: %s)" % (name, ", ".join(sorted(BUILTINS)))
             )
         return BUILTINS[name]()
-    from .potential import load_spec
-
     with open(src, "rb") as fh:
         return load_spec(fh)
 
@@ -158,117 +181,6 @@ def parse_u_end(text: str) -> complex:
         raise ValidationError("could not parse u-end %r" % text) from None
 
 
-# ------------------------------------------------------------ commands
-
-
-def cmd_complete(cfg: RunConfig, spec) -> int:
-    try:
-        cp = solve_complete(spec, newton_tol=cfg.newton_tol)
-    except (NoConvergenceError, NoGeometricRootError) as e:
-        print("complete structure failed: %s" % e, file=sys.stderr)
-        return EXIT_COMPLETE_FAILED
-    pt = cp.point
-    sh = shapes_from_point(pt)
-    vol = eval_v(spec, pt).imag
-    vfs = volume_from_shapes(sh)
-    eta, eta_alt = eval_eta(spec, pt)
-    resid = max(abs(r) for r in reduced_residual(pt))
-    if cfg.fmt == "json":
-        doc = {
-            "schema": 1,
-            **{v: _jc(pt.values[v]) for v in spec.variables},
-            "shapes": {
-                k: _jc(z)
-                for k, z in zip(("c2", "d4", "a5", "b5", "d5"), sh.as_tuple())
-            },
-            "volume": _jn(vol),
-            "volume_from_shapes": _jn(vfs),
-            "eta": _jc(eta),
-            "residual": _jn(resid),
-            "newton_iters": cp.newton_iters,
-        }
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = ["spec = %s" % spec.name]
-        for v in spec.variables:
-            lines.append("%s = %s" % (v, _fc(pt.values[v])))
-        for k, z in zip(("c2", "d4", "a5", "b5", "d5"), sh.as_tuple()):
-            lines.append("shape %s = %s" % (k, _fc(z)))
-        lines.append("volume = %s" % _f(vol))
-        lines.append("volume_from_shapes = %s" % _f(vfs))
-        lines.append("eta = %s" % _fc(eta))
-        if eta_alt is not None:
-            lines.append("eta_alternate = %s" % _fc(eta_alt))
-        lines.append("residual = %s" % _f(resid))
-        sep = "," if cfg.fmt == "csv" else " "
-        if cfg.fmt == "csv":
-            lines = [ln.replace(" = ", ",", 1).replace(" ", "") for ln in lines]
-        _emit(cfg, "\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-def cmd_fill(cfg: RunConfig, spec) -> int:
-    slope = parse_slope(cfg.slope)
-    try:
-        complete = solve_complete(spec, newton_tol=cfg.newton_tol)
-    except (NoConvergenceError, NoGeometricRootError) as e:
-        print("complete structure failed: %s" % e, file=sys.stderr)
-        return EXIT_COMPLETE_FAILED
-    try:
-        sol = solve_filling(
-            spec, slope, complete=complete,
-            accept_tol=cfg.accept_tol, newton_tol=cfg.newton_tol,
-        )
-    except (PathObstructionError, NoConvergenceError) as e:
-        msg = str(e)
-        if "possibly exceptional" not in msg:
-            msg += " (possibly exceptional slope)"
-        print("slope %s: %s" % (slope, msg), file=sys.stderr)
-        return EXIT_OBSTRUCTION
-    rep = report_for(spec, slope, sol)
-    if cfg.fmt == "json":
-        doc = {
-            "schema": 1,
-            "p": slope.p,
-            "q": slope.q,
-            "r": slope.r,
-            "s": slope.s,
-            **{v: _jc(sol.critical.point.values[v]) for v in spec.variables},
-            "u": _jc(sol.u.value),
-            "v": _jc(sol.v.value),
-            "volume": _jn(rep.volume),
-            "volume_from_shapes": _jn(rep.volume_from_shapes),
-            "cs_mod_half": _jn(rep.cs_value),
-            "cs_ambiguity": _jn(rep.cs_ambiguity),
-            "length": _jn(rep.geodesic_length),
-            "torsion": _jn(rep.geodesic_torsion),
-            "residual": _jn(sol.critical.residual_inf_norm),
-            "filling_residual": _jn(sol.filling_residual),
-            "steps": sol.path_steps,
-        }
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    else:
-        rows = [
-            ("slope", "%d/%d" % (slope.p, slope.q)),
-            ("cocycle_rs", "(%d, %d)" % (slope.r, slope.s)),
-            ("volume", _f(rep.volume)),
-            ("volume_from_shapes", _f(rep.volume_from_shapes)),
-            ("cs_mod_half", _f(rep.cs_value)),
-            ("length", _f(rep.geodesic_length)),
-            ("torsion", _f(rep.geodesic_torsion)),
-            ("u", _fc(sol.u.value)),
-            ("v", _fc(sol.v.value)),
-            ("residual", _f(sol.critical.residual_inf_norm)),
-            ("filling_residual", _f(sol.filling_residual)),
-            ("steps", str(sol.path_steps)),
-        ]
-        if cfg.fmt == "csv":
-            _emit(cfg, "\n".join("%s,%s" % (k, v.replace(" ", "")) for k, v in rows) + "\n")
-        else:
-            _emit(cfg, "\n".join("%s = %s" % (k, v) for k, v in rows) + "\n")
-    return EXIT_OK
-
-
 def _scan_slopes(pmax: int, qmax: int):
     for q in range(1, qmax + 1):
         for p in range(-pmax, pmax + 1):
@@ -276,221 +188,247 @@ def _scan_slopes(pmax: int, qmax: int):
                 yield normalize_slope(p, q)
 
 
-def cmd_scan(cfg: RunConfig, spec) -> int:
-    if cfg.pmax < 1 or cfg.qmax < 1:
-        print("scan bounds must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+def _command_input(args):
+    """The parsed input of a solving command; raises on bad arguments."""
+    if args.command == "fill":
+        return parse_slope(args.slope)
+    if args.command == "scan":
+        if args.pmax < 1 or args.qmax < 1:
+            raise UsageError("scan bounds must be >= 1")
+        return list(_scan_slopes(args.pmax, args.qmax))
+    if args.command == "trace":
+        u_end = parse_u_end(args.u_end)
+        if args.samples < 1:
+            raise UsageError("samples must be >= 1")
+        return u_end
+    return None
+
+
+# ------------------------------------------------------------ commands
+#
+# Each takes (args, spec, complete structure, parsed input) and returns
+# (exit status, Record or None when nothing is printed).
+
+
+def cmd_complete(args, spec, cp, _):
+    pt = cp.point
+    sh = shapes_from_point(pt)
+    shapes = dict(zip(_SHAPE_NAMES, sh.as_tuple()))
+    vol = eval_v(spec, pt).imag
+    vfs = volume_from_shapes(sh)
+    eta, eta_alt = eval_eta(spec, pt)
+    resid = _residual(pt)
+    pairs = [("spec", spec.name)]
+    pairs += [(v, _fc(pt.values[v])) for v in spec.variables]
+    pairs += [("shape " + k, _fc(z)) for k, z in shapes.items()]
+    pairs += [("volume", _f(vol)), ("volume_from_shapes", _f(vfs)), ("eta", _fc(eta))]
+    if eta_alt is not None:
+        pairs.append(("eta_alternate", _fc(eta_alt)))
+    pairs.append(("residual", _f(resid)))
+    doc = {
+        **{v: _jc(pt.values[v]) for v in spec.variables},
+        "shapes": {k: _jc(z) for k, z in shapes.items()},
+        "volume": _jn(vol),
+        "volume_from_shapes": _jn(vfs),
+        "eta": _jc(eta),
+        "residual": _jn(resid),
+        "newton_iters": cp.newton_iters,
+    }
+    return EXIT_OK, Record(doc, pairs=pairs)
+
+
+def cmd_fill(args, spec, complete, slope):
     try:
-        complete = solve_complete(spec, newton_tol=cfg.newton_tol)
-    except (NoConvergenceError, NoGeometricRootError) as e:
-        print("complete structure failed: %s" % e, file=sys.stderr)
-        return EXIT_COMPLETE_FAILED
-    rows = []
-    for slope in _scan_slopes(cfg.pmax, cfg.qmax):
+        sol = solve_filling(
+            spec, slope, complete=complete,
+            accept_tol=args.accept_tol, newton_tol=args.newton_tol,
+        )
+    except (PathObstructionError, NoConvergenceError) as e:
+        msg = str(e)
+        if "possibly exceptional" not in msg:
+            msg += " (possibly exceptional slope)"
+        print("slope %s: %s" % (slope, msg), file=sys.stderr)
+        return EXIT_OBSTRUCTION, None
+    rep = report_for(spec, slope, sol)
+    pairs = [
+        ("slope", str(slope)),
+        ("cocycle_rs", "(%d, %d)" % (slope.r, slope.s)),
+        ("volume", _f(rep.volume)),
+        ("volume_from_shapes", _f(rep.volume_from_shapes)),
+        ("cs_mod_half", _f(rep.cs_value)),
+        ("length", _f(rep.geodesic_length)),
+        ("torsion", _f(rep.geodesic_torsion)),
+        ("u", _fc(sol.u.value)),
+        ("v", _fc(sol.v.value)),
+        ("residual", _f(sol.critical.residual_inf_norm)),
+        ("filling_residual", _f(sol.filling_residual)),
+        ("steps", str(sol.path_steps)),
+    ]
+    doc = {
+        "p": slope.p,
+        "q": slope.q,
+        "r": slope.r,
+        "s": slope.s,
+        **{v: _jc(sol.critical.point.values[v]) for v in spec.variables},
+        "u": _jc(sol.u.value),
+        "v": _jc(sol.v.value),
+        "volume": _jn(rep.volume),
+        "volume_from_shapes": _jn(rep.volume_from_shapes),
+        "cs_mod_half": _jn(rep.cs_value),
+        "cs_ambiguity": _jn(rep.cs_ambiguity),
+        "length": _jn(rep.geodesic_length),
+        "torsion": _jn(rep.geodesic_torsion),
+        "residual": _jn(sol.critical.residual_inf_norm),
+        "filling_residual": _jn(sol.filling_residual),
+        "steps": sol.path_steps,
+    }
+    return EXIT_OK, Record(doc, pairs=pairs)
+
+
+def cmd_scan(args, spec, complete, slopes):
+    jrows, rows = [], []
+    for slope in slopes:
+        head = {"p": slope.p, "q": slope.q, "r": slope.r, "s": slope.s}
+        cells = [str(n) for n in head.values()]
         try:
             sol = solve_filling(
                 spec, slope, complete=complete,
-                accept_tol=cfg.accept_tol, newton_tol=cfg.newton_tol,
-            )
-            rep = report_for(spec, slope, sol)
-            rows.append(
-                {
-                    "p": slope.p,
-                    "q": slope.q,
-                    "r": slope.r,
-                    "s": slope.s,
-                    "converged": True,
-                    "volume": rep.volume,
-                    "cs_mod_half": rep.cs_value,
-                    "length": rep.geodesic_length,
-                    "torsion": rep.geodesic_torsion,
-                    "residual": max(
-                        sol.critical.residual_inf_norm, sol.filling_residual
-                    ),
-                    "steps": sol.path_steps,
-                }
+                accept_tol=args.accept_tol, newton_tol=args.newton_tol,
             )
         except (PathObstructionError, NoConvergenceError):
-            rows.append(
-                {
-                    "p": slope.p,
-                    "q": slope.q,
-                    "r": slope.r,
-                    "s": slope.s,
-                    "converged": False,
-                }
+            jrows.append(
+                {**head, "converged": False, **dict.fromkeys(_SCAN_VALUES + ("steps",))}
             )
-    if cfg.fmt == "json":
-        jrows = []
-        for row in rows:
-            jr = {k: row[k] for k in ("p", "q", "r", "s", "converged")}
-            for k in ("volume", "cs_mod_half", "length", "torsion", "residual"):
-                jr[k] = _jn(row[k]) if row["converged"] else None
-            jr["steps"] = row["steps"] if row["converged"] else None
-            jrows.append(jr)
-        _emit(cfg, json.dumps({"schema": 1, "rows": jrows}, indent=2) + "\n")
-    else:
-        lines = [CSV_HEADER]
-        for row in rows:
-            if row["converged"]:
-                cells = [
-                    str(row["p"]),
-                    str(row["q"]),
-                    str(row["r"]),
-                    str(row["s"]),
-                    "true",
-                    _f(row["volume"]),
-                    _f(row["cs_mod_half"]),
-                    _f(row["length"]),
-                    _f(row["torsion"]),
-                    _f(row["residual"]),
-                    str(row["steps"]),
-                ]
-            else:
-                cells = [
-                    str(row["p"]), str(row["q"]), str(row["r"]), str(row["s"]),
-                    "false", "", "", "", "", "", "",
-                ]
-            lines.append(",".join(cells))
-        _emit(cfg, "\n".join(lines) + "\n")
-    return EXIT_OK
+            rows.append(cells + ["false"] + [""] * (len(_SCAN_VALUES) + 1))
+            continue
+        rep = report_for(spec, slope, sol)
+        values = (
+            rep.volume,
+            rep.cs_value,
+            rep.geodesic_length,
+            rep.geodesic_torsion,
+            max(sol.critical.residual_inf_norm, sol.filling_residual),
+        )
+        jrows.append(
+            {
+                **head,
+                "converged": True,
+                **{k: _jn(x) for k, x in zip(_SCAN_VALUES, values)},
+                "steps": sol.path_steps,
+            }
+        )
+        rows.append(cells + ["true"] + [_f(x) for x in values] + [str(sol.path_steps)])
+    return EXIT_OK, Record({"rows": jrows}, header=CSV_HEADER, rows=rows)
 
 
-_TRACE_FIELDS = (
-    "u_re,u_im,x_re,x_im,y_re,y_im,v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"
-)
-
-
-def cmd_trace(cfg: RunConfig, spec) -> int:
-    u_end = parse_u_end(cfg.u_end)
-    if cfg.samples < 1:
-        print("samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        complete = solve_complete(spec, newton_tol=cfg.newton_tol)
-    except (NoConvergenceError, NoGeometricRootError) as e:
-        print("complete structure failed: %s" % e, file=sys.stderr)
-        return EXIT_COMPLETE_FAILED
+def cmd_trace(args, spec, complete, u_end):
     status = EXIT_OK
     try:
         samples = trace_deformation(
-            spec, u_end, cfg.samples, complete=complete, newton_tol=cfg.newton_tol
+            spec, u_end, args.samples, complete=complete, newton_tol=args.newton_tol
         )
     except PathObstructionError as e:
         samples = getattr(e, "partial", [])
         print("trace obstructed: %s" % e, file=sys.stderr)
         status = EXIT_OBSTRUCTION
-    recs = []
+    names = spec.variables[:-1]
+    jrows, rows = [], []
     for smp in samples:
         pt = smp.point
         vv = eval_v(spec, pt)
         defect = rogers_combo(spec, pt) - (vv + (smp.u / 2) * (smp.v / 2))
-        sum_d = im_v_alpha_parts(spec, pt)[0]
-        resid = max(abs(r) for r in reduced_residual(pt))
-        recs.append((smp, vv, defect, sum_d, resid))
-    names = spec.variables[:-1]
-    if cfg.fmt == "json":
-        jrows = []
-        for smp, vv, defect, sum_d, resid in recs:
-            jrows.append(
-                {
-                    "u": _jc(smp.u),
-                    **{v: _jc(smp.point.values[v]) for v in names},
-                    "v": _jc(smp.v),
-                    "im_v": _jn(vv.imag),
-                    "sum_d": _jn(sum_d),
-                    "rogers_defect": _jc(defect),
-                    "residual": _jn(resid),
-                }
-            )
-        _emit(cfg, json.dumps({"schema": 1, "samples": jrows}, indent=2) + "\n")
+        sum_d = signed_d_sum(spec, pt)
+        resid = _residual(pt)
+        jrows.append(
+            {
+                "u": _jc(smp.u),
+                **{v: _jc(pt.values[v]) for v in names},
+                "v": _jc(smp.v),
+                "im_v": _jn(vv.imag),
+                "sum_d": _jn(sum_d),
+                "rogers_defect": _jc(defect),
+                "residual": _jn(resid),
+            }
+        )
+        x = pt.values[names[0]]
+        y = pt.values[names[1]] if len(names) > 1 else 0j
+        cells = (
+            smp.u.real, smp.u.imag, x.real, x.imag, y.real, y.imag,
+            smp.v.real, smp.v.imag, vv.imag, sum_d, defect.real, defect.imag, resid,
+        )
+        rows.append([_f(c) for c in cells])
+    return status, Record({"samples": jrows}, header=_TRACE_FIELDS, rows=rows)
+
+
+def cmd_selftest():
+    results = selftest_mod.run_selftest()
+    ok = all(r.passed for r in results)
+    doc = {
+        "passed": ok,
+        "groups": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "worst_over_tol": _jn(r.worst) if math.isfinite(r.worst) else None,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+    }
+    rows = [
+        [
+            "%s %s (worst err/tol %.3g; %s)"
+            % ("PASS" if r.passed else "FAIL", r.name, r.worst, r.detail)
+        ]
+        for r in results
+    ]
+    return (EXIT_OK if ok else EXIT_SELFTEST), Record(doc, rows=rows)
+
+
+COMMANDS = {
+    "complete": cmd_complete,
+    "fill": cmd_fill,
+    "scan": cmd_scan,
+    "trace": cmd_trace,
+}
+
+
+def _run(args) -> int:
+    if args.accept_tol is None:
+        try:
+            args.accept_tol = float(os.environ.get("KNOTPOT_TOL", "1e-10"))
+        except ValueError:
+            raise UsageError("KNOTPOT_TOL is not a number") from None
+    if args.accept_tol <= 0 or args.newton_tol <= 0:
+        raise UsageError("tolerances must be positive")
+    if args.command == "selftest":
+        status, rec = cmd_selftest()
     else:
-        lines = [_TRACE_FIELDS]
-        for smp, vv, defect, sum_d, resid in recs:
-            x = smp.point.values[names[0]]
-            y = smp.point.values[names[1]] if len(names) > 1 else 0j
-            cells = [
-                _f(smp.u.real), _f(smp.u.imag),
-                _f(x.real), _f(x.imag),
-                _f(y.real), _f(y.imag),
-                _f(smp.v.real), _f(smp.v.imag),
-                _f(vv.imag), _f(sum_d),
-                _f(defect.real), _f(defect.imag),
-                _f(resid),
-            ]
-            lines.append(",".join(cells))
-        _emit(cfg, "\n".join(lines) + "\n")
+        spec = _load_spec(args.spec)
+        inp = _command_input(args)
+        try:
+            complete = solve_complete(spec, newton_tol=args.newton_tol)
+        except (NoConvergenceError, NoGeometricRootError) as e:
+            print("complete structure failed: %s" % e, file=sys.stderr)
+            return EXIT_COMPLETE_FAILED
+        status, rec = COMMANDS[args.command](args, spec, complete, inp)
+    if rec is not None:
+        text = render(rec, args.fmt)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     return status
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    results = selftest_mod.run_selftest()
-    ok = all(r.passed for r in results)
-    if cfg.fmt == "json":
-        doc = {
-            "schema": 1,
-            "passed": ok,
-            "groups": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "worst_over_tol": _jn(r.worst) if math.isfinite(r.worst) else None,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        }
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = []
-        for r in results:
-            lines.append(
-                "%s %s (worst err/tol %.3g; %s)"
-                % ("PASS" if r.passed else "FAIL", r.name, r.worst, r.detail)
-            )
-        _emit(cfg, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_SELFTEST
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    accept_tol = args.accept_tol
-    if accept_tol is None:
-        try:
-            accept_tol = float(os.environ.get("KNOTPOT_TOL", "1e-10"))
-        except ValueError:
-            print("KNOTPOT_TOL is not a number", file=sys.stderr)
-            return EXIT_USAGE
-    if accept_tol <= 0 or args.newton_tol <= 0:
-        print("tolerances must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = RunConfig(
-        spec_source=args.spec,
-        command=args.command,
-        fmt=args.fmt,
-        output=args.output,
-        newton_tol=args.newton_tol,
-        accept_tol=accept_tol,
-        slope=getattr(args, "slope", None),
-        pmax=getattr(args, "pmax", 8),
-        qmax=getattr(args, "qmax", 1),
-        u_end=getattr(args, "u_end", None),
-        samples=getattr(args, "samples", 8),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if cfg.command == "selftest":
-            return cmd_selftest(cfg)
-        spec = _load_spec(cfg)
-        if cfg.command == "complete":
-            return cmd_complete(cfg, spec)
-        if cfg.command == "fill":
-            return cmd_fill(cfg, spec)
-        if cfg.command == "scan":
-            return cmd_scan(cfg, spec)
-        if cfg.command == "trace":
-            return cmd_trace(cfg, spec)
-        raise AssertionError("unhandled command %r" % cfg.command)
+        return _run(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_USAGE
     except (OSError, SpecFormatError, ValidationError, ZeroDenominatorError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,8 @@
 """Complex special functions and branch-continued logarithms.
 
-Public face of the dilogarithm kernel. Two interchangeable backends
-implement the numerics: a compiled extension (_dilog_core) and a pure
-Python fallback (_dilog_pure). The compiled one is preferred when it
-imported cleanly; set KNOTPOT_PURE=1 to force the fallback, e.g. when
-benchmarking one against the other.
+Public face of the dilogarithm kernel, which lives in _dilog_pure:
+principal logarithm, Li2, the Rogers dilogarithm and the Bloch-Wigner
+function, all in plain Python.
 
 On top of the kernel this module adds ContinuedLog, the record of a
 particular branch of log w, and continue_log, the single primitive the
@@ -12,26 +10,12 @@ continuation solver uses to keep every logarithm on a consistent sheet
 while a parameter point moves.
 """
 
+import cmath
 import math
-import os
 from dataclasses import dataclass
 
+from ._dilog_pure import bloch_wigner_d, li2, principal_log, rogers_r
 from .errors import StepTooLargeError
-
-if os.environ.get("KNOTPOT_PURE"):
-    from . import _dilog_pure as _kernel
-else:
-    try:
-        from . import _dilog_core as _kernel
-    except ImportError:
-        from . import _dilog_pure as _kernel
-
-BACKEND: str = _kernel.BACKEND
-
-principal_log = _kernel.principal_log
-li2 = _kernel.li2
-rogers_r = _kernel.rogers_r
-bloch_wigner_d = _kernel.bloch_wigner_d
 
 _TWO_PI = 2.0 * math.pi
 _MAX_JUMP = math.pi / 2.0
@@ -43,6 +27,12 @@ class ContinuedLog:
 
     value: complex
     winding: int = 0
+
+    @classmethod
+    def from_value(cls, value: complex) -> "ContinuedLog":
+        """The branch whose value is exactly `value`, winding recovered."""
+        p = principal_log(cmath.exp(value))
+        return cls(value, round((value.imag - p.imag) / _TWO_PI))
 
 
 def continued(w) -> ContinuedLog:

@@ -20,8 +20,10 @@ from .potential import (
     PotentialSpec,
     Shapes,
     eval_v,
+    eval_v_alpha,
     log_gradient,
     shapes_from_point,
+    signed_d_sum,
 )
 from .solver import CriticalPoint, FillingSolution, Slope
 
@@ -50,14 +52,6 @@ def _point_of(sol) -> ParamPoint:
     if isinstance(sol, ParamPoint):
         return sol
     raise TypeError("expected a solution or point, got %r" % type(sol))
-
-
-def eval_v_alpha(spec: PotentialSpec, slope: Slope, pt: ParamPoint) -> complex:
-    """V_alpha = V + [log xi (2 pi i - p log xi) + s pi^2]/q, continued log xi."""
-    lx = pt.logs[spec.meridian].value
-    return eval_v(spec, pt) + (
-        lx * (2j * _PI - slope.p * lx) + slope.s * _PI2
-    ) / slope.q
 
 
 def volume_of(spec: PotentialSpec, slope, sol) -> float:
@@ -119,19 +113,14 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
     sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points.
     Valid at any regular point with principal branches.
     """
-    d_sum = sum(
-        t.sign * dilog.bloch_wigner_d(t.argument.evaluate(pt.values))
-        for t in spec.dilog_terms
-    )
-    g = log_gradient(spec, pt)
-    g = list(g)
+    g = list(log_gradient(spec, pt))
     if slope is not None:
         lx = pt.logs[spec.meridian].value
         g[-1] += (2j * _PI - 2 * slope.p * lx) / slope.q
     corr = 0.0
     for v, gv in zip(spec.variables, g):
         corr += math.log(abs(pt.values[v])) * gv.imag
-    return d_sum, corr
+    return signed_d_sum(spec, pt), corr
 
 
 def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> InvariantReport:
@@ -141,9 +130,9 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
     try:
         vfs = volume_from_shapes(shapes_from_point(pt))
     except ValidationError:
-        # no 3-variable shape recovery; the signed term sum is the
-        # same quantity for potentials of this construction
-        vfs = im_v_alpha_parts(spec, pt, slope)[0]
+        # no shape recovery outside the 5_2 potential; the signed term
+        # sum is the same quantity for potentials of this construction
+        vfs = signed_d_sum(spec, pt)
     cs, amb = chern_simons_of(spec, slope, sol)
     length, torsion = core_geodesic_of(slope, sol)
     lam_re = -2 * pt.logs[spec.meridian].value.real / slope.q

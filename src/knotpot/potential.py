@@ -25,7 +25,14 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dilog import ContinuedLog, continue_log, continued, li2, principal_log
+from .dilog import (
+    ContinuedLog,
+    bloch_wigner_d,
+    continue_log,
+    continued,
+    li2,
+    principal_log,
+)
 from .errors import SingularPointError, SpecFormatError, ValidationError
 from .errors import DegenerateModulusError
 
@@ -203,6 +210,7 @@ def builtin_five_two() -> PotentialSpec:
 
 
 BUILTINS = {"5_2": builtin_five_two}
+_FIVE_TWO_TERMS = frozenset(builtin_five_two().dilog_terms)
 
 
 # ---------------------------------------------------------------- I/O
@@ -406,14 +414,8 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
     prev otherwise, so a StepTooLargeError here means the caller moved
     too far in one step.
     """
-    values = {}
-    logs = {}
-    for v in spec.variables:
-        lv = logmap[v]
-        w = cmath.exp(lv)
-        k = round((lv.imag - principal_log(w).imag) / (2 * math.pi))
-        values[v] = w
-        logs[v] = ContinuedLog(lv, k)
+    logs = {v: ContinuedLog.from_value(logmap[v]) for v in spec.variables}
+    values = {v: cmath.exp(cl.value) for v, cl in logs.items()}
     one_minus = {}
     for m in spec.tracked_monomials():
         w = 1 - m.evaluate(values)
@@ -476,6 +478,26 @@ def eval_v(spec: PotentialSpec, pt: ParamPoint) -> complex:
     for t in spec.quad_terms:
         s += float(t.coeff) * pt.logs[t.var_a].value * pt.logs[t.var_b].value
     return s + float(spec.constant_pi2) * _PI2
+
+
+def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
+    """V_alpha = V + [log xi (2 pi i - p log xi) + s pi^2]/q, continued log xi.
+
+    `slope` is any record with the integer fields p, q and s of a
+    normalized slope.
+    """
+    lx = pt.logs[spec.meridian].value
+    return eval_v(spec, pt) + (
+        lx * (2j * math.pi - slope.p * lx) + slope.s * _PI2
+    ) / slope.q
+
+
+def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
+    """sum sign * D(m) over the dilog terms: the volume at a critical point."""
+    return sum(
+        t.sign * bloch_wigner_d(t.argument.evaluate(pt.values))
+        for t in spec.dilog_terms
+    )
 
 
 def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
@@ -586,13 +608,18 @@ def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:
-    """Tetrahedron moduli (c2, d4, a5, b5, d5) of a 3-variable point."""
-    spec = pt.spec
-    if len(spec.variables) != 3:
+    """Tetrahedron moduli (c2, d4, a5, b5, d5) of a point of the 5_2 potential.
+
+    Defined only for specs whose dilog terms are the built-in 5_2
+    terms in any order, in the variables named x, y and xi; any other
+    spec raises ValidationError.
+    """
+    terms = pt.spec.dilog_terms
+    if len(terms) != len(_FIVE_TWO_TERMS) or set(terms) != _FIVE_TWO_TERMS:
         raise ValidationError(
-            "shape recovery is defined for the 3-variable parametrization"
+            "shape recovery needs the dilog terms of the 5_2 potential"
         )
-    x, y, xi = (pt.values[v] for v in spec.variables)
+    x, y, xi = pt.values["x"], pt.values["y"], pt.values["xi"]
     return Shapes(c2=y * xi, d4=x / xi, a5=x / y, b5=xi / x, d5=y / xi)
 
 

@@ -14,14 +14,13 @@ is always on the branch-free reduced residuals, never on the Newton
 residual alone.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dilog import ContinuedLog, bloch_wigner_d, principal_log
+from .dilog import ContinuedLog
 from .errors import (
     KnotpotError,
     NoConvergenceError,
@@ -39,11 +38,12 @@ from .potential import (
     advance_point_logs,
     d_eta_log,
     eta_log,
-    eval_v,
+    eval_v_alpha,
     log_gradient,
     log_hessian,
     make_point,
     reduced_residual,
+    signed_d_sum,
 )
 
 _TWO_PI_I = 2j * math.pi
@@ -227,13 +227,6 @@ DEFAULT_SEEDS = tuple(
 )
 
 
-def _term_volume(spec, pt) -> float:
-    return sum(
-        t.sign * bloch_wigner_d(t.argument.evaluate(pt.values))
-        for t in spec.dilog_terms
-    )
-
-
 def solve_complete(
     spec: PotentialSpec, seeds=None, newton_tol: float = 1e-12
 ) -> CriticalPoint:
@@ -274,12 +267,12 @@ def solve_complete(
             "no seed converged for %s" % spec.name, best_residual=None
         )
     for _, cp in roots:
-        vol = _term_volume(spec, cp.point)
+        vol = signed_d_sum(spec, cp.point)
         if vol < -_FLAT_TOL:
             conj_values = {v: cp.point.values[v].conjugate() for v in spec.variables}
             pt = make_point(spec, conj_values)
             cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
-            vol = _term_volume(spec, pt)
+            vol = signed_d_sum(spec, pt)
         if vol > _FLAT_TOL and all(
             abs(t.argument.evaluate(cp.point.values).imag) > 1e-9
             for t in spec.dilog_terms
@@ -429,17 +422,14 @@ def solve_filling(
             "filling for %s finished with residual %.3e / %.3e" % (slope, resid, fill_resid),
             best_residual=resid,
         )
-    vol_shapes = _term_volume(spec, pt)
+    vol_shapes = signed_d_sum(spec, pt)
     if vol_shapes < _FLAT_TOL:
         raise PathObstructionError(
             "filling for %s converged to a flat solution; slope possibly exceptional"
             % slope,
             t_reached=1.0,
         )
-    lx = pt.logs[spec.meridian].value
-    v_alpha = eval_v(spec, pt) + (
-        lx * (_TWO_PI_I - slope.p * lx) + slope.s * math.pi**2
-    ) / slope.q
+    v_alpha = eval_v_alpha(spec, slope, pt)
     if abs(v_alpha.imag - vol_shapes) > _BRANCH_TOL:
         raise PathObstructionError(
             "filling for %s left the geometric branch (volume routes disagree "
@@ -447,16 +437,10 @@ def solve_filling(
             % (slope, abs(v_alpha.imag - vol_shapes)),
             t_reached=1.0,
         )
-
-    def tracked(value):
-        w = cmath.exp(value)
-        k = round((value - principal_log(w)).imag / (2 * math.pi))
-        return ContinuedLog(value, k)
-
     return FillingSolution(
         slope=slope,
         critical=CriticalPoint(pt, resid, iters),
-        u=tracked(u_val),
-        v=tracked(v_val),
+        u=ContinuedLog.from_value(u_val),
+        v=ContinuedLog.from_value(v_val),
         path_steps=steps,
     )

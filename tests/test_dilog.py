@@ -9,7 +9,6 @@ import pytest
 
 import _oracles as O
 from knotpot.dilog import (
-    BACKEND,
     ContinuedLog,
     bloch_wigner_d,
     continue_log,
@@ -25,10 +24,6 @@ PI = math.pi
 
 def random_z(rng, scale=4.0):
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-
-
-def test_backend_is_named():
-    assert BACKEND in ("compiled", "pure")
 
 
 # ------------------------------------------------------- principal_log
@@ -270,21 +265,3 @@ def test_continue_log_loop_invariance():
     assert cl.winding == 0
     assert abs(cl.value) < 1e-12
 
-
-def test_backends_agree_bitwise_tightly():
-    # both implementations follow the same region decomposition, so
-    # they agree to a few ulps; this guards against drift in one of them
-    pure = pytest.importorskip("knotpot._dilog_pure")
-    try:
-        from knotpot import _dilog_core as core
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(41)
-    for _ in range(2000):
-        z = random_z(rng, 6.0)
-        if abs(z) < 1e-6 or abs(z - 1) < 1e-6:
-            continue
-        assert abs(pure.li2(z) - core.li2(z)) < 5e-15
-        # real parts may differ by an ulp (libm hypot vs cmath.log)
-        assert abs(pure.principal_log(z) - core.principal_log(z)) < 5e-16
-        assert pure.principal_log(z).imag == core.principal_log(z).imag

@@ -2,6 +2,7 @@
 core-geodesic well-definedness, and the Rogers-combination identities."""
 
 import cmath
+import json
 import math
 import random
 
@@ -19,13 +20,17 @@ from knotpot.invariants import (
     volume_from_shapes,
     volume_of,
 )
+from knotpot.errors import ValidationError
 from knotpot.potential import (
     builtin_five_two,
+    dump_spec,
     eval_v,
+    load_spec,
     make_point,
     shapes_from_point,
 )
 from knotpot.solver import (
+    DEFAULT_SEEDS,
     Slope,
     normalize_slope,
     solve_complete,
@@ -301,3 +306,31 @@ def test_report_for_q_two(spec, complete):
     rep = report_for(spec, slope, sol)
     assert abs(rep.volume - VOLUME_TABLE[5, 2]) < 1e-9
     assert 0 <= rep.geodesic_torsion < 2 * PI / 2
+
+
+
+@pytest.mark.parametrize("field", ["variables", "dilog_terms"])
+def test_report_reads_shapes_by_variable_name(spec, field):
+    # the 5_2 potential with its variables, or its dilog terms, in another order
+    doc = json.loads(dump_spec(spec))
+    doc[field] = doc[field][::-1] if field == "dilog_terms" else ["y", "x", "xi"]
+    other = load_spec(json.dumps(doc))
+    complete = solve_complete(other, seeds=DEFAULT_SEEDS)
+    slope = normalize_slope(7, 1)
+    sol = solve_filling(other, slope, complete=complete)
+    rep = report_for(other, slope, sol)
+    assert abs(rep.volume - VOLUME_TABLE[7, 1]) < 1e-9
+    assert abs(volume_from_shapes(shapes_from_point(sol.critical.point)) - rep.volume) < 1e-9
+    assert abs(rep.volume_from_shapes - rep.volume) < 1e-9
+
+
+def test_report_falls_back_to_term_sum_without_5_2_terms(spec):
+    # the 5_2 potential with its meridian renamed: no shape map applies
+    renamed = load_spec(dump_spec(spec).replace('"xi"', '"m"'))
+    slope = normalize_slope(7, 1)
+    sol = solve_filling(renamed, slope)
+    with pytest.raises(ValidationError):
+        shapes_from_point(sol.critical.point)
+    rep = report_for(renamed, slope, sol)
+    assert abs(rep.volume - VOLUME_TABLE[7, 1]) < 1e-9
+    assert abs(rep.volume_from_shapes - rep.volume) < 1e-9
