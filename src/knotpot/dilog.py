@@ -29,9 +29,15 @@ class ContinuedLog:
     winding: int = 0
 
     @classmethod
-    def from_value(cls, value: complex) -> "ContinuedLog":
-        """The branch whose value is exactly `value`, winding recovered."""
-        p = principal_log(cmath.exp(value))
+    def from_value(cls, value: complex, exp_value=None) -> "ContinuedLog":
+        """The branch whose value is exactly `value`, winding recovered.
+
+        A caller that already holds exp(value) passes it as exp_value,
+        so the exponential is taken once.
+        """
+        if exp_value is None:
+            exp_value = cmath.exp(value)
+        p = principal_log(exp_value)
         return cls(value, round((value.imag - p.imag) / _TWO_PI))
 
 

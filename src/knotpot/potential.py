@@ -14,13 +14,26 @@ variable and for 1 - m of every tracked monomial, so gradients and the
 longitude log stay on one analytic sheet while a solver moves the
 point. Values of Li2 itself are always principal; all multivaluedness
 lives in the stored logs.
+
+The evaluators do not interpret the spec. Each spec is lowered once,
+on first use, to index tables (PotentialSpec.tables): the tracked
+monomials with their (var, exp) pairs, and for every evaluator the
+integer and float coefficients it needs, each paired with the index of
+a tracked monomial or the name of a variable. A point built by
+make_point or an advance evaluates every tracked monomial once and
+keeps the values, in table order, beside its logs; the evaluators read
+them from there. The tables keep the order of the terms in the spec,
+so every sum is formed in the same order and grouping as a direct
+reading of the spec would form it, and results do not depend on the
+lowering.
 """
 
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -133,6 +146,117 @@ class PotentialSpec:
                     seen.append(m)
         return seen
 
+    @cached_property
+    def tables(self) -> "SpecTables":
+        """The spec lowered to index tables, built on first use."""
+        return SpecTables(self)
+
+
+class SpecTables:
+    """A PotentialSpec lowered to the index tables its evaluators read.
+
+    Monomials are referred to by their index j in `monomials`, the
+    tracked monomials in tracked_monomials() order, and variables by
+    name or by their index in spec.variables. Rows keep the order of
+    the spec's terms. Exponents stay Python ints and coefficients
+    floats (complex where a numpy matrix would promote them), so each
+    evaluator does the arithmetic of the plain reading of the spec.
+    """
+
+    def __init__(self, spec: PotentialSpec):
+        variables = spec.variables
+        idx = {v: i for i, v in enumerate(variables)}
+        self.monomials = tuple(spec.tracked_monomials())
+        j_of = {m: j for j, m in enumerate(self.monomials)}
+        dilog_args = {t.argument for t in spec.dilog_terms}
+        self.is_dilog = tuple(m in dilog_args for m in self.monomials)
+
+        # V: (sign, j) per dilog term, (coeff, var_a, var_b) per quad term
+        self.dilogs = tuple((t.sign, j_of[t.argument]) for t in spec.dilog_terms)
+        self.quads = tuple((float(t.coeff), t.var_a, t.var_b) for t in spec.quad_terms)
+        self.constant = float(spec.constant_pi2) * _PI2
+
+        # gradient, per variable v: (sign * a_v, j) per dilog term with
+        # a_v != 0, then (coeff, other var) per quad term slot holding v
+        gradient = []
+        for v in variables:
+            rows = tuple(
+                (t.sign * t.argument.exponent(v), j_of[t.argument])
+                for t in spec.dilog_terms
+                if t.argument.exponent(v)
+            )
+            quad_rows = []
+            for t in spec.quad_terms:
+                c = float(t.coeff)
+                if t.var_a == v:
+                    quad_rows.append((c, t.var_b))
+                if t.var_b == v:
+                    quad_rows.append((c, t.var_a))
+            gradient.append((rows, tuple(quad_rows)))
+        self.gradient = tuple(gradient)
+
+        # hessian: per dilog term (sign, j, ((i_u, i_v, a_u * a_v), ...)),
+        # then per quad term (i_a, i_b, coeff) added at both (a, b) and (b, a)
+        hessian = []
+        for t in spec.dilog_terms:
+            vs = t.argument.variables()
+            entries = tuple(
+                (idx[u], idx[v], t.argument.exponent(u) * t.argument.exponent(v))
+                for u in vs
+                for v in vs
+            )
+            hessian.append((t.sign, j_of[t.argument], entries))
+        self.hessian = tuple(hessian)
+        self.hessian_quads = tuple(
+            (idx[t.var_a], idx[t.var_b], complex(float(t.coeff)))
+            for t in spec.quad_terms
+        )
+
+        # primary longitude: log eta rows, and per variable the constant
+        # prefactor exponent and (e * a_v, j) per factor with a_v != 0
+        lon = spec.longitude
+        self.eta_prefactor = lon.prefactor.exponents
+        self.eta_factors = tuple((e, j_of[m]) for e, m in lon.factors)
+        self.d_eta = tuple(
+            (
+                complex(lon.prefactor.exponent(v)),
+                tuple(
+                    (e * m.exponent(v), j_of[m]) for e, m in lon.factors if m.exponent(v)
+                ),
+            )
+            for v in variables
+        )
+
+        # reduced residual, per non-meridian variable: (e, j) factors
+        # (1 - m)^e of the left side, then (var, e) powers of the right
+        # side; a non-integer e stays a Fraction and is refused when a
+        # residual is evaluated, not here, so such a spec still loads
+        residual = []
+        for v in variables[:-1]:
+            quad_exp = {}
+            for t in spec.quad_terms:
+                c = t.coeff
+                if t.var_a == v:
+                    quad_exp[t.var_b] = quad_exp.get(t.var_b, Fraction(0)) + c
+                if t.var_b == v:
+                    quad_exp[t.var_a] = quad_exp.get(t.var_a, Fraction(0)) + c
+            sigma = -1 if quad_exp.get(spec.meridian, Fraction(0)) < 0 else 1
+            lhs = tuple(
+                (sigma * t.sign * t.argument.exponent(v), j_of[t.argument])
+                for t in spec.dilog_terms
+                if t.argument.exponent(v)
+            )
+            rhs = []
+            for vp, c in quad_exp.items():
+                e = sigma * c
+                rhs.append((vp, int(e) if e.denominator == 1 else e))
+            residual.append((lhs, tuple(rhs)))
+        self.residual = tuple(residual)
+
+    def monomial_values(self, values: Mapping[str, complex]) -> tuple:
+        """Every tracked monomial evaluated at values, in table order."""
+        return tuple(m.evaluate(values) for m in self.monomials)
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -142,12 +266,20 @@ class ParamPoint:
     holds a continued log(1 - m) for every tracked monomial. A factor
     that appears only in the longitude may legitimately sit at m = 1;
     its entry is then None and only longitude evaluation rejects it.
+
+    A point built by make_point or an advance also carries, in the
+    order of spec.tables.monomials, the tracked monomials' values and
+    their one_minus_logs entries. A point constructed from the first
+    four fields alone leaves both None; the evaluators then derive them
+    from values and one_minus_logs.
     """
 
     spec: PotentialSpec
     values: dict
     logs: dict
     one_minus_logs: dict
+    tracked_values: Optional[tuple] = field(default=None, repr=False, compare=False)
+    tracked_logs: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -414,21 +546,47 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
     prev otherwise, so a StepTooLargeError here means the caller moved
     too far in one step.
     """
-    logs = {v: ContinuedLog.from_value(logmap[v]) for v in spec.variables}
-    values = {v: cmath.exp(cl.value) for v, cl in logs.items()}
+    tab = spec.tables
+    logs = {}
+    values = {}
+    for v in spec.variables:
+        lv = logmap[v]
+        w = cmath.exp(lv)
+        logs[v] = ContinuedLog.from_value(lv, w)
+        values[v] = w
+    prev_logs = None if prev is None else _tracked(spec, prev)[1]
+    mvals = tab.monomial_values(values)
     one_minus = {}
-    for m in spec.tracked_monomials():
-        w = 1 - m.evaluate(values)
+    tracked_logs = []
+    for j, m in enumerate(tab.monomials):
+        w = 1 - mvals[j]
         if abs(w) < _ONE_TOL:
-            if any(t.argument == m for t in spec.dilog_terms):
+            if tab.is_dilog[j]:
                 raise SingularPointError("dilog argument %s = 1" % m)
-            one_minus[m] = None  # longitude-only factor; reject lazily
-            continue
-        if prev is not None and prev.one_minus_logs.get(m) is not None:
-            one_minus[m] = continue_log(prev.one_minus_logs[m], w)
+            cl = None  # longitude-only factor; reject lazily
+        elif prev_logs is not None and prev_logs[j] is not None:
+            cl = continue_log(prev_logs[j], w)
         else:
-            one_minus[m] = continued(w)
-    return ParamPoint(spec, values, logs, one_minus)
+            cl = continued(w)
+        one_minus[m] = cl
+        tracked_logs.append(cl)
+    return ParamPoint(spec, values, logs, one_minus, mvals, tuple(tracked_logs))
+
+
+def _tracked(spec: PotentialSpec, pt: ParamPoint):
+    """(values, one_minus logs) of the tracked monomials of spec at pt.
+
+    Both in the order of spec.tables.monomials: the point's own when it
+    carries them for this spec, else derived from its values and
+    one_minus_logs.
+    """
+    if pt.spec is spec and pt.tracked_values is not None:
+        return pt.tracked_values, pt.tracked_logs
+    tab = spec.tables
+    return (
+        tab.monomial_values(pt.values),
+        tuple(pt.one_minus_logs.get(m) for m in tab.monomials),
+    )
 
 
 def make_point(spec: PotentialSpec, values: Mapping[str, complex]) -> ParamPoint:
@@ -472,12 +630,15 @@ def advance_point_logs(pt: ParamPoint, logmap: Mapping[str, complex]) -> ParamPo
 
 def eval_v(spec: PotentialSpec, pt: ParamPoint) -> complex:
     """V at pt: principal Li2 terms, continued-log quadratic part."""
+    tab = spec.tables
+    mvals = _tracked(spec, pt)[0]
+    logs = pt.logs
     s = 0j
-    for t in spec.dilog_terms:
-        s += t.sign * li2(t.argument.evaluate(pt.values))
-    for t in spec.quad_terms:
-        s += float(t.coeff) * pt.logs[t.var_a].value * pt.logs[t.var_b].value
-    return s + float(spec.constant_pi2) * _PI2
+    for sign, j in tab.dilogs:
+        s += sign * li2(mvals[j])
+    for c, a, b in tab.quads:
+        s += c * logs[a].value * logs[b].value
+    return s + tab.constant
 
 
 def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
@@ -494,10 +655,8 @@ def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
 
 def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
     """sum sign * D(m) over the dilog terms: the volume at a critical point."""
-    return sum(
-        t.sign * bloch_wigner_d(t.argument.evaluate(pt.values))
-        for t in spec.dilog_terms
-    )
+    mvals = _tracked(spec, pt)[0]
+    return sum(sign * bloch_wigner_d(mvals[j]) for sign, j in spec.tables.dilogs)
 
 
 def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
@@ -508,43 +667,36 @@ def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     are the continued branches carried by pt, so on a solution branch
     these are exactly the equations the solver drives to zero.
     """
+    one_minus = _tracked(spec, pt)[1]
+    logs = pt.logs
     g = []
-    for v in spec.variables:
+    for rows, quad_rows in spec.tables.gradient:
         acc = 0j
-        for t in spec.dilog_terms:
-            a = t.argument.exponent(v)
-            if a:
-                acc -= t.sign * a * pt.one_minus_logs[t.argument].value
-        for t in spec.quad_terms:
-            c = float(t.coeff)
-            if t.var_a == v:
-                acc += c * pt.logs[t.var_b].value
-            if t.var_b == v:
-                acc += c * pt.logs[t.var_a].value
+        for sa, j in rows:
+            acc -= sa * one_minus[j].value
+        for c, w in quad_rows:
+            acc += c * logs[w].value
         g.append(acc)
     return np.array(g, dtype=complex)
 
 
 def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     """Matrix of u d/du (v dV/dv); symmetric, quad terms are constants."""
+    tab = spec.tables
+    mvals = _tracked(spec, pt)[0]
     n = len(spec.variables)
-    idx = {v: i for i, v in enumerate(spec.variables)}
-    h = np.zeros((n, n), dtype=complex)
-    for t in spec.dilog_terms:
-        m = t.argument.evaluate(pt.values)
+    h = [[0j] * n for _ in range(n)]
+    for sign, j, entries in tab.hessian:
+        m = mvals[j]
         if m == 1:
-            raise SingularPointError("dilog argument %s = 1" % t.argument)
-        f = t.sign * m / (1 - m)
-        vs = t.argument.variables()
-        for u in vs:
-            au = t.argument.exponent(u)
-            for v in vs:
-                h[idx[u], idx[v]] += au * t.argument.exponent(v) * f
-    for t in spec.quad_terms:
-        c = float(t.coeff)
-        h[idx[t.var_a], idx[t.var_b]] += c
-        h[idx[t.var_b], idx[t.var_a]] += c
-    return h
+            raise SingularPointError("dilog argument %s = 1" % tab.monomials[j])
+        f = sign * m / (1 - m)
+        for iu, iv, aa in entries:
+            h[iu][iv] += aa * f
+    for ia, ib, c in tab.hessian_quads:
+        h[ia][ib] += c
+        h[ib][ia] += c
+    return np.array(h, dtype=complex)
 
 
 def eval_longitude_expr(expr: LongitudeExpr, values: Mapping[str, complex]) -> complex:
@@ -582,27 +734,27 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     along any path the point was continued over and equals 0 at a
     complete structure reached with principal branches.
     """
+    tab = spec.tables
+    one_minus = _tracked(spec, pt)[1]
     s = 0j
-    for v, e in spec.longitude.prefactor.exponents:
+    for v, e in tab.eta_prefactor:
         s += e * pt.logs[v].value
-    for e, m in spec.longitude.factors:
-        cl = pt.one_minus_logs.get(m)
+    for e, j in tab.eta_factors:
+        cl = one_minus[j]
         if cl is None:
-            raise SingularPointError("longitude factor 1 - %s = 0" % m)
+            raise SingularPointError("longitude factor 1 - %s = 0" % tab.monomials[j])
         s += e * cl.value
     return s
 
 
 def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     """Derivatives v d(log eta)/dv over spec.variables (Jacobian row)."""
+    mvals = _tracked(spec, pt)[0]
     out = []
-    for v in spec.variables:
-        acc = complex(spec.longitude.prefactor.exponent(v))
-        for e, m in spec.longitude.factors:
-            a = m.exponent(v)
-            if a:
-                mv = m.evaluate(pt.values)
-                acc -= e * a * mv / (1 - mv)
+    for acc, rows in spec.tables.d_eta:
+        for ea, j in rows:
+            mv = mvals[j]
+            acc -= ea * mv / (1 - mv)
         out.append(acc)
     return np.array(out, dtype=complex)
 
@@ -637,36 +789,23 @@ def reduced_residual(pt: ParamPoint):
     Branch-free, so it is the solver's acceptance residual.
     """
     spec = pt.spec
-    meridian = spec.meridian
+    tab = spec.tables
+    mvals = _tracked(spec, pt)[0]
     out = []
-    for v in spec.variables[:-1]:
-        # integer exponent of v' contributed by the quadratic part of g_v
-        quad_exp = {}
-        for t in spec.quad_terms:
-            c = t.coeff
-            if t.var_a == v:
-                quad_exp[t.var_b] = quad_exp.get(t.var_b, Fraction(0)) + c
-            if t.var_b == v:
-                quad_exp[t.var_a] = quad_exp.get(t.var_a, Fraction(0)) + c
-        sigma = -1 if quad_exp.get(meridian, Fraction(0)) < 0 else 1
+    for lhs_rows, rhs_rows in tab.residual:
         lhs = 1 + 0j
-        for t in spec.dilog_terms:
-            a = t.argument.exponent(v)
-            if not a:
-                continue
-            e = sigma * t.sign * a
-            f = 1 - t.argument.evaluate(pt.values)
+        for e, j in lhs_rows:
+            f = 1 - mvals[j]
             if f == 0 and e < 0:
-                raise SingularPointError("factor 1 - %s = 0" % t.argument)
+                raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
             lhs *= f**e
         rhs = 1 + 0j
-        for vp, c in quad_exp.items():
-            e = sigma * c
-            if e.denominator != 1:
+        for vp, e in rhs_rows:
+            if isinstance(e, Fraction):
                 raise ValidationError(
                     "reduced residual needs integer quad exponents, got %s" % e
                 )
-            rhs *= pt.values[vp] ** int(e)
+            rhs *= pt.values[vp] ** e
         out.append(lhs - rhs)
     return tuple(out)
 

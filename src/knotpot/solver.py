@@ -192,8 +192,9 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
     for it in range(max_iters):
-        if _resid_inf(pt) <= tol:
-            return CriticalPoint(pt, _resid_inf(pt), it)
+        resid = _resid_inf(pt)
+        if resid <= tol:
+            return CriticalPoint(pt, resid, it)
         g = log_gradient(spec, pt)[:k]
         h = log_hessian(spec, pt)[:k, :k]
         step = np.linalg.solve(h, g)
@@ -355,7 +356,9 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
     names = spec.variables
     for it in range(max_iters):
         f, jac = _filling_system(spec, pt, p, q, t)
-        if _resid_inf(pt) <= tol and abs(f[-1]) <= tol:
+        # the filling equation is cheaper to test, and the reduced
+        # residual is only needed once it holds
+        if abs(f[-1]) <= tol and _resid_inf(pt) <= tol:
             return pt, it
         step = np.linalg.solve(jac, f)
         scale = 1.0

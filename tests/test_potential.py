@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import _oracles as O
+from knotpot.dilog import bloch_wigner_d, li2
 from knotpot.errors import (
     DegenerateModulusError,
     SingularPointError,
@@ -19,11 +20,14 @@ from knotpot.errors import (
 )
 from knotpot.potential import (
     Monomial,
+    ParamPoint,
     Shapes,
     advance_point,
     builtin_five_two,
+    d_eta_log,
     dump_spec,
     edge_residuals,
+    eta_log,
     eval_eta,
     eval_longitude_expr,
     eval_v,
@@ -33,6 +37,7 @@ from knotpot.potential import (
     make_point,
     reduced_residual,
     shapes_from_point,
+    signed_d_sum,
 )
 from knotpot.solver import solve_complete, trace_deformation
 
@@ -436,3 +441,225 @@ def test_xi_gradient_is_minus_log_eta_squared(spec, complete):
         g = log_gradient(spec, smp.point)
         eta = eval_eta(spec, smp.point)[0]
         assert abs(cmath.exp(g[2]) * eta**2 - 1) < 1e-9
+
+
+# ------------------------------------- lowered tables vs plain reading
+#
+# The evaluators read index tables compiled from the spec. The naive_*
+# functions below read the spec directly, term by term, in the order
+# the tables must keep; the two must agree bit for bit.
+
+
+def naive_eval_v(spec, pt):
+    s = 0j
+    for t in spec.dilog_terms:
+        s += t.sign * li2(t.argument.evaluate(pt.values))
+    for t in spec.quad_terms:
+        s += float(t.coeff) * pt.logs[t.var_a].value * pt.logs[t.var_b].value
+    return s + float(spec.constant_pi2) * (PI * PI)
+
+
+def naive_signed_d_sum(spec, pt):
+    return sum(
+        t.sign * bloch_wigner_d(t.argument.evaluate(pt.values))
+        for t in spec.dilog_terms
+    )
+
+
+def naive_log_gradient(spec, pt):
+    g = []
+    for v in spec.variables:
+        acc = 0j
+        for t in spec.dilog_terms:
+            a = t.argument.exponent(v)
+            if a:
+                acc -= t.sign * a * pt.one_minus_logs[t.argument].value
+        for t in spec.quad_terms:
+            c = float(t.coeff)
+            if t.var_a == v:
+                acc += c * pt.logs[t.var_b].value
+            if t.var_b == v:
+                acc += c * pt.logs[t.var_a].value
+        g.append(acc)
+    return np.array(g, dtype=complex)
+
+
+def naive_log_hessian(spec, pt):
+    n = len(spec.variables)
+    idx = {v: i for i, v in enumerate(spec.variables)}
+    h = np.zeros((n, n), dtype=complex)
+    for t in spec.dilog_terms:
+        m = t.argument.evaluate(pt.values)
+        f = t.sign * m / (1 - m)
+        vs = t.argument.variables()
+        for u in vs:
+            au = t.argument.exponent(u)
+            for v in vs:
+                h[idx[u], idx[v]] += au * t.argument.exponent(v) * f
+    for t in spec.quad_terms:
+        c = float(t.coeff)
+        h[idx[t.var_a], idx[t.var_b]] += c
+        h[idx[t.var_b], idx[t.var_a]] += c
+    return h
+
+
+def naive_eta_log(spec, pt):
+    s = 0j
+    for v, e in spec.longitude.prefactor.exponents:
+        s += e * pt.logs[v].value
+    for e, m in spec.longitude.factors:
+        s += e * pt.one_minus_logs[m].value
+    return s
+
+
+def naive_d_eta_log(spec, pt):
+    out = []
+    for v in spec.variables:
+        acc = complex(spec.longitude.prefactor.exponent(v))
+        for e, m in spec.longitude.factors:
+            a = m.exponent(v)
+            if a:
+                mv = m.evaluate(pt.values)
+                acc -= e * a * mv / (1 - mv)
+        out.append(acc)
+    return np.array(out, dtype=complex)
+
+
+def naive_reduced_residual(pt):
+    spec = pt.spec
+    out = []
+    for v in spec.variables[:-1]:
+        quad_exp = {}
+        for t in spec.quad_terms:
+            if t.var_a == v:
+                quad_exp[t.var_b] = quad_exp.get(t.var_b, Fraction(0)) + t.coeff
+            if t.var_b == v:
+                quad_exp[t.var_a] = quad_exp.get(t.var_a, Fraction(0)) + t.coeff
+        sigma = -1 if quad_exp.get(spec.meridian, Fraction(0)) < 0 else 1
+        lhs = 1 + 0j
+        for t in spec.dilog_terms:
+            a = t.argument.exponent(v)
+            if a:
+                lhs *= (1 - t.argument.evaluate(pt.values)) ** (sigma * t.sign * a)
+        rhs = 1 + 0j
+        for vp, c in quad_exp.items():
+            rhs *= pt.values[vp] ** int(sigma * c)
+        out.append(lhs - rhs)
+    return tuple(out)
+
+
+def _bits(x):
+    """Exact comparison key: repr also tells -0.0 from 0.0."""
+    x = x.tolist() if isinstance(x, np.ndarray) else x
+    return x, repr(x)
+
+
+def assert_matches_naive(spec, pt):
+    pairs = [
+        (log_gradient(spec, pt), naive_log_gradient(spec, pt)),
+        (log_hessian(spec, pt), naive_log_hessian(spec, pt)),
+        (reduced_residual(pt), naive_reduced_residual(pt)),
+        (eta_log(spec, pt), naive_eta_log(spec, pt)),
+        (d_eta_log(spec, pt), naive_d_eta_log(spec, pt)),
+        (eval_v(spec, pt), naive_eval_v(spec, pt)),
+        (signed_d_sum(spec, pt), naive_signed_d_sum(spec, pt)),
+    ]
+    for got, want in pairs:
+        assert _bits(got) == _bits(want)
+
+
+def _variant_specs(spec):
+    """The built-in, a reordered copy and a renamed copy, with name maps."""
+    doc = _doc(spec)
+    doc["variables"] = ["y", "x", "xi"]
+    doc["dilog_terms"].reverse()
+    doc["quad_terms"].reverse()
+    reordered = load_spec(json.dumps(doc))
+    text = dump_spec(spec)
+    for old, new in (('"x"', '"a"'), ('"y"', '"b"'), ('"xi"', '"c"')):
+        text = text.replace(old, new)
+    renamed = load_spec(text)
+    same = {"x": "x", "y": "y", "xi": "xi"}
+    return [
+        (spec, same),
+        (reordered, same),
+        (renamed, {"x": "a", "y": "b", "xi": "c"}),
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["builtin", "reordered", "renamed"])
+def test_tables_match_plain_reading_bit_for_bit(spec, which):
+    vspec, names = _variant_specs(spec)[which]
+    rng = random.Random(4242 + which)
+    for base in regular_points(spec, 40, seed=811):
+        vals = {names[v]: base.values[v] for v in ("x", "y", "xi")}
+        pt = make_point(vspec, vals)
+        assert_matches_naive(vspec, pt)
+        # advanced points carry continued, not principal, branches
+        for _ in range(3):
+            vals = {
+                v: w * complex(1 + rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+                for v, w in vals.items()
+            }
+            try:
+                pt = advance_point(pt, vals)
+            except (StepTooLargeError, SingularPointError):
+                break
+            assert_matches_naive(vspec, pt)
+
+
+def test_tables_on_points_with_windings(spec, complete):
+    # a long trace leaves several continued logs off the principal sheet
+    samples = trace_deformation(spec, 2 + 1j, 16, complete=complete)
+    windings = set()
+    for smp in samples:
+        assert_matches_naive(spec, smp.point)
+        windings.update(cl.winding for cl in smp.point.logs.values())
+        windings.update(
+            cl.winding for cl in smp.point.one_minus_logs.values() if cl is not None
+        )
+    assert windings != {0}
+
+
+def test_tables_on_forged_four_field_point(spec, complete):
+    # a point built from its four fields alone carries no monomial
+    # values; the evaluators derive them and must give the same bits
+    for pt in regular_points(spec, 20, seed=313) + [complete.point]:
+        forged = ParamPoint(
+            spec, dict(pt.values), dict(pt.logs), dict(pt.one_minus_logs)
+        )
+        assert forged.tracked_values is None
+        assert_matches_naive(spec, forged)
+        assert _bits(log_hessian(spec, forged)) == _bits(log_hessian(spec, pt))
+        assert _bits(eval_v(spec, forged)) == _bits(eval_v(spec, pt))
+
+
+def test_tables_with_another_spec_object(spec):
+    # a spec other than the point's own object, equal to it or not,
+    # lowers to its own tables; the point's cached values, kept in the
+    # order of its own spec's tables, must not be read through them
+    twin = load_spec(dump_spec(spec))
+    assert twin == spec and twin is not spec
+    reordered = _variant_specs(spec)[1][0]
+    for pt in regular_points(spec, 10, seed=99):
+        for other in (twin, reordered):
+            for got, want in (
+                (log_gradient(other, pt), naive_log_gradient(other, pt)),
+                (log_hessian(other, pt), naive_log_hessian(other, pt)),
+                (eval_v(other, pt), naive_eval_v(other, pt)),
+                (eta_log(other, pt), naive_eta_log(other, pt)),
+            ):
+                assert _bits(got) == _bits(want)
+
+
+def test_half_integer_quad_coefficient_fails_only_the_reduced_residual(spec):
+    doc = _doc(spec)
+    doc["quad_terms"][0]["coeff"] = [1, 2]  # (xi, x): coefficient 1/2
+    half = load_spec(json.dumps(doc))
+    assert half.quad_terms[0].coeff == Fraction(1, 2)
+    pt = make_point(half, {"x": 0.3 + 0.6j, "y": 0.5 + 0.8j, "xi": 1.1 + 0.1j})
+    g = log_gradient(half, pt)
+    assert np.all(np.isfinite(g))
+    assert _bits(g) == _bits(naive_log_gradient(half, pt))
+    with pytest.raises(ValidationError, match="integer quad exponents"):
+        reduced_residual(pt)
