@@ -3,7 +3,8 @@
 `tests/test_scan_digest.py` pins the filling homotopy; this test pins
 the fiber Newton loop behind `trace_deformation`. It runs a handful of
 32-sample traces in-process: short ones in several directions, one
-whose steps are halved many times, and one that is obstructed. Per
+whose steps are halved many times, one whose fiber Newton halves its
+line search, and one that is obstructed. Per
 sample it hashes the repr of `u`, the point values and `v`; for the
 obstructed trace it also hashes the error type, its message,
 `t_reached` and the length of the partial trace. The sha256 of that
@@ -30,7 +31,8 @@ DIGEST = os.path.join(
 SAMPLES = 32
 
 # short paths in four directions, two of middle length, one with heavy
-# step halving and one that is obstructed
+# step halving, one whose fiber Newton halves its line search, and one
+# that is obstructed
 U_ENDS = (
     0.1j,
     0.05 + 0j,
@@ -39,6 +41,7 @@ U_ENDS = (
     1.5 + 0.5j,
     -2.0 - 1.0j,
     -6.230013686454468 - 0.040184277262383564j,
+    -6.583546862500809 - 1.6733728079929684j,
     4.617509453821086 + 3.612771868344755j,
 )
 
