@@ -17,6 +17,7 @@ and selftest are row tables, and every JSON document carries
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -44,7 +45,6 @@ from .potential import (
     shapes_from_point,
     signed_d_sum,
 )
-from . import selftest as selftest_mod
 from .solver import normalize_slope, solve_complete, solve_filling, trace_deformation
 
 EXIT_OK = 0
@@ -176,9 +176,12 @@ def parse_slope(text: str):
 
 def parse_u_end(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        u_end = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise ValidationError("could not parse u-end %r" % text) from None
+    if not cmath.isfinite(u_end):
+        raise ValidationError("u-end must be finite, got %r" % text)
+    return u_end
 
 
 def _scan_slopes(pmax: int, qmax: int):
@@ -361,7 +364,10 @@ def cmd_trace(args, spec, complete, u_end):
 
 
 def cmd_selftest():
-    results = selftest_mod.run_selftest()
+    # imported here: the other commands never need the suites
+    from .selftest import run_selftest
+
+    results = run_selftest()
     ok = all(r.passed for r in results)
     doc = {
         "passed": ok,
@@ -399,6 +405,8 @@ def _run(args) -> int:
             args.accept_tol = float(os.environ.get("KNOTPOT_TOL", "1e-10"))
         except ValueError:
             raise UsageError("KNOTPOT_TOL is not a number") from None
+    if not (math.isfinite(args.accept_tol) and math.isfinite(args.newton_tol)):
+        raise UsageError("tolerances must be finite")
     if args.accept_tol <= 0 or args.newton_tol <= 0:
         raise UsageError("tolerances must be positive")
     if args.command == "selftest":

@@ -21,23 +21,25 @@ _TWO_PI = 2.0 * math.pi
 _MAX_JUMP = math.pi / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContinuedLog:
     """A chosen branch of log w: value = principal_log(w) + 2*pi*i*winding."""
 
     value: complex
     winding: int = 0
 
-    @classmethod
-    def from_value(cls, value: complex, exp_value=None) -> "ContinuedLog":
-        """The branch whose value is exactly `value`, winding recovered.
+    def __init__(self, value, winding=0):
+        # the solver builds eight of these per trial point; filling the
+        # instance dict directly gives the object the generated frozen
+        # __init__ would, at about half its cost
+        d = self.__dict__
+        d["value"] = value
+        d["winding"] = winding
 
-        A caller that already holds exp(value) passes it as exp_value,
-        so the exponential is taken once.
-        """
-        if exp_value is None:
-            exp_value = cmath.exp(value)
-        p = principal_log(exp_value)
+    @classmethod
+    def from_value(cls, value: complex) -> "ContinuedLog":
+        """The branch whose value is exactly `value`, winding recovered."""
+        p = principal_log(cmath.exp(value))
         return cls(value, round((value.imag - p.imag) / _TWO_PI))
 
 

@@ -74,7 +74,11 @@ def chern_simons_of(spec: PotentialSpec, slope: Slope, sol):
     independent of slope) is not determined here; reported values
     compare across slopes only through their differences.
     """
-    raw = -eval_v_alpha(spec, slope, _point_of(sol)).real / (2 * _PI2)
+    return _cs_class(eval_v_alpha(spec, slope, _point_of(sol)))
+
+
+def _cs_class(v_alpha: complex):
+    raw = -v_alpha.real / (2 * _PI2)
     return raw % _CS_AMBIGUITY, _CS_AMBIGUITY
 
 
@@ -133,7 +137,7 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
         # no shape recovery outside the 5_2 potential; the signed term
         # sum is the same quantity for potentials of this construction
         vfs = signed_d_sum(spec, pt)
-    cs, amb = chern_simons_of(spec, slope, sol)
+    cs, amb = _cs_class(va)
     length, torsion = core_geodesic_of(slope, sol)
     lam_re = -2 * pt.logs[spec.meridian].value.real / slope.q
     return InvariantReport(

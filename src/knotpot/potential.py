@@ -39,17 +39,27 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .dilog import (
+    _MAX_JUMP,
+    _TWO_PI,
     ContinuedLog,
     bloch_wigner_d,
     continue_log,
-    continued,
     li2,
     principal_log,
 )
-from .errors import SingularPointError, SpecFormatError, ValidationError
-from .errors import DegenerateModulusError
+from .errors import (
+    DegenerateModulusError,
+    DomainError,
+    SingularPointError,
+    SpecFormatError,
+    StepTooLargeError,
+    ValidationError,
+)
 
+_PI = math.pi
 _PI2 = math.pi * math.pi
+_exp = cmath.exp
+_log = cmath.log
 
 # rejection thresholds for genuine singularities of V; points this
 # close to a pole or a dilog argument of 1 are rejected, not clamped
@@ -62,6 +72,18 @@ class Monomial:
     """Laurent monomial prod var^exp, stored as sorted (var, exp) pairs."""
 
     exponents: tuple
+
+    def __post_init__(self):
+        # monomials key every point's one_minus_logs; hashing the pairs
+        # again at each point build costs more than storing the hash
+        object.__setattr__(self, "_hash", hash((self.exponents,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild, never unpickle, _hash
+        return (Monomial, (self.exponents,))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
@@ -170,6 +192,11 @@ class SpecTables:
         j_of = {m: j for j, m in enumerate(self.monomials)}
         dilog_args = {t.argument for t in spec.dilog_terms}
         self.is_dilog = tuple(m in dilog_args for m in self.monomials)
+        # point builds: per tracked monomial its (variable index, exp)
+        # pairs, in Monomial.exponents order
+        self.monomial_rows = tuple(
+            tuple((idx[v], e) for v, e in m.exponents) for m in self.monomials
+        )
 
         # V: (sign, j) per dilog term, (coeff, var_a, var_b) per quad term
         self.dilogs = tuple((t.sign, j_of[t.argument]) for t in spec.dilog_terms)
@@ -194,23 +221,35 @@ class SpecTables:
                     quad_rows.append((c, t.var_a))
             gradient.append((rows, tuple(quad_rows)))
         self.gradient = tuple(gradient)
+        # the non-meridian components, which the solvers drive to zero
+        self.fiber_gradient = self.gradient[:-1]
 
-        # hessian: per dilog term (sign, j, ((i_u, i_v, a_u * a_v), ...)),
-        # then per quad term (i_a, i_b, coeff) added at both (a, b) and (b, a)
-        hessian = []
-        for t in spec.dilog_terms:
-            vs = t.argument.variables()
-            entries = tuple(
-                (idx[u], idx[v], t.argument.exponent(u) * t.argument.exponent(v))
-                for u in vs
-                for v in vs
-            )
-            hessian.append((t.sign, j_of[t.argument], entries))
-        self.hessian = tuple(hessian)
-        self.hessian_quads = tuple(
-            (idx[t.var_a], idx[t.var_b], complex(float(t.coeff)))
-            for t in spec.quad_terms
-        )
+        # hessian: f_t = sign * m / (1 - m) per dilog term t, from its
+        # (sign, j); then per cell (i_u, i_v) of the upper triangle the
+        # (a_u * a_v, t) products in term order and the quad constants in
+        # quad order (a diagonal cell takes a quad's constant twice).
+        # Summed from 0j in that order, each cell is bit for bit the
+        # entry-by-entry sum of the spec's reading, and equal to its
+        # mirror cell, which receives the same sums in the same order.
+        self.hessian_terms = tuple((t.sign, j_of[t.argument]) for t in spec.dilog_terms)
+        cells = []
+        for iu, u in enumerate(variables):
+            for iv in range(iu, len(variables)):
+                v = variables[iv]
+                prods = tuple(
+                    (t.argument.exponent(u) * t.argument.exponent(v), ti)
+                    for ti, t in enumerate(spec.dilog_terms)
+                    if t.argument.exponent(u) and t.argument.exponent(v)
+                )
+                consts = []
+                for t in spec.quad_terms:
+                    hits = ((t.var_a, t.var_b) == (u, v)) + ((t.var_b, t.var_a) == (u, v))
+                    consts += [complex(float(t.coeff))] * hits
+                cells.append((iu, iv, prods, tuple(consts)))
+        self.hessian_cells = tuple(cells)
+        # the non-meridian block the fiber Newton solves in
+        k = len(variables) - 1
+        self.fiber_hessian_cells = tuple(c for c in cells if c[1] < k)
 
         # primary longitude: log eta rows, and per variable the constant
         # prefactor exponent and (e * a_v, j) per factor with a_v != 0
@@ -228,9 +267,10 @@ class SpecTables:
         )
 
         # reduced residual, per non-meridian variable: (e, j) factors
-        # (1 - m)^e of the left side, then (var, e) powers of the right
-        # side; a non-integer e stays a Fraction and is refused when a
-        # residual is evaluated, not here, so such a spec still loads
+        # (1 - m)^e of the left side, (var, e) powers of the right side,
+        # and the right side's first non-integer e (else None), which is
+        # refused when a residual is evaluated, not here, so such a spec
+        # still loads
         residual = []
         for v in variables[:-1]:
             quad_exp = {}
@@ -246,11 +286,10 @@ class SpecTables:
                 for t in spec.dilog_terms
                 if t.argument.exponent(v)
             )
-            rhs = []
-            for vp, c in quad_exp.items():
-                e = sigma * c
-                rhs.append((vp, int(e) if e.denominator == 1 else e))
-            residual.append((lhs, tuple(rhs)))
+            exps = [(vp, sigma * c) for vp, c in quad_exp.items()]
+            bad = next((e for _, e in exps if e.denominator != 1), None)
+            rhs = tuple((vp, int(e)) for vp, e in exps if e.denominator == 1)
+            residual.append((lhs, rhs, bad))
         self.residual = tuple(residual)
 
     def monomial_values(self, values: Mapping[str, complex]) -> tuple:
@@ -258,7 +297,7 @@ class SpecTables:
         return tuple(m.evaluate(values) for m in self.monomials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParamPoint:
     """A point in parameter space with its branch bookkeeping.
 
@@ -280,6 +319,19 @@ class ParamPoint:
     one_minus_logs: dict
     tracked_values: Optional[tuple] = field(default=None, repr=False, compare=False)
     tracked_logs: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __init__(
+        self, spec, values, logs, one_minus_logs, tracked_values=None, tracked_logs=None
+    ):
+        # one per trial point: fill the instance dict directly, as
+        # ContinuedLog does, instead of the frozen __init__'s setattrs
+        d = self.__dict__
+        d["spec"] = spec
+        d["values"] = values
+        d["logs"] = logs
+        d["one_minus_logs"] = one_minus_logs
+        d["tracked_values"] = tracked_values
+        d["tracked_logs"] = tracked_logs
 
 
 @dataclass(frozen=True)
@@ -545,17 +597,36 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
     start principal when prev is None and are branch-continued from
     prev otherwise, so a StepTooLargeError here means the caller moved
     too far in one step.
+
+    This is the solver's innermost step, so ContinuedLog.from_value,
+    principal_log, continue_log and Monomial.evaluate are written out
+    here, operation for operation.
     """
     tab = spec.tables
     logs = {}
     values = {}
+    xs = []
     for v in spec.variables:
         lv = logmap[v]
-        w = cmath.exp(lv)
-        logs[v] = ContinuedLog.from_value(lv, w)
+        w = _exp(lv)
+        if w == 0:
+            raise DomainError("log of zero")
+        p_im = _log(w).imag
+        if p_im == -_PI:
+            p_im = _PI
+        # float(): arithmetic and round() on a numpy scalar are slow;
+        # round(d / 2 pi) is 0 whenever |d| <= pi
+        d = float(lv.imag) - p_im
+        logs[v] = ContinuedLog(lv, 0 if -_PI <= d <= _PI else round(d / _TWO_PI))
         values[v] = w
+        xs.append(w)
     prev_logs = None if prev is None else _tracked(spec, prev)[1]
-    mvals = tab.monomial_values(values)
+    mvals = []
+    for row in tab.monomial_rows:
+        r = 1 + 0j
+        for i, e in row:
+            r *= xs[i] ** e
+        mvals.append(r)
     one_minus = {}
     tracked_logs = []
     for j, m in enumerate(tab.monomials):
@@ -564,13 +635,31 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
             if tab.is_dilog[j]:
                 raise SingularPointError("dilog argument %s = 1" % m)
             cl = None  # longitude-only factor; reject lazily
-        elif prev_logs is not None and prev_logs[j] is not None:
-            cl = continue_log(prev_logs[j], w)
         else:
-            cl = continued(w)
+            p = _log(w)
+            if p.imag == -_PI:
+                p = complex(p.real, _PI)
+            prev_cl = None if prev_logs is None else prev_logs[j]
+            if prev_cl is None:
+                cl = ContinuedLog(p, 0)
+            else:
+                prev_im = prev_cl.value.imag
+                d = prev_im - p.imag
+                if -_PI <= d <= _PI and p.imag:
+                    # winding 0, and p.imag + 0.0 is p.imag unless -0.0
+                    value, k = p, 0
+                else:
+                    k = round(d / _TWO_PI)
+                    value = complex(p.real, p.imag + _TWO_PI * k)
+                jump = abs(value.imag - prev_im)
+                if jump >= _MAX_JUMP:
+                    raise StepTooLargeError(
+                        "log continuation jump %.3f >= pi/2" % jump
+                    )
+                cl = ContinuedLog(value, k)
         one_minus[m] = cl
         tracked_logs.append(cl)
-    return ParamPoint(spec, values, logs, one_minus, mvals, tuple(tracked_logs))
+    return ParamPoint(spec, values, logs, one_minus, tuple(mvals), tuple(tracked_logs))
 
 
 def _tracked(spec: PotentialSpec, pt: ParamPoint):
@@ -659,6 +748,21 @@ def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
     return sum(sign * bloch_wigner_d(mvals[j]) for sign, j in spec.tables.dilogs)
 
 
+def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:
+    """log_gradient's components for tab.gradient or tab.fiber_gradient."""
+    one_minus = _tracked(spec, pt)[1]
+    logs = pt.logs
+    g = []
+    for rows, quad_rows in table:
+        acc = 0j
+        for sa, j in rows:
+            acc -= sa * one_minus[j].value
+        for c, w in quad_rows:
+            acc += c * logs[w].value
+        g.append(acc)
+    return g
+
+
 def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     """Vector of v dV/dv over spec.variables, from the stored logs.
 
@@ -667,35 +771,33 @@ def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     are the continued branches carried by pt, so on a solution branch
     these are exactly the equations the solver drives to zero.
     """
-    one_minus = _tracked(spec, pt)[1]
-    logs = pt.logs
-    g = []
-    for rows, quad_rows in spec.tables.gradient:
+    return np.array(_gradient(spec, pt, spec.tables.gradient), dtype=complex)
+
+
+def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
+    """n x n rows of log_hessian from tab.hessian_cells or a block of it."""
+    tab = spec.tables
+    mvals = _tracked(spec, pt)[0]
+    fs = []
+    for sign, j in tab.hessian_terms:
+        m = mvals[j]
+        if m == 1:
+            raise SingularPointError("dilog argument %s = 1" % tab.monomials[j])
+        fs.append(sign * m / (1 - m))
+    h = [[0j] * n for _ in range(n)]
+    for iu, iv, prods, consts in cells:
         acc = 0j
-        for sa, j in rows:
-            acc -= sa * one_minus[j].value
-        for c, w in quad_rows:
-            acc += c * logs[w].value
-        g.append(acc)
-    return np.array(g, dtype=complex)
+        for aa, t in prods:
+            acc += aa * fs[t]
+        for c in consts:
+            acc += c
+        h[iu][iv] = h[iv][iu] = acc
+    return h
 
 
 def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     """Matrix of u d/du (v dV/dv); symmetric, quad terms are constants."""
-    tab = spec.tables
-    mvals = _tracked(spec, pt)[0]
-    n = len(spec.variables)
-    h = [[0j] * n for _ in range(n)]
-    for sign, j, entries in tab.hessian:
-        m = mvals[j]
-        if m == 1:
-            raise SingularPointError("dilog argument %s = 1" % tab.monomials[j])
-        f = sign * m / (1 - m)
-        for iu, iv, aa in entries:
-            h[iu][iv] += aa * f
-    for ia, ib, c in tab.hessian_quads:
-        h[ia][ib] += c
-        h[ib][ia] += c
+    h = _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
     return np.array(h, dtype=complex)
 
 
@@ -747,8 +849,8 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     return s
 
 
-def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
-    """Derivatives v d(log eta)/dv over spec.variables (Jacobian row)."""
+def _d_eta(spec: PotentialSpec, pt: ParamPoint) -> list:
+    """d_eta_log as a list."""
     mvals = _tracked(spec, pt)[0]
     out = []
     for acc, rows in spec.tables.d_eta:
@@ -756,7 +858,12 @@ def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
             mv = mvals[j]
             acc -= ea * mv / (1 - mv)
         out.append(acc)
-    return np.array(out, dtype=complex)
+    return out
+
+
+def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
+    """Derivatives v d(log eta)/dv over spec.variables (Jacobian row)."""
+    return np.array(_d_eta(spec, pt), dtype=complex)
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:
@@ -791,21 +898,22 @@ def reduced_residual(pt: ParamPoint):
     spec = pt.spec
     tab = spec.tables
     mvals = _tracked(spec, pt)[0]
+    values = pt.values
     out = []
-    for lhs_rows, rhs_rows in tab.residual:
+    for lhs_rows, rhs_rows, bad in tab.residual:
         lhs = 1 + 0j
         for e, j in lhs_rows:
             f = 1 - mvals[j]
             if f == 0 and e < 0:
                 raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
             lhs *= f**e
+        if bad is not None:
+            raise ValidationError(
+                "reduced residual needs integer quad exponents, got %s" % bad
+            )
         rhs = 1 + 0j
         for vp, e in rhs_rows:
-            if isinstance(e, Fraction):
-                raise ValidationError(
-                    "reduced residual needs integer quad exponents, got %s" % e
-                )
-            rhs *= pt.values[vp] ** e
+            rhs *= values[vp] ** e
         out.append(lhs - rhs)
     return tuple(out)
 

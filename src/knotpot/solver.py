@@ -35,11 +35,12 @@ from .errors import (
 from .potential import (
     ParamPoint,
     PotentialSpec,
+    _d_eta,
+    _gradient,
+    _hessian,
     advance_point_logs,
-    d_eta_log,
     eta_log,
     eval_v_alpha,
-    log_gradient,
     log_hessian,
     make_point,
     reduced_residual,
@@ -176,7 +177,7 @@ def newton_refine(system, start, tol: float, max_iters: int = 50) -> NewtonResul
 
 
 def _resid_inf(pt) -> float:
-    return max(abs(r) for r in reduced_residual(pt))
+    return max(map(abs, reduced_residual(pt)))
 
 
 def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
@@ -184,25 +185,29 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
 
     Drives the continued-log gradient to zero, branch-continuing from
     pt at each trial step (halving on a branch jump), and accepts on
-    the reduced residuals.
+    the reduced residuals. The gradient and hessian are evaluated on
+    the non-meridian block only.
     """
-    names = spec.variables[:-1]
-    k = len(names)
-    logmap = {v: pt.logs[v].value for v in spec.variables}
+    variables = spec.variables
+    k = len(variables) - 1
+    tab = spec.tables
+    logmap = {v: pt.logs[v].value for v in variables}
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
     for it in range(max_iters):
         resid = _resid_inf(pt)
         if resid <= tol:
             return CriticalPoint(pt, resid, it)
-        g = log_gradient(spec, pt)[:k]
-        h = log_hessian(spec, pt)[:k, :k]
-        step = np.linalg.solve(h, g)
+        g = np.array(_gradient(spec, pt, tab.fiber_gradient), dtype=complex)
+        h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
+        step = np.linalg.solve(np.array(h, dtype=complex), g)
+        cur = [pt.logs[v].value for v in variables]
+        deltas = list(step)
         scale = 1.0
         for _ in range(40):
-            trial = {v: pt.logs[v].value for v in spec.variables}
-            for i, v in enumerate(names):
-                trial[v] -= scale * step[i]
+            trial = dict(zip(variables, cur))
+            for v, d in zip(variables, deltas):
+                trial[v] -= scale * d
             try:
                 pt = advance_point_logs(pt, trial)
                 break
@@ -233,11 +238,11 @@ def solve_complete(
 ) -> CriticalPoint:
     """Complete structure: meridian pinned to 1, geometric root selected.
 
-    Runs Newton from each seed in order, collects distinct converged
-    roots, and returns the first whose dilog arguments are all off the
-    real axis with total shape volume sum sign*D > 0. A root found
-    with negative total volume is replaced by its complex conjugate
-    (same equations, opposite orientation).
+    Runs Newton from each seed in order and returns the first distinct
+    converged root whose dilog arguments are all off the real axis
+    with total shape volume sum sign*D > 0; later seeds are not run. A
+    root found with negative total volume is replaced by its complex
+    conjugate (same equations, opposite orientation).
     """
     if seeds is None:
         if tuple(spec.variables[:-1]) != ("x", "y"):
@@ -246,7 +251,7 @@ def solve_complete(
             )
         seeds = [dict(s) for s in DEFAULT_SEEDS]
     meridian = spec.meridian
-    roots = []
+    keys = []
     best_resid = math.inf
     for seed in seeds:
         values = dict(seed)
@@ -256,18 +261,14 @@ def solve_complete(
             cp = _newton_fiber(spec, pt0, 0j, newton_tol)
         except (KnotpotError, np.linalg.LinAlgError):
             continue
+        best_resid = min(best_resid, cp.residual_inf_norm)
         key = tuple(
             (round(cp.point.values[v].real, 9), round(cp.point.values[v].imag, 9))
             for v in spec.variables
         )
-        if key not in [k for k, _ in roots]:
-            roots.append((key, cp))
-        best_resid = min(best_resid, cp.residual_inf_norm)
-    if not roots:
-        raise NoConvergenceError(
-            "no seed converged for %s" % spec.name, best_residual=None
-        )
-    for _, cp in roots:
+        if key in keys:
+            continue  # a root already seen, and not geometric
+        keys.append(key)
         vol = signed_d_sum(spec, cp.point)
         if vol < -_FLAT_TOL:
             conj_values = {v: cp.point.values[v].conjugate() for v in spec.variables}
@@ -279,6 +280,10 @@ def solve_complete(
             for t in spec.dilog_terms
         ):
             return cp
+    if not keys:
+        raise NoConvergenceError(
+            "no seed converged for %s" % spec.name, best_residual=None
+        )
     raise NoGeometricRootError(
         "all converged roots are flat (best residual %.3e)" % best_resid
     )
@@ -334,38 +339,39 @@ def trace_deformation(
     return out
 
 
-def _filling_system(spec, pt, p, q, t):
+def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
+    """Newton on {x-equation, y-equation, p u + q v = 2 pi i t}.
+
+    Returns the accepted point, the iterations taken, and at that point
+    the reduced residual and u = 2 log xi, v = 2 log eta.
+    """
     names = spec.variables
     k = len(names) - 1
-    g = log_gradient(spec, pt)
-    u2 = 2 * pt.logs[spec.meridian].value
-    v2 = 2 * eta_log(spec, pt)
-    f = np.empty(k + 1, dtype=complex)
-    f[:k] = g[:k]
-    f[k] = p * u2 + q * v2 - _TWO_PI_I * t
-    jac = np.zeros((k + 1, k + 1), dtype=complex)
-    jac[:k, :] = log_hessian(spec, pt)[:k, :]
-    deta = d_eta_log(spec, pt)
-    for j in range(k + 1):
-        jac[k, j] = 2 * q * deta[j]
-    jac[k, k] += 2 * p
-    return f, jac
-
-
-def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
-    names = spec.variables
+    meridian = spec.meridian
+    tab = spec.tables
     for it in range(max_iters):
-        f, jac = _filling_system(spec, pt, p, q, t)
+        u2 = 2 * pt.logs[meridian].value
+        v2 = 2 * eta_log(spec, pt)
+        fill = p * u2 + q * v2 - _TWO_PI_I * t
         # the filling equation is cheaper to test, and the reduced
         # residual is only needed once it holds
-        if abs(f[-1]) <= tol and _resid_inf(pt) <= tol:
-            return pt, it
+        if abs(fill) <= tol:
+            resid = _resid_inf(pt)
+            if resid <= tol:
+                return pt, it, resid, u2, v2
+        # Jacobian: the hessian's non-meridian rows, then the row of
+        # the filling equation
+        f = np.array(_gradient(spec, pt, tab.fiber_gradient) + [fill], dtype=complex)
+        jac = log_hessian(spec, pt)
+        row = [2 * q * d for d in _d_eta(spec, pt)]
+        row[k] += 2 * p
+        jac[k] = row
         step = np.linalg.solve(jac, f)
+        cur = [pt.logs[v].value for v in names]
+        deltas = list(step)
         scale = 1.0
         for _ in range(40):
-            trial = {
-                v: pt.logs[v].value - scale * step[i] for i, v in enumerate(names)
-            }
+            trial = {v: c - scale * d for v, c, d in zip(names, cur, deltas)}
             try:
                 pt = advance_point_logs(pt, trial)
                 break
@@ -403,7 +409,9 @@ def solve_filling(
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
         try:
-            pt2, it = _newton_filling(spec, pt, p, q, target, newton_tol)
+            pt2, it, resid, u_val, v_val = _newton_filling(
+                spec, pt, p, q, target, newton_tol
+            )
             pt, t = pt2, target
             steps += 1
             iters += it
@@ -416,9 +424,7 @@ def solve_filling(
                     t_reached=t,
                 ) from e
 
-    resid = _resid_inf(pt)
-    u_val = 2 * pt.logs[spec.meridian].value
-    v_val = 2 * eta_log(spec, pt)
+    # resid, u_val and v_val are those of the last accepted Newton solve
     fill_resid = abs(p * u_val + q * v_val - _TWO_PI_I)
     if resid > accept_tol or fill_resid > 1e-9:
         raise NoConvergenceError(

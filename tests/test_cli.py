@@ -1,6 +1,9 @@
 """Command-line front end tests, run in-process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,6 +252,15 @@ def test_trace_rejects_bad_u_end(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["nan", "1e400", "-1e400", "1+1e400i", "nan+0i"])
+def test_trace_rejects_non_finite_u_end(capsys, text):
+    with pytest.raises(ValidationError):
+        parse_u_end(text)
+    code, out, err = run(capsys, "trace", "--u-end=" + text)
+    assert (code, out) == (1, "")
+    assert err == "error: u-end must be finite, got %r\n" % text
+
+
 # ------------------------------------------------------------ selftest
 
 
@@ -303,6 +315,45 @@ def test_accept_tol_env_must_be_numeric(capsys, monkeypatch):
 def test_tolerances_must_be_positive(capsys):
     code, _, _ = run(capsys, "--newton-tol", "-1", "complete")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--newton-tol", "inf", "complete"],
+        ["--newton-tol", "nan", "complete"],
+        ["--accept-tol", "nan", "fill", "--slope", "7"],
+        ["--accept-tol=-inf", "fill", "--slope", "7"],
+    ],
+)
+def test_tolerances_must_be_finite(capsys, argv):
+    # nan passes a "<= 0" test and makes every "resid > tol" false; inf
+    # accepts the unrefined seed as the complete structure
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "tolerances must be finite\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_accept_tol_env_must_be_finite(capsys, monkeypatch, value):
+    monkeypatch.setenv("KNOTPOT_TOL", value)
+    code, out, err = run(capsys, "fill", "--slope", "7")
+    assert (code, out, err) == (1, "", "tolerances must be finite\n")
+
+
+def test_solving_commands_do_not_import_selftest(tmp_path):
+    # a fresh process: the suites load only for the selftest command
+    code = (
+        "import sys, knotpot.cli\n"
+        "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
+        "print('knotpot.selftest' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

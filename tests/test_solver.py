@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import _oracles as O
+from knotpot import solver
 from knotpot.errors import (
+    KnotpotError,
     NoConvergenceError,
+    NoGeometricRootError,
     PathObstructionError,
     SingularJacobianError,
     ValidationError,
@@ -23,6 +26,7 @@ from knotpot.potential import (
     load_spec,
     make_point,
     reduced_residual,
+    signed_d_sum,
 )
 from knotpot.solver import (
     NewtonResult,
@@ -178,6 +182,86 @@ def test_complete_no_usable_seed(spec):
     # (1, 1) is a singular point, so the only seed dies at construction
     with pytest.raises(NoConvergenceError):
         solve_complete(spec, seeds=[{"x": 1.0, "y": 1.0}])
+
+
+def _full_grid_complete(spec, seeds, newton_tol=1e-12):
+    """solve_complete as a loop over every seed before choosing a root.
+
+    The reference for the early return: collect each distinct converged
+    root in seed order, then take the first geometric one, conjugating
+    a root of negative volume.
+    """
+    roots, best = [], math.inf
+    for seed in seeds:
+        values = dict(seed, xi=1.0)
+        try:
+            cp = solver._newton_fiber(spec, make_point(spec, values), 0j, newton_tol)
+        except (KnotpotError, np.linalg.LinAlgError):
+            continue
+        key = tuple(
+            (round(cp.point.values[v].real, 9), round(cp.point.values[v].imag, 9))
+            for v in spec.variables
+        )
+        if key not in [k for k, _ in roots]:
+            roots.append((key, cp))
+        best = min(best, cp.residual_inf_norm)
+    if not roots:
+        raise NoConvergenceError("no seed converged for %s" % spec.name)
+    for _, cp in roots:
+        vol = signed_d_sum(spec, cp.point)
+        if vol < -1e-4:
+            pt = make_point(spec, {v: z.conjugate() for v, z in cp.point.values.items()})
+            cp = solver.CriticalPoint(pt, solver._resid_inf(pt), cp.newton_iters)
+            vol = signed_d_sum(spec, pt)
+        if vol > 1e-4 and all(
+            abs(t.argument.evaluate(cp.point.values).imag) > 1e-9
+            for t in spec.dilog_terms
+        ):
+            return cp
+    raise NoGeometricRootError("all converged roots are flat (best residual %.3e)" % best)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0],
+        [3, 2, 0],  # flat, then a root that is conjugated
+        [3, 7, 15, 2, 0],
+        [5, 12, 3, 1, 0],  # two singular seeds first
+        [6, 14, 11],  # one root, conjugated, reached three times
+        list(range(16)),
+        list(reversed(range(16))),
+    ],
+)
+def test_complete_early_return_matches_full_grid(spec, order):
+    seeds = [solver.DEFAULT_SEEDS[i] for i in order]
+    got = solve_complete(spec, seeds=seeds)
+    want = _full_grid_complete(spec, seeds)
+    assert got.point == want.point
+    assert repr(got.point.values) == repr(want.point.values)
+    assert got.newton_iters == want.newton_iters
+    assert got.residual_inf_norm == want.residual_inf_norm
+
+
+@pytest.mark.parametrize(
+    "order, error",
+    [([3, 7], NoGeometricRootError), ([7, 3], NoGeometricRootError),
+     ([5, 12], NoConvergenceError)],
+)
+def test_complete_without_geometric_root_matches_full_grid(spec, order, error):
+    # no early return: every seed runs, so the message keeps the best
+    # residual over all of them
+    seeds = [solver.DEFAULT_SEEDS[i] for i in order]
+    with pytest.raises(error) as got:
+        solve_complete(spec, seeds=seeds)
+    with pytest.raises(error) as want:
+        _full_grid_complete(spec, seeds)
+    assert str(got.value) == str(want.value)
+
+
+def test_complete_default_grid_stops_at_first_geometric_root(spec, complete):
+    assert complete.newton_iters == 4  # seed 0's iterations
+    assert complete.point == _full_grid_complete(spec, solver.DEFAULT_SEEDS).point
 
 
 # ---------------------------------------------------- trace_deformation
