@@ -73,18 +73,6 @@ class Monomial:
 
     exponents: tuple
 
-    def __post_init__(self):
-        # monomials key every point's one_minus_logs; hashing the pairs
-        # again at each point build costs more than storing the hash
-        object.__setattr__(self, "_hash", hash((self.exponents,)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes differ between processes: rebuild, never unpickle, _hash
-        return (Monomial, (self.exponents,))
-
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
         items = tuple(sorted((v, int(e)) for v, e in d.items() if int(e) != 0))
