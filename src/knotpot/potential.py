@@ -285,7 +285,7 @@ class SpecTables:
         return tuple(m.evaluate(values) for m in self.monomials)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ParamPoint:
     """A point in parameter space with its branch bookkeeping.
 
@@ -307,19 +307,6 @@ class ParamPoint:
     one_minus_logs: dict
     tracked_values: Optional[tuple] = field(default=None, repr=False, compare=False)
     tracked_logs: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __init__(
-        self, spec, values, logs, one_minus_logs, tracked_values=None, tracked_logs=None
-    ):
-        # one per trial point: fill the instance dict directly, as
-        # ContinuedLog does, instead of the frozen __init__'s setattrs
-        d = self.__dict__
-        d["spec"] = spec
-        d["values"] = values
-        d["logs"] = logs
-        d["one_minus_logs"] = one_minus_logs
-        d["tracked_values"] = tracked_values
-        d["tracked_logs"] = tracked_logs
 
 
 @dataclass(frozen=True)
