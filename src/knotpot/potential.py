@@ -231,7 +231,8 @@ class SpecTables:
                 )
                 consts = []
                 for t in spec.quad_terms:
-                    hits = ((t.var_a, t.var_b) == (u, v)) + ((t.var_b, t.var_a) == (u, v))
+                    pair = (t.var_a, t.var_b)
+                    hits = (pair == (u, v)) + (pair == (v, u))
                     consts += [complex(float(t.coeff))] * hits
                 cells.append((iu, iv, prods, tuple(consts)))
         self.hessian_cells = tuple(cells)

@@ -210,7 +210,8 @@ def _full_grid_complete(spec, seeds, newton_tol=1e-12):
     for _, cp in roots:
         vol = signed_d_sum(spec, cp.point)
         if vol < -1e-4:
-            pt = make_point(spec, {v: z.conjugate() for v, z in cp.point.values.items()})
+            conj = {v: z.conjugate() for v, z in cp.point.values.items()}
+            pt = make_point(spec, conj)
             cp = solver.CriticalPoint(pt, solver._resid_inf(pt), cp.newton_iters)
             vol = signed_d_sum(spec, pt)
         if vol > 1e-4 and all(
@@ -218,7 +219,9 @@ def _full_grid_complete(spec, seeds, newton_tol=1e-12):
             for t in spec.dilog_terms
         ):
             return cp
-    raise NoGeometricRootError("all converged roots are flat (best residual %.3e)" % best)
+    raise NoGeometricRootError(
+        "all converged roots are flat (best residual %.3e)" % best
+    )
 
 
 @pytest.mark.parametrize(
