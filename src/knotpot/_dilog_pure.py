@@ -55,8 +55,10 @@ def principal_log(w):
         raise DomainError("log of zero")
     z = cmath.log(w)
     # cmath maps negative reals with a -0.0 imaginary part to Im = -pi;
-    # fold that onto the +pi side so the branch is half-open.
-    if z.imag == -_PI:
+    # fold that onto the +pi side so the branch is half-open. A phase
+    # that only rounds to -pi (a tiny negative imaginary part) is a
+    # value below the cut and stays there.
+    if z.imag == -_PI and not w.imag:
         z = complex(z.real, _PI)
     return z
 

@@ -48,7 +48,7 @@ class ZeroDenominatorError(KnotpotError, ValueError):
 
 
 class SingularJacobianError(KnotpotError):
-    """Newton hit a Jacobian with condition estimate above 1e14."""
+    """A Newton step's linear system is singular (an exactly zero pivot)."""
 
 
 class NoConvergenceError(KnotpotError):

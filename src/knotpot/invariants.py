@@ -20,8 +20,8 @@ from .potential import (
     PotentialSpec,
     Shapes,
     eval_v,
+    _gradient,
     eval_v_alpha,
-    log_gradient,
     shapes_from_point,
     signed_d_sum,
 )
@@ -117,7 +117,7 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
     sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points.
     Valid at any regular point with principal branches.
     """
-    g = list(log_gradient(spec, pt))
+    g = _gradient(spec, pt, spec.tables.gradient)
     if slope is not None:
         lx = pt.logs[spec.meridian].value
         g[-1] += (2j * _PI - 2 * slope.p * lx) / slope.q

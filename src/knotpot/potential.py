@@ -34,9 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .dilog import (
     _MAX_JUMP,
@@ -55,6 +53,11 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    # only the three array-returning public evaluators use numpy, and
+    # they import it when called, so the solvers never load it
+    import numpy as np
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
@@ -169,8 +172,8 @@ class SpecTables:
     tracked monomials in tracked_monomials() order, and variables by
     name or by their index in spec.variables. Rows keep the order of
     the spec's terms. Exponents stay Python ints and coefficients
-    floats (complex where a numpy matrix would promote them), so each
-    evaluator does the arithmetic of the plain reading of the spec.
+    floats (complex for the hessian's constants), so each evaluator
+    does the arithmetic of the plain reading of the spec.
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -572,7 +575,9 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
     exactly against the principal branch); the derived logs of 1 - m
     start principal when prev is None and are branch-continued from
     prev otherwise, so a StepTooLargeError here means the caller moved
-    too far in one step.
+    too far in one step. An overflow of exp or of a monomial power, and
+    a log that is not finite, raise it too: such a step also went too
+    far.
 
     This is the solver's innermost step, so ContinuedLog.from_value,
     principal_log, continue_log and Monomial.evaluate are written out
@@ -582,27 +587,33 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
     logs = {}
     values = {}
     xs = []
-    for v in spec.variables:
-        lv = logmap[v]
-        w = _exp(lv)
-        if w == 0:
-            raise DomainError("log of zero")
-        p_im = _log(w).imag
-        if p_im == -_PI:
-            p_im = _PI
-        # float(): arithmetic and round() on a numpy scalar are slow;
-        # round(d / 2 pi) is 0 whenever |d| <= pi
-        d = float(lv.imag) - p_im
-        logs[v] = ContinuedLog(lv, 0 if -_PI <= d <= _PI else round(d / _TWO_PI))
-        values[v] = w
-        xs.append(w)
-    prev_logs = None if prev is None else _tracked(spec, prev)[1]
     mvals = []
-    for row in tab.monomial_rows:
-        r = 1 + 0j
-        for i, e in row:
-            r *= xs[i] ** e
-        mvals.append(r)
+    try:
+        for v in spec.variables:
+            lv = logmap[v]
+            w = _exp(lv)
+            if w == 0:
+                raise DomainError("log of zero")
+            p_im = _log(w).imag
+            if p_im == -_PI and not w.imag:
+                p_im = _PI
+            # round(d / 2 pi) is 0 whenever |d| <= pi
+            d = lv.imag - p_im
+            if d != d:
+                raise StepTooLargeError("log %s is not finite" % lv)
+            logs[v] = ContinuedLog(lv, 0 if -_PI <= d <= _PI else round(d / _TWO_PI))
+            values[v] = w
+            xs.append(w)
+        for row in tab.monomial_rows:
+            r = 1 + 0j
+            for i, e in row:
+                r *= xs[i] ** e
+            mvals.append(r)
+    except OverflowError as e:
+        # a log so far out that exp or a monomial power overflows is a
+        # step too far, not a point: the caller halves and retries
+        raise StepTooLargeError("exp overflow (%s)" % e) from e
+    prev_logs = None if prev is None else _tracked(spec, prev)[1]
     one_minus = {}
     tracked_logs = []
     for j, m in enumerate(tab.monomials):
@@ -613,7 +624,7 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
             cl = None  # longitude-only factor; reject lazily
         else:
             p = _log(w)
-            if p.imag == -_PI:
+            if p.imag == -_PI and not w.imag:
                 p = complex(p.real, _PI)
             prev_cl = None if prev_logs is None else prev_logs[j]
             if prev_cl is None:
@@ -625,6 +636,8 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
                     # winding 0, and p.imag + 0.0 is p.imag unless -0.0
                     value, k = p, 0
                 else:
+                    if not abs(d) < math.inf:
+                        raise StepTooLargeError("log(1 - %s) is not finite" % m)
                     k = round(d / _TWO_PI)
                     value = complex(p.real, p.imag + _TWO_PI * k)
                 jump = abs(value.imag - prev_im)
@@ -739,7 +752,7 @@ def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:
     return g
 
 
-def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
+def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
     """Vector of v dV/dv over spec.variables, from the stored logs.
 
     Component v is sum_terms -sign * a_v * log(1 - m) plus the
@@ -747,6 +760,8 @@ def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
     are the continued branches carried by pt, so on a solution branch
     these are exactly the equations the solver drives to zero.
     """
+    import numpy as np
+
     return np.array(_gradient(spec, pt, spec.tables.gradient), dtype=complex)
 
 
@@ -771,8 +786,10 @@ def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
     return h
 
 
-def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
+def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
     """Matrix of u d/du (v dV/dv); symmetric, quad terms are constants."""
+    import numpy as np
+
     h = _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
     return np.array(h, dtype=complex)
 
@@ -837,8 +854,10 @@ def _d_eta(spec: PotentialSpec, pt: ParamPoint) -> list:
     return out
 
 
-def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> np.ndarray:
+def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
     """Derivatives v d(log eta)/dv over spec.variables (Jacobian row)."""
+    import numpy as np
+
     return np.array(_d_eta(spec, pt), dtype=complex)
 
 
@@ -876,21 +895,25 @@ def reduced_residual(pt: ParamPoint):
     mvals = _tracked(spec, pt)[0]
     values = pt.values
     out = []
-    for lhs_rows, rhs_rows, bad in tab.residual:
-        lhs = 1 + 0j
-        for e, j in lhs_rows:
-            f = 1 - mvals[j]
-            if f == 0 and e < 0:
-                raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
-            lhs *= f**e
-        if bad is not None:
-            raise ValidationError(
-                "reduced residual needs integer quad exponents, got %s" % bad
-            )
-        rhs = 1 + 0j
-        for vp, e in rhs_rows:
-            rhs *= values[vp] ** e
-        out.append(lhs - rhs)
+    try:
+        for lhs_rows, rhs_rows, bad in tab.residual:
+            lhs = 1 + 0j
+            for e, j in lhs_rows:
+                f = 1 - mvals[j]
+                if f == 0 and e < 0:
+                    raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
+                lhs *= f**e
+            if bad is not None:
+                raise ValidationError(
+                    "reduced residual needs integer quad exponents, got %s" % bad
+                )
+            rhs = 1 + 0j
+            for vp, e in rhs_rows:
+                rhs *= values[vp] ** e
+            out.append(lhs - rhs)
+    except OverflowError as e:
+        # as in _build_point: a point this far out is a step too far
+        raise StepTooLargeError("residual overflow (%s)" % e) from e
     return tuple(out)
 
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .dilog import ContinuedLog
 from .errors import (
     KnotpotError,
@@ -78,15 +76,6 @@ class Slope:
 
 
 @dataclass
-class NewtonResult:
-    """Outcome of a generic newton_refine call."""
-
-    z: np.ndarray
-    residual_inf_norm: float
-    newton_iters: int
-
-
-@dataclass
 class CriticalPoint:
     point: ParamPoint
     residual_inf_norm: float
@@ -131,49 +120,41 @@ def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     return Slope(p, q, r, s)
 
 
-def newton_refine(system, start, tol: float, max_iters: int = 50) -> NewtonResult:
-    """Damped Newton on a square system with analytic Jacobian.
+def _solve(a, b) -> list:
+    """x with a x = b, by Gaussian elimination with partial pivoting.
 
-    `system` maps an iterate (complex vector) to (F, J). Steps that do
-    not decrease the residual norm are halved up to 8 times; a
-    Jacobian with condition estimate above 1e14 aborts.
+    a is a list of n rows of n numbers and b a list of n; neither is
+    modified. Raises SingularJacobianError on an exactly zero pivot,
+    where LAPACK's getrf reports a singular factor.
     """
-    z = np.atleast_1d(np.asarray(start, dtype=complex))
-    f, jac = system(z)
-    f = np.atleast_1d(np.asarray(f, dtype=complex))
-    best = float(np.max(np.abs(f)))
-    for it in range(max_iters):
-        rn = float(np.max(np.abs(f)))
-        best = min(best, rn)
-        # singularity outranks convergence: z^2 at 0 is a root with a
-        # vanishing Jacobian and must be reported, not returned
-        jm = np.atleast_2d(np.asarray(jac, dtype=complex))
-        if not np.all(np.isfinite(jm)) or np.linalg.cond(jm) > 1e14:
-            raise SingularJacobianError(
-                "Jacobian condition estimate exceeds 1e14 at iteration %d" % it
-            )
-        if rn <= tol:
-            return NewtonResult(z, rn, it)
-        step = np.linalg.solve(jm, f)
-        scale = 1.0
-        for _ in range(9):
-            z2 = z - scale * step
-            f2, j2 = system(z2)
-            f2 = np.atleast_1d(np.asarray(f2, dtype=complex))
-            if float(np.max(np.abs(f2))) < rn:
-                z, f, jac = z2, f2, j2
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergenceError(
-                "line search stalled at residual %.3e" % rn, best_residual=best
-            )
-    rn = float(np.max(np.abs(f)))
-    if rn <= tol:
-        return NewtonResult(z, rn, max_iters)
-    raise NoConvergenceError(
-        "no convergence in %d iterations" % max_iters, best_residual=min(best, rn)
-    )
+    n = len(b)
+    m = [row + [bi] for row, bi in zip(a, b)]  # augmented, row by row
+    for c in range(n):
+        p = c
+        best = abs(m[c][c])
+        for r in range(c + 1, n):
+            size = abs(m[r][c])
+            if size > best:
+                p, best = r, size
+        if not best:
+            raise SingularJacobianError("singular Jacobian (zero pivot in column %d)" % c)
+        top = m[p]
+        m[p] = m[c]
+        m[c] = top
+        pivot = top[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[c] / pivot
+            for j in range(c + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0j] * n
+    for c in range(n - 1, -1, -1):
+        row = m[c]
+        acc = row[n]
+        for j in range(c + 1, n):
+            acc -= row[j] * x[j]
+        x[c] = acc / row[c]
+    return x
 
 
 def _resid_inf(pt) -> float:
@@ -198,11 +179,10 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
         resid = _resid_inf(pt)
         if resid <= tol:
             return CriticalPoint(pt, resid, it)
-        g = np.array(_gradient(spec, pt, tab.fiber_gradient), dtype=complex)
+        g = _gradient(spec, pt, tab.fiber_gradient)
         h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
-        step = np.linalg.solve(np.array(h, dtype=complex), g)
+        deltas = _solve(h, g)
         cur = [pt.logs[v].value for v in variables]
-        deltas = list(step)
         scale = 1.0
         for _ in range(40):
             trial = dict(zip(variables, cur))
@@ -259,7 +239,7 @@ def solve_complete(
         try:
             pt0 = make_point(spec, values)
             cp = _newton_fiber(spec, pt0, 0j, newton_tol)
-        except (KnotpotError, np.linalg.LinAlgError):
+        except KnotpotError:
             continue
         best_resid = min(best_resid, cp.residual_inf_norm)
         key = tuple(
@@ -324,7 +304,7 @@ def trace_deformation(
                 cp = _newton_fiber(spec, pt, (nxt * u_end) / 2.0, newton_tol)
                 pt = cp.point
                 t = nxt
-            except (KnotpotError, np.linalg.LinAlgError) as e:
+            except KnotpotError as e:
                 step /= 2.0
                 halvings += 1
                 if halvings > 20:
@@ -361,14 +341,13 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
                 return pt, it, resid, u2, v2
         # Jacobian: the hessian's non-meridian rows, then the row of
         # the filling equation
-        f = np.array(_gradient(spec, pt, tab.fiber_gradient) + [fill], dtype=complex)
-        jac = log_hessian(spec, pt)
+        f = _gradient(spec, pt, tab.fiber_gradient) + [fill]
+        jac = log_hessian(spec, pt).tolist()
         row = [2 * q * d for d in _d_eta(spec, pt)]
         row[k] += 2 * p
         jac[k] = row
-        step = np.linalg.solve(jac, f)
+        deltas = _solve(jac, f)
         cur = [pt.logs[v].value for v in names]
-        deltas = list(step)
         scale = 1.0
         for _ in range(40):
             trial = {v: c - scale * d for v, c, d in zip(names, cur, deltas)}
@@ -416,7 +395,7 @@ def solve_filling(
             steps += 1
             iters += it
             dt = min(dt * 2.0, 1.0)
-        except (KnotpotError, np.linalg.LinAlgError) as e:
+        except KnotpotError as e:
             dt /= 2.0
             if dt < 1e-7:
                 raise PathObstructionError(

@@ -247,6 +247,15 @@ def test_trace_obstruction_partial_rows(capsys):
     assert len(lines) >= 1
 
 
+def test_trace_exp_overflow_obstructs_without_traceback(capsys):
+    # exp of the first sample's meridian log overflows at every halving
+    code, out, err = run(capsys, "trace", "--u-end=1e300")
+    assert code == 3
+    assert "Traceback" not in err
+    assert "exp overflow" in err
+    assert out.strip().splitlines()[0].startswith("u_re,")
+
+
 def test_trace_rejects_bad_u_end(capsys):
     code, _, err = run(capsys, "trace", "--u-end", "zero")
     assert code == 1
@@ -340,20 +349,35 @@ def test_accept_tol_env_must_be_finite(capsys, monkeypatch, value):
     assert (code, out, err) == (1, "", "tolerances must be finite\n")
 
 
-def test_solving_commands_do_not_import_selftest(tmp_path):
-    # a fresh process: the suites load only for the selftest command
-    code = (
-        "import sys, knotpot.cli\n"
-        "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
-        "print('knotpot.selftest' in sys.modules)\n"
-    )
+def _fresh_process(code, *args):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "out.txt")],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_solving_commands_do_not_import_selftest(tmp_path):
+    # fresh processes: the suites load only for the selftest command,
+    # and numpy only for the array-returning evaluators, which neither
+    # complete nor trace calls
+    code = (
+        "import sys, knotpot.cli\n"
+        "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
+        "assert knotpot.cli.main(['--output', sys.argv[1], 'trace', '--u-end=0.1i']) == 0\n"
+        "print('knotpot.selftest' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_process(code, str(tmp_path / "out.txt")) == "False False\n"
+    code = (
+        "import sys, knotpot\n"
+        "spec = knotpot.builtin_five_two()\n"
+        "complete = knotpot.solve_complete(spec)\n"
+        "knotpot.trace_deformation(spec, 0.1j, 4, complete=complete)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_process(code) == "False\n"
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

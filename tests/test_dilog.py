@@ -52,6 +52,24 @@ def test_principal_log_negative_axis_on_upper_branch():
     assert principal_log(complex(-2.0, -0.0)).imag == PI
 
 
+def test_principal_log_keeps_values_just_below_the_cut():
+    # a phase that rounds to -pi for a tiny negative imaginary part is a
+    # genuine value below the cut: only a zero imaginary part folds
+    for x in (1.5, 2.0, 5.0):
+        assert principal_log(complex(-x, -1e-17)).imag == -PI
+        assert principal_log(complex(-x, 1e-17)).imag == PI
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, 5.0])
+@pytest.mark.parametrize("eps", [1e-17, -1e-17])
+def test_li2_and_d_just_off_the_cut_match_oracle(x, eps):
+    # Li2 reflects through log(1 - z), here a negative real just off
+    # the axis; folding it to the wrong side moved Im Li2 by 2 pi log x
+    z = complex(x, eps)
+    assert abs(li2(z) - O.li2_oracle(z)) <= 1e-14
+    assert abs(bloch_wigner_d(z) - O.d_oracle(z)) <= 1e-14
+
+
 def test_principal_log_zero_rejected():
     with pytest.raises(DomainError):
         principal_log(0)

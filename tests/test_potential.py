@@ -23,6 +23,7 @@ from knotpot.potential import (
     ParamPoint,
     Shapes,
     advance_point,
+    advance_point_logs,
     builtin_five_two,
     d_eta_log,
     dump_spec,
@@ -220,6 +221,30 @@ def test_advance_point_step_too_large(spec):
     pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
     with pytest.raises(StepTooLargeError):
         advance_point(pt, {"x": -2, "y": 3, "xi": 1})
+
+
+def test_advance_point_logs_overflow_is_a_step_too_large(spec, complete):
+    # exp of the log overflows: the solvers must halve, not crash
+    pt = complete.point
+    huge = {v: pt.logs[v].value for v in spec.variables}
+    huge["xi"] = 1e300 + 0j
+    with pytest.raises(StepTooLargeError, match="overflow"):
+        advance_point_logs(pt, huge)
+    bad = dict(huge, xi=complex(math.nan, 0.0))
+    with pytest.raises(StepTooLargeError, match="not finite"):
+        advance_point_logs(pt, bad)
+
+
+def test_advance_point_logs_monomial_power_overflow(spec):
+    # exp(300) is finite, its cube is not
+    doc = _doc(spec)
+    doc["dilog_terms"][0]["arg"] = {"x": 3, "xi": -1}
+    cubic = load_spec(json.dumps(doc))
+    pt = make_point(cubic, {"x": 0.5 + 0.5j, "y": 0.3 + 0.6j, "xi": 1.1})
+    logs = {v: pt.logs[v].value for v in cubic.variables}
+    logs["x"] = 300 + 0.5j
+    with pytest.raises(StepTooLargeError, match="overflow"):
+        advance_point_logs(pt, logs)
 
 
 # -------------------------------------------------------------- eval_v

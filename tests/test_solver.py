@@ -1,4 +1,4 @@
-"""Solver tests: slope arithmetic, Newton kernel, complete structure,
+"""Solver tests: slope arithmetic, the linear solve, complete structure,
 deformation tracing, and filling continuation."""
 
 import math
@@ -29,8 +29,6 @@ from knotpot.potential import (
     signed_d_sum,
 )
 from knotpot.solver import (
-    NewtonResult,
-    newton_refine,
     normalize_slope,
     solve_complete,
     solve_filling,
@@ -90,45 +88,75 @@ def test_slope_str():
     assert str(normalize_slope(7, 1)) == "7/1"
 
 
-# -------------------------------------------------------- newton_refine
+# --------------------------------------------------------------- _solve
 
 
-def _scalar_system(f, df):
-    def system(z):
-        val = np.array([f(z[0])], dtype=complex)
-        jac = np.array([[df(z[0])]], dtype=complex)
-        return val, jac
-
-    return system
+def _rel_gap(x, want):
+    return max(abs(a - b) for a, b in zip(x, want)) / max(map(abs, want))
 
 
-def test_newton_refine_textbook():
-    system = _scalar_system(lambda z: z * z - 1, lambda z: 2 * z)
-    res = newton_refine(system, np.array([2.0 + 0j]), tol=1e-13)
-    assert isinstance(res, NewtonResult)
-    assert abs(res.z[0] - 1) < 1e-12
-    assert res.newton_iters <= 8
-    assert res.residual_inf_norm <= 1e-13
+def _random_system(rng, n):
+    while True:
+        a = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+             for _ in range(n)]
+        if np.linalg.cond(np.array(a)) < 100:
+            b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            return a, b
 
 
-def test_newton_refine_at_root_is_noop():
-    system = _scalar_system(lambda z: z * z - 1, lambda z: 2 * z)
-    res = newton_refine(system, np.array([1.0 + 0j]), tol=1e-13)
-    assert res.newton_iters == 0
-    assert res.z[0] == 1.0
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_matches_numpy_on_random_systems(n):
+    rng = random.Random(n)
+    for _ in range(200):
+        a, b = _random_system(rng, n)
+        a0, b0 = [row[:] for row in a], b[:]
+        x = solver._solve(a, b)
+        assert (a, b) == (a0, b0)  # inputs untouched
+        assert all(type(xi) is complex for xi in x)
+        assert _rel_gap(x, np.linalg.solve(np.array(a), np.array(b))) <= 1e-13
 
 
-def test_newton_refine_singular_jacobian():
-    system = _scalar_system(lambda z: z * z, lambda z: 2 * z)
+def _recorded_systems(monkeypatch, run):
+    systems = []
+    orig = solver._solve
+
+    def record(a, b):
+        systems.append(([row[:] for row in a], b[:]))
+        return orig(a, b)
+
+    monkeypatch.setattr(solver, "_solve", record)
+    run()
+    monkeypatch.undo()
+    return systems
+
+
+def test_solve_matches_numpy_on_newton_systems(spec, complete, monkeypatch):
+    # the 3 x 3 filling systems along scan paths and the 2 x 2 fiber
+    # systems along a trace, as the Newton loops assemble them
+    def run():
+        for p, q in ((7, 1), (-9, 2), (5, 2), (-40, 1), (13, 3), (-37, 8)):
+            solve_filling(spec, normalize_slope(p, q), complete=complete)
+        trace_deformation(spec, 1.5 + 0.5j, 8, complete=complete)
+
+    systems = _recorded_systems(monkeypatch, run)
+    assert {len(b) for _, b in systems} == {2, 3}
+    for a, b in systems:
+        want = np.linalg.solve(np.array(a), np.array(b))
+        assert _rel_gap(solver._solve(a, b), want) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0j, 0j], [0j, 0j]],
+        [[1 + 1j, 2 + 2j], [2 + 2j, 4 + 4j]],  # rank 1: second pivot is exactly 0
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero first column
+    ],
+)
+def test_solve_singular_matrix_raises(a):
     with pytest.raises(SingularJacobianError):
-        newton_refine(system, np.array([0j]), tol=1e-13)
-
-
-def test_newton_refine_reports_best_residual():
-    # gradient never vanishes: drive to max-iteration failure
-    system = _scalar_system(lambda z: np.exp(z) + 1e3, lambda z: np.exp(z))
-    with pytest.raises(NoConvergenceError):
-        newton_refine(system, np.array([0.5 + 0j]), tol=1e-13, max_iters=4)
+        solver._solve(a, [1j] * len(a))
 
 
 # ------------------------------------------------------- solve_complete
@@ -196,7 +224,7 @@ def _full_grid_complete(spec, seeds, newton_tol=1e-12):
         values = dict(seed, xi=1.0)
         try:
             cp = solver._newton_fiber(spec, make_point(spec, values), 0j, newton_tol)
-        except (KnotpotError, np.linalg.LinAlgError):
+        except KnotpotError:
             continue
         key = tuple(
             (round(cp.point.values[v].real, 9), round(cp.point.values[v].imag, 9))
