@@ -19,8 +19,8 @@ from .potential import (
     ParamPoint,
     PotentialSpec,
     Shapes,
-    eval_v,
     _gradient,
+    eval_v,
     eval_v_alpha,
     shapes_from_point,
     signed_d_sum,

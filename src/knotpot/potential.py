@@ -597,10 +597,10 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
             p_im = _log(w).imag
             if p_im == -_PI and not w.imag:
                 p_im = _PI
-            # round(d / 2 pi) is 0 whenever |d| <= pi
             d = lv.imag - p_im
             if d != d:
                 raise StepTooLargeError("log %s is not finite" % lv)
+            # round(d / 2 pi) is 0 whenever |d| <= pi
             logs[v] = ContinuedLog(lv, 0 if -_PI <= d <= _PI else round(d / _TWO_PI))
             values[v] = w
             xs.append(w)

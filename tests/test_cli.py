@@ -247,12 +247,23 @@ def test_trace_obstruction_partial_rows(capsys):
     assert len(lines) >= 1
 
 
-def test_trace_exp_overflow_obstructs_without_traceback(capsys):
-    # exp of the first sample's meridian log overflows at every halving
-    code, out, err = run(capsys, "trace", "--u-end=1e300")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exp of the first sample's meridian log overflows at every halving
+        ["--u-end=1e300"],
+        # Newton steps far enough out that a log(1 - m) is not finite, a
+        # residual power overflows, or a variable log is not finite
+        ["--u-end=2000", "--samples", "3"],
+        ["--u-end=1e5", "--samples", "3"],
+        ["--u-end=-1e5", "--samples", "3"],
+    ],
+)
+def test_trace_far_u_end_obstructs_without_traceback(capsys, argv):
+    code, out, err = run(capsys, "trace", *argv)
     assert code == 3
     assert "Traceback" not in err
-    assert "exp overflow" in err
+    assert err.startswith("trace obstructed: ")
     assert out.strip().splitlines()[0].startswith("u_re,")
 
 

@@ -116,6 +116,14 @@ def test_solve_matches_numpy_on_random_systems(n):
         assert _rel_gap(x, np.linalg.solve(np.array(a), np.array(b))) <= 1e-13
 
 
+def test_solve_pivots_on_a_tiny_leading_entry():
+    # without row exchanges the 1e-20 pivot swamps the answer
+    a = [[1e-20j, 1, 2], [1, 1, 0], [0, 1j, 1]]
+    b = [1, 2, 3j]
+    want = np.linalg.solve(np.array(a, dtype=complex), np.array(b, dtype=complex))
+    assert _rel_gap(solver._solve(a, b), want) <= 1e-13
+
+
 def _recorded_systems(monkeypatch, run):
     systems = []
     orig = solver._solve

@@ -31,26 +31,13 @@ from knotpot.errors import NoConvergenceError, PathObstructionError
 from knotpot.invariants import report_for
 from knotpot.potential import builtin_five_two
 from knotpot.solver import normalize_slope, solve_complete, solve_filling, trace_deformation
+from test_trace_digest import SAMPLES, U_ENDS
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 SCAN_TABLE = os.path.join(DATA, "scan_40x8_values.json")
 TRACE_TABLE = os.path.join(DATA, "trace_values.json")
 
 TOL = 1e-12
-
-# the U_ENDS and sample count of tests/test_trace_digest.py
-TRACE_U_ENDS = (
-    0.1j,
-    0.05 + 0j,
-    -0.3 + 0.2j,
-    0.4 - 0.4j,
-    1.5 + 0.5j,
-    -2.0 - 1.0j,
-    -6.230013686454468 - 0.040184277262383564j,
-    -6.583546862500809 - 1.6733728079929684j,
-    4.617509453821086 + 3.612771868344755j,
-)
-TRACE_SAMPLES = 32
 
 
 def _pair(z):
@@ -102,10 +89,10 @@ def trace_values():
     spec = builtin_five_two()
     complete = solve_complete(spec)
     out = []
-    for u_end in TRACE_U_ENDS:
+    for u_end in U_ENDS:
         rec = {"u_end": _pair(u_end), "obstruction": None}
         try:
-            samples = trace_deformation(spec, u_end, TRACE_SAMPLES, complete=complete)
+            samples = trace_deformation(spec, u_end, SAMPLES, complete=complete)
         except PathObstructionError as e:
             samples = e.partial
             rec["obstruction"] = {
