@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from .dilog import (
     _MAX_JUMP,
@@ -53,11 +53,6 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
-
-if TYPE_CHECKING:
-    # only the three array-returning public evaluators use numpy, and
-    # they import it when called, so the solvers never load it
-    import numpy as np
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
@@ -397,6 +392,12 @@ def _check_fields(obj, allowed, where):
         raise ValidationError("%s: unknown field(s) %s" % (where, sorted(unknown)))
 
 
+def _check_list(obj, where):
+    if not isinstance(obj, list):
+        raise ValidationError("%s: must be a list" % where)
+    return obj
+
+
 def _parse_monomial(obj, variables, where) -> Monomial:
     if not isinstance(obj, dict):
         raise ValidationError("%s: monomial must be a var -> exponent map" % where)
@@ -430,7 +431,7 @@ def _parse_longitude_expr(obj, variables, where, allow_alternate):
         raise ValidationError("%s: needs prefactor and factors" % where)
     prefactor = _parse_monomial(obj["prefactor"], variables, where + ".prefactor")
     factors = []
-    for i, f in enumerate(obj["factors"]):
+    for i, f in enumerate(_check_list(obj["factors"], where + ".factors")):
         fw = "%s.factors[%d]" % (where, i)
         _check_fields(f, {"exp", "arg"}, fw)
         if not isinstance(f.get("exp"), int):
@@ -444,18 +445,24 @@ def load_spec(source) -> PotentialSpec:
 
     Accepts a str, bytes, or a readable file object. Unknown fields
     are rejected so typos fail loudly rather than silently changing
-    the potential.
+    the potential. Raises SpecFormatError for bytes that are not UTF-8
+    and text that is not JSON, and ValidationError for a document that
+    does not follow the format.
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
         doc = json.loads(source)
     except json.JSONDecodeError as e:
         raise SpecFormatError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
         ) from e
+    except ValueError as e:
+        # bytes that are not UTF-8, or an integer literal longer than
+        # int() converts
+        raise SpecFormatError("parse error: %s" % e) from e
 
     _check_fields(doc, _TOP_FIELDS, "document")
     missing = _TOP_FIELDS - set(doc)
@@ -476,7 +483,7 @@ def load_spec(source) -> PotentialSpec:
         raise ValidationError("meridian: must name the last declared variable")
 
     dilog_terms = []
-    for i, t in enumerate(doc["dilog_terms"]):
+    for i, t in enumerate(_check_list(doc["dilog_terms"], "dilog_terms")):
         where = "dilog_terms[%d]" % i
         _check_fields(t, {"sign", "arg"}, where)
         if t.get("sign") not in (-1, 1):
@@ -487,7 +494,7 @@ def load_spec(source) -> PotentialSpec:
 
     quad_terms = []
     meridian_in_quads = False
-    for i, t in enumerate(doc["quad_terms"]):
+    for i, t in enumerate(_check_list(doc["quad_terms"], "quad_terms")):
         where = "quad_terms[%d]" % i
         _check_fields(t, {"coeff", "vars"}, where)
         coeff = _parse_rational(t.get("coeff"), where + ".coeff")
@@ -752,17 +759,16 @@ def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:
     return g
 
 
-def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
-    """Vector of v dV/dv over spec.variables, from the stored logs.
+def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> list:
+    """v dV/dv over spec.variables, from the stored logs.
 
-    Component v is sum_terms -sign * a_v * log(1 - m) plus the
-    quadratic contributions, with a_v the exponent of v in m. All logs
-    are the continued branches carried by pt, so on a solution branch
-    these are exactly the equations the solver drives to zero.
+    A list of complex, one per variable in spec order. Component v is
+    sum_terms -sign * a_v * log(1 - m) plus the quadratic
+    contributions, with a_v the exponent of v in m. All logs are the
+    continued branches carried by pt, so on a solution branch these
+    are exactly the equations the solver drives to zero.
     """
-    import numpy as np
-
-    return np.array(_gradient(spec, pt, spec.tables.gradient), dtype=complex)
+    return _gradient(spec, pt, spec.tables.gradient)
 
 
 def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
@@ -786,12 +792,13 @@ def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
     return h
 
 
-def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
-    """Matrix of u d/du (v dV/dv); symmetric, quad terms are constants."""
-    import numpy as np
+def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
+    """Matrix of u d/du (v dV/dv); symmetric, quad terms are constants.
 
-    h = _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
-    return np.array(h, dtype=complex)
+    A fresh list of row lists of complex, indexed [u][v] in spec order;
+    the caller may modify it.
+    """
+    return _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
 
 
 def eval_longitude_expr(expr: LongitudeExpr, values: Mapping[str, complex]) -> complex:
@@ -842,8 +849,11 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     return s
 
 
-def _d_eta(spec: PotentialSpec, pt: ParamPoint) -> list:
-    """d_eta_log as a list."""
+def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> list:
+    """Derivatives v d(log eta)/dv over spec.variables (Jacobian row).
+
+    A list of complex, one per variable in spec order.
+    """
     mvals = _tracked(spec, pt)[0]
     out = []
     for acc, rows in spec.tables.d_eta:
@@ -852,13 +862,6 @@ def _d_eta(spec: PotentialSpec, pt: ParamPoint) -> list:
             acc -= ea * mv / (1 - mv)
         out.append(acc)
     return out
-
-
-def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> "np.ndarray":
-    """Derivatives v d(log eta)/dv over spec.variables (Jacobian row)."""
-    import numpy as np
-
-    return np.array(_d_eta(spec, pt), dtype=complex)
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:

@@ -123,12 +123,12 @@ def derivative_checks(n=25, seed=4321) -> GroupResult:
             fd = (eval_v(spec, pu) - eval_v(spec, pd)) / (2 * h)
             scale = max(1.0, abs(g[j]))
             worst = max(worst, abs(fd - g[j]) / scale / 1e-6)
-            fdg = (log_gradient(spec, pu) - log_gradient(spec, pd)) / (2 * h)
+            gu = log_gradient(spec, pu)
+            gd = log_gradient(spec, pd)
             for i in range(len(spec.variables)):
-                scale = max(1.0, abs(hess[i, j]))
-                worst = max(worst, abs(fdg[i] - hess[i, j]) / scale / 1e-6)
-    # numpy scalars leak through the hessian math; keep the result plain
-    worst = float(worst)
+                fdg = (gu[i] - gd[i]) / (2 * h)
+                scale = max(1.0, abs(hess[i][j]))
+                worst = max(worst, abs(fdg - hess[i][j]) / scale / 1e-6)
     return GroupResult("derivative-checks", worst <= 1.0, worst, "%d points" % n)
 
 

@@ -31,12 +31,13 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .potential import (
+    _ZERO_TOL,
     ParamPoint,
     PotentialSpec,
-    _d_eta,
     _gradient,
     _hessian,
     advance_point_logs,
+    d_eta_log,
     eta_log,
     eval_v_alpha,
     log_hessian,
@@ -167,7 +168,10 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     Drives the continued-log gradient to zero, branch-continuing from
     pt at each trial step (halving on a branch jump), and accepts on
     the reduced residuals. The gradient and hessian are evaluated on
-    the non-meridian block only.
+    the non-meridian block only. A converged point with a variable
+    within _ZERO_TOL of 0 sits on a log pole, where the residual is
+    small only because the variable is, and raises SingularPointError
+    as make_point would.
     """
     variables = spec.variables
     k = len(variables) - 1
@@ -178,6 +182,9 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     for it in range(max_iters):
         resid = _resid_inf(pt)
         if resid <= tol:
+            for v in variables:
+                if abs(pt.values[v]) < _ZERO_TOL:
+                    raise SingularPointError("variable %s = 0 (log pole)" % v)
             return CriticalPoint(pt, resid, it)
         g = _gradient(spec, pt, tab.fiber_gradient)
         h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
@@ -342,8 +349,8 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
         # Jacobian: the hessian's non-meridian rows, then the row of
         # the filling equation
         f = _gradient(spec, pt, tab.fiber_gradient) + [fill]
-        jac = log_hessian(spec, pt).tolist()
-        row = [2 * q * d for d in _d_eta(spec, pt)]
+        jac = log_hessian(spec, pt)
+        row = [2 * q * d for d in d_eta_log(spec, pt)]
         row[k] += 2 * p
         jac[k] = row
         deltas = _solve(jac, f)

@@ -14,6 +14,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from knotpot.cli import main as cli_main
@@ -189,8 +190,8 @@ def test_criterion_02_derivatives(acceptance, spec):
     t0 = time.perf_counter()
     worst = 0.0
     for pt in _regular_points(spec, rng, 100):
-        g = log_gradient(spec, pt)
-        hess = log_hessian(spec, pt)
+        g = np.array(log_gradient(spec, pt))
+        hess = np.array(log_hessian(spec, pt))
         for j, v in enumerate(spec.variables):
             up = dict(pt.values)
             dn = dict(pt.values)
@@ -201,7 +202,9 @@ def test_criterion_02_derivatives(acceptance, spec):
             fd = (eval_v(spec, pu) - eval_v(spec, pd)) / (2 * h)
             worst = max(worst, abs(fd - g[j]) / max(1.0, abs(g[j])))
             # hessian column j against differenced gradient
-            fdg = (log_gradient(spec, pu) - log_gradient(spec, pd)) / (2 * h)
+            fdg = (
+                np.array(log_gradient(spec, pu)) - np.array(log_gradient(spec, pd))
+            ) / (2 * h)
             for i in range(len(spec.variables)):
                 worst = max(
                     worst, abs(fdg[i] - hess[i, j]) / max(1.0, abs(hess[i, j]))

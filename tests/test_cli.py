@@ -90,6 +90,22 @@ def test_malformed_spec_file_exits_usage(capsys, tmp_path):
     assert code == 1
 
 
+def test_spec_file_of_the_wrong_kind_exits_usage(capsys, tmp_path):
+    text = dump_spec(builtin_five_two())
+    doc = json.loads(text)
+    doc["dilog_terms"] = None
+    path = tmp_path / "bad.json"
+    for data in (
+        b"\x80" + text.encode(),  # not UTF-8
+        text.replace('"sign": -1', '"sign": ' + "1" * 5000, 1).encode(),  # int() refuses
+        json.dumps(doc).encode(),
+    ):
+        path.write_bytes(data)
+        code, out, err = run(capsys, "--spec", str(path), "complete")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- fill
 
 
@@ -267,6 +283,18 @@ def test_trace_far_u_end_obstructs_without_traceback(capsys, argv):
     assert out.strip().splitlines()[0].startswith("u_re,")
 
 
+def test_trace_rejects_a_sample_on_a_log_pole(capsys):
+    # the fiber Newton drives x toward 0 (about 7.5e-249) where the
+    # reduced residual is tiny only because x is; that is a pole of
+    # log x, not a sample, and no row of nan may be printed
+    code, out, err = run(capsys, "trace", "--u-end=-2000", "--samples", "3")
+    assert code == 3
+    assert "nan" not in out
+    assert out.startswith("u_re,") and len(out.splitlines()) == 1  # the header alone
+    assert err.startswith("trace obstructed: ")
+    assert err.rstrip().endswith("(variable x = 0 (log pole))")
+
+
 def test_trace_rejects_bad_u_end(capsys):
     code, _, err = run(capsys, "trace", "--u-end", "zero")
     assert code == 1
@@ -372,8 +400,7 @@ def _fresh_process(code, *args):
 
 def test_solving_commands_do_not_import_selftest(tmp_path):
     # fresh processes: the suites load only for the selftest command,
-    # and numpy only for the array-returning evaluators, which neither
-    # complete nor trace calls
+    # and numpy never, since knotpot has no runtime dependency
     code = (
         "import sys, knotpot.cli\n"
         "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
@@ -389,6 +416,14 @@ def test_solving_commands_do_not_import_selftest(tmp_path):
         "print('numpy' in sys.modules)\n"
     )
     assert _fresh_process(code) == "False\n"
+    for argv in (["fill", "--slope=7/1"], ["scan", "--pmax", "3", "--qmax", "2"],
+                 ["selftest"]):
+        code = (
+            "import sys, knotpot.cli\n"
+            "assert knotpot.cli.main(['--output', sys.argv[1]] + sys.argv[2:]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert _fresh_process(code, str(tmp_path / "out.txt"), *argv) == "False\n"
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -168,6 +168,33 @@ def test_load_spec_requires_meridian_in_quads(spec):
         load_spec(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [("dilog_terms",), ("quad_terms",), ("longitude", "factors"),
+     ("longitude", "alternate", "factors")],
+)
+def test_load_spec_rejects_term_lists_that_are_not_lists(spec, path):
+    for bad in (None, 3, 1.5, True):
+        doc = _doc(spec)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ValidationError, match="must be a list"):
+            load_spec(json.dumps(doc))
+
+
+def test_load_spec_rejects_bytes_that_are_not_utf8(spec):
+    with pytest.raises(SpecFormatError, match="utf-8"):
+        load_spec(b"\x80" + dump_spec(spec).encode())
+
+
+def test_load_spec_rejects_an_integer_too_long_to_convert(spec):
+    text = dump_spec(spec).replace('"sign": -1', '"sign": ' + "1" * 5000, 1)
+    with pytest.raises(SpecFormatError, match="digits"):
+        load_spec(text)
+
+
 def test_load_spec_parse_error_has_position():
     with pytest.raises(SpecFormatError, match="line"):
         load_spec('{"name": "x",')
@@ -332,7 +359,7 @@ def test_log_gradient_finite_differences(spec):
 
 def test_log_hessian_display_point(spec):
     pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
-    h = log_hessian(spec, pt)
+    h = np.array(log_hessian(spec, pt))
     # (x,x): terms y/x, xi/x, x/xi give 3 + 1 - 2
     assert abs(h[0, 0] - 2) < 1e-14
 
@@ -340,7 +367,7 @@ def test_log_hessian_display_point(spec):
 def test_log_hessian_symmetry_and_fd(spec):
     dh = 1e-6
     for pt in regular_points(spec, 15, seed=109):
-        h = log_hessian(spec, pt)
+        h = np.array(log_hessian(spec, pt))
         assert np.array_equal(h, h.T)
         for j, v in enumerate(spec.variables):
             up = dict(pt.values)
@@ -348,11 +375,28 @@ def test_log_hessian_symmetry_and_fd(spec):
             up[v] = pt.values[v] * cmath.exp(dh)
             dn[v] = pt.values[v] * cmath.exp(-dh)
             fd = (
-                log_gradient(spec, advance_point(pt, up))
-                - log_gradient(spec, advance_point(pt, dn))
+                np.array(log_gradient(spec, advance_point(pt, up)))
+                - np.array(log_gradient(spec, advance_point(pt, dn)))
             ) / (2 * dh)
             scale = np.maximum(1.0, np.abs(h[:, j]))
             assert np.all(np.abs(fd - h[:, j]) < 1e-6 * scale)
+
+
+def test_array_evaluators_return_plain_lists(spec, complete):
+    n = len(spec.variables)
+    for pt in regular_points(spec, 5, seed=131) + [complete.point]:
+        g = log_gradient(spec, pt)
+        d = d_eta_log(spec, pt)
+        h = log_hessian(spec, pt)
+        assert type(g) is list and type(d) is list and type(h) is list
+        assert len(g) == len(d) == len(h) == n
+        assert all(type(row) is list and len(row) == n for row in h)
+        cells = [z for row in h for z in row]
+        assert all(type(z) is complex for z in g + d + cells)
+        # a fresh matrix per call: the filling Newton overwrites a row
+        again = log_hessian(spec, pt)
+        assert again == h and again is not h
+        assert all(a is not b for a, b in zip(again, h))
 
 
 # ----------------------------------------------------------- longitude

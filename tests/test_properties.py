@@ -1,0 +1,218 @@
+"""Property tests with hypothesis over the inputs a user can supply.
+
+Slopes, spec documents and the branch continuation of logs. All run
+in-process on calls that take microseconds, so the suite stays fast.
+"""
+
+import cmath
+import functools
+import json
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotpot.dilog import continue_log, continued
+from knotpot.errors import SpecFormatError, ValidationError
+from knotpot.potential import PotentialSpec, builtin_five_two, dump_spec, load_spec
+from knotpot.solver import normalize_slope
+
+# the machine's speed varies, so a slow example is not a failure. A
+# valid document costs about 200 draws, so the round trip runs fewer
+# examples; the mutation tests run more, to reach each field of one
+_settings = settings(deadline=None, database=None)
+_few = settings(deadline=None, database=None, max_examples=50)
+_many = settings(deadline=None, database=None, max_examples=200)
+
+
+# ------------------------------------------------------------- slopes
+
+
+@_settings
+@given(st.integers(), st.integers().filter(bool))
+def test_normalize_slope_gives_the_canonical_cocycle(p_raw, q_raw):
+    s = normalize_slope(p_raw, q_raw)
+    assert Fraction(s.p, s.q) == Fraction(p_raw, q_raw)
+    assert s.q >= 1 and math.gcd(s.p, s.q) == 1
+    assert s.p * s.s - s.q * s.r == 1
+    if s.q > 1:
+        assert 0 <= s.s < s.q
+    else:
+        assert (s.r, s.s) == (-1, 0)
+
+
+# -------------------------------------------------------------- specs
+
+
+def _rationals():
+    return st.fractions().map(lambda f: [f.numerator, f.denominator])
+
+
+@functools.lru_cache(maxsize=None)
+def _skeleton(n):
+    """Documents over the variables 0 .. n-1, named by spec_documents.
+
+    Built once per n: hypothesis validates a strategy on first use, and
+    that costs more than drawing from it.
+    """
+    index = st.integers(0, n - 1)
+    mono = st.dictionaries(index, st.integers(-6, 6))
+    quad = st.fixed_dictionaries({
+        "coeff": _rationals(), "vars": st.lists(index, min_size=2, max_size=2),
+    })
+    # the meridian, n - 1, must appear in some quad term
+    meridian_quad = st.fixed_dictionaries({
+        "coeff": _rationals(),
+        "vars": index.flatmap(lambda i: st.permutations([n - 1, i])),
+    })
+    expr = st.fixed_dictionaries({
+        "prefactor": mono,
+        "factors": st.lists(
+            st.fixed_dictionaries({"exp": st.integers(-3, 3), "arg": mono}), max_size=3
+        ),
+    })
+    return st.fixed_dictionaries({
+        "dilog_terms": st.lists(
+            st.fixed_dictionaries({"sign": st.sampled_from([-1, 1]), "arg": mono}),
+            max_size=6,
+        ),
+        "quad_terms": st.tuples(st.lists(quad, max_size=4), meridian_quad, st.integers(0, 4))
+        .map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+        "constant_pi2": _rationals(),
+        "longitude": st.tuples(expr, st.none() | expr).map(
+            lambda t: t[0] if t[1] is None else dict(t[0], alternate=t[1])
+        ),
+    })
+
+
+def _named(node, variables):
+    """node with every variable index replaced by its name."""
+    if isinstance(node, list):
+        return [_named(x, variables) for x in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for k, v in node.items():
+        if k == "vars":
+            out[k] = [variables[i] for i in v]
+        elif k in ("arg", "prefactor"):
+            out[k] = {variables[i]: e for i, e in v.items()}
+        else:
+            out[k] = _named(v, variables)
+    return out
+
+
+@st.composite
+def spec_documents(draw):
+    """Valid spec documents: any names, terms, exponents and rationals."""
+    variables = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    doc = _named(draw(_skeleton(len(variables))), variables)
+    doc.update(name=draw(st.text()), variables=variables, meridian=variables[-1])
+    return doc
+
+
+@_few
+@given(spec_documents())
+def test_dump_and_load_round_trip(doc):
+    spec = load_spec(json.dumps(doc))
+    text = dump_spec(spec)
+    again = load_spec(text)
+    assert again == spec
+    assert dump_spec(again) == text
+
+
+_BUILTIN_DOC = json.loads(dump_spec(builtin_five_two()))
+
+
+@st.composite
+def _node_paths(draw):
+    """A path (tuple of keys and indices) into the built-in document.
+
+    A walk from the root that stops at each node with chance 1/4, so
+    the fields near the top, where a wrong type breaks most, are picked
+    about as often as the many deep exponents.
+    """
+    path = ()
+    node = _BUILTIN_DOC
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path += (key,)
+        node = node[key]
+    return path
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _load_or_reject(source):
+    try:
+        assert isinstance(load_spec(source), PotentialSpec)
+    except (SpecFormatError, ValidationError):
+        pass
+
+
+@_many
+@given(st.lists(st.tuples(_node_paths(), st.booleans(), _JSON),
+                min_size=1, max_size=3))
+def test_load_spec_on_mutated_trees_raises_only_spec_errors(edits):
+    doc = json.loads(json.dumps(_BUILTIN_DOC))
+    for path, delete, value in edits:
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or replaced this path
+    _load_or_reject(json.dumps(doc))
+
+
+_BUILTIN_BYTES = dump_spec(builtin_five_two()).encode("utf-8")
+
+
+@_many
+@given(st.lists(
+    st.tuples(st.integers(0, len(_BUILTIN_BYTES)), st.integers(0, 8), st.binary(max_size=8)),
+    min_size=1, max_size=4,
+))
+def test_load_spec_on_mutated_bytes_raises_only_spec_errors(edits):
+    data = _BUILTIN_BYTES
+    for at, cut, insert in edits:
+        data = data[:at] + insert + data[at + cut:]
+    _load_or_reject(data)
+
+
+# ------------------------------------------------ branch continuation
+
+_SMALL_TURN = math.pi / 4
+
+
+@_settings
+@given(
+    st.floats(1e-3, 1e3),
+    st.floats(-math.pi, math.pi),
+    st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-_SMALL_TURN, _SMALL_TURN)),
+             max_size=60),
+)
+def test_continue_log_follows_the_unwrapped_phase(r0, phase0, steps):
+    w = cmath.rect(r0, phase0)
+    cl = continued(w)
+    unwrapped = cmath.phase(w)
+    for r, turn in steps:
+        w *= cmath.rect(r, turn)
+        unwrapped += turn
+        cl = continue_log(cl, w)
+        assert abs(cl.value.imag - unwrapped) < 1e-9
+        assert abs(cl.value.real - math.log(abs(w))) < 1e-12
+        assert cl.winding == round((unwrapped - cmath.phase(w)) / (2 * math.pi))

@@ -346,6 +346,42 @@ def test_trace_obstruction_carries_partials(spec, complete):
         assert max(abs(r) for r in reduced_residual(smp.point)) <= 1e-10
 
 
+# (u_end, sample index, x there on the branch that the 256-, 512- and
+# 1024-sample traces share); the 32-sample trace reads 0.0892-0.0009i,
+# -0.5611+0.4596i and -0.2728+0.2991i there instead
+_BRANCH_JUMPS = [
+    (-5.183059355989387 - 0.00326387386572169j, 8, 0.1393 + 0.0011j),
+    (-0.9854607716274699 - 6.249100060732669j, 27, -1.3718 + 0.4219j),
+    (0.004515441246690435 - 7.170558961921196j, 17, -1.0051 + 0.6420j),
+]
+
+
+def _x_at(spec, complete, u_end, samples, index):
+    smp = trace_deformation(spec, u_end, samples, complete=complete)[index]
+    assert smp.u == pytest.approx(u_end * (index + 1) / samples, abs=1e-12)
+    return smp.point.values["x"]
+
+
+@pytest.mark.parametrize("u_end, index, fine", _BRANCH_JUMPS)
+def test_trace_branch_jump_reference(spec, complete, u_end, index, fine):
+    # the reference the xfail below compares against: sample index of
+    # 32 is sample 8 * index + 7 of 256
+    assert abs(_x_at(spec, complete, u_end, 256, 8 * index + 7) - fine) < 1e-4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="trace_deformation jumps solution branches: with 32 samples the "
+    "fiber Newton lands on another root than with 256, 512 or 1024 samples, "
+    "which agree with each other",
+)
+@pytest.mark.parametrize("u_end, index, fine", _BRANCH_JUMPS)
+def test_trace_stays_on_one_branch_when_sampled_finer(spec, complete, u_end, index, fine):
+    x32 = _x_at(spec, complete, u_end, 32, index)
+    x256 = _x_at(spec, complete, u_end, 256, 8 * index + 7)
+    assert abs(x32 - x256) < 1e-9
+
+
 # --------------------------------------------------------- solve_filling
 
 
