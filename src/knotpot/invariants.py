@@ -20,6 +20,7 @@ from .potential import (
     PotentialSpec,
     Shapes,
     _gradient,
+    _tracked,
     eval_v,
     eval_v_alpha,
     shapes_from_point,
@@ -104,10 +105,12 @@ def rogers_combo(spec: PotentialSpec, pt: ParamPoint) -> complex:
     constant that is locally constant along continued paths (exactly 0
     on the branch through the complete structure).
     """
+    tab = spec.tables
+    mvals = _tracked(spec, pt)[0]
     s = 0j
-    for t in spec.dilog_terms:
-        s += t.sign * dilog.rogers_r(t.argument.evaluate(pt.values))
-    return s + float(spec.constant_pi2) * _PI2
+    for sign, j in tab.dilogs:
+        s += sign * dilog.rogers_r(mvals[j])
+    return s + tab.constant
 
 
 def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):

@@ -19,19 +19,20 @@ The evaluators do not interpret the spec. Each spec is lowered once,
 on first use, to index tables (PotentialSpec.tables): the tracked
 monomials with their (var, exp) pairs, and for every evaluator the
 integer and float coefficients it needs, each paired with the index of
-a tracked monomial or the name of a variable. A point built by
-make_point or an advance evaluates every tracked monomial once and
-keeps the values, in table order, beside its logs; the evaluators read
-them from there. The tables keep the order of the terms in the spec,
-so every sum is formed in the same order and grouping as a direct
-reading of the spec would form it, and results do not depend on the
-lowering.
+a tracked monomial or the name of a variable. Every point, built by
+make_point or an advance, evaluates each tracked monomial once and
+keeps its value and continued log(1 - m), in table order, beside the
+variable logs; the evaluators read them from there and refuse a point
+of any spec but their own or an equal one. The tables keep the order
+of the terms in the spec, so every sum is formed in the same order and
+grouping as a direct reading of the spec would form it, and results do
+not depend on the lowering.
 """
 
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
@@ -75,9 +76,6 @@ class Monomial:
     def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
         items = tuple(sorted((v, int(e)) for v, e in d.items() if int(e) != 0))
         return cls(items)
-
-    def as_dict(self) -> dict:
-        return dict(self.exponents)
 
     def exponent(self, var: str) -> int:
         for v, e in self.exponents:
@@ -211,13 +209,13 @@ class SpecTables:
         self.fiber_gradient = self.gradient[:-1]
 
         # hessian: f_t = sign * m / (1 - m) per dilog term t, from its
-        # (sign, j); then per cell (i_u, i_v) of the upper triangle the
-        # (a_u * a_v, t) products in term order and the quad constants in
-        # quad order (a diagonal cell takes a quad's constant twice).
+        # (sign, j) in dilogs; then per cell (i_u, i_v) of the upper
+        # triangle the (a_u * a_v, t) products in term order and the quad
+        # constants in quad order (a diagonal cell takes a quad's
+        # constant twice).
         # Summed from 0j in that order, each cell is bit for bit the
         # entry-by-entry sum of the spec's reading, and equal to its
         # mirror cell, which receives the same sums in the same order.
-        self.hessian_terms = tuple((t.sign, j_of[t.argument]) for t in spec.dilog_terms)
         cells = []
         for iu, u in enumerate(variables):
             for iv in range(iu, len(variables)):
@@ -279,33 +277,29 @@ class SpecTables:
             residual.append((lhs, rhs, bad))
         self.residual = tuple(residual)
 
-    def monomial_values(self, values: Mapping[str, complex]) -> tuple:
-        """Every tracked monomial evaluated at values, in table order."""
-        return tuple(m.evaluate(values) for m in self.monomials)
-
 
 @dataclass(frozen=True)
 class ParamPoint:
     """A point in parameter space with its branch bookkeeping.
 
-    values[v] = exp(logs[v].value) by construction, and one_minus_logs
-    holds a continued log(1 - m) for every tracked monomial. A factor
-    that appears only in the longitude may legitimately sit at m = 1;
-    its entry is then None and only longitude evaluation rejects it.
-
-    A point built by make_point or an advance also carries, in the
-    order of spec.tables.monomials, the tracked monomials' values and
-    their one_minus_logs entries. A point constructed from the first
-    four fields alone leaves both None; the evaluators then derive them
-    from values and one_minus_logs.
+    values[v] = exp(logs[v].value) by construction. tracked_values and
+    tracked_logs hold, in the order of spec.tables.monomials, each
+    tracked monomial m and a continued log(1 - m): the one record of
+    the monomials that every evaluator reads. A factor that appears
+    only in the longitude may legitimately sit at m = 1; its log is
+    then None and only longitude evaluation rejects it.
     """
 
     spec: PotentialSpec
     values: dict
     logs: dict
-    one_minus_logs: dict
-    tracked_values: Optional[tuple] = field(default=None, repr=False, compare=False)
-    tracked_logs: Optional[tuple] = field(default=None, repr=False, compare=False)
+    tracked_values: tuple
+    tracked_logs: tuple
+
+    @property
+    def one_minus_logs(self) -> dict:
+        """The continued log(1 - m) keyed by tracked Monomial m."""
+        return dict(zip(self.spec.tables.monomials, self.tracked_logs))
 
 
 @dataclass(frozen=True)
@@ -392,6 +386,11 @@ def _check_fields(obj, allowed, where):
         raise ValidationError("%s: unknown field(s) %s" % (where, sorted(unknown)))
 
 
+def _is_int(obj) -> bool:
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _check_list(obj, where):
     if not isinstance(obj, list):
         raise ValidationError("%s: must be a list" % where)
@@ -404,7 +403,7 @@ def _parse_monomial(obj, variables, where) -> Monomial:
     for v, e in obj.items():
         if v not in variables:
             raise ValidationError("%s: undeclared variable %r" % (where, v))
-        if not isinstance(e, int):
+        if not _is_int(e):
             raise ValidationError("%s: exponent of %r must be an integer" % (where, v))
     return Monomial.from_dict(obj)
 
@@ -413,7 +412,7 @@ def _parse_rational(obj, where) -> Fraction:
     if (
         not isinstance(obj, list)
         or len(obj) != 2
-        or not all(isinstance(k, int) for k in obj)
+        or not all(_is_int(k) for k in obj)
     ):
         raise ValidationError("%s: rational must be [numerator, denominator]" % where)
     num, den = obj
@@ -434,7 +433,7 @@ def _parse_longitude_expr(obj, variables, where, allow_alternate):
     for i, f in enumerate(_check_list(obj["factors"], where + ".factors")):
         fw = "%s.factors[%d]" % (where, i)
         _check_fields(f, {"exp", "arg"}, fw)
-        if not isinstance(f.get("exp"), int):
+        if not _is_int(f.get("exp")):
             raise ValidationError(fw + ": exp must be an integer")
         factors.append((f["exp"], _parse_monomial(f.get("arg", {}), variables, fw)))
     return prefactor, tuple(factors)
@@ -486,7 +485,7 @@ def load_spec(source) -> PotentialSpec:
     for i, t in enumerate(_check_list(doc["dilog_terms"], "dilog_terms")):
         where = "dilog_terms[%d]" % i
         _check_fields(t, {"sign", "arg"}, where)
-        if t.get("sign") not in (-1, 1):
+        if not _is_int(t.get("sign")) or t["sign"] not in (-1, 1):
             raise ValidationError(where + ": sign must be -1 or 1")
         dilog_terms.append(
             DilogTerm(t["sign"], _parse_monomial(t.get("arg", {}), variables, where))
@@ -620,8 +619,7 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
         # a log so far out that exp or a monomial power overflows is a
         # step too far, not a point: the caller halves and retries
         raise StepTooLargeError("exp overflow (%s)" % e) from e
-    prev_logs = None if prev is None else _tracked(spec, prev)[1]
-    one_minus = {}
+    prev_logs = None if prev is None else prev.tracked_logs
     tracked_logs = []
     for j, m in enumerate(tab.monomials):
         w = 1 - mvals[j]
@@ -653,25 +651,19 @@ def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
                         "log continuation jump %.3f >= pi/2" % jump
                     )
                 cl = ContinuedLog(value, k)
-        one_minus[m] = cl
         tracked_logs.append(cl)
-    return ParamPoint(spec, values, logs, one_minus, tuple(mvals), tuple(tracked_logs))
+    return ParamPoint(spec, values, logs, tuple(mvals), tuple(tracked_logs))
 
 
 def _tracked(spec: PotentialSpec, pt: ParamPoint):
-    """(values, one_minus logs) of the tracked monomials of spec at pt.
+    """(tracked_values, tracked_logs) of pt, for an evaluator of spec.
 
-    Both in the order of spec.tables.monomials: the point's own when it
-    carries them for this spec, else derived from its values and
-    one_minus_logs.
+    The point keeps them in its own spec's table order, which an equal
+    spec shares; any other spec raises ValidationError.
     """
-    if pt.spec is spec and pt.tracked_values is not None:
-        return pt.tracked_values, pt.tracked_logs
-    tab = spec.tables
-    return (
-        tab.monomial_values(pt.values),
-        tuple(pt.one_minus_logs.get(m) for m in tab.monomials),
-    )
+    if pt.spec is not spec and pt.spec != spec:
+        raise ValidationError("point belongs to a spec other than %r" % spec.name)
+    return pt.tracked_values, pt.tracked_logs
 
 
 def make_point(spec: PotentialSpec, values: Mapping[str, complex]) -> ParamPoint:
@@ -732,10 +724,9 @@ def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
     `slope` is any record with the integer fields p, q and s of a
     normalized slope.
     """
+    v = eval_v(spec, pt)
     lx = pt.logs[spec.meridian].value
-    return eval_v(spec, pt) + (
-        lx * (2j * math.pi - slope.p * lx) + slope.s * _PI2
-    ) / slope.q
+    return v + (lx * (2j * math.pi - slope.p * lx) + slope.s * _PI2) / slope.q
 
 
 def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
@@ -776,7 +767,7 @@ def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
     tab = spec.tables
     mvals = _tracked(spec, pt)[0]
     fs = []
-    for sign, j in tab.hessian_terms:
+    for sign, j in tab.dilogs:
         m = mvals[j]
         if m == 1:
             raise SingularPointError("dilog argument %s = 1" % tab.monomials[j])

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import dilog
+from .invariants import volume_from_shapes
 from .potential import (
     builtin_five_two,
     eval_eta,
@@ -24,6 +25,7 @@ from .potential import (
     shapes_from_point,
 )
 from .errors import KnotpotError
+from .solver import solve_complete
 
 _PI2_6 = math.pi * math.pi / 6.0
 _VOLUME_5_2 = 2.82812208833
@@ -91,15 +93,12 @@ def _regular_points(spec, rng, count):
             pt = make_point(spec, values)
         except KnotpotError:
             continue
-        ok = True
-        for t in spec.dilog_terms:
-            m = t.argument.evaluate(values)
-            if not (abs(m.imag) > 0.05 and abs(m - 1) > 0.05 and abs(m) > 0.05):
-                ok = False
-                break
-        for v in values.values():
-            if math.pi - abs(cmath.phase(v)) < 0.05:
-                ok = False  # too close to the log cut for differencing
+        # every dilog argument clear of 0, 1 and the real axis, and every
+        # variable clear of the log cut, for differencing
+        ok = all(
+            abs(m.imag) > 0.05 and abs(m - 1) > 0.05 and abs(m) > 0.05
+            for m in (pt.tracked_values[j] for _, j in spec.tables.dilogs)
+        ) and all(math.pi - abs(cmath.phase(v)) >= 0.05 for v in values.values())
         if ok:
             pts.append(pt)
     return pts
@@ -133,8 +132,6 @@ def derivative_checks(n=25, seed=4321) -> GroupResult:
 
 
 def complete_structure_check() -> GroupResult:
-    from .solver import solve_complete  # local import; solver pulls this module's deps
-
     spec = builtin_five_two()
     worst = 0.0
     try:
@@ -149,7 +146,7 @@ def complete_structure_check() -> GroupResult:
     eta, _ = eval_eta(spec, pt)
     worst = max(worst, abs(eta - 1) / 1e-10)
     vol = eval_v(spec, pt).imag
-    vols = sum(dilog.bloch_wigner_d(z) for z in shapes_from_point(pt).as_tuple())
+    vols = volume_from_shapes(shapes_from_point(pt))
     worst = max(worst, abs(vol - _VOLUME_5_2) / 1e-8)
     worst = max(worst, abs(vols - _VOLUME_5_2) / 1e-8)
     worst = max(worst, abs(vol - vols) / 1e-9)

@@ -162,6 +162,29 @@ def _resid_inf(pt) -> float:
     return max(map(abs, reduced_residual(pt)))
 
 
+def _damped_step(pt, deltas, best_residual):
+    """pt with its first len(deltas) variable logs moved by -deltas.
+
+    The step of both Newton loops: halved on each branch jump or
+    singular trial point, at most 40 times, after which it raises
+    NoConvergenceError carrying best_residual(pt).
+    """
+    variables = pt.spec.variables
+    cur = {v: pt.logs[v].value for v in variables}
+    scale = 1.0
+    for _ in range(40):
+        trial = dict(cur)
+        for v, d in zip(variables, deltas):
+            trial[v] -= scale * d
+        try:
+            return advance_point_logs(pt, trial)
+        except (StepTooLargeError, SingularPointError):
+            scale *= 0.5
+    raise NoConvergenceError(
+        "could not step without a branch jump", best_residual=best_residual(pt)
+    )
+
+
 def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     """Newton on the non-meridian variables at a fixed meridian log.
 
@@ -188,22 +211,7 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
             return CriticalPoint(pt, resid, it)
         g = _gradient(spec, pt, tab.fiber_gradient)
         h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
-        deltas = _solve(h, g)
-        cur = [pt.logs[v].value for v in variables]
-        scale = 1.0
-        for _ in range(40):
-            trial = dict(zip(variables, cur))
-            for v, d in zip(variables, deltas):
-                trial[v] -= scale * d
-            try:
-                pt = advance_point_logs(pt, trial)
-                break
-            except (StepTooLargeError, SingularPointError):
-                scale *= 0.5
-        else:
-            raise NoConvergenceError(
-                "could not step without a branch jump", best_residual=_resid_inf(pt)
-            )
+        pt = _damped_step(pt, _solve(h, g), _resid_inf)
     raise NoConvergenceError(
         "fiber Newton: no convergence in %d iterations" % max_iters,
         best_residual=_resid_inf(pt),
@@ -263,8 +271,7 @@ def solve_complete(
             cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
             vol = signed_d_sum(spec, pt)
         if vol > _FLAT_TOL and all(
-            abs(t.argument.evaluate(cp.point.values).imag) > 1e-9
-            for t in spec.dilog_terms
+            abs(cp.point.tracked_values[j].imag) > 1e-9 for _, j in spec.tables.dilogs
         ):
             return cp
     if not keys:
@@ -332,8 +339,7 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
     Returns the accepted point, the iterations taken, and at that point
     the reduced residual and u = 2 log xi, v = 2 log eta.
     """
-    names = spec.variables
-    k = len(names) - 1
+    k = len(spec.variables) - 1
     meridian = spec.meridian
     tab = spec.tables
     for it in range(max_iters):
@@ -353,18 +359,7 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
         row = [2 * q * d for d in d_eta_log(spec, pt)]
         row[k] += 2 * p
         jac[k] = row
-        deltas = _solve(jac, f)
-        cur = [pt.logs[v].value for v in names]
-        scale = 1.0
-        for _ in range(40):
-            trial = {v: c - scale * d for v, c, d in zip(names, cur, deltas)}
-            try:
-                pt = advance_point_logs(pt, trial)
-                break
-            except (StepTooLargeError, SingularPointError):
-                scale *= 0.5
-        else:
-            raise NoConvergenceError("could not step without a branch jump")
+        pt = _damped_step(pt, _solve(jac, f), lambda _: None)
     raise NoConvergenceError("filling Newton: no convergence", best_residual=None)
 
 

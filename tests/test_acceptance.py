@@ -80,11 +80,13 @@ def _conjugate_log(cl):
 
 def _conjugate_point(pt):
     # complex conjugate of a point, every stored log conjugated with it
+    values = {v: complex(w).conjugate() for v, w in pt.values.items()}
     return ParamPoint(
         pt.spec,
-        {v: complex(w).conjugate() for v, w in pt.values.items()},
+        values,
         {v: _conjugate_log(cl) for v, cl in pt.logs.items()},
-        {m: _conjugate_log(cl) for m, cl in pt.one_minus_logs.items()},
+        tuple(m.evaluate(values) for m in pt.spec.tables.monomials),
+        tuple(_conjugate_log(cl) for cl in pt.tracked_logs),
     )
 
 

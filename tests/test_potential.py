@@ -32,6 +32,7 @@ from knotpot.potential import (
     eval_eta,
     eval_longitude_expr,
     eval_v,
+    eval_v_alpha,
     load_spec,
     log_gradient,
     log_hessian,
@@ -40,7 +41,8 @@ from knotpot.potential import (
     shapes_from_point,
     signed_d_sum,
 )
-from knotpot.solver import solve_complete, trace_deformation
+from knotpot.invariants import im_v_alpha_parts, rogers_combo
+from knotpot.solver import normalize_slope, solve_complete, trace_deformation
 
 PI = math.pi
 
@@ -151,6 +153,31 @@ def test_load_spec_rejects_bad_rationals(spec):
         doc = _doc(spec)
         doc["constant_pi2"] = bad
         with pytest.raises(ValidationError):
+            load_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, match",
+    [
+        (("dilog_terms", 0, "sign"), "sign"),
+        (("quad_terms", 0, "coeff", 0), "rational"),
+        (("quad_terms", 0, "coeff", 1), "rational"),
+        (("constant_pi2", 0), "rational"),
+        (("dilog_terms", 0, "arg", "y"), "exponent"),
+        (("longitude", "prefactor", "xi"), "exponent"),
+        (("longitude", "factors", 0, "exp"), "exp"),
+        (("longitude", "alternate", "factors", 0, "exp"), "exp"),
+    ],
+)
+def test_load_spec_rejects_booleans_and_floats_for_integers(spec, path, match):
+    # true == 1 and 1.0 == 1 in Python; the document format has integers
+    for bad in (True, False, 1.0, -1.0):
+        doc = _doc(spec)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ValidationError, match=match):
             load_spec(json.dumps(doc))
 
 
@@ -462,10 +489,10 @@ def test_reduced_residual_at_complete(spec, complete):
 def test_reduced_residual_zero_denominator(spec):
     # xi = x makes 1 - xi/x vanish, a denominator of the first
     # equation; make_point rejects such values eagerly, so forge the
-    # point to reach the residual's own guard
-    from knotpot.potential import ParamPoint
-
-    forged = ParamPoint(spec, {"x": 2 + 0j, "y": 3 + 0j, "xi": 2 + 0j}, {}, {})
+    # point, all five fields, to reach the residual's own guard
+    values = {"x": 2 + 0j, "y": 3 + 0j, "xi": 2 + 0j}
+    mvals = tuple(m.evaluate(values) for m in spec.tables.monomials)
+    forged = ParamPoint(spec, values, {}, mvals, (None,) * len(mvals))
     with pytest.raises(SingularPointError, match="1 -"):
         reduced_residual(forged)
 
@@ -690,35 +717,44 @@ def test_tables_on_points_with_windings(spec, complete):
     assert windings != {0}
 
 
-def test_tables_on_forged_four_field_point(spec, complete):
-    # a point built from its four fields alone carries no monomial
-    # values; the evaluators derive them and must give the same bits
-    for pt in regular_points(spec, 20, seed=313) + [complete.point]:
-        forged = ParamPoint(
-            spec, dict(pt.values), dict(pt.logs), dict(pt.one_minus_logs)
-        )
-        assert forged.tracked_values is None
-        assert_matches_naive(spec, forged)
-        assert _bits(log_hessian(spec, forged)) == _bits(log_hessian(spec, pt))
-        assert _bits(eval_v(spec, forged)) == _bits(eval_v(spec, pt))
+_SLOPE_7_1 = normalize_slope(7, 1)
+
+# every evaluator that reads a point's tracked monomials, as f(spec, pt)
+_EVALUATORS = (
+    eval_v,
+    lambda s, pt: eval_v_alpha(s, _SLOPE_7_1, pt),
+    signed_d_sum,
+    log_gradient,
+    log_hessian,
+    eta_log,
+    d_eta_log,
+    rogers_combo,
+    lambda s, pt: im_v_alpha_parts(s, pt, _SLOPE_7_1),
+)
 
 
 def test_tables_with_another_spec_object(spec):
-    # a spec other than the point's own object, equal to it or not,
-    # lowers to its own tables; the point's cached values, kept in the
-    # order of its own spec's tables, must not be read through them
+    # an equal spec object lowers to the same tables, so it reads the
+    # point's record bit for bit; a spec that differs, if only in the
+    # order of its terms or the names of its variables, has tables the
+    # record was not built for and is refused
     twin = load_spec(dump_spec(spec))
     assert twin == spec and twin is not spec
-    reordered = _variant_specs(spec)[1][0]
-    for pt in regular_points(spec, 10, seed=99):
-        for other in (twin, reordered):
-            for got, want in (
-                (log_gradient(other, pt), naive_log_gradient(other, pt)),
-                (log_hessian(other, pt), naive_log_hessian(other, pt)),
-                (eval_v(other, pt), naive_eval_v(other, pt)),
-                (eta_log(other, pt), naive_eta_log(other, pt)),
-            ):
-                assert _bits(got) == _bits(want)
+    pts = regular_points(spec, 10, seed=99)
+    for pt in pts:
+        for got, want in (
+            (log_gradient(twin, pt), naive_log_gradient(twin, pt)),
+            (log_hessian(twin, pt), naive_log_hessian(twin, pt)),
+            (eval_v(twin, pt), naive_eval_v(twin, pt)),
+            (eta_log(twin, pt), naive_eta_log(twin, pt)),
+        ):
+            assert _bits(got) == _bits(want)
+        for evaluate in _EVALUATORS:
+            assert _bits(evaluate(twin, pt)) == _bits(evaluate(spec, pt))
+    for other, _ in _variant_specs(spec)[1:]:
+        for evaluate in _EVALUATORS:
+            with pytest.raises(ValidationError, match="spec other than"):
+                evaluate(other, pts[0])
 
 
 def test_half_integer_quad_coefficient_fails_only_the_reduced_residual(spec):

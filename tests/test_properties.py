@@ -1,11 +1,15 @@
 """Property tests with hypothesis over the inputs a user can supply.
 
-Slopes, spec documents and the branch continuation of logs. All run
-in-process on calls that take microseconds, so the suite stays fast.
+Slopes, spec documents, the branch continuation of logs and CLI argv.
+All run in-process; all but the CLI property call functions that take
+microseconds, and that one draws few, small examples, so the suite
+stays fast.
 """
 
 import cmath
+import contextlib
 import functools
+import io
 import json
 import math
 from fractions import Fraction
@@ -13,6 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpot.cli import main
 from knotpot.dilog import continue_log, continued
 from knotpot.errors import SpecFormatError, ValidationError
 from knotpot.potential import PotentialSpec, builtin_five_two, dump_spec, load_spec
@@ -149,11 +154,24 @@ _JSON = st.recursive(
 )
 
 
+def _leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [leaf for child in node for leaf in _leaves(child)]
+    return [node]
+
+
 def _load_or_reject(source):
     try:
-        assert isinstance(load_spec(source), PotentialSpec)
+        spec = load_spec(source)
     except (SpecFormatError, ValidationError):
-        pass
+        return
+    assert isinstance(spec, PotentialSpec)
+    # the format has no boolean or float field: every number an
+    # accepted document holds dumps as a JSON integer
+    for leaf in _leaves(json.loads(dump_spec(spec))):
+        assert isinstance(leaf, str) or type(leaf) is int, leaf
 
 
 @_many
@@ -216,3 +234,64 @@ def test_continue_log_follows_the_unwrapped_phase(r0, phase0, steps):
         assert abs(cl.value.imag - unwrapped) < 1e-9
         assert abs(cl.value.real - math.log(abs(w))) < 1e-12
         assert cl.winding == round((unwrapped - cmath.phase(w)) / (2 * math.pi))
+
+
+# ------------------------------------------------------------ CLI argv
+#
+# Each example is a solve, so the draws stay small: slopes p/q with
+# |p| <= 12 and |q| <= 4 and |u_end| <= 3, each as often arbitrary
+# short text, at most 2 samples and a few tolerances. Bad tolerances
+# stay rare, since the CLI rejects them before it reads the rest.
+
+_short_text = st.text(max_size=8)
+
+_slopes = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-4, 4), st.booleans()).map(
+        lambda pqb: "%d/%d" % pqb[:2] if pqb[2] else str(pqb[0])
+    ),
+    _short_text,
+)
+_u_ends = st.one_of(
+    st.complex_numbers(max_magnitude=3).map(lambda u: "%r%si" % (u.real, format(u.imag, "+"))),
+    _short_text,
+)
+_tolerances = st.sampled_from(["1e-300", "1e-14", "1e-12", "1e-10", "1e-6", "1", "0"])
+
+
+def _option(name, values, required=False):
+    """The option with a drawn value, as `--name=v` or `--name v`.
+
+    An optional one is left out about half the time.
+    """
+    given_ = st.tuples(values, st.booleans()).map(
+        lambda vb: ["%s=%s" % (name, vb[0])] if vb[1] else [name, vb[0]]
+    )
+    return given_ if required else st.one_of(st.just([]), given_)
+
+
+@st.composite
+def cli_argvs(draw):
+    argv = draw(_option("--format", st.sampled_from(["table", "json", "csv"])))
+    argv += draw(_option("--newton-tol", _tolerances))
+    argv += draw(_option("--accept-tol", _tolerances))
+    command = draw(st.sampled_from(["complete", "fill", "trace"]))
+    argv.append(command)
+    if command == "fill":
+        argv += draw(_option("--slope", _slopes, required=True))
+    elif command == "trace":
+        argv += draw(_option("--u-end", _u_ends, required=True))
+        argv += draw(_option("--samples", st.sampled_from(["-1", "0", "1", "2", "two"])))
+    return argv
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(cli_argvs())
+def test_cli_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse on a usage error
+            code = e.code
+    assert code in range(5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
