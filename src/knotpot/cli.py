@@ -118,6 +118,13 @@ def render(rec: Record, fmt: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that starts with "-" for an option
+        # unless it is a plain negative number; no knotpot option starts
+        # with "-" and a digit, so "-5/1" and "-1+0.5i" are values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors by default; the contract is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -353,8 +360,7 @@ def cmd_trace(args, spec, complete, u_end):
                 "residual": _jn(resid),
             }
         )
-        x = pt.values[names[0]]
-        y = pt.values[names[1]] if len(names) > 1 else 0j
+        x, y = (pt.values[v] for v in names)
         cells = (
             smp.u.real, smp.u.imag, x.real, x.imag, y.real, y.imag,
             smp.v.real, smp.v.imag, vv.imag, sum_d, defect.real, defect.imag, resid,

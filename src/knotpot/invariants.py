@@ -1,7 +1,8 @@
 """Geometric invariants of solved structures.
 
 Volume comes out of the potential two independent ways (the imaginary
-part of V_alpha and the Bloch-Wigner sum over the tetrahedron shapes),
+part of V_alpha and the signed Bloch-Wigner sum over the dilogarithm
+terms, which for 5_2 are the tetrahedron shapes),
 which accepted solutions must reconcile to 1e-9. The Chern-Simons
 value is recovered modulo 1/2, and only up to one global additive
 constant shared by all slopes: differences between slopes are the
@@ -14,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 from . import dilog
-from .errors import ValidationError
 from .potential import (
     ParamPoint,
     PotentialSpec,
@@ -23,7 +23,6 @@ from .potential import (
     _tracked,
     eval_v,
     eval_v_alpha,
-    shapes_from_point,
     signed_d_sum,
 )
 from .solver import CriticalPoint, FillingSolution, Slope
@@ -134,18 +133,12 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
     """Full invariant report for an accepted filling solution."""
     pt = _point_of(sol)
     va = eval_v_alpha(spec, slope, pt)
-    try:
-        vfs = volume_from_shapes(shapes_from_point(pt))
-    except ValidationError:
-        # no shape recovery outside the 5_2 potential; the signed term
-        # sum is the same quantity for potentials of this construction
-        vfs = signed_d_sum(spec, pt)
     cs, amb = _cs_class(va)
     length, torsion = core_geodesic_of(slope, sol)
     lam_re = -2 * pt.logs[spec.meridian].value.real / slope.q
     return InvariantReport(
         volume=va.imag,
-        volume_from_shapes=vfs,
+        volume_from_shapes=signed_d_sum(spec, pt),
         cs_value=cs,
         cs_ambiguity=amb,
         geodesic_length=length,

@@ -218,14 +218,12 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     )
 
 
-# Fixed complete-structure seed grid: 16 (x, y) starting pairs, a
-# coarse cover of the unit-scale region where tetrahedron shapes of
-# cusped knots live. Order matters for determinism.
-_SEED_X = (-0.5 + 0.8j, 0.5 + 0.8j, -0.5 - 0.8j, 0.3 + 0.6j)
-_SEED_Y = (0.3 + 0.6j, 0.5 + 0.8j, -1.3, 1.3)
-DEFAULT_SEEDS = tuple(
-    {"x": sx, "y": sy} for sx in _SEED_X for sy in _SEED_Y
-)
+# Fixed complete-structure seed grid: 16 starting pairs for the two
+# fiber variables in spec order, a coarse cover of the unit-scale region
+# where tetrahedron shapes of cusped knots live. Order matters.
+_SEED_FIRST = (-0.5 + 0.8j, 0.5 + 0.8j, -0.5 - 0.8j, 0.3 + 0.6j)
+_SEED_SECOND = (0.3 + 0.6j, 0.5 + 0.8j, -1.3, 1.3)
+DEFAULT_SEEDS = tuple((a, b) for a in _SEED_FIRST for b in _SEED_SECOND)
 
 
 def solve_complete(
@@ -233,18 +231,20 @@ def solve_complete(
 ) -> CriticalPoint:
     """Complete structure: meridian pinned to 1, geometric root selected.
 
-    Runs Newton from each seed in order and returns the first distinct
-    converged root whose dilog arguments are all off the real axis
-    with total shape volume sum sign*D > 0; later seeds are not run. A
-    root found with negative total volume is replaced by its complex
-    conjugate (same equations, opposite orientation).
+    Runs Newton from each seed in order (by default DEFAULT_SEEDS, laid
+    onto the two fiber variables in spec order) and returns the first
+    distinct converged root whose dilog arguments are all off the real
+    axis with total shape volume sum sign*D > 0; later seeds are not
+    run. A root found with negative total volume is replaced by its
+    complex conjugate (same equations, opposite orientation).
     """
     if seeds is None:
-        if tuple(spec.variables[:-1]) != ("x", "y"):
+        fiber = spec.variables[:-1]
+        if len(fiber) != 2:
             raise ValidationError(
-                "default seed grid covers variables (x, y); pass seeds explicitly"
+                "default seed grid needs two fiber variables; pass seeds explicitly"
             )
-        seeds = [dict(s) for s in DEFAULT_SEEDS]
+        seeds = [dict(zip(fiber, s)) for s in DEFAULT_SEEDS]
     meridian = spec.meridian
     keys = []
     best_resid = math.inf
@@ -254,6 +254,8 @@ def solve_complete(
         try:
             pt0 = make_point(spec, values)
             cp = _newton_fiber(spec, pt0, 0j, newton_tol)
+        except ValidationError:
+            raise  # the spec or the seed is at fault, not the seed's path
         except KnotpotError:
             continue
         best_resid = min(best_resid, cp.residual_inf_norm)
@@ -294,9 +296,9 @@ def trace_deformation(
 
     u = log xi^2, so the meridian moves along xi = exp(u/2). Each of
     the `samples` evenly spaced targets is reached by warm-started
-    Newton on (x, y); the step is halved (up to 20 times) whenever the
-    branch continuation rejects a jump. Emits one DeformationSample
-    per target.
+    Newton on the fiber variables; the step is halved (up to 20 times)
+    whenever the branch continuation rejects a jump. Emits one
+    DeformationSample per target.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -304,8 +306,6 @@ def trace_deformation(
         complete = solve_complete(spec, newton_tol=newton_tol)
     pt = complete.point
     u_end = complex(u_end)
-    if u_end == 0:
-        return [DeformationSample(0j, pt, 2 * eta_log(spec, pt))]
     out = []
     t = 0.0
     for k in range(1, samples + 1):

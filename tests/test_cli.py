@@ -106,6 +106,87 @@ def test_spec_file_of_the_wrong_kind_exits_usage(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _spec_variant(tmp_path, kind):
+    """A copy of the built-in spec written to a file, and the built-in
+    name of each of its variables.
+
+    "renamed" calls x and y a and b; "reordered" declares y before x.
+    """
+    text = dump_spec(builtin_five_two())
+    names = {"x": "x", "y": "y", "xi": "xi"}
+    if kind == "renamed":
+        text = text.replace('"x"', '"a"').replace('"y"', '"b"')
+        names = {"a": "x", "b": "y", "xi": "xi"}
+    else:
+        doc = json.loads(text)
+        doc["variables"] = ["y", "x", "xi"]
+        text = json.dumps(doc)
+    path = tmp_path / (kind + ".json")
+    path.write_text(text)
+    return str(path), names
+
+
+def _assert_same_doc(got, want, names, where="doc"):
+    """got, with its variables renamed to the built-in's, equals want,
+    numbers to 1e-12."""
+    if isinstance(want, dict):
+        got = {names.get(k, k): v for k, v in got.items()}
+        assert got.keys() == want.keys(), where
+        for k in want:
+            _assert_same_doc(got[k], want[k], names, "%s/%s" % (where, k))
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_doc(g, w, names, "%s/%d" % (where, i))
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("kind", ["renamed", "reordered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fill", "--slope", "7/1"],
+        ["fill", "--slope", "5/2"],
+        ["fill", "--slope=-7/1"],
+        ["fill", "--slope", "11/3"],
+        ["scan", "--pmax", "8", "--qmax", "3"],
+        ["trace", "--u-end=0.1i"],
+    ],
+)
+def test_spec_file_with_other_variables_matches_builtin(capsys, tmp_path, kind, argv):
+    # the default seeds are laid onto the fiber variables by position
+    path, names = _spec_variant(tmp_path, kind)
+    code, out, err = run(capsys, "--spec", path, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    want_code, want, _ = run(capsys, "--format", "json", *argv)
+    assert want_code == 0
+    _assert_same_doc(json.loads(out), json.loads(want), names)
+
+
+def test_complete_needs_the_5_2_variable_names(capsys, tmp_path):
+    path, _ = _spec_variant(tmp_path, "renamed")
+    code, out, err = run(capsys, "--spec", path, "complete")
+    assert (code, out) == (1, "")
+    assert err == "error: shape recovery needs the dilog terms of the 5_2 potential\n"
+    path, _ = _spec_variant(tmp_path, "reordered")
+    assert run(capsys, "--spec", path, "complete")[0] == 0
+
+
+def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
+    # the spec's fault is reported as such, not as seeds that did not converge
+    doc = json.loads(dump_spec(builtin_five_two()))
+    doc["quad_terms"][0]["coeff"] = [3, 2]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["complete"], ["fill", "--slope", "7"]):
+        code, out, err = run(capsys, "--spec", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: reduced residual needs integer quad exponents, got 3/2\n"
+
+
 # ---------------------------------------------------------------- fill
 
 
@@ -124,13 +205,28 @@ def test_fill_json_record(capsys):
 
 
 def test_fill_table(capsys):
-    # values with a slash need the = form, argparse reads "-7/1" as an option
     code, out, _ = run(capsys, "fill", "--slope=-7/1")
     assert code == 0
     fields = dict(ln.split(" = ") for ln in out.strip().splitlines())
     assert fields["slope"] == "-7/1"
     assert abs(float(fields["volume"]) - 1.757126029188) < 1e-9
     assert float(fields["length"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fill", "--slope", "-7/1"],
+        ["fill", "--slope", "-5/2"],
+        ["trace", "--u-end", "-1+0.5i", "--samples", "2"],
+    ],
+)
+def test_negative_value_without_equals(capsys, argv):
+    # argparse would read "-7/1" as an option; it must parse as "--slope=-7/1"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    joined = argv[:1] + ["%s=%s" % (argv[1], argv[2])] + argv[3:]
+    assert run(capsys, *joined) == (code, out, err)
 
 
 def test_fill_rejects_meridian_slope(capsys):

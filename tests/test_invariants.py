@@ -30,7 +30,6 @@ from knotpot.potential import (
     shapes_from_point,
 )
 from knotpot.solver import (
-    DEFAULT_SEEDS,
     Slope,
     normalize_slope,
     solve_complete,
@@ -315,7 +314,7 @@ def test_report_reads_shapes_by_variable_name(spec, field):
     doc = json.loads(dump_spec(spec))
     doc[field] = doc[field][::-1] if field == "dilog_terms" else ["y", "x", "xi"]
     other = load_spec(json.dumps(doc))
-    complete = solve_complete(other, seeds=DEFAULT_SEEDS)
+    complete = solve_complete(other)
     slope = normalize_slope(7, 1)
     sol = solve_filling(other, slope, complete=complete)
     rep = report_for(other, slope, sol)
@@ -325,7 +324,8 @@ def test_report_reads_shapes_by_variable_name(spec, field):
 
 
 def test_report_falls_back_to_term_sum_without_5_2_terms(spec):
-    # the 5_2 potential with its meridian renamed: no shape map applies
+    # the 5_2 potential with its meridian renamed: no shape map applies,
+    # and the report's D-sum needs none
     renamed = load_spec(dump_spec(spec).replace('"xi"', '"m"'))
     slope = normalize_slope(7, 1)
     sol = solve_filling(renamed, slope)

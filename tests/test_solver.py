@@ -1,6 +1,7 @@
 """Solver tests: slope arithmetic, the linear solve, complete structure,
 deformation tracing, and filling continuation."""
 
+import json
 import math
 import random
 
@@ -36,6 +37,9 @@ from knotpot.solver import (
 )
 
 TWO_PI_I = 2j * math.pi
+
+# the default seed grid as the built-in spec's seeds, named
+GRID = [dict(zip(("x", "y"), s)) for s in solver.DEFAULT_SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -204,14 +208,31 @@ def test_complete_custom_seeds(spec):
 
 
 def test_complete_rejects_default_grid_for_renamed_variables(spec):
+    # the default grid is laid onto the fiber variables by position, so
+    # it serves a renamed copy; it refuses only a spec with another
+    # number of fiber variables
     text = dump_spec(spec).replace('"x"', '"a"').replace('"y"', '"b"')
     renamed = load_spec(text)
     assert renamed.variables == ("a", "b", "xi")
-    with pytest.raises(ValidationError):
-        solve_complete(renamed)
     x = O.complete_root()
+    cp = solve_complete(renamed)
+    assert abs(cp.point.values["a"] - x) < 1e-12
+    assert abs(cp.point.values["b"] - (x + 1)) < 1e-12
     cp = solve_complete(renamed, seeds=[{"a": x * 1.01, "b": (x + 1) * 0.99}])
     assert abs(cp.point.values["a"] - x) < 1e-12
+    doc = json.loads(dump_spec(spec))
+    doc["variables"] = ["x", "y", "z", "xi"]
+    with pytest.raises(ValidationError, match="two fiber variables"):
+        solve_complete(load_spec(json.dumps(doc)))
+
+
+def test_complete_raises_spec_errors(spec):
+    # a spec fault is not a seed that failed to converge
+    doc = json.loads(dump_spec(spec))
+    doc["quad_terms"][0]["coeff"] = [3, 2]
+    half = load_spec(json.dumps(doc))
+    with pytest.raises(ValidationError, match="integer quad exponents, got 3/2"):
+        solve_complete(half)
 
 
 def test_complete_no_usable_seed(spec):
@@ -273,7 +294,7 @@ def _full_grid_complete(spec, seeds, newton_tol=1e-12):
     ],
 )
 def test_complete_early_return_matches_full_grid(spec, order):
-    seeds = [solver.DEFAULT_SEEDS[i] for i in order]
+    seeds = [GRID[i] for i in order]
     got = solve_complete(spec, seeds=seeds)
     want = _full_grid_complete(spec, seeds)
     assert got.point == want.point
@@ -290,7 +311,7 @@ def test_complete_early_return_matches_full_grid(spec, order):
 def test_complete_without_geometric_root_matches_full_grid(spec, order, error):
     # no early return: every seed runs, so the message keeps the best
     # residual over all of them
-    seeds = [solver.DEFAULT_SEEDS[i] for i in order]
+    seeds = [GRID[i] for i in order]
     with pytest.raises(error) as got:
         solve_complete(spec, seeds=seeds)
     with pytest.raises(error) as want:
@@ -300,7 +321,7 @@ def test_complete_without_geometric_root_matches_full_grid(spec, order, error):
 
 def test_complete_default_grid_stops_at_first_geometric_root(spec, complete):
     assert complete.newton_iters == 4  # seed 0's iterations
-    assert complete.point == _full_grid_complete(spec, solver.DEFAULT_SEEDS).point
+    assert complete.point == _full_grid_complete(spec, GRID).point
 
 
 # ---------------------------------------------------- trace_deformation
@@ -312,6 +333,14 @@ def test_trace_empty_path(spec, complete):
     assert samples[0].u == 0
     assert abs(samples[0].v) < 1e-9
     assert abs(samples[0].point.values["x"] - complete.point.values["x"]) < 1e-14
+
+
+def test_trace_empty_path_gives_every_sample(spec, complete):
+    samples = trace_deformation(spec, 0j, 3, complete=complete)
+    assert [s.u for s in samples] == [0j, 0j, 0j]
+    for s in samples:
+        assert s.point.values == complete.point.values
+        assert abs(s.v) < 1e-9
 
 
 def test_trace_sample_contract(spec, complete):
@@ -449,3 +478,14 @@ def test_filling_tightened_accept_tol_rejects(spec, complete):
         solve_filling(
             spec, normalize_slope(7, 1), complete=complete, accept_tol=1e-18
         )
+
+
+def test_filling_obstructed_when_newton_never_converges(spec, complete):
+    # no residual reaches 1e-300, so every Newton solve runs out of
+    # iterations, the t-step halves until it collapses, and the path
+    # stops where it began
+    with pytest.raises(PathObstructionError) as ei:
+        solve_filling(spec, normalize_slope(7, 1), complete=complete, newton_tol=1e-300)
+    assert ei.value.t_reached == 0.0
+    assert "filling path for 7/1 obstructed at t = 0.000000" in str(ei.value)
+    assert "filling Newton: no convergence" in str(ei.value)

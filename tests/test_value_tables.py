@@ -44,11 +44,10 @@ def _pair(z):
     return [z.real, z.imag]
 
 
-def scan_values(pmax=40, qmax=8):
-    """One record per slope of the scan, in `knotpot scan` order."""
+def _scan_reports(pmax=40, qmax=8):
+    """(slope, report or the error that stopped it), in `knotpot scan` order."""
     spec = builtin_five_two()
     complete = solve_complete(spec)
-    rows = []
     for q in range(1, qmax + 1):
         for p in range(-pmax, pmax + 1):
             if math.gcd(p, q) != 1:
@@ -57,19 +56,28 @@ def scan_values(pmax=40, qmax=8):
             try:
                 sol = solve_filling(spec, slope, complete=complete)
             except (PathObstructionError, NoConvergenceError) as e:
-                rows.append({"slope": str(slope), "outcome": type(e).__name__})
+                yield slope, e
                 continue
-            rep = report_for(spec, slope, sol)
-            rows.append(
-                {
-                    "slope": str(slope),
-                    "outcome": "accepted",
-                    "volume": rep.volume,
-                    "cs": rep.cs_value,
-                    "length": rep.geodesic_length,
-                    "torsion": rep.geodesic_torsion,
-                }
-            )
+            yield slope, report_for(spec, slope, sol)
+
+
+def scan_values(pmax=40, qmax=8):
+    """One record per slope of the scan, in `knotpot scan` order."""
+    rows = []
+    for slope, rep in _scan_reports(pmax, qmax):
+        if isinstance(rep, Exception):
+            rows.append({"slope": str(slope), "outcome": type(rep).__name__})
+            continue
+        rows.append(
+            {
+                "slope": str(slope),
+                "outcome": "accepted",
+                "volume": rep.volume,
+                "cs": rep.cs_value,
+                "length": rep.geodesic_length,
+                "torsion": rep.geodesic_torsion,
+            }
+        )
     return rows
 
 
@@ -129,6 +137,23 @@ def test_scan_40x8_values():
         assert abs(g["length"] - w["length"]) <= TOL, g["slope"]
         assert _mod_gap(g["cs"], w["cs"], 0.5) <= TOL, g["slope"]
         assert _mod_gap(g["torsion"], w["torsion"], 2 * math.pi / q) <= TOL, g["slope"]
+
+
+def test_scan_40x8_report_d_sum():
+    # the report's second volume route, the signed D-sum, against the
+    # table's volume (Im V_alpha) on every accepted slope
+    with open(SCAN_TABLE) as fh:
+        want = {r["slope"]: r for r in json.load(fh)}
+    accepted = 0
+    for slope, rep in _scan_reports():
+        w = want[str(slope)]
+        if isinstance(rep, Exception):
+            assert w["outcome"] == type(rep).__name__, str(slope)
+            continue
+        assert w["outcome"] == "accepted", str(slope)
+        assert abs(rep.volume_from_shapes - w["volume"]) <= TOL, str(slope)
+        accepted += 1
+    assert accepted == 408
 
 
 def test_trace_values():
