@@ -23,9 +23,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
+from ._records import RecordBase
 from .errors import (
     KnotpotError,
     NoConvergenceError,
@@ -89,18 +88,26 @@ class UsageError(Exception):
     """Bad input caught by the CLI itself; the message is printed bare."""
 
 
-@dataclass
-class Record:
+class Record(RecordBase):
     """One command's output: the JSON body and its text form.
 
     A key/value record sets `pairs` (key, text); a row table sets
     `rows` (lists of cells) under an optional CSV `header`.
     """
 
-    doc: dict
-    pairs: Optional[list] = None
-    header: Optional[str] = None
-    rows: Optional[list] = None
+    _fields = ("doc", "pairs", "header", "rows")
+
+    def __init__(
+        self,
+        doc: dict,
+        pairs: list | None = None,
+        header: str | None = None,
+        rows: list | None = None,
+    ):
+        self.doc = doc
+        self.pairs = pairs
+        self.header = header
+        self.rows = rows
 
 
 def render(rec: Record, fmt: str) -> str:

@@ -12,26 +12,23 @@ while a parameter point moves.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._dilog_pure import bloch_wigner_d, li2, principal_log, rogers_r
+from ._records import FrozenRecord
 from .errors import StepTooLargeError
 
 _TWO_PI = 2.0 * math.pi
 _MAX_JUMP = math.pi / 2.0
 
 
-@dataclass(frozen=True, init=False)
-class ContinuedLog:
+class ContinuedLog(FrozenRecord):
     """A chosen branch of log w: value = principal_log(w) + 2*pi*i*winding."""
 
-    value: complex
-    winding: int = 0
+    _fields = ("value", "winding")
 
-    def __init__(self, value, winding=0):
+    def __init__(self, value: complex, winding: int = 0):
         # the solver builds one per variable and tracked monomial at
-        # every trial point; filling the instance dict gives the object
-        # the generated frozen __init__ would, at about 2/3 of its cost
+        # every trial point, so the instance dict is filled directly
         d = self.__dict__
         d["value"] = value
         d["winding"] = winding

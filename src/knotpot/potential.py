@@ -32,11 +32,10 @@ not depend on the lowering.
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional
 
+from ._records import FrozenRecord
 from .dilog import (
     _MAX_JUMP,
     _TWO_PI,
@@ -66,14 +65,16 @@ _ZERO_TOL = 1e-13
 _ONE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenRecord):
     """Laurent monomial prod var^exp, stored as sorted (var, exp) pairs."""
 
-    exponents: tuple
+    _fields = ("exponents",)
+
+    def __init__(self, exponents: tuple):
+        self.__dict__["exponents"] = exponents
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
+    def from_dict(cls, d: dict) -> "Monomial":
         items = tuple(sorted((v, int(e)) for v, e in d.items() if int(e) != 0))
         return cls(items)
 
@@ -86,7 +87,7 @@ class Monomial:
     def variables(self):
         return [v for v, _ in self.exponents]
 
-    def evaluate(self, values: Mapping[str, complex]) -> complex:
+    def evaluate(self, values: dict) -> complex:
         r = 1 + 0j
         for v, e in self.exponents:
             r *= values[v] ** e
@@ -96,42 +97,77 @@ class Monomial:
         return " ".join("%s^%d" % ve for ve in self.exponents) or "1"
 
 
-@dataclass(frozen=True)
-class DilogTerm:
-    sign: int
-    argument: Monomial
+class DilogTerm(FrozenRecord):
+    """Contributes sign * Li2(argument) to V."""
+
+    _fields = ("sign", "argument")
+
+    def __init__(self, sign: int, argument: Monomial):
+        self.__dict__.update(sign=sign, argument=argument)
 
 
-@dataclass(frozen=True)
-class QuadLogTerm:
+class QuadLogTerm(FrozenRecord):
     """Contributes coeff * log(var_a) * log(var_b) to V."""
 
-    coeff: Fraction
-    var_a: str
-    var_b: str
+    _fields = ("coeff", "var_a", "var_b")
+
+    def __init__(self, coeff: Fraction, var_a: str, var_b: str):
+        self.__dict__.update(coeff=coeff, var_a=var_a, var_b=var_b)
 
 
-@dataclass(frozen=True)
-class LongitudeExpr:
+class LongitudeExpr(FrozenRecord):
     """prefactor * prod (1 - argument)^exponent."""
 
-    prefactor: Monomial
-    factors: tuple  # of (exponent: int, argument: Monomial)
+    _fields = ("prefactor", "factors")
+
+    def __init__(self, prefactor: Monomial, factors: tuple):
+        # factors: a tuple of (exponent: int, argument: Monomial)
+        self.__dict__.update(prefactor=prefactor, factors=factors)
 
 
-@dataclass(frozen=True)
 class LongitudeSpec(LongitudeExpr):
-    alternate: Optional[LongitudeExpr] = None
+    """The primary longitude expression and an optional alternate form."""
+
+    _fields = ("prefactor", "factors", "alternate")
+
+    def __init__(
+        self,
+        prefactor: Monomial,
+        factors: tuple,
+        alternate: LongitudeExpr | None = None,
+    ):
+        self.__dict__.update(prefactor=prefactor, factors=factors, alternate=alternate)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    name: str
-    variables: tuple  # ordered; the last entry is the meridian
-    dilog_terms: tuple
-    quad_terms: tuple
-    constant_pi2: Fraction
-    longitude: LongitudeSpec
+class PotentialSpec(FrozenRecord):
+    """A potential: its variables, terms, constant and longitude."""
+
+    _fields = (
+        "name",
+        "variables",
+        "dilog_terms",
+        "quad_terms",
+        "constant_pi2",
+        "longitude",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        variables: tuple,  # ordered; the last entry is the meridian
+        dilog_terms: tuple,
+        quad_terms: tuple,
+        constant_pi2: Fraction,
+        longitude: LongitudeSpec,
+    ):
+        self.__dict__.update(
+            name=name,
+            variables=variables,
+            dilog_terms=dilog_terms,
+            quad_terms=quad_terms,
+            constant_pi2=constant_pi2,
+            longitude=longitude,
+        )
 
     @property
     def meridian(self) -> str:
@@ -278,8 +314,7 @@ class SpecTables:
         self.residual = tuple(residual)
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(FrozenRecord):
     """A point in parameter space with its branch bookkeeping.
 
     values[v] = exp(logs[v].value) by construction. tracked_values and
@@ -290,11 +325,24 @@ class ParamPoint:
     then None and only longitude evaluation rejects it.
     """
 
-    spec: PotentialSpec
-    values: dict
-    logs: dict
-    tracked_values: tuple
-    tracked_logs: tuple
+    _fields = ("spec", "values", "logs", "tracked_values", "tracked_logs")
+
+    def __init__(
+        self,
+        spec: PotentialSpec,
+        values: dict,
+        logs: dict,
+        tracked_values: tuple,
+        tracked_logs: tuple,
+    ):
+        # built at every Newton trial, so the instance dict is filled
+        # directly, as ContinuedLog's is
+        d = self.__dict__
+        d["spec"] = spec
+        d["values"] = values
+        d["logs"] = logs
+        d["tracked_values"] = tracked_values
+        d["tracked_logs"] = tracked_logs
 
     @property
     def one_minus_logs(self) -> dict:
@@ -302,15 +350,13 @@ class ParamPoint:
         return dict(zip(self.spec.tables.monomials, self.tracked_logs))
 
 
-@dataclass(frozen=True)
-class Shapes:
+class Shapes(FrozenRecord):
     """Tetrahedron moduli of the five-tetrahedron parametrization."""
 
-    c2: complex
-    d4: complex
-    a5: complex
-    b5: complex
-    d5: complex
+    _fields = ("c2", "d4", "a5", "b5", "d5")
+
+    def __init__(self, c2: complex, d4: complex, a5: complex, b5: complex, d5: complex):
+        self.__dict__.update(c2=c2, d4=d4, a5=a5, b5=b5, d5=d5)
 
     def as_tuple(self):
         return (self.c2, self.d4, self.a5, self.b5, self.d5)
@@ -574,7 +620,7 @@ def dump_spec(spec: PotentialSpec) -> str:
 # ------------------------------------------------------------- points
 
 
-def _build_point(spec, logmap, prev: Optional[ParamPoint]) -> ParamPoint:
+def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
     """Assemble a ParamPoint from explicit log values.
 
     Variable logs are taken verbatim (their winding is recovered
@@ -666,7 +712,7 @@ def _tracked(spec: PotentialSpec, pt: ParamPoint):
     return pt.tracked_values, pt.tracked_logs
 
 
-def make_point(spec: PotentialSpec, values: Mapping[str, complex]) -> ParamPoint:
+def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
     """ParamPoint at the given variable values, all branches principal."""
     if set(values) != set(spec.variables):
         raise ValidationError(
@@ -681,7 +727,7 @@ def make_point(spec: PotentialSpec, values: Mapping[str, complex]) -> ParamPoint
     return _build_point(spec, logmap, None)
 
 
-def advance_point(pt: ParamPoint, values: Mapping[str, complex]) -> ParamPoint:
+def advance_point(pt: ParamPoint, values: dict) -> ParamPoint:
     """Move a point to nearby values, continuing every stored branch.
 
     Raises StepTooLargeError when any log would jump by a quarter turn
@@ -697,7 +743,7 @@ def advance_point(pt: ParamPoint, values: Mapping[str, complex]) -> ParamPoint:
     return _build_point(spec, logmap, pt)
 
 
-def advance_point_logs(pt: ParamPoint, logmap: Mapping[str, complex]) -> ParamPoint:
+def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
     """Move a point to explicit new variable logs (solver step)."""
     return _build_point(pt.spec, logmap, pt)
 
@@ -792,7 +838,7 @@ def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
     return _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
 
 
-def eval_longitude_expr(expr: LongitudeExpr, values: Mapping[str, complex]) -> complex:
+def eval_longitude_expr(expr: LongitudeExpr, values: dict) -> complex:
     """prefactor * prod (1 - m)^e, evaluated rationally (no logs)."""
     r = expr.prefactor.evaluate(values)
     for e, m in expr.factors:

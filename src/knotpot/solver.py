@@ -15,9 +15,8 @@ residual alone.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
+from ._records import FrozenRecord, RecordBase
 from .dilog import ContinuedLog
 from .errors import (
     KnotpotError,
@@ -59,37 +58,51 @@ _FLAT_TOL = 1e-4
 _BRANCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(FrozenRecord):
     """Slope p/q in lowest terms with its canonical cocycle (r, s).
 
     ps - qr = 1; q >= 1; 0 <= s < q for q > 1 and (r, s) = (-1, 0)
     for q = 1.
     """
 
-    p: int
-    q: int
-    r: int
-    s: int
+    _fields = ("p", "q", "r", "s")
+
+    def __init__(self, p: int, q: int, r: int, s: int):
+        self.__dict__.update(p=p, q=q, r=r, s=s)
 
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
 
 
-@dataclass
-class CriticalPoint:
-    point: ParamPoint
-    residual_inf_norm: float
-    newton_iters: int
+class CriticalPoint(RecordBase):
+    """A converged point with its reduced residual and Newton count."""
+
+    _fields = ("point", "residual_inf_norm", "newton_iters")
+
+    def __init__(self, point: ParamPoint, residual_inf_norm: float, newton_iters: int):
+        self.point = point
+        self.residual_inf_norm = residual_inf_norm
+        self.newton_iters = newton_iters
 
 
-@dataclass
-class FillingSolution:
-    slope: Slope
-    critical: CriticalPoint
-    u: ContinuedLog  # log xi^2, tracked
-    v: ContinuedLog  # log eta^2, tracked
-    path_steps: int
+class FillingSolution(RecordBase):
+    """The critical point of V_alpha for a slope, with its tracked u and v."""
+
+    _fields = ("slope", "critical", "u", "v", "path_steps")
+
+    def __init__(
+        self,
+        slope: Slope,
+        critical: CriticalPoint,
+        u: ContinuedLog,  # log xi^2, tracked
+        v: ContinuedLog,  # log eta^2, tracked
+        path_steps: int,
+    ):
+        self.slope = slope
+        self.critical = critical
+        self.u = u
+        self.v = v
+        self.path_steps = path_steps
 
     @property
     def filling_residual(self) -> float:
@@ -98,11 +111,20 @@ class FillingSolution:
         )
 
 
-@dataclass
-class DeformationSample:
-    u: complex  # log xi^2 along the traced segment
-    point: ParamPoint
-    v: complex  # log eta^2, continued, v(0) = 0
+class DeformationSample(RecordBase):
+    """One sample of the deformation space along a traced u-segment."""
+
+    _fields = ("u", "point", "v")
+
+    def __init__(
+        self,
+        u: complex,  # log xi^2 along the traced segment
+        point: ParamPoint,
+        v: complex,  # log eta^2, continued, v(0) = 0
+    ):
+        self.u = u
+        self.point = point
+        self.v = v
 
 
 def normalize_slope(p_raw: int, q_raw: int) -> Slope:
@@ -289,7 +311,7 @@ def trace_deformation(
     spec: PotentialSpec,
     u_end: complex,
     samples: int,
-    complete: Optional[CriticalPoint] = None,
+    complete: CriticalPoint | None = None,
     newton_tol: float = 1e-12,
 ):
     """Sample the deformation space along u from 0 to u_end.
@@ -366,7 +388,7 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
 def solve_filling(
     spec: PotentialSpec,
     slope: Slope,
-    complete: Optional[CriticalPoint] = None,
+    complete: CriticalPoint | None = None,
     accept_tol: float = 1e-10,
     newton_tol: float = 1e-12,
 ) -> FillingSolution:

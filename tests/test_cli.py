@@ -496,14 +496,23 @@ def _fresh_process(code, *args):
 
 def test_solving_commands_do_not_import_selftest(tmp_path):
     # fresh processes: the suites load only for the selftest command,
-    # and numpy never, since knotpot has no runtime dependency
+    # and numpy never, since knotpot has no runtime dependency; and the
+    # record types are written out, so the import builds one dataclass,
+    # the InvariantReport that perfbench copies with dataclasses.replace
     code = (
         "import sys, knotpot.cli\n"
+        "print(sorted({c.__module__ + '.' + c.__qualname__\n"
+        "              for name, m in list(sys.modules.items())\n"
+        "              if name.split('.')[0] == 'knotpot'\n"
+        "              for c in vars(m).values()\n"
+        "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
         "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
         "assert knotpot.cli.main(['--output', sys.argv[1], 'trace', '--u-end=0.1i']) == 0\n"
         "print('knotpot.selftest' in sys.modules, 'numpy' in sys.modules)\n"
     )
-    assert _fresh_process(code, str(tmp_path / "out.txt")) == "False False\n"
+    assert _fresh_process(code, str(tmp_path / "out.txt")) == (
+        "['knotpot.invariants.InvariantReport']\nFalse False\n"
+    )
     code = (
         "import sys, knotpot\n"
         "spec = knotpot.builtin_five_two()\n"

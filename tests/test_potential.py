@@ -1,6 +1,7 @@
 """Potential data model and evaluation tests."""
 
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import _oracles as O
-from knotpot.dilog import bloch_wigner_d, li2
+from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
 from knotpot.errors import (
     DegenerateModulusError,
     SingularPointError,
@@ -19,6 +20,8 @@ from knotpot.errors import (
     ValidationError,
 )
 from knotpot.potential import (
+    LongitudeExpr,
+    LongitudeSpec,
     Monomial,
     ParamPoint,
     Shapes,
@@ -42,7 +45,14 @@ from knotpot.potential import (
     signed_d_sum,
 )
 from knotpot.invariants import im_v_alpha_parts, rogers_combo
-from knotpot.solver import normalize_slope, solve_complete, trace_deformation
+from knotpot.solver import (
+    CriticalPoint,
+    DeformationSample,
+    FillingSolution,
+    normalize_slope,
+    solve_complete,
+    trace_deformation,
+)
 
 PI = math.pi
 
@@ -768,3 +778,79 @@ def test_half_integer_quad_coefficient_fails_only_the_reduced_residual(spec):
     assert _bits(g) == _bits(naive_log_gradient(half, pt))
     with pytest.raises(ValidationError, match="integer quad exponents"):
         reduced_residual(pt)
+
+
+# the reprs @dataclass gives these records; the scan digest hashes
+# reprs, so the written-out records must print the same text
+_FIVE_TWO_REPR = (
+    "PotentialSpec(name='5_2', variables=('x', 'y', 'xi'), dilog_terms=("
+    "DilogTerm(sign=-1, argument=Monomial(exponents=(('xi', -1), ('y', -1)))), "
+    "DilogTerm(sign=1, argument=Monomial(exponents=(('xi', -1), ('y', 1)))), "
+    "DilogTerm(sign=-1, argument=Monomial(exponents=(('x', -1), ('y', 1)))), "
+    "DilogTerm(sign=1, argument=Monomial(exponents=(('x', -1), ('xi', 1)))), "
+    "DilogTerm(sign=1, argument=Monomial(exponents=(('x', 1), ('xi', -1))))), "
+    "quad_terms=(QuadLogTerm(coeff=Fraction(2, 1), var_a='xi', var_b='x'), "
+    "QuadLogTerm(coeff=Fraction(-2, 1), var_a='xi', var_b='y'), "
+    "QuadLogTerm(coeff=Fraction(-6, 1), var_a='xi', var_b='xi')), "
+    "constant_pi2=Fraction(-1, 6), longitude=LongitudeSpec("
+    "prefactor=Monomial(exponents=(('x', -1), ('xi', 6), ('y', 1))), "
+    "factors=((1, Monomial(exponents=(('xi', -1), ('y', -1)))),), "
+    "alternate=LongitudeExpr("
+    "prefactor=Monomial(exponents=(('x', -1), ('xi', 6), ('y', 1))), "
+    "factors=((1, Monomial(exponents=(('x', -1), ('xi', 1)))), "
+    "(-1, Monomial(exponents=(('x', 1), ('xi', -1)))), "
+    "(-1, Monomial(exponents=(('xi', -1), ('y', 1))))))))"
+)
+
+
+def test_record_contract(spec, complete):
+    pt = ParamPoint(spec, {"x": 2 + 0j, "y": 3j, "xi": 0.5 + 0j}, {}, (), ())
+    assert repr(ContinuedLog(1j, 2)) == "ContinuedLog(value=1j, winding=2)"
+    assert repr(normalize_slope(7, 3)) == "Slope(p=7, q=3, r=2, s=1)"
+    assert repr(shapes_from_point(pt)) == (
+        "Shapes(c2=1.5j, d4=(4+0j), a5=-0.6666666666666666j, b5=(0.25+0j), d5=6j)"
+    )
+    assert repr(builtin_five_two()) == _FIVE_TWO_REPR
+
+    # frozen records hash and compare by value
+    twin = load_spec(dump_spec(spec))
+    assert twin == spec and twin is not spec
+    assert hash(twin) == hash(spec)
+    m = Monomial.from_dict({"x": 1, "xi": -1})
+    index = {m: "x/xi"}
+    assert index[Monomial.from_dict({"xi": -1, "x": 1})] == "x/xi"
+    lon = spec.longitude
+    assert LongitudeSpec(lon.prefactor, lon.factors) != LongitudeExpr(
+        lon.prefactor, lon.factors
+    )
+    assert LongitudeSpec(lon.prefactor, lon.factors) == LongitudeSpec(
+        lon.prefactor, lon.factors, None
+    )
+    assert ContinuedLog(1j) == ContinuedLog(1j, 0) != ContinuedLog(1j, 1)
+
+    # ... and refuse assignment and deletion
+    for record, name in (
+        (normalize_slope(7, 3), "p"),
+        (ContinuedLog(1j, 2), "value"),
+        (pt, "values"),
+        (spec, "name"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    with pytest.raises(TypeError):
+        hash(pt)  # frozen, but its values are a dict
+
+    # the solution records are mutable and so unhashable
+    sol = CriticalPoint(pt, 0.0, 1)
+    assert sol == CriticalPoint(pt, 0.0, 1) != CriticalPoint(pt, 0.0, 2)
+    sol.newton_iters = 2
+    assert sol.newton_iters == 2
+    filling = FillingSolution(
+        normalize_slope(7, 1), complete, ContinuedLog(0j), ContinuedLog(0j), 3
+    )
+    sample = DeformationSample(0j, pt, 0j)
+    for record in (sol, filling, sample):
+        with pytest.raises(TypeError):
+            hash(record)
