@@ -34,14 +34,13 @@ from .errors import (
     ValidationError,
     ZeroDenominatorError,
 )
-from .invariants import report_for, rogers_combo, volume_from_shapes
+from .invariants import report_for, rogers_combo
 from .potential import (
     BUILTINS,
     eval_eta,
     eval_v,
     load_spec,
     reduced_residual,
-    shapes_from_point,
     signed_d_sum,
 )
 from .solver import normalize_slope, solve_complete, solve_filling, trace_deformation
@@ -54,11 +53,6 @@ EXIT_SELFTEST = 4
 
 CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps"
 
-_TRACE_FIELDS = (
-    "u_re,u_im,x_re,x_im,y_re,y_im,v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"
-)
-
-_SHAPE_NAMES = ("c2", "d4", "a5", "b5", "d5")
 _SCAN_VALUES = ("volume", "cs_mod_half", "length", "torsion", "residual")
 
 
@@ -229,22 +223,26 @@ def _command_input(args):
 
 def cmd_complete(args, spec, cp, _):
     pt = cp.point
-    sh = shapes_from_point(pt)
-    shapes = dict(zip(_SHAPE_NAMES, sh.as_tuple()))
+    tab = spec.tables
+    # the dilogarithm arguments, one per term in spec order; for 5_2
+    # they are the tetrahedron shapes, some of them inverted
+    dilog_args = [(tab.monomials[j], pt.tracked_values[j]) for _, j in tab.dilogs]
     vol = eval_v(spec, pt).imag
-    vfs = volume_from_shapes(sh)
+    vfs = signed_d_sum(spec, pt)
     eta, eta_alt = eval_eta(spec, pt)
     resid = _residual(pt)
     pairs = [("spec", spec.name)]
     pairs += [(v, _fc(pt.values[v])) for v in spec.variables]
-    pairs += [("shape " + k, _fc(z)) for k, z in shapes.items()]
+    pairs += [("arg %s" % m, _fc(z)) for m, z in dilog_args]
     pairs += [("volume", _f(vol)), ("volume_from_shapes", _f(vfs)), ("eta", _fc(eta))]
     if eta_alt is not None:
         pairs.append(("eta_alternate", _fc(eta_alt)))
     pairs.append(("residual", _f(resid)))
     doc = {
         **{v: _jc(pt.values[v]) for v in spec.variables},
-        "shapes": {k: _jc(z) for k, z in shapes.items()},
+        "dilog_args": [
+            {"arg": dict(m.exponents), "value": _jc(z)} for m, z in dilog_args
+        ],
         "volume": _jn(vol),
         "volume_from_shapes": _jn(vfs),
         "eta": _jc(eta),
@@ -349,6 +347,11 @@ def cmd_trace(args, spec, complete, u_end):
         print("trace obstructed: %s" % e, file=sys.stderr)
         status = EXIT_OBSTRUCTION
     names = spec.variables[:-1]
+    header = ",".join(
+        ["u_re,u_im"]
+        + ["%s_re,%s_im" % (v, v) for v in names]
+        + ["v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"]
+    )
     jrows, rows = [], []
     for smp in samples:
         pt = smp.point
@@ -367,13 +370,14 @@ def cmd_trace(args, spec, complete, u_end):
                 "residual": _jn(resid),
             }
         )
-        x, y = (pt.values[v] for v in names)
-        cells = (
-            smp.u.real, smp.u.imag, x.real, x.imag, y.real, y.imag,
+        cells = [smp.u.real, smp.u.imag]
+        for v in names:
+            cells += [pt.values[v].real, pt.values[v].imag]
+        cells += [
             smp.v.real, smp.v.imag, vv.imag, sum_d, defect.real, defect.imag, resid,
-        )
+        ]
         rows.append([_f(c) for c in cells])
-    return status, Record({"samples": jrows}, header=_TRACE_FIELDS, rows=rows)
+    return status, Record({"samples": jrows}, header=header, rows=rows)
 
 
 def cmd_selftest():

@@ -16,10 +16,13 @@ class DomainError(KnotpotError, ValueError):
 
 
 class StepTooLargeError(KnotpotError):
-    """continue_log could not pick a branch within a quarter turn.
+    """A step moved a point too far to continue its logs.
 
-    Signals the continuation driver to halve its step; it is not a
-    user-facing failure unless halving bottoms out.
+    Raised when continue_log (or the point build, which does the same
+    work inline) cannot pick a branch within a quarter turn, and when
+    a point build or reduced_residual overflows or meets a log that is
+    not finite. Signals the continuation driver to halve its step; it
+    is not a user-facing failure unless halving bottoms out.
     """
 
 
@@ -37,10 +40,6 @@ class SingularPointError(KnotpotError, ValueError):
     Raised when a variable vanishes, a dilogarithm argument hits 1, or
     a residual denominator vanishes; the message names the offender.
     """
-
-
-class DegenerateModulusError(KnotpotError, ValueError):
-    """A tetrahedron modulus is 0 or 1 (flat tetrahedron)."""
 
 
 class ZeroDenominatorError(KnotpotError, ValueError):

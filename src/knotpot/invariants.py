@@ -1,9 +1,9 @@
 """Geometric invariants of solved structures.
 
-Volume comes out of the potential two independent ways (the imaginary
-part of V_alpha and the signed Bloch-Wigner sum over the dilogarithm
-terms, which for 5_2 are the tetrahedron shapes),
-which accepted solutions must reconcile to 1e-9. The Chern-Simons
+Volume comes out of the potential two independent ways: the imaginary
+part of V_alpha, and the signed Bloch-Wigner sum over the dilogarithm
+arguments (signed_d_sum). solve_filling accepts a solution only when
+the two agree to solver._BRANCH_TOL (1e-6). The Chern-Simons
 value is recovered modulo 1/2, and only up to one global additive
 constant shared by all slopes: differences between slopes are the
 well-defined content. Core geodesic length and torsion come from the
@@ -89,12 +89,15 @@ def core_geodesic_of(slope: Slope, sol):
     continuation may land on either orientation) and torsion is the
     representative of Im in [0, 2 pi / q).
     """
-    pt = _point_of(sol)
-    meridian = pt.spec.meridian
-    lam = 2 * (slope.s * _PI * 1j - pt.logs[meridian].value) / slope.q
+    return _core_geodesic(slope, _point_of(sol))[:2]
+
+
+def _core_geodesic(slope: Slope, pt: ParamPoint):
+    """(length, torsion, sign of Re lambda) from one complex length."""
+    lam = 2 * (slope.s * _PI * 1j - pt.logs[pt.spec.meridian].value) / slope.q
     if abs(lam.real) < 1e-9:
-        warnings.warn("zero-length core geodesic: degenerate filling", stacklevel=2)
-    return abs(lam.real), lam.imag % (2 * _PI / slope.q)
+        warnings.warn("zero-length core geodesic: degenerate filling", stacklevel=3)
+    return abs(lam.real), lam.imag % (2 * _PI / slope.q), 1 if lam.real >= 0 else -1
 
 
 def rogers_combo(spec: PotentialSpec, pt: ParamPoint) -> complex:
@@ -134,8 +137,7 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
     pt = _point_of(sol)
     va = eval_v_alpha(spec, slope, pt)
     cs, amb = _cs_class(va)
-    length, torsion = core_geodesic_of(slope, sol)
-    lam_re = -2 * pt.logs[spec.meridian].value.real / slope.q
+    length, torsion, length_sign = _core_geodesic(slope, pt)
     return InvariantReport(
         volume=va.imag,
         volume_from_shapes=signed_d_sum(spec, pt),
@@ -144,5 +146,5 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
         geodesic_length=length,
         geodesic_torsion=torsion,
         v_alpha=va,
-        length_sign=1 if lam_re >= 0 else -1,
+        length_sign=length_sign,
     )

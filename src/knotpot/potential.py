@@ -46,7 +46,6 @@ from .dilog import (
     principal_log,
 )
 from .errors import (
-    DegenerateModulusError,
     DomainError,
     SingularPointError,
     SpecFormatError,
@@ -490,7 +489,11 @@ def load_spec(source) -> PotentialSpec:
 
     Accepts a str, bytes, or a readable file object. Unknown fields
     are rejected so typos fail loudly rather than silently changing
-    the potential. Raises SpecFormatError for bytes that are not UTF-8
+    the potential. The longitude may carry an optional "alternate": a
+    second closed form of eta, equal to the primary on the deformation
+    space. The solvers use only the primary; `knotpot complete` prints
+    the alternate as eta_alternate beside eta, so the two forms can be
+    compared. Raises SpecFormatError for bytes that are not UTF-8
     and text that is not JSON, and ValidationError for a document that
     does not follow the format.
     """
@@ -955,35 +958,3 @@ def reduced_residual(pt: ParamPoint):
         # as in _build_point: a point this far out is a step too far
         raise StepTooLargeError("residual overflow (%s)" % e) from e
     return tuple(out)
-
-
-def edge_residuals(sh: Shapes):
-    """Edge-product residuals of the five-tetrahedron triangulation.
-
-    Five equations read off the four display rows (the first row holds
-    the two monomial identities), each returned as product - 1. The
-    first two vanish identically for shapes derived from a ParamPoint;
-    the rest vanish on the deformation space.
-    """
-    c2, d4, a5, b5, d5 = sh.as_tuple()
-    for name, z in zip(("c2", "d4", "a5", "b5", "d5"), sh.as_tuple()):
-        if abs(z) < _ZERO_TOL or abs(z - 1) < _ONE_TOL:
-            raise DegenerateModulusError("modulus %s = %s is degenerate" % (name, z))
-    e1 = d4 * b5 - 1
-    e2 = a5 * b5 * d5 - 1
-    e3 = (
-        (c2 * a5 * (1 - 1 / d4) / (1 - d4))
-        * ((1 - 1 / d5) * (1 - 1 / c2) * (1 - 1 / b5) / ((1 - a5) * (1 - b5)))
-        - 1
-    )
-    e4 = (
-        (c2 * (1 - 1 / a5) / ((1 - d5) * (1 - c2)))
-        * ((1 - 1 / d5) * (1 - 1 / b5) / ((1 - d5) * (1 - a5) * (1 - d4)))
-        - 1
-    )
-    e5 = (
-        (d4 * (1 - 1 / a5) * (1 - 1 / d4) / (1 - b5))
-        * (d5 * (1 - 1 / c2) / (1 - c2))
-        - 1
-    )
-    return (e1, e2, e3, e4, e5)

@@ -65,6 +65,45 @@ def complete_volume_oracle() -> float:
     return 2 * d_oracle(x + 1) + d_oracle(x / (x + 1))
 
 
+def five_two_shapes(x, y, xi):
+    """Tetrahedron moduli (c2, d4, a5, b5, d5) of the 5_2 triangulation.
+
+    The five-tetrahedron parametrization by the potential's variables,
+    as mpmath numbers.
+    """
+    x, y, xi = mp.mpc(x), mp.mpc(y), mp.mpc(xi)
+    return y * xi, x / xi, x / y, xi / x, y / xi
+
+
+def edge_residuals(x, y, xi):
+    """Edge-product residuals of the five-tetrahedron triangulation.
+
+    Five equations read off the four display rows (the first row holds
+    the two monomial identities), each returned as product - 1. The
+    first two vanish identically in (x, y, xi); the rest vanish on the
+    deformation space.
+    """
+    c2, d4, a5, b5, d5 = five_two_shapes(x, y, xi)
+    e1 = d4 * b5 - 1
+    e2 = a5 * b5 * d5 - 1
+    e3 = (
+        (c2 * a5 * (1 - 1 / d4) / (1 - d4))
+        * ((1 - 1 / d5) * (1 - 1 / c2) * (1 - 1 / b5) / ((1 - a5) * (1 - b5)))
+        - 1
+    )
+    e4 = (
+        (c2 * (1 - 1 / a5) / ((1 - d5) * (1 - c2)))
+        * ((1 - 1 / d5) * (1 - 1 / b5) / ((1 - d5) * (1 - a5) * (1 - d4)))
+        - 1
+    )
+    e5 = (
+        (d4 * (1 - 1 / a5) * (1 - 1 / d4) / (1 - b5))
+        * (d5 * (1 - 1 / c2) / (1 - c2))
+        - 1
+    )
+    return tuple(complex(e) for e in (e1, e2, e3, e4, e5))
+
+
 def fd_gradient(f, z: complex, h: float = 1e-6) -> complex:
     """Central finite difference df/dz for analytic f."""
     return (f(z + h) - f(z - h)) / (2 * h)

@@ -58,10 +58,21 @@ def test_complete_json(capsys):
     assert doc["schema"] == 1
     assert abs(doc["volume"] - O.COMPLETE_VOLUME) < 1e-8
     assert abs(doc["volume"] - doc["volume_from_shapes"]) < 1e-9
-    assert set(doc["shapes"]) == {"c2", "d4", "a5", "b5", "d5"}
     assert abs(doc["x"]["re"] - O.complete_root().real) < 1e-10
     assert abs(doc["eta"]["re"] - 1) < 1e-9
     assert doc["residual"] < 1e-10
+    # one dilog argument per term, in spec order, and their signed
+    # D-sum is the printed volume_from_shapes
+    spec = builtin_five_two()
+    values = {v: complex(doc[v]["re"], doc[v]["im"]) for v in spec.variables}
+    assert len(doc["dilog_args"]) == len(spec.dilog_terms)
+    d_sum = 0.0
+    for t, a in zip(spec.dilog_terms, doc["dilog_args"]):
+        z = complex(a["value"]["re"], a["value"]["im"])
+        assert a["arg"] == dict(t.argument.exponents)
+        assert abs(z - t.argument.evaluate(values)) < 1e-12
+        d_sum += t.sign * O.d_oracle(z)
+    assert abs(d_sum - doc["volume_from_shapes"]) < 1e-12
 
 
 def test_unknown_builtin_exits_usage(capsys):
@@ -166,13 +177,37 @@ def test_spec_file_with_other_variables_matches_builtin(capsys, tmp_path, kind, 
     _assert_same_doc(json.loads(out), json.loads(want), names)
 
 
-def test_complete_needs_the_5_2_variable_names(capsys, tmp_path):
-    path, _ = _spec_variant(tmp_path, "renamed")
-    code, out, err = run(capsys, "--spec", path, "complete")
-    assert (code, out) == (1, "")
-    assert err == "error: shape recovery needs the dilog terms of the 5_2 potential\n"
-    path, _ = _spec_variant(tmp_path, "reordered")
-    assert run(capsys, "--spec", path, "complete")[0] == 0
+@pytest.mark.parametrize("kind", ["renamed", "reordered"])
+def test_complete_with_other_variables_matches_builtin(capsys, tmp_path, kind):
+    path, names = _spec_variant(tmp_path, kind)
+    for fmt in ("table", "csv"):
+        code, out, err = run(capsys, "--spec", path, "--format", fmt, "complete")
+        assert (code, err) == (0, "") and "volume_from_shapes" in out
+    code, out, err = run(capsys, "--spec", path, "--format", "json", "complete")
+    assert (code, err) == (0, "")
+    want_code, want, _ = run(capsys, "--format", "json", "complete")
+    assert want_code == 0
+    got, want = json.loads(out), json.loads(want)
+    if kind == "reordered":
+        # the default seeds are laid onto the fiber variables by
+        # position, so Newton starts elsewhere and takes another count
+        # of iterations (7 against 4) to the same root
+        del got["newton_iters"], want["newton_iters"]
+    _assert_same_doc(got, want, names)
+
+
+def test_complete_without_alternate_longitude(capsys, tmp_path):
+    # the alternate form of eta is optional: without it complete prints
+    # no eta_alternate line and every other line as before
+    doc = json.loads(dump_spec(builtin_five_two()))
+    del doc["longitude"]["alternate"]
+    path = tmp_path / "no_alternate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--spec", str(path), "complete")
+    assert (code, err) == (0, "")
+    want = run(capsys, "complete")[1].splitlines()
+    kept = [ln for ln in want if not ln.startswith("eta_alternate = ")]
+    assert (len(kept), kept) == (len(want) - 1, out.splitlines())
 
 
 def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
@@ -348,6 +383,16 @@ def test_trace_json(capsys):
     assert abs(doc["samples"][-1]["u"]["im"] - 0.05) < 1e-12
     for row in doc["samples"]:
         assert abs(row["im_v"] - row["sum_d"]) < 1e-9
+
+
+def test_trace_header_names_the_spec_variables(capsys, tmp_path):
+    path, _ = _spec_variant(tmp_path, "renamed")
+    code, out, _ = run(capsys, "--spec", path, "--format=csv", "trace", "--u-end=0.1i")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "u_re,u_im,a_re,a_im,b_re,b_im,"
+        "v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"
+    )
 
 
 def test_trace_obstruction_partial_rows(capsys):

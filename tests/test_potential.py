@@ -13,7 +13,6 @@ import pytest
 import _oracles as O
 from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
 from knotpot.errors import (
-    DegenerateModulusError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
@@ -24,13 +23,11 @@ from knotpot.potential import (
     LongitudeSpec,
     Monomial,
     ParamPoint,
-    Shapes,
     advance_point,
     advance_point_logs,
     builtin_five_two,
     d_eta_log,
     dump_spec,
-    edge_residuals,
     eta_log,
     eval_eta,
     eval_longitude_expr,
@@ -507,22 +504,25 @@ def test_reduced_residual_zero_denominator(spec):
         reduced_residual(forged)
 
 
+def _xyxi(pt):
+    return pt.values["x"], pt.values["y"], pt.values["xi"]
+
+
 def test_edge_residuals_parametrization_identities(spec):
-    pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
-    res = edge_residuals(shapes_from_point(pt))
+    # the built-in spec's point, read through the triangulation oracle
+    res = O.edge_residuals(*_xyxi(make_point(spec, {"x": 2, "y": 3, "xi": 1})))
     assert len(res) == 5
     assert abs(res[0]) < 1e-14  # d4 b5 = 1
     assert abs(res[1]) < 1e-14  # a5 b5 d5 = 1
 
 
 def test_edge_residuals_vanish_at_complete(spec, complete):
-    res = edge_residuals(shapes_from_point(complete.point))
-    assert max(abs(r) for r in res) < 1e-10
-
-
-def test_edge_residuals_degenerate_modulus():
-    with pytest.raises(DegenerateModulusError):
-        edge_residuals(Shapes(1.0, 2.0, 0.5, 0.5, 4.0))
+    # the built-in's critical point solves the triangulation's edge
+    # equations, and its signed D-sum is the triangulation's volume
+    pt = complete.point
+    assert max(abs(r) for r in O.edge_residuals(*_xyxi(pt))) <= 1e-10
+    shapes_vol = sum(O.d_oracle(z) for z in O.five_two_shapes(*_xyxi(pt)))
+    assert abs(signed_d_sum(spec, pt) - shapes_vol) < 1e-12
 
 
 # ------------------------------------------------- gradient identities
