@@ -55,6 +55,24 @@ CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps
 
 _SCAN_VALUES = ("volume", "cs_mod_half", "length", "torsion", "residual")
 
+# per command that prints the spec's variables, the keys it writes
+# beside them: JSON keys, text keys and csv column stems (variable v
+# fills v_re,v_im). A variable named like one would overwrite or repeat
+# it, so such a spec is refused before solving.
+_OUTPUT_KEYS = {
+    "complete": frozenset(
+        "schema spec dilog_args volume volume_from_shapes eta eta_alternate "
+        "residual newton_iters".split()
+    ),
+    "fill": frozenset(
+        "schema p q r s u v volume volume_from_shapes cs_mod_half cs_ambiguity "
+        "length torsion residual filling_residual steps".split()
+    ),
+    "trace": frozenset(
+        "schema u v im_v sum_d rogers_defect defect residual".split()
+    ),
+}
+
 
 def _f(x: float) -> str:
     return format(float(x), ".15g")
@@ -430,6 +448,12 @@ def _run(args) -> int:
         status, rec = cmd_selftest()
     else:
         spec = _load_spec(args.spec)
+        taken = sorted(set(spec.variables) & _OUTPUT_KEYS.get(args.command, set()))
+        if taken:
+            raise ValidationError(
+                "spec variable(s) %s share a name with an output key of %s; "
+                "rename them" % (", ".join(taken), args.command)
+            )
         inp = _command_input(args)
         try:
             complete = solve_complete(spec, newton_tol=args.newton_tol)

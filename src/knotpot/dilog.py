@@ -5,9 +5,11 @@ principal logarithm, Li2, the Rogers dilogarithm and the Bloch-Wigner
 function, all in plain Python.
 
 On top of the kernel this module adds ContinuedLog, the record of a
-particular branch of log w, and continue_log, the single primitive the
-continuation solver uses to keep every logarithm on a consistent sheet
-while a parameter point moves.
+particular branch of log w, and continue_log, which keeps a logarithm
+on a consistent sheet while its argument moves in small steps. The
+point build (potential._build_point) writes the same continuation out
+inline and keeps only the continued value; ContinuedLog.from_value
+recovers the winding of such a value.
 """
 
 import cmath
@@ -27,11 +29,7 @@ class ContinuedLog(FrozenRecord):
     _fields = ("value", "winding")
 
     def __init__(self, value: complex, winding: int = 0):
-        # the solver builds one per variable and tracked monomial at
-        # every trial point, so the instance dict is filled directly
-        d = self.__dict__
-        d["value"] = value
-        d["winding"] = winding
+        self.__dict__.update(value=value, winding=winding)
 
     @classmethod
     def from_value(cls, value: complex) -> "ContinuedLog":

@@ -21,7 +21,6 @@ from .potential import (
     Shapes,
     _gradient,
     _tracked,
-    eval_v,
     eval_v_alpha,
     signed_d_sum,
 )
@@ -54,47 +53,30 @@ def _point_of(sol) -> ParamPoint:
     raise TypeError("expected a solution or point, got %r" % type(sol))
 
 
-def volume_of(spec: PotentialSpec, slope, sol) -> float:
-    """Im V_alpha at the solution; Im V when slope is None (complete)."""
-    pt = _point_of(sol)
-    if slope is None:
-        return eval_v(spec, pt).imag
-    return eval_v_alpha(spec, slope, pt).imag
-
-
 def volume_from_shapes(sh: Shapes) -> float:
     """Bloch-Wigner volume sum D(c2)+D(d4)+D(a5)+D(b5)+D(d5)."""
     return sum(dilog.bloch_wigner_d(z) for z in sh.as_tuple())
 
 
-def chern_simons_of(spec: PotentialSpec, slope: Slope, sol):
+def _cs_class(v_alpha: complex):
     """(cs_value, 1/2): -Re(V_alpha)/(2 pi^2) reduced into [0, 1/2).
 
     A global additive constant (one number for the whole manifold,
     independent of slope) is not determined here; reported values
     compare across slopes only through their differences.
     """
-    return _cs_class(eval_v_alpha(spec, slope, _point_of(sol)))
-
-
-def _cs_class(v_alpha: complex):
     raw = -v_alpha.real / (2 * _PI2)
     return raw % _CS_AMBIGUITY, _CS_AMBIGUITY
 
 
-def core_geodesic_of(slope: Slope, sol):
-    """(length, torsion) of the filling's core geodesic.
+def _core_geodesic(slope: Slope, pt: ParamPoint):
+    """(length, torsion, sign of Re lambda) of the filling's core geodesic.
 
     Complex length lambda = 2(s pi i - log xi)/q; length is |Re| (the
     continuation may land on either orientation) and torsion is the
     representative of Im in [0, 2 pi / q).
     """
-    return _core_geodesic(slope, _point_of(sol))[:2]
-
-
-def _core_geodesic(slope: Slope, pt: ParamPoint):
-    """(length, torsion, sign of Re lambda) from one complex length."""
-    lam = 2 * (slope.s * _PI * 1j - pt.logs[pt.spec.meridian].value) / slope.q
+    lam = 2 * (slope.s * _PI * 1j - pt.logs[pt.spec.meridian]) / slope.q
     if abs(lam.real) < 1e-9:
         warnings.warn("zero-length core geodesic: degenerate filling", stacklevel=3)
     return abs(lam.real), lam.imag % (2 * _PI / slope.q), 1 if lam.real >= 0 else -1
@@ -124,7 +106,7 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
     """
     g = _gradient(spec, pt, spec.tables.gradient)
     if slope is not None:
-        lx = pt.logs[spec.meridian].value
+        lx = pt.logs[spec.meridian]
         g[-1] += (2j * _PI - 2 * slope.p * lx) / slope.q
     corr = 0.0
     for v, gv in zip(spec.variables, g):
@@ -133,7 +115,11 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
 
 
 def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> InvariantReport:
-    """Full invariant report for an accepted filling solution."""
+    """Full invariant report for an accepted filling solution.
+
+    sol may also be a CriticalPoint or a ParamPoint: the report reads
+    only the point.
+    """
     pt = _point_of(sol)
     va = eval_v_alpha(spec, slope, pt)
     cs, amb = _cs_class(va)

@@ -9,24 +9,24 @@ expression gives the second cusp eigenvalue.
 
 The module ships the 5_2 knot potential as a built-in and can load
 user potentials from a small JSON document (see load_spec). Evaluation
-is branch-aware: a ParamPoint carries a continued logarithm for every
-variable and for 1 - m of every tracked monomial, so gradients and the
-longitude log stay on one analytic sheet while a solver moves the
-point. Values of Li2 itself are always principal; all multivaluedness
-lives in the stored logs.
+is branch-aware: a ParamPoint carries a continued logarithm, as its
+complex value, for every variable and for 1 - m of every tracked
+monomial, so gradients and the longitude log stay on one analytic
+sheet while a solver moves the point. Values of Li2 itself are always
+principal; all multivaluedness lives in the stored logs.
 
 The evaluators do not interpret the spec. Each spec is lowered once,
 on first use, to index tables (PotentialSpec.tables): the tracked
 monomials with their (var, exp) pairs, and for every evaluator the
 integer and float coefficients it needs, each paired with the index of
 a tracked monomial or the name of a variable. Every point, built by
-make_point or an advance, evaluates each tracked monomial once and
-keeps its value and continued log(1 - m), in table order, beside the
-variable logs; the evaluators read them from there and refuse a point
-of any spec but their own or an equal one. The tables keep the order
-of the terms in the spec, so every sum is formed in the same order and
-grouping as a direct reading of the spec would form it, and results do
-not depend on the lowering.
+make_point or advance_point_logs, evaluates each tracked monomial once
+and keeps its value and continued log(1 - m), in table order, beside
+the variable logs; the evaluators read them from there and refuse a
+point of any spec but their own or an equal one. The tables keep the
+order of the terms in the spec, so every sum is formed in the same
+order and grouping as a direct reading of the spec would form it, and
+results do not depend on the lowering.
 """
 
 import cmath
@@ -39,14 +39,11 @@ from ._records import FrozenRecord
 from .dilog import (
     _MAX_JUMP,
     _TWO_PI,
-    ContinuedLog,
     bloch_wigner_d,
-    continue_log,
     li2,
     principal_log,
 )
 from .errors import (
-    DomainError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
@@ -57,6 +54,7 @@ _PI = math.pi
 _PI2 = math.pi * math.pi
 _exp = cmath.exp
 _log = cmath.log
+_isfinite = cmath.isfinite
 
 # rejection thresholds for genuine singularities of V; points this
 # close to a pole or a dilog argument of 1 are rejected, not clamped
@@ -82,9 +80,6 @@ class Monomial(FrozenRecord):
             if v == var:
                 return e
         return 0
-
-    def variables(self):
-        return [v for v, _ in self.exponents]
 
     def evaluate(self, values: dict) -> complex:
         r = 1 + 0j
@@ -316,12 +311,14 @@ class SpecTables:
 class ParamPoint(FrozenRecord):
     """A point in parameter space with its branch bookkeeping.
 
-    values[v] = exp(logs[v].value) by construction. tracked_values and
-    tracked_logs hold, in the order of spec.tables.monomials, each
-    tracked monomial m and a continued log(1 - m): the one record of
-    the monomials that every evaluator reads. A factor that appears
-    only in the longitude may legitimately sit at m = 1; its log is
-    then None and only longitude evaluation rejects it.
+    Every log is a plain complex number, the value of one continued
+    branch; ContinuedLog.from_value recovers its winding. values[v] =
+    exp(logs[v]) by construction. tracked_values and tracked_logs hold,
+    in the order of spec.tables.monomials, each tracked monomial m and
+    a continued log(1 - m): the one record of the monomials that every
+    evaluator reads. A factor that appears only in the longitude may
+    legitimately sit at m = 1; its log is then None and only longitude
+    evaluation rejects it.
     """
 
     _fields = ("spec", "values", "logs", "tracked_values", "tracked_logs")
@@ -335,18 +332,13 @@ class ParamPoint(FrozenRecord):
         tracked_logs: tuple,
     ):
         # built at every Newton trial, so the instance dict is filled
-        # directly, as ContinuedLog's is
+        # directly
         d = self.__dict__
         d["spec"] = spec
         d["values"] = values
         d["logs"] = logs
         d["tracked_values"] = tracked_values
         d["tracked_logs"] = tracked_logs
-
-    @property
-    def one_minus_logs(self) -> dict:
-        """The continued log(1 - m) keyed by tracked Monomial m."""
-        return dict(zip(self.spec.tables.monomials, self.tracked_logs))
 
 
 class Shapes(FrozenRecord):
@@ -626,17 +618,17 @@ def dump_spec(spec: PotentialSpec) -> str:
 def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
     """Assemble a ParamPoint from explicit log values.
 
-    Variable logs are taken verbatim (their winding is recovered
-    exactly against the principal branch); the derived logs of 1 - m
-    start principal when prev is None and are branch-continued from
-    prev otherwise, so a StepTooLargeError here means the caller moved
-    too far in one step. An overflow of exp or of a monomial power, and
-    a log that is not finite, raise it too: such a step also went too
-    far.
+    Variable logs are taken verbatim; the derived logs of 1 - m start
+    principal when prev is None and are branch-continued from prev
+    otherwise, so a StepTooLargeError here means the caller moved too
+    far in one step. A log that is not finite and an overflow of exp or
+    of a monomial power raise it too: such a step also went too far. A
+    log whose exp underflows to 0 raises SingularPointError, as
+    make_point does for a zero variable.
 
-    This is the solver's innermost step, so ContinuedLog.from_value,
-    principal_log, continue_log and Monomial.evaluate are written out
-    here, operation for operation.
+    This is the solver's innermost step, so principal_log, continue_log
+    and Monomial.evaluate are written out here, operation for
+    operation.
     """
     tab = spec.tables
     logs = {}
@@ -646,17 +638,12 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
     try:
         for v in spec.variables:
             lv = logmap[v]
-            w = _exp(lv)
-            if w == 0:
-                raise DomainError("log of zero")
-            p_im = _log(w).imag
-            if p_im == -_PI and not w.imag:
-                p_im = _PI
-            d = lv.imag - p_im
-            if d != d:
+            if not _isfinite(lv):
                 raise StepTooLargeError("log %s is not finite" % lv)
-            # round(d / 2 pi) is 0 whenever |d| <= pi
-            logs[v] = ContinuedLog(lv, 0 if -_PI <= d <= _PI else round(d / _TWO_PI))
+            w = _exp(lv)
+            if not w:
+                raise SingularPointError("variable %s = 0 (log pole)" % v)
+            logs[v] = lv
             values[v] = w
             xs.append(w)
         for row in tab.monomial_rows:
@@ -675,20 +662,20 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
         if abs(w) < _ONE_TOL:
             if tab.is_dilog[j]:
                 raise SingularPointError("dilog argument %s = 1" % m)
-            cl = None  # longitude-only factor; reject lazily
+            value = None  # longitude-only factor; reject lazily
         else:
             p = _log(w)
             if p.imag == -_PI and not w.imag:
                 p = complex(p.real, _PI)
-            prev_cl = None if prev_logs is None else prev_logs[j]
-            if prev_cl is None:
-                cl = ContinuedLog(p, 0)
+            prev_value = None if prev_logs is None else prev_logs[j]
+            if prev_value is None:
+                value = p
             else:
-                prev_im = prev_cl.value.imag
+                prev_im = prev_value.imag
                 d = prev_im - p.imag
                 if -_PI <= d <= _PI and p.imag:
                     # winding 0, and p.imag + 0.0 is p.imag unless -0.0
-                    value, k = p, 0
+                    value = p
                 else:
                     if not abs(d) < math.inf:
                         raise StepTooLargeError("log(1 - %s) is not finite" % m)
@@ -699,8 +686,7 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
                     raise StepTooLargeError(
                         "log continuation jump %.3f >= pi/2" % jump
                     )
-                cl = ContinuedLog(value, k)
-        tracked_logs.append(cl)
+        tracked_logs.append(value)
     return ParamPoint(spec, values, logs, tuple(mvals), tuple(tracked_logs))
 
 
@@ -730,22 +716,6 @@ def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
     return _build_point(spec, logmap, None)
 
 
-def advance_point(pt: ParamPoint, values: dict) -> ParamPoint:
-    """Move a point to nearby values, continuing every stored branch.
-
-    Raises StepTooLargeError when any log would jump by a quarter turn
-    or more; drivers halve their step and retry.
-    """
-    spec = pt.spec
-    logmap = {}
-    for v in spec.variables:
-        w = complex(values[v])
-        if abs(w) < _ZERO_TOL:
-            raise SingularPointError("variable %s = 0 (log pole)" % v)
-        logmap[v] = continue_log(pt.logs[v], w).value
-    return _build_point(spec, logmap, pt)
-
-
 def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
     """Move a point to explicit new variable logs (solver step)."""
     return _build_point(pt.spec, logmap, pt)
@@ -763,7 +733,7 @@ def eval_v(spec: PotentialSpec, pt: ParamPoint) -> complex:
     for sign, j in tab.dilogs:
         s += sign * li2(mvals[j])
     for c, a, b in tab.quads:
-        s += c * logs[a].value * logs[b].value
+        s += c * logs[a] * logs[b]
     return s + tab.constant
 
 
@@ -774,7 +744,7 @@ def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
     normalized slope.
     """
     v = eval_v(spec, pt)
-    lx = pt.logs[spec.meridian].value
+    lx = pt.logs[spec.meridian]
     return v + (lx * (2j * math.pi - slope.p * lx) + slope.s * _PI2) / slope.q
 
 
@@ -792,9 +762,9 @@ def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:
     for rows, quad_rows in table:
         acc = 0j
         for sa, j in rows:
-            acc -= sa * one_minus[j].value
+            acc -= sa * one_minus[j]
         for c, w in quad_rows:
-            acc += c * logs[w].value
+            acc += c * logs[w]
         g.append(acc)
     return g
 
@@ -880,12 +850,12 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     one_minus = _tracked(spec, pt)[1]
     s = 0j
     for v, e in tab.eta_prefactor:
-        s += e * pt.logs[v].value
+        s += e * pt.logs[v]
     for e, j in tab.eta_factors:
-        cl = one_minus[j]
-        if cl is None:
+        lw = one_minus[j]
+        if lw is None:
             raise SingularPointError("longitude factor 1 - %s = 0" % tab.monomials[j])
-        s += e * cl.value
+        s += e * lw
     return s
 
 

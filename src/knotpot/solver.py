@@ -192,10 +192,9 @@ def _damped_step(pt, deltas, best_residual):
     NoConvergenceError carrying best_residual(pt).
     """
     variables = pt.spec.variables
-    cur = {v: pt.logs[v].value for v in variables}
     scale = 1.0
     for _ in range(40):
-        trial = dict(cur)
+        trial = dict(pt.logs)
         for v, d in zip(variables, deltas):
             trial[v] -= scale * d
         try:
@@ -221,7 +220,7 @@ def _newton_fiber(spec, pt, xi_log, tol, max_iters=50) -> CriticalPoint:
     variables = spec.variables
     k = len(variables) - 1
     tab = spec.tables
-    logmap = {v: pt.logs[v].value for v in variables}
+    logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
     for it in range(max_iters):
@@ -365,7 +364,7 @@ def _newton_filling(spec, pt, p, q, t, tol, max_iters=60):
     meridian = spec.meridian
     tab = spec.tables
     for it in range(max_iters):
-        u2 = 2 * pt.logs[meridian].value
+        u2 = 2 * pt.logs[meridian]
         v2 = 2 * eta_log(spec, pt)
         fill = p * u2 + q * v2 - _TWO_PI_I * t
         # the filling equation is cheaper to test, and the reduced

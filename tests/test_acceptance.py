@@ -18,16 +18,14 @@ import numpy as np
 import pytest
 
 from knotpot.cli import main as cli_main
-from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2, principal_log
+from knotpot.dilog import bloch_wigner_d, li2, principal_log
 from knotpot.errors import KnotpotError, NoConvergenceError, PathObstructionError
 from knotpot.invariants import (
-    chern_simons_of,
-    core_geodesic_of,
     eval_v_alpha,
     im_v_alpha_parts,
+    report_for,
     rogers_combo,
     volume_from_shapes,
-    volume_of,
 )
 from knotpot.potential import (
     ParamPoint,
@@ -67,26 +65,15 @@ def _dist_mod(a, period):
     return min(r, period - r)
 
 
-def _conjugate_log(cl):
-    # conjugate branch of a continued log, its winding recovered against
-    # the principal branch: on the negative real axis that is not -k
-    if cl is None:
-        return None
-    value = complex(cl.value).conjugate()
-    w = cmath.exp(value)
-    k = round((value.imag - principal_log(w).imag) / (2 * math.pi))
-    return ContinuedLog(value, k)
-
-
 def _conjugate_point(pt):
     # complex conjugate of a point, every stored log conjugated with it
     values = {v: complex(w).conjugate() for v, w in pt.values.items()}
     return ParamPoint(
         pt.spec,
         values,
-        {v: _conjugate_log(cl) for v, cl in pt.logs.items()},
+        {v: lw.conjugate() for v, lw in pt.logs.items()},
         tuple(m.evaluate(values) for m in pt.spec.tables.monomials),
-        tuple(_conjugate_log(cl) for cl in pt.tracked_logs),
+        tuple(None if lw is None else lw.conjugate() for lw in pt.tracked_logs),
     )
 
 
@@ -289,15 +276,15 @@ def test_criterion_04_filling_equation(acceptance, spec, scan):
 def test_criterion_05_thurston_bound_and_monotonicity(acceptance, spec, scan, complete):
     rows, _ = scan
     vols = [
-        volume_of(spec, sl, sol) for sl, sol in rows if sol is not None
+        report_for(spec, sl, sol).volume for sl, sol in rows if sol is not None
     ]
     in_range = all(0 < v < 2.82813 for v in vols)
     seq = []
     for p in range(8, 17):
         slope = normalize_slope(p, 1)
         sol = solve_filling(spec, slope, complete=complete)
-        rep_len = core_geodesic_of(slope, sol)[0]
-        seq.append((volume_of(spec, slope, sol), rep_len))
+        rep = report_for(spec, slope, sol)
+        seq.append((rep.volume, rep.geodesic_length))
     vol_up = all(a[0] < b[0] for a, b in zip(seq, seq[1:]))
     len_down = all(a[1] > b[1] for a, b in zip(seq, seq[1:]))
     ok = in_range and vol_up and len_down
@@ -321,12 +308,12 @@ def test_criterion_06_well_definedness(acceptance, spec, complete):
         slope = normalize_slope(p, q)
         sol = solve_filling(spec, slope, complete=complete)
         sols[(p, q)] = (slope, sol)
-        cs0, _ = chern_simons_of(spec, slope, sol)
-        tor0 = core_geodesic_of(slope, sol)[1]
+        rep0 = report_for(spec, slope, sol)
+        cs0, tor0 = rep0.cs_value, rep0.geodesic_torsion
         for k in (-2, -1, 1, 2):
             shifted = Slope(p, q, slope.r + k * p, slope.s + k * q)
-            cs1, _ = chern_simons_of(spec, shifted, sol)
-            tor1 = core_geodesic_of(shifted, sol)[1]
+            rep1 = report_for(spec, shifted, sol)
+            cs1, tor1 = rep1.cs_value, rep1.geodesic_torsion
             worst_shift = max(worst_shift, abs(cs1 - cs0), abs(tor1 - tor0))
     cocycle_ok = worst_shift <= 1e-12
 
@@ -342,8 +329,9 @@ def test_criterion_06_well_definedness(acceptance, spec, complete):
         pt = sol.critical.point
         conj = _conjugate_point(pt)
         rev = Slope(-slope.p, -slope.q, -slope.r, -slope.s)
+        rep = report_for(spec, slope, sol)
         # (a) conj solves the hyperbolicity and reversed filling equations
-        u = 2 * conj.logs[spec.meridian].value
+        u = 2 * conj.logs[spec.meridian]
         v = 2 * eta_log(spec, conj)
         worst_conj = max(
             worst_conj,
@@ -355,28 +343,22 @@ def test_criterion_06_well_definedness(acceptance, spec, complete):
         worst_conj = max(
             worst_conj,
             abs(eval_v_alpha(spec, rev, conj) - va.conjugate()),
-            abs(volume_of(spec, rev, conj) + volume_of(spec, slope, sol)),
-            _dist_mod(
-                chern_simons_of(spec, rev, conj)[0]
-                - chern_simons_of(spec, slope, sol)[0],
-                0.5,
-            ),
+            abs(report_for(spec, rev, conj).volume + rep.volume),
+            _dist_mod(report_for(spec, rev, conj).cs_value - rep.cs_value, 0.5),
         )
         # (c) the Bloch-Wigner route, which does not go through V_alpha
         worst_conj = max(
             worst_conj,
-            abs(
-                volume_from_shapes(shapes_from_point(conj))
-                + volume_of(spec, slope, sol)
-            ),
+            abs(volume_from_shapes(shapes_from_point(conj)) + rep.volume),
         )
         # (d) same core length, torsion negated mod 2 pi / q
-        len0, tor0 = core_geodesic_of(slope, sol)
-        len1, tor1 = core_geodesic_of(slope, conj)
+        rep1 = report_for(spec, slope, conj)
         worst_conj = max(
             worst_conj,
-            abs(len1 - len0),
-            _dist_mod(tor1 + tor0, 2 * math.pi / slope.q),
+            abs(rep1.geodesic_length - rep.geodesic_length),
+            _dist_mod(
+                rep1.geodesic_torsion + rep.geodesic_torsion, 2 * math.pi / slope.q
+            ),
         )
     conj_ok = worst_conj <= 1e-9
 
@@ -392,9 +374,9 @@ def test_criterion_06_well_definedness(acceptance, spec, complete):
             "vol(%s)=%.6f vs vol(%s)=%.6f"
             % (
                 slope_p,
-                volume_of(spec, slope_p, sol_p),
+                report_for(spec, slope_p, sol_p).volume,
                 slope_n,
-                volume_of(spec, slope_n, sol_n),
+                report_for(spec, slope_n, sol_n).volume,
             )
         )
     ok = cocycle_ok and conj_ok
@@ -465,10 +447,8 @@ def test_criterion_09_external_cross_check(acceptance, spec, complete):
     for p, q in ((7, 1), (8, 1)):
         slope = normalize_slope(p, q)
         sol = solve_filling(spec, slope, complete=complete)
-        reports[(p, q)] = (
-            volume_of(spec, slope, sol),
-            chern_simons_of(spec, slope, sol)[0],
-        )
+        rep = report_for(spec, slope, sol)
+        reports[(p, q)] = (rep.volume, rep.cs_value)
         mfd = snappy.Manifold("5_2(%d,%d)" % (p, q))
         ref = float(mfd.volume())
         worst_vol = max(worst_vol, abs(reports[(p, q)][0] - ref))

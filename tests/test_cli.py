@@ -9,6 +9,7 @@ import pytest
 
 import _oracles as O
 import knotpot.dilog
+from knotpot import cli
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import ValidationError
 from knotpot.potential import builtin_five_two, dump_spec
@@ -220,6 +221,69 @@ def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
         code, out, err = run(capsys, "--spec", str(path), *argv)
         assert (code, out) == (1, "")
         assert err == "error: reduced residual needs integer quad exponents, got 3/2\n"
+
+
+def _spec_with_x_named(tmp_path, name):
+    doc = json.loads(dump_spec(builtin_five_two()).replace('"x"', json.dumps(name)))
+    path = tmp_path / ("x_named_%s.json" % name)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("spec", ["complete"]),
+        ("volume", ["complete"]),
+        ("v", ["fill", "--slope=7/1"]),
+        ("p", ["fill", "--slope=7/1"]),
+        ("v", ["trace", "--u-end=0.1i", "--samples", "1"]),
+        ("defect", ["trace", "--u-end=0.1i", "--samples", "1"]),
+    ],
+)
+def test_variable_named_like_an_output_key_exits_usage(capsys, tmp_path, name, argv):
+    # the variable's values would overwrite or repeat the key's, in
+    # every format, so the spec is refused before solving
+    path = _spec_with_x_named(tmp_path, name)
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "--spec", path, "--format", fmt, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: spec variable(s) %s share a name with an output key of %s; "
+            "rename them\n" % (name, argv[0])
+        )
+
+
+def test_variable_named_like_another_command_key_still_solves(capsys, tmp_path):
+    # complete writes no "v" and scan writes no variable at all
+    path = _spec_with_x_named(tmp_path, "v")
+    for argv in (["complete"], ["scan", "--pmax", "2"]):
+        code, out, err = run(capsys, "--spec", path, *argv)
+        assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["complete"], ["fill", "--slope=7/1"], ["trace", "--u-end=0.1i", "--samples", "2"]],
+)
+def test_refused_names_cover_every_key_written_beside_the_variables(capsys, argv):
+    refused = cli._OUTPUT_KEYS[argv[0]]
+    variables = set(builtin_five_two().variables)
+    doc = json.loads(run(capsys, "--format", "json", *argv)[1])
+    keys = set(doc)
+    if argv[0] == "trace":
+        keys = {"schema"}.union(*doc["samples"])
+        # csv columns: a variable v fills v_re,v_im
+        header = run(capsys, "--format", "csv", *argv)[1].splitlines()[0]
+        for col in header.split(","):
+            stem = col.rsplit("_", 1)[0] if col.endswith(("_re", "_im")) else col
+            assert stem in refused | variables, col
+    if argv[0] == "complete":
+        # the text keys, besides the "arg <monomial>" lines
+        for line in run(capsys, *argv)[1].splitlines():
+            key = line.split(" = ")[0]
+            assert key.startswith("arg ") or key in refused | variables, key
+    assert keys - variables <= refused
 
 
 # ---------------------------------------------------------------- fill

@@ -11,14 +11,11 @@ import pytest
 import _oracles as O
 from knotpot.invariants import (
     InvariantReport,
-    chern_simons_of,
-    core_geodesic_of,
     eval_v_alpha,
     im_v_alpha_parts,
     report_for,
     rogers_combo,
     volume_from_shapes,
-    volume_of,
 )
 from knotpot.errors import ValidationError
 from knotpot.potential import (
@@ -123,14 +120,14 @@ def test_volume_oracle_table(spec, complete):
     for (p, q), want in VOLUME_TABLE.items():
         sol = solve_filling(spec, normalize_slope(p, q), complete=complete)
         slope = normalize_slope(p, q)
-        vol = volume_of(spec, slope, sol)
+        vol = report_for(spec, slope, sol).volume
         assert abs(vol - want) < 1e-9, (p, q)
         assert abs(volume_from_shapes(shapes_from_point(sol.critical.point)) - vol) < 1e-9
         assert 0 < vol < O.COMPLETE_VOLUME
 
 
 def test_volume_of_complete_without_slope(spec, complete):
-    vol = volume_of(spec, None, complete)
+    vol = eval_v(spec, complete.point).imag
     assert abs(vol - O.COMPLETE_VOLUME) < 1e-8
 
 
@@ -155,7 +152,8 @@ def test_volume_from_shapes_real_is_zero():
 
 
 def test_cs_representative_and_ambiguity(spec, seven):
-    cs, amb = chern_simons_of(spec, normalize_slope(7, 1), seven)
+    rep = report_for(spec, normalize_slope(7, 1), seven)
+    cs, amb = rep.cs_value, rep.cs_ambiguity
     assert amb == 0.5
     assert 0 <= cs < 0.5
     assert abs(cs - 0.2012304604) < 1e-9
@@ -163,20 +161,20 @@ def test_cs_representative_and_ambiguity(spec, seven):
 
 def test_cs_cocycle_invariance(spec, seven):
     base = normalize_slope(7, 1)
-    cs0, _ = chern_simons_of(spec, base, seven)
+    cs0 = report_for(spec, base, seven).cs_value
     for k in (-2, -1, 1, 2):
         shifted = Slope(7, 1, base.r + k * 7, base.s + k * 1)
-        csk, _ = chern_simons_of(spec, shifted, seven)
+        csk = report_for(spec, shifted, seven).cs_value
         assert abs(csk - cs0) < 1e-12
 
 
 def test_cs_cocycle_invariance_q_three(spec, complete):
     slope = normalize_slope(7, 3)
     sol = solve_filling(spec, slope, complete=complete)
-    cs0, _ = chern_simons_of(spec, slope, sol)
+    cs0 = report_for(spec, slope, sol).cs_value
     for k in (-2, -1, 1, 2):
         shifted = Slope(slope.p, slope.q, slope.r + k * slope.p, slope.s + k * slope.q)
-        csk, _ = chern_simons_of(spec, shifted, sol)
+        csk = report_for(spec, shifted, sol).cs_value
         assert abs(csk - cs0) < 1e-12
 
 
@@ -184,7 +182,8 @@ def test_cs_cocycle_invariance_q_three(spec, complete):
 
 
 def test_core_geodesic_oracle(spec, seven):
-    length, torsion = core_geodesic_of(normalize_slope(7, 1), seven)
+    rep = report_for(spec, normalize_slope(7, 1), seven)
+    length, torsion = rep.geodesic_length, rep.geodesic_torsion
     assert abs(length - 0.180404556313123) < 1e-10
     assert 0 <= torsion < 2 * PI
     # lambda = 2(s pi i - u/2)/q with q=1, s=0: length = |Re u|
@@ -194,11 +193,13 @@ def test_core_geodesic_oracle(spec, seven):
 def test_core_geodesic_torsion_cocycle_invariance(spec, complete):
     slope = normalize_slope(5, 2)
     sol = solve_filling(spec, slope, complete=complete)
-    len0, tor0 = core_geodesic_of(slope, sol)
+    rep0 = report_for(spec, slope, sol)
+    len0, tor0 = rep0.geodesic_length, rep0.geodesic_torsion
     assert 0 <= tor0 < 2 * PI / slope.q
     for k in (-2, -1, 1, 2):
         shifted = Slope(slope.p, slope.q, slope.r + k * slope.p, slope.s + k * slope.q)
-        lenk, tork = core_geodesic_of(shifted, sol)
+        repk = report_for(spec, shifted, sol)
+        lenk, tork = repk.geodesic_length, repk.geodesic_torsion
         assert lenk == len0
         assert abs(tork - tor0) < 1e-12
 
@@ -207,7 +208,7 @@ def test_core_geodesic_lengths_shrink_along_q_one(spec, complete):
     lengths = []
     for p in range(8, 13):
         sol = solve_filling(spec, normalize_slope(p, 1), complete=complete)
-        lengths.append(core_geodesic_of(normalize_slope(p, 1), sol)[0])
+        lengths.append(report_for(spec, normalize_slope(p, 1), sol).geodesic_length)
     assert all(a > b > 0 for a, b in zip(lengths, lengths[1:]))
 
 

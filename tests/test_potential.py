@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import _oracles as O
-from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
+from knotpot.dilog import ContinuedLog, bloch_wigner_d, continue_log, li2
 from knotpot.errors import (
     SingularPointError,
     SpecFormatError,
@@ -23,7 +23,6 @@ from knotpot.potential import (
     LongitudeSpec,
     Monomial,
     ParamPoint,
-    advance_point,
     advance_point_logs,
     builtin_five_two,
     d_eta_log,
@@ -83,6 +82,18 @@ def regular_points(spec, n, seed):
             continue
         out.append(make_point(spec, vals))
     return out
+
+
+def advance(pt, values):
+    """pt moved to nearby values, each variable log continued from pt's."""
+    logs = {
+        v: continue_log(ContinuedLog(lw), values[v]).value for v, lw in pt.logs.items()
+    }
+    return advance_point_logs(pt, logs)
+
+
+def winding(lw):
+    return ContinuedLog.from_value(lw).winding
 
 
 # ------------------------------------------------------------- builtin
@@ -239,10 +250,10 @@ def test_load_spec_parse_error_has_position():
 
 def test_make_point_principal(spec):
     pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
-    assert pt.logs["xi"].value == 0
-    assert all(cl.winding == 0 for cl in pt.logs.values())
+    assert pt.logs["xi"] == 0
+    assert all(winding(lw) == 0 for lw in pt.logs.values())
     for v in spec.variables:
-        assert abs(cmath.exp(pt.logs[v].value) - pt.values[v]) < 1e-12
+        assert abs(cmath.exp(pt.logs[v]) - pt.values[v]) < 1e-12
 
 
 def test_make_point_all_ones_singular(spec):
@@ -272,28 +283,41 @@ def test_advance_point_continues_branches(spec):
     # walk x across the negative real axis; principal log would jump
     cur = pt
     for im in (0.05, 0.0, -0.05, -0.1):
-        cur = advance_point(cur, {"x": -2 + im * 1j, "y": 3, "xi": 1})
-    assert cur.logs["x"].winding == 1  # crossed the principal cut
-    assert cur.logs["x"].value.imag > PI
-    assert abs(cmath.exp(cur.logs["x"].value) - (-2 - 0.1j)) < 1e-12
+        cur = advance(cur, {"x": -2 + im * 1j, "y": 3, "xi": 1})
+    assert winding(cur.logs["x"]) == 1  # crossed the principal cut
+    assert cur.logs["x"].imag > PI
+    assert abs(cmath.exp(cur.logs["x"]) - (-2 - 0.1j)) < 1e-12
 
 
 def test_advance_point_step_too_large(spec):
     pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
     with pytest.raises(StepTooLargeError):
-        advance_point(pt, {"x": -2, "y": 3, "xi": 1})
+        advance(pt, {"x": -2, "y": 3, "xi": 1})
+    # the tracked logs of 1 - y/x and 1 - x/xi jump by pi even when the
+    # variable log is handed over already continued
+    logs = dict(pt.logs, x=cmath.log(-2))
+    with pytest.raises(StepTooLargeError, match="jump"):
+        advance_point_logs(pt, logs)
 
 
 def test_advance_point_logs_overflow_is_a_step_too_large(spec, complete):
     # exp of the log overflows: the solvers must halve, not crash
     pt = complete.point
-    huge = {v: pt.logs[v].value for v in spec.variables}
+    huge = dict(pt.logs)
     huge["xi"] = 1e300 + 0j
     with pytest.raises(StepTooLargeError, match="overflow"):
         advance_point_logs(pt, huge)
     bad = dict(huge, xi=complex(math.nan, 0.0))
     with pytest.raises(StepTooLargeError, match="not finite"):
         advance_point_logs(pt, bad)
+    # an infinite log is a step too far, as a NaN one is
+    for lx in (complex(0.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(StepTooLargeError, match="not finite"):
+            advance_point_logs(pt, dict(pt.logs, x=lx))
+    # a finite log whose exp underflows to 0 is the log pole make_point
+    # refuses, which the damped step also halves on
+    with pytest.raises(SingularPointError, match="variable x = 0"):
+        advance_point_logs(pt, dict(pt.logs, x=complex(-1e308, 0.0)))
 
 
 def test_advance_point_logs_monomial_power_overflow(spec):
@@ -302,7 +326,7 @@ def test_advance_point_logs_monomial_power_overflow(spec):
     doc["dilog_terms"][0]["arg"] = {"x": 3, "xi": -1}
     cubic = load_spec(json.dumps(doc))
     pt = make_point(cubic, {"x": 0.5 + 0.5j, "y": 0.3 + 0.6j, "xi": 1.1})
-    logs = {v: pt.logs[v].value for v in cubic.variables}
+    logs = dict(pt.logs)
     logs["x"] = 300 + 0.5j
     with pytest.raises(StepTooLargeError, match="overflow"):
         advance_point_logs(pt, logs)
@@ -385,8 +409,8 @@ def test_log_gradient_finite_differences(spec):
             up[v] = pt.values[v] * cmath.exp(h)
             dn[v] = pt.values[v] * cmath.exp(-h)
             fd = (
-                eval_v(spec, advance_point(pt, up))
-                - eval_v(spec, advance_point(pt, dn))
+                eval_v(spec, advance(pt, up))
+                - eval_v(spec, advance(pt, dn))
             ) / (2 * h)
             assert abs(fd - g[i]) < 1e-6 * max(1.0, abs(g[i]))
 
@@ -409,8 +433,8 @@ def test_log_hessian_symmetry_and_fd(spec):
             up[v] = pt.values[v] * cmath.exp(dh)
             dn[v] = pt.values[v] * cmath.exp(-dh)
             fd = (
-                np.array(log_gradient(spec, advance_point(pt, up)))
-                - np.array(log_gradient(spec, advance_point(pt, dn)))
+                np.array(log_gradient(spec, advance(pt, up)))
+                - np.array(log_gradient(spec, advance(pt, dn)))
             ) / (2 * dh)
             scale = np.maximum(1.0, np.abs(h[:, j]))
             assert np.all(np.abs(fd - h[:, j]) < 1e-6 * scale)
@@ -561,7 +585,7 @@ def naive_eval_v(spec, pt):
     for t in spec.dilog_terms:
         s += t.sign * li2(t.argument.evaluate(pt.values))
     for t in spec.quad_terms:
-        s += float(t.coeff) * pt.logs[t.var_a].value * pt.logs[t.var_b].value
+        s += float(t.coeff) * pt.logs[t.var_a] * pt.logs[t.var_b]
     return s + float(spec.constant_pi2) * (PI * PI)
 
 
@@ -572,20 +596,26 @@ def naive_signed_d_sum(spec, pt):
     )
 
 
+def one_minus_logs(pt):
+    # the continued log(1 - m) keyed by tracked Monomial m
+    return dict(zip(pt.spec.tables.monomials, pt.tracked_logs))
+
+
 def naive_log_gradient(spec, pt):
+    one_minus = one_minus_logs(pt)
     g = []
     for v in spec.variables:
         acc = 0j
         for t in spec.dilog_terms:
             a = t.argument.exponent(v)
             if a:
-                acc -= t.sign * a * pt.one_minus_logs[t.argument].value
+                acc -= t.sign * a * one_minus[t.argument]
         for t in spec.quad_terms:
             c = float(t.coeff)
             if t.var_a == v:
-                acc += c * pt.logs[t.var_b].value
+                acc += c * pt.logs[t.var_b]
             if t.var_b == v:
-                acc += c * pt.logs[t.var_a].value
+                acc += c * pt.logs[t.var_a]
         g.append(acc)
     return np.array(g, dtype=complex)
 
@@ -597,7 +627,7 @@ def naive_log_hessian(spec, pt):
     for t in spec.dilog_terms:
         m = t.argument.evaluate(pt.values)
         f = t.sign * m / (1 - m)
-        vs = t.argument.variables()
+        vs = [v for v, _ in t.argument.exponents]
         for u in vs:
             au = t.argument.exponent(u)
             for v in vs:
@@ -612,9 +642,9 @@ def naive_log_hessian(spec, pt):
 def naive_eta_log(spec, pt):
     s = 0j
     for v, e in spec.longitude.prefactor.exponents:
-        s += e * pt.logs[v].value
+        s += e * pt.logs[v]
     for e, m in spec.longitude.factors:
-        s += e * pt.one_minus_logs[m].value
+        s += e * one_minus_logs(pt)[m]
     return s
 
 
@@ -708,7 +738,7 @@ def test_tables_match_plain_reading_bit_for_bit(spec, which):
                 for v, w in vals.items()
             }
             try:
-                pt = advance_point(pt, vals)
+                pt = advance(pt, vals)
             except (StepTooLargeError, SingularPointError):
                 break
             assert_matches_naive(vspec, pt)
@@ -720,10 +750,8 @@ def test_tables_on_points_with_windings(spec, complete):
     windings = set()
     for smp in samples:
         assert_matches_naive(spec, smp.point)
-        windings.update(cl.winding for cl in smp.point.logs.values())
-        windings.update(
-            cl.winding for cl in smp.point.one_minus_logs.values() if cl is not None
-        )
+        windings.update(winding(lw) for lw in smp.point.logs.values())
+        windings.update(winding(lw) for lw in smp.point.tracked_logs if lw is not None)
     assert windings != {0}
 
 
