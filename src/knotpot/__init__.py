@@ -12,8 +12,6 @@ from a JSON spec file.
 from .dilog import (
     ContinuedLog,
     bloch_wigner_d,
-    continue_log,
-    continued,
     li2,
     principal_log,
     rogers_r,
@@ -104,8 +102,6 @@ __all__ = [
     "ZeroDenominatorError",
     "bloch_wigner_d",
     "builtin_five_two",
-    "continue_log",
-    "continued",
     "dump_spec",
     "eta_log",
     "eval_eta",

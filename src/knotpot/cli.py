@@ -40,10 +40,15 @@ from .potential import (
     eval_eta,
     eval_v,
     load_spec,
-    reduced_residual,
     signed_d_sum,
 )
-from .solver import normalize_slope, solve_complete, solve_filling, trace_deformation
+from .solver import (
+    _resid_inf,
+    normalize_slope,
+    solve_complete,
+    solve_filling,
+    trace_deformation,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +63,8 @@ _SCAN_VALUES = ("volume", "cs_mod_half", "length", "torsion", "residual")
 # per command that prints the spec's variables, the keys it writes
 # beside them: JSON keys, text keys and csv column stems (variable v
 # fills v_re,v_im). A variable named like one would overwrite or repeat
-# it, so such a spec is refused before solving.
+# it, and a name that is not an identifier would split or vanish in a
+# csv cell, so such a spec is refused before solving.
 _OUTPUT_KEYS = {
     "complete": frozenset(
         "schema spec dilog_args volume volume_from_shapes eta eta_alternate "
@@ -90,10 +96,6 @@ def _jc(z: complex) -> dict:
 def _fc(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return "%s%s%si" % (_f(z.real), sign, _f(abs(z.imag)))
-
-
-def _residual(pt) -> float:
-    return max(abs(r) for r in reduced_residual(pt))
 
 
 class UsageError(Exception):
@@ -195,8 +197,11 @@ def parse_slope(text: str):
     m = _SLOPE_RE.match(text.strip())
     if not m:
         raise ValidationError("slope must be an integer or p/q, got %r" % text)
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        p = int(m.group(1))
+        q = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # past int()'s digit limit, so past float range too
+        raise ValidationError("slope p and q must be within float range") from None
     return normalize_slope(p, q)
 
 
@@ -217,6 +222,22 @@ def _scan_slopes(pmax: int, qmax: int):
                 yield normalize_slope(p, q)
 
 
+def _check_variable_names(spec, command):
+    """Refuse variable names that command cannot print beside its keys."""
+    taken = sorted(set(spec.variables) & _OUTPUT_KEYS[command])
+    if taken:
+        raise ValidationError(
+            "spec variable(s) %s share a name with an output key of %s; "
+            "rename them" % (", ".join(taken), command)
+        )
+    odd = [repr(v) for v in spec.variables if not v.isidentifier()]
+    if odd:
+        raise ValidationError(
+            "spec variable name(s) %s are not identifiers, which %s "
+            "prints; rename them" % (", ".join(odd), command)
+        )
+
+
 def _command_input(args):
     """The parsed input of a solving command; raises on bad arguments."""
     if args.command == "fill":
@@ -224,6 +245,10 @@ def _command_input(args):
     if args.command == "scan":
         if args.pmax < 1 or args.qmax < 1:
             raise UsageError("scan bounds must be >= 1")
+        try:
+            float(args.pmax), float(args.qmax)
+        except OverflowError:
+            raise ValidationError("scan bounds must be within float range") from None
         return list(_scan_slopes(args.pmax, args.qmax))
     if args.command == "trace":
         u_end = parse_u_end(args.u_end)
@@ -248,7 +273,7 @@ def cmd_complete(args, spec, cp, _):
     vol = eval_v(spec, pt).imag
     vfs = signed_d_sum(spec, pt)
     eta, eta_alt = eval_eta(spec, pt)
-    resid = _residual(pt)
+    resid = cp.residual_inf_norm
     pairs = [("spec", spec.name)]
     pairs += [(v, _fc(pt.values[v])) for v in spec.variables]
     pairs += [("arg %s" % m, _fc(z)) for m, z in dilog_args]
@@ -376,7 +401,7 @@ def cmd_trace(args, spec, complete, u_end):
         vv = eval_v(spec, pt)
         defect = rogers_combo(spec, pt) - (vv + (smp.u / 2) * (smp.v / 2))
         sum_d = signed_d_sum(spec, pt)
-        resid = _residual(pt)
+        resid = _resid_inf(pt)
         jrows.append(
             {
                 "u": _jc(smp.u),
@@ -448,12 +473,8 @@ def _run(args) -> int:
         status, rec = cmd_selftest()
     else:
         spec = _load_spec(args.spec)
-        taken = sorted(set(spec.variables) & _OUTPUT_KEYS.get(args.command, set()))
-        if taken:
-            raise ValidationError(
-                "spec variable(s) %s share a name with an output key of %s; "
-                "rename them" % (", ".join(taken), args.command)
-            )
+        if args.command in _OUTPUT_KEYS:
+            _check_variable_names(spec, args.command)
         inp = _command_input(args)
         try:
             complete = solve_complete(spec, newton_tol=args.newton_tol)

@@ -18,11 +18,11 @@ class DomainError(KnotpotError, ValueError):
 class StepTooLargeError(KnotpotError):
     """A step moved a point too far to continue its logs.
 
-    Raised when continue_log (or the point build, which does the same
-    work inline) cannot pick a branch within a quarter turn, and when
-    a point build or reduced_residual overflows or meets a log that is
-    not finite. Signals the continuation driver to halve its step; it
-    is not a user-facing failure unless halving bottoms out.
+    Raised when the point build cannot continue a log to a branch
+    within a quarter turn, and when a point build or reduced_residual
+    overflows or meets a log that is not finite. Signals the
+    continuation driver to halve its step; it is not a user-facing
+    failure unless halving bottoms out.
     """
 
 

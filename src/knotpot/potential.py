@@ -37,7 +37,6 @@ from functools import cached_property
 
 from ._records import FrozenRecord
 from .dilog import (
-    _MAX_JUMP,
     _TWO_PI,
     bloch_wigner_d,
     li2,
@@ -60,6 +59,8 @@ _isfinite = cmath.isfinite
 # close to a pole or a dilog argument of 1 are rejected, not clamped
 _ZERO_TOL = 1e-13
 _ONE_TOL = 1e-13
+# a continued log that moves this far in one step is refused
+_MAX_JUMP = _PI / 2.0
 
 
 class Monomial(FrozenRecord):
@@ -620,15 +621,15 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
 
     Variable logs are taken verbatim; the derived logs of 1 - m start
     principal when prev is None and are branch-continued from prev
-    otherwise, so a StepTooLargeError here means the caller moved too
-    far in one step. A log that is not finite and an overflow of exp or
-    of a monomial power raise it too: such a step also went too far. A
-    log whose exp underflows to 0 raises SingularPointError, as
-    make_point does for a zero variable.
+    otherwise: each takes the branch nearest its value at prev, and a
+    jump of a quarter turn or more raises StepTooLargeError, meaning
+    the caller moved too far in one step. A log that is not finite and
+    an overflow of exp or of a monomial power raise it too: such a
+    step also went too far. A log whose exp underflows to 0 raises
+    SingularPointError, as make_point does for a zero variable.
 
-    This is the solver's innermost step, so principal_log, continue_log
-    and Monomial.evaluate are written out here, operation for
-    operation.
+    This is the solver's innermost step, so principal_log and
+    Monomial.evaluate are written out here, operation for operation.
     """
     tab = spec.tables
     logs = {}

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 from . import dilog
-from .invariants import volume_from_shapes
 from .potential import (
     builtin_five_two,
     eval_eta,
@@ -21,11 +20,10 @@ from .potential import (
     log_gradient,
     log_hessian,
     make_point,
-    reduced_residual,
-    shapes_from_point,
+    signed_d_sum,
 )
 from .errors import KnotpotError
-from .solver import solve_complete
+from .solver import _resid_inf, solve_complete
 
 _PI2_6 = math.pi * math.pi / 6.0
 _VOLUME_5_2 = 2.82812208833
@@ -146,11 +144,11 @@ def complete_structure_check() -> GroupResult:
     eta, _ = eval_eta(spec, pt)
     worst = max(worst, abs(eta - 1) / 1e-10)
     vol = eval_v(spec, pt).imag
-    vols = volume_from_shapes(shapes_from_point(pt))
+    vols = signed_d_sum(spec, pt)
     worst = max(worst, abs(vol - _VOLUME_5_2) / 1e-8)
     worst = max(worst, abs(vols - _VOLUME_5_2) / 1e-8)
     worst = max(worst, abs(vol - vols) / 1e-9)
-    worst = max(worst, max(abs(r) for r in reduced_residual(pt)) / 1e-12)
+    worst = max(worst, _resid_inf(pt) / 1e-12)
     return GroupResult(
         "complete-structure", worst <= 1.0, worst, "x = %s" % format(x, ".6g")
     )

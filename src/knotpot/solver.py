@@ -257,7 +257,9 @@ def solve_complete(
     distinct converged root whose dilog arguments are all off the real
     axis with total shape volume sum sign*D > 0; later seeds are not
     run. A root found with negative total volume is replaced by its
-    complex conjugate (same equations, opposite orientation).
+    complex conjugate (same equations, opposite orientation). The
+    root's logs are all principal, whatever windings the seed's Newton
+    path gave them, so every filling continues from the same sheet.
     """
     if seeds is None:
         fiber = spec.variables[:-1]
@@ -296,6 +298,11 @@ def solve_complete(
         if vol > _FLAT_TOL and all(
             abs(cp.point.tracked_values[j].imag) > 1e-9 for _, j in spec.tables.dilogs
         ):
+            # a seed's Newton path may wind a log: restart them principal
+            logs = [*cp.point.logs.values(), *filter(None, cp.point.tracked_logs)]
+            if any(ContinuedLog.from_value(lw).winding for lw in logs):
+                pt = make_point(spec, cp.point.values)
+                cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
             return cp
     if not keys:
         raise NoConvergenceError(
@@ -398,11 +405,16 @@ def solve_filling(
     previous t and halving the t-step whenever Newton or the branch
     continuation fails. A path whose step collapses, or whose endpoint
     is a flat (zero total shape volume) representation, raises
-    PathObstructionError: the slope is possibly exceptional.
+    PathObstructionError: the slope is possibly exceptional. A slope
+    whose p or q does not convert to float raises ValidationError.
     """
+    p, q = slope.p, slope.q
+    try:
+        float(p), float(q)
+    except OverflowError:
+        raise ValidationError("slope p and q must be within float range") from None
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
-    p, q = slope.p, slope.q
     pt = complete.point
     t = 0.0
     dt = 0.25

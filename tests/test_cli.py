@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import _oracles as O
-import knotpot.dilog
+import knotpot.potential
 from knotpot import cli
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import ValidationError
@@ -254,6 +254,40 @@ def test_variable_named_like_an_output_key_exits_usage(capsys, tmp_path, name, a
         )
 
 
+@pytest.mark.parametrize("name", ["a,b", "a b", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [["complete"], ["fill", "--slope=7/1"], ["trace", "--u-end=0.1i", "--samples", "1"]],
+    ids=["complete", "fill", "trace"],
+)
+def test_variable_name_that_is_not_an_identifier_exits_usage(capsys, tmp_path, name, argv):
+    # a csv cell would split at the comma or lose the spaces, and an
+    # empty name leaves bare _re,_im columns, so the spec is refused
+    path = _spec_with_x_named(tmp_path, name)
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "--spec", path, "--format", fmt, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: spec variable name(s) %r are not identifiers, which %s "
+            "prints; rename them\n" % (name, argv[0])
+        )
+
+
+def test_variable_name_that_is_not_an_identifier_still_scans(capsys, tmp_path):
+    code, out, err = run(capsys, "--spec", _spec_with_x_named(tmp_path, "a,b"), "scan")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "scan")[1]
+
+
+def test_identifier_with_a_digit_still_solves(capsys, tmp_path):
+    path = _spec_with_x_named(tmp_path, "x1")
+    for argv in (["complete"], ["fill", "--slope=7/1"], ["trace", "--u-end=0.1i"]):
+        code, out, err = run(capsys, "--spec", path, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        want = run(capsys, "--format", "json", *argv)[1]
+        _assert_same_doc(json.loads(out), json.loads(want), {"x1": "x"})
+
+
 def test_variable_named_like_another_command_key_still_solves(capsys, tmp_path):
     # complete writes no "v" and scan writes no variable at all
     path = _spec_with_x_named(tmp_path, "v")
@@ -344,6 +378,17 @@ def test_fill_obstructed_slope_exit_three(capsys):
     assert "possibly exceptional" in err
 
 
+@pytest.mark.parametrize(
+    "slope",
+    ["1" + "0" * 400 + "/1", "1/1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000],
+    ids=["p", "q", "negative-p", "past-int-digits"],
+)
+def test_fill_refuses_a_slope_beyond_float_range(capsys, slope):
+    code, out, err = run(capsys, "fill", "--slope=" + slope)
+    assert (code, out) == (1, "")
+    assert err == "error: slope p and q must be within float range\n"
+
+
 def test_fill_requires_slope_argument(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["fill"])
@@ -412,6 +457,14 @@ def test_scan_json_schema(capsys):
 def test_scan_rejects_bad_bounds(capsys):
     code, _, err = run(capsys, "scan", "--pmax", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--pmax", "--qmax"])
+def test_scan_refuses_bounds_beyond_float_range(capsys, flag):
+    # refused before a single slope is enumerated
+    code, out, err = run(capsys, "scan", flag, "1" + "0" * 400)
+    assert (code, out) == (1, "")
+    assert err == "error: scan bounds must be within float range\n"
 
 
 # --------------------------------------------------------------- trace
@@ -534,9 +587,10 @@ def test_selftest_json(capsys):
 
 
 def test_selftest_negative_control(capsys, monkeypatch):
-    # breaking D's sign must trip the volume checks and name the group
-    orig = knotpot.dilog.bloch_wigner_d
-    monkeypatch.setattr(knotpot.dilog, "bloch_wigner_d", lambda z: -orig(z))
+    # breaking D's sign where signed_d_sum reads it must trip the
+    # volume checks and name the group
+    orig = knotpot.potential.bloch_wigner_d
+    monkeypatch.setattr(knotpot.potential, "bloch_wigner_d", lambda z: -orig(z))
     code, out, _ = run(capsys, "selftest")
     assert code == 4
     fails = [ln for ln in out.strip().splitlines() if ln.startswith("FAIL")]

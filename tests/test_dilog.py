@@ -11,13 +11,11 @@ import _oracles as O
 from knotpot.dilog import (
     ContinuedLog,
     bloch_wigner_d,
-    continue_log,
-    continued,
     li2,
     principal_log,
     rogers_r,
 )
-from knotpot.errors import DomainError, StepTooLargeError
+from knotpot.errors import DomainError
 
 PI = math.pi
 
@@ -239,47 +237,14 @@ def test_d_five_term_relation():
     assert worst < 1e-10
 
 
-# -------------------------------------------------------- continue_log
+# --------------------------------------------------------- ContinuedLog
 
 
 def test_continued_log_invariants():
-    cl = continued(-2.0)
+    cl = ContinuedLog.from_value(principal_log(-2.0))
     assert cl.winding == 0
     assert abs(cmath.exp(cl.value) + 2) < 1e-14
     assert isinstance(cl, ContinuedLog)
-
-
-def test_continue_log_small_rotation():
-    prev = continued(1.0)
-    nxt = continue_log(prev, cmath.exp(0.1j))
-    assert abs(nxt.value - 0.1j) < 1e-14
-    assert nxt.winding == 0
-
-
-def test_continue_log_cut_crossing():
-    prev = ContinuedLog(1j * PI * 0.9, 0)
-    w = cmath.exp(1.05j * PI)
-    nxt = continue_log(prev, w)
-    assert abs(nxt.value - 1.05j * PI) < 1e-12
-    assert nxt.winding == 1
-
-
-def test_continue_log_step_too_large():
-    prev = continued(1.0)
-    with pytest.raises(StepTooLargeError):
-        continue_log(prev, -1.0)
-
-
-def test_continue_log_loop_invariance():
-    # a closed loop crossing the cut both ways restores value and winding
-    steps = 48
-    cl = continued(1.0)
-    for k in range(1, steps + 1):
-        cl = continue_log(cl, cmath.exp(2j * PI * k / steps))
-    assert cl.winding == 1
-    assert abs(cl.value - 2j * PI) < 1e-12
-    for k in range(steps - 1, -1, -1):
-        cl = continue_log(cl, cmath.exp(2j * PI * k / steps))
-    assert cl.winding == 0
-    assert abs(cl.value) < 1e-12
-
+    # one turn up the same log: same point, winding 1
+    up = ContinuedLog.from_value(cl.value + 2j * PI)
+    assert up.winding == 1 and abs(cmath.exp(up.value) + 2) < 1e-14

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import _oracles as O
-from knotpot.dilog import ContinuedLog, bloch_wigner_d, continue_log, li2
+from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
 from knotpot.errors import (
     SingularPointError,
     SpecFormatError,
@@ -85,10 +85,11 @@ def regular_points(spec, n, seed):
 
 
 def advance(pt, values):
-    """pt moved to nearby values, each variable log continued from pt's."""
-    logs = {
-        v: continue_log(ContinuedLog(lw), values[v]).value for v, lw in pt.logs.items()
-    }
+    """pt moved to nearby values, each variable log on the branch nearest pt's."""
+    logs = {}
+    for v, lw in pt.logs.items():
+        p = cmath.log(values[v])
+        logs[v] = p + 2j * PI * round((lw.imag - p.imag) / (2 * PI))
     return advance_point_logs(pt, logs)
 
 
@@ -298,6 +299,38 @@ def test_advance_point_step_too_large(spec):
     logs = dict(pt.logs, x=cmath.log(-2))
     with pytest.raises(StepTooLargeError, match="jump"):
         advance_point_logs(pt, logs)
+
+
+def _y_on_circle(theta):
+    """Variable logs with y = 1 + e^(i theta) / 2, x = 5 and xi = 1.
+
+    As theta runs over a turn, 1 - y/xi circles 0 once while y, and so
+    its principal log, stays in the right half-plane.
+    """
+    values = {"x": 5.0, "y": 1 + 0.5 * cmath.exp(1j * theta), "xi": 1.0}
+    return {v: cmath.log(w) for v, w in values.items()}
+
+
+def test_advance_point_logs_loop_winds_a_tracked_log_and_back(spec):
+    j = spec.tables.monomials.index(spec.dilog_terms[1].argument)  # y/xi
+    pt = make_point(spec, {"x": 5, "y": 0.5, "xi": 1})  # theta = pi
+    assert pt.tracked_logs[j] == math.log(0.5)
+    steps = 48
+    for k in range(1, steps + 1):
+        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
+    assert winding(pt.tracked_logs[j]) == 1
+    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 2 * PI)) < 1e-12
+    for k in range(steps - 1, -1, -1):
+        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
+    assert winding(pt.tracked_logs[j]) == 0
+    assert abs(pt.tracked_logs[j] - math.log(0.5)) < 1e-12
+
+
+def test_advance_point_logs_refuses_a_quarter_turn(spec):
+    pt = make_point(spec, {"x": 5, "y": 0.5, "xi": 1})
+    advance_point_logs(pt, _y_on_circle(PI + PI / 4))
+    with pytest.raises(StepTooLargeError, match="jump"):
+        advance_point_logs(pt, _y_on_circle(PI + PI / 2))
 
 
 def test_advance_point_logs_overflow_is_a_step_too_large(spec, complete):

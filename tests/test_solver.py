@@ -23,8 +23,10 @@ from knotpot.errors import (
 from knotpot.potential import (
     builtin_five_two,
     dump_spec,
+    eta_log,
     eval_eta,
     eval_v,
+    eval_v_alpha,
     load_spec,
     make_point,
     reduced_residual,
@@ -192,6 +194,56 @@ def test_complete_meridian_pinned(spec, complete):
     assert complete.point.values["xi"] == 1
     assert complete.point.logs["xi"] == 0
     assert ContinuedLog.from_value(complete.point.logs["xi"]).winding == 0
+
+
+def _x_inverted(spec):
+    """The built-in with x replaced by 1/x: every exponent of x negated,
+    and the coefficient of each quad term with one x."""
+    doc = json.loads(dump_spec(spec))
+    lon = doc["longitude"]
+    monomials = [t["arg"] for t in doc["dilog_terms"]]
+    for expr in (lon, lon["alternate"]):
+        monomials += [expr["prefactor"]] + [f["arg"] for f in expr["factors"]]
+    for m in monomials:
+        if "x" in m:
+            m["x"] = -m["x"]
+    for t in doc["quad_terms"]:
+        if t["vars"].count("x") == 1:
+            t["coeff"][0] = -t["coeff"][0]
+    return load_spec(json.dumps(doc))
+
+
+def _scan_8x3(spec, complete):
+    """{(p, q): volume Im V_alpha, or None where the filling is refused}."""
+    out = {}
+    for q in (1, 2, 3):
+        for p in range(-8, 9):
+            if math.gcd(p, q) == 1:
+                slope = normalize_slope(p, q)
+                try:
+                    pt = solve_filling(spec, slope, complete=complete).critical.point
+                except (PathObstructionError, NoConvergenceError):
+                    out[p, q] = None
+                else:
+                    out[p, q] = eval_v_alpha(spec, slope, pt).imag
+    return out
+
+
+def test_complete_structure_has_principal_logs(spec, complete):
+    # the default grid reaches the built-in's root on the x -> 1/x copy
+    # with log x one turn off; the returned point starts every log on
+    # its principal sheet, so the copy fills exactly like the built-in
+    inv = _x_inverted(spec)
+    cp = solve_complete(inv)
+    assert abs(1 / cp.point.values["x"] - O.complete_root()) < 1e-12
+    assert abs(eta_log(inv, cp.point)) <= 1e-12
+    for lw in [*cp.point.logs.values(), *cp.point.tracked_logs]:
+        assert ContinuedLog.from_value(lw).winding == 0
+    got, want = _scan_8x3(inv, cp), _scan_8x3(spec, complete)
+    assert [k for k in got if got[k] is None] == [k for k in want if want[k] is None]
+    for k, vol in want.items():
+        if vol is not None:
+            assert abs(got[k] - vol) <= 1e-9, k
 
 
 def test_complete_deterministic(spec):
@@ -433,6 +485,20 @@ def test_filling_equation_exact(spec, complete):
         sol = solve_filling(spec, s, complete=complete)
         assert abs(p * sol.u.value + q * sol.v.value - TWO_PI_I) <= 1e-9
         assert max(abs(r) for r in reduced_residual(sol.critical.point)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p, q", [(10**400, 1), (1, 10**400), (-(10**400), 3)], ids=["p", "q", "negative-p"]
+)
+def test_filling_refuses_a_slope_beyond_float_range(spec, complete, p, q):
+    with pytest.raises(ValidationError, match="float range"):
+        solve_filling(spec, normalize_slope(p, q), complete=complete)
+
+
+def test_filling_runs_a_slope_near_the_float_limit(spec, complete):
+    # such a filling barely moves the point from the complete structure
+    sol = solve_filling(spec, normalize_slope(10**300, 1), complete=complete)
+    assert abs(sol.critical.point.values["x"] - complete.point.values["x"]) < 1e-9
 
 
 def test_filling_default_complete(spec):
