@@ -15,7 +15,8 @@ from knotpot.dilog import (
     principal_log,
     rogers_r,
 )
-from knotpot.errors import DomainError
+from knotpot.errors import DomainError, StepTooLargeError
+from knotpot.potential import advance_point_logs, builtin_five_two, make_point
 
 PI = math.pi
 
@@ -248,3 +249,72 @@ def test_continued_log_invariants():
     # one turn up the same log: same point, winding 1
     up = ContinuedLog.from_value(cl.value + 2j * PI)
     assert up.winding == 1 and abs(cmath.exp(up.value) + 2) < 1e-14
+
+
+# ------------------------------------------- continuing log(1 - m)
+#
+# The point build is the one place that continues the log of 1 - m of
+# each dilog argument m; these tests drive it on the built-in 5_2 spec.
+
+
+def _y_on_circle(theta):
+    """Variable logs with y = 1 + e^(i theta) / 2, x = 5 and xi = 1.
+
+    1 - y/xi = e^(i (theta - pi)) / 2, so as theta runs over a turn it
+    circles 0 once while y, and so its principal log, stays in the right
+    half-plane.
+    """
+    values = {"x": 5.0, "y": 1 + 0.5 * cmath.exp(1j * theta), "xi": 1.0}
+    return {v: cmath.log(w) for v, w in values.items()}
+
+
+def _circle_start():
+    """The point at theta = pi and the index of its tracked log of 1 - y/xi."""
+    spec = builtin_five_two()
+    j = spec.tables.monomials.index(spec.dilog_terms[1].argument)  # y/xi
+    pt = make_point(spec, {"x": 5, "y": 0.5, "xi": 1})
+    assert pt.tracked_logs[j] == math.log(0.5)
+    return pt, j
+
+
+def _winding(lw):
+    return ContinuedLog.from_value(lw).winding
+
+
+def test_continue_log_small_rotation():
+    pt, j = _circle_start()
+    pt = advance_point_logs(pt, _y_on_circle(PI + 0.1))
+    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 0.1)) < 1e-14
+    assert _winding(pt.tracked_logs[j]) == 0
+
+
+def test_continue_log_cut_crossing():
+    pt, j = _circle_start()
+    for turn in (0.2, 0.4, 0.6, 0.8, 0.9):
+        pt = advance_point_logs(pt, _y_on_circle(PI + turn * PI))
+    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 0.9 * PI)) < 1e-12
+    assert _winding(pt.tracked_logs[j]) == 0
+    pt = advance_point_logs(pt, _y_on_circle(PI + 1.05 * PI))
+    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 1.05 * PI)) < 1e-12
+    assert _winding(pt.tracked_logs[j]) == 1
+
+
+def test_continue_log_step_too_large():
+    pt, _ = _circle_start()
+    advance_point_logs(pt, _y_on_circle(PI + PI / 4))
+    with pytest.raises(StepTooLargeError, match="jump"):
+        advance_point_logs(pt, _y_on_circle(PI + PI / 2))
+
+
+def test_continue_log_loop_invariance():
+    # a closed loop crossing the cut both ways restores value and winding
+    pt, j = _circle_start()
+    steps = 48
+    for k in range(1, steps + 1):
+        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
+    assert _winding(pt.tracked_logs[j]) == 1
+    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 2 * PI)) < 1e-12
+    for k in range(steps - 1, -1, -1):
+        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
+    assert _winding(pt.tracked_logs[j]) == 0
+    assert abs(pt.tracked_logs[j] - math.log(0.5)) < 1e-12

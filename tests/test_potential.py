@@ -301,38 +301,6 @@ def test_advance_point_step_too_large(spec):
         advance_point_logs(pt, logs)
 
 
-def _y_on_circle(theta):
-    """Variable logs with y = 1 + e^(i theta) / 2, x = 5 and xi = 1.
-
-    As theta runs over a turn, 1 - y/xi circles 0 once while y, and so
-    its principal log, stays in the right half-plane.
-    """
-    values = {"x": 5.0, "y": 1 + 0.5 * cmath.exp(1j * theta), "xi": 1.0}
-    return {v: cmath.log(w) for v, w in values.items()}
-
-
-def test_advance_point_logs_loop_winds_a_tracked_log_and_back(spec):
-    j = spec.tables.monomials.index(spec.dilog_terms[1].argument)  # y/xi
-    pt = make_point(spec, {"x": 5, "y": 0.5, "xi": 1})  # theta = pi
-    assert pt.tracked_logs[j] == math.log(0.5)
-    steps = 48
-    for k in range(1, steps + 1):
-        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
-    assert winding(pt.tracked_logs[j]) == 1
-    assert abs(pt.tracked_logs[j] - complex(math.log(0.5), 2 * PI)) < 1e-12
-    for k in range(steps - 1, -1, -1):
-        pt = advance_point_logs(pt, _y_on_circle(PI + 2 * PI * k / steps))
-    assert winding(pt.tracked_logs[j]) == 0
-    assert abs(pt.tracked_logs[j] - math.log(0.5)) < 1e-12
-
-
-def test_advance_point_logs_refuses_a_quarter_turn(spec):
-    pt = make_point(spec, {"x": 5, "y": 0.5, "xi": 1})
-    advance_point_logs(pt, _y_on_circle(PI + PI / 4))
-    with pytest.raises(StepTooLargeError, match="jump"):
-        advance_point_logs(pt, _y_on_circle(PI + PI / 2))
-
-
 def test_advance_point_logs_overflow_is_a_step_too_large(spec, complete):
     # exp of the log overflows: the solvers must halve, not crash
     pt = complete.point
