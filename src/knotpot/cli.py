@@ -3,7 +3,7 @@
     knotpot [global options] {complete,fill,scan,trace,selftest} [...]
 
 Global options pick the potential (--spec builtin:5_2 or a spec file),
-the output format (table, json, csv) and destination, and tolerances.
+the output format (table, json, csv) and destination, and --newton-tol.
 Exit codes: 0 success, 1 usage or I/O, 2 complete-structure failure,
 3 path obstruction (possibly exceptional slope), 4 selftest failure.
 
@@ -20,7 +20,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import re
 import sys
 
@@ -43,6 +42,7 @@ from .potential import (
     signed_d_sum,
 )
 from .solver import (
+    _NEWTON_TOL,
     _resid_inf,
     normalize_slope,
     solve_complete,
@@ -157,12 +157,12 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", default="builtin:5_2", help="builtin:NAME or spec file path")
     p.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--newton-tol", type=float, default=1e-12)
     p.add_argument(
-        "--accept-tol",
+        "--newton-tol",
         type=float,
-        default=None,
-        help="acceptance residual (default 1e-10, or env KNOTPOT_TOL)",
+        default=_NEWTON_TOL,
+        help="every Newton solve stops, and every filling is accepted, within "
+        "this residual (default %(default)g)",
     )
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("complete", help="solve the complete structure")
@@ -297,11 +297,8 @@ def cmd_complete(args, spec, cp, _):
 
 def cmd_fill(args, spec, complete, slope):
     try:
-        sol = solve_filling(
-            spec, slope, complete=complete,
-            accept_tol=args.accept_tol, newton_tol=args.newton_tol,
-        )
-    except (PathObstructionError, NoConvergenceError) as e:
+        sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
+    except PathObstructionError as e:
         msg = str(e)
         if "possibly exceptional" not in msg:
             msg += " (possibly exceptional slope)"
@@ -349,11 +346,8 @@ def cmd_scan(args, spec, complete, slopes):
         head = {"p": slope.p, "q": slope.q, "r": slope.r, "s": slope.s}
         cells = [str(n) for n in head.values()]
         try:
-            sol = solve_filling(
-                spec, slope, complete=complete,
-                accept_tol=args.accept_tol, newton_tol=args.newton_tol,
-            )
-        except (PathObstructionError, NoConvergenceError):
+            sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
+        except PathObstructionError:
             jrows.append(
                 {**head, "converged": False, **dict.fromkeys(_SCAN_VALUES + ("steps",))}
             )
@@ -460,14 +454,9 @@ COMMANDS = {
 
 
 def _run(args) -> int:
-    if args.accept_tol is None:
-        try:
-            args.accept_tol = float(os.environ.get("KNOTPOT_TOL", "1e-10"))
-        except ValueError:
-            raise UsageError("KNOTPOT_TOL is not a number") from None
-    if not (math.isfinite(args.accept_tol) and math.isfinite(args.newton_tol)):
+    if not math.isfinite(args.newton_tol):
         raise UsageError("tolerances must be finite")
-    if args.accept_tol <= 0 or args.newton_tol <= 0:
+    if args.newton_tol <= 0:
         raise UsageError("tolerances must be positive")
     if args.command == "selftest":
         status, rec = cmd_selftest()

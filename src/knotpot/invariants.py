@@ -11,7 +11,6 @@ tracked meridian log-holonomy.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from . import dilog
@@ -77,8 +76,6 @@ def _core_geodesic(slope: Slope, pt: ParamPoint):
     representative of Im in [0, 2 pi / q).
     """
     lam = 2 * (slope.s * _PI * 1j - pt.logs[pt.spec.meridian]) / slope.q
-    if abs(lam.real) < 1e-9:
-        warnings.warn("zero-length core geodesic: degenerate filling", stacklevel=3)
     return abs(lam.real), lam.imag % (2 * _PI / slope.q), 1 if lam.real >= 0 else -1
 
 

@@ -48,7 +48,6 @@ CASES.update(
         "usage_trace_samples": (["trace", "--u-end", "0.1i", "--samples", "0"], {}),
         "usage_newton_tol": (["--newton-tol", "-1", "complete"], {}),
         "usage_unknown_builtin": (["--spec", "builtin:nope", "fill", "--slope", "7"], {}),
-        "usage_env_tol": (["complete"], {"KNOTPOT_TOL": "three"}),
     }
 )
 
@@ -57,7 +56,6 @@ def invoke(argv, env):
     """Run cli.main in-process; {argv, env, exit, stdout, stderr}."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-        mp.delenv("KNOTPOT_TOL", raising=False)
         mp.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
         for k, v in env.items():
             mp.setenv(k, v)

@@ -292,7 +292,6 @@ def _option(name, values, required=False):
 def cli_argvs(draw):
     argv = draw(_option("--format", st.sampled_from(["table", "json", "csv"])))
     argv += draw(_option("--newton-tol", _tolerances))
-    argv += draw(_option("--accept-tol", _tolerances))
     command = draw(st.sampled_from(["complete", "fill", "trace"]))
     argv.append(command)
     if command == "fill":

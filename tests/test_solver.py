@@ -396,6 +396,11 @@ def test_trace_empty_path_gives_every_sample(spec, complete):
         assert abs(s.v) < 1e-9
 
 
+def test_trace_refuses_no_samples_as_a_knotpot_error(spec):
+    with pytest.raises(ValidationError, match="samples must be >= 1"):
+        trace_deformation(spec, 0.1j, 0)
+
+
 def test_trace_sample_contract(spec, complete):
     n = 8
     u_end = 0.05j
@@ -540,11 +545,19 @@ def test_filling_conjugate_point_solves_negated_target(spec, complete):
     assert abs(lhs + TWO_PI_I) <= 1e-9
 
 
-def test_filling_tightened_accept_tol_rejects(spec, complete):
-    with pytest.raises(NoConvergenceError):
-        solve_filling(
-            spec, normalize_slope(7, 1), complete=complete, accept_tol=1e-18
-        )
+@pytest.mark.parametrize("tol", [1e-9, 1e-8, 1e-6])
+def test_filling_accepts_what_a_looser_newton_tol_converges(spec, complete, tol):
+    # newton_tol is the one tolerance: every slope the default accepts
+    # is accepted at a looser one, within it and at the same volume
+    want = {k: vol for k, vol in _scan_8x3(spec, complete).items() if vol is not None}
+    assert len(want) == 30
+    loose = solve_complete(spec, newton_tol=tol)
+    for (p, q), vol in want.items():
+        slope = normalize_slope(p, q)
+        sol = solve_filling(spec, slope, complete=loose, newton_tol=tol)
+        assert sol.critical.residual_inf_norm <= tol, (p, q)
+        assert sol.filling_residual <= tol, (p, q)
+        assert abs(eval_v_alpha(spec, slope, sol.critical.point).imag - vol) <= 1e-9, (p, q)
 
 
 def test_filling_obstructed_when_newton_never_converges(spec, complete):
