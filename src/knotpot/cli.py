@@ -162,7 +162,8 @@ def build_parser() -> _Parser:
         type=float,
         default=_NEWTON_TOL,
         help="every Newton solve stops, and every filling is accepted, within "
-        "this residual (default %(default)g)",
+        "this residual (default %(default)g), or for a large slope within "
+        "the float rounding of its filling equation",
     )
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("complete", help="solve the complete structure")

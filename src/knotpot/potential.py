@@ -169,18 +169,14 @@ class PotentialSpec(FrozenRecord):
         return self.variables[-1]
 
     def tracked_monomials(self):
-        """Dilog arguments then longitude factor arguments, deduplicated."""
+        """Dilog arguments then primary longitude factor arguments, deduplicated."""
         seen = []
         for t in self.dilog_terms:
             if t.argument not in seen:
                 seen.append(t.argument)
-        exprs = [self.longitude]
-        if self.longitude.alternate is not None:
-            exprs.append(self.longitude.alternate)
-        for expr in exprs:
-            for _, m in expr.factors:
-                if m not in seen:
-                    seen.append(m)
+        for _, m in self.longitude.factors:
+            if m not in seen:
+                seen.append(m)
         return seen
 
     @cached_property
@@ -193,7 +189,8 @@ class SpecTables:
     """A PotentialSpec lowered to the index tables its evaluators read.
 
     Monomials are referred to by their index j in `monomials`, the
-    tracked monomials in tracked_monomials() order, and variables by
+    tracked monomials (the dilog arguments and the primary longitude's
+    factors) in tracked_monomials() order, and variables by
     name or by their index in spec.variables. Rows keep the order of
     the spec's terms. Exponents stay Python ints and coefficients
     floats (complex for the hessian's constants), so each evaluator
@@ -317,9 +314,10 @@ class ParamPoint(FrozenRecord):
     exp(logs[v]) by construction. tracked_values and tracked_logs hold,
     in the order of spec.tables.monomials, each tracked monomial m and
     a continued log(1 - m): the one record of the monomials that every
-    evaluator reads. A factor that appears only in the longitude may
-    legitimately sit at m = 1; its log is then None and only longitude
-    evaluation rejects it.
+    evaluator reads. A factor that appears only in the primary
+    longitude may legitimately sit at m = 1; its log is then None and
+    only eta_log rejects it. The alternate longitude's factors are not
+    tracked: eval_eta evaluates them from values.
     """
 
     _fields = ("spec", "values", "logs", "tracked_values", "tracked_logs")

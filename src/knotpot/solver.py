@@ -16,6 +16,7 @@ _NEWTON_TOL); solve_filling states when a filling is accepted.
 """
 
 import math
+import sys
 
 from ._records import FrozenRecord, RecordBase
 from .dilog import ContinuedLog
@@ -49,6 +50,8 @@ from .potential import (
 _TWO_PI_I = 2j * math.pi
 
 _NEWTON_TOL = 1e-12
+
+_EPS = sys.float_info.epsilon
 
 # a converged endpoint whose total shape volume is below this is a
 # flat representation, not a hyperbolic filling; the smallest genuine
@@ -364,6 +367,25 @@ def trace_deformation(
     return out
 
 
+def _filling_floor(spec, pt, p, q, u2) -> float:
+    """solve_filling's float rounding floor of p u + q v at pt.
+
+    The n terms summed are p u and q times each term of v = 2 eta_log
+    (the prefactor's 2 e log(var) and the factors' 2 e log(1 - m)); a
+    sum of n terms, each rounded to eps of itself, is known to about
+    n eps times their summed magnitudes.
+    """
+    tab = spec.tables
+    logs, one_minus = pt.logs, pt.tracked_logs
+    size = 0.0
+    for v, e in tab.eta_prefactor:
+        size += abs(e * logs[v])
+    for e, j in tab.eta_factors:
+        size += abs(e * one_minus[j])
+    n = 1 + len(tab.eta_prefactor) + len(tab.eta_factors)
+    return n * _EPS * (abs(p * u2) + 2 * abs(q) * size)
+
+
 def _newton_filling(spec, pt, p, q, t, tol):
     """Newton on {x-equation, y-equation, p u + q v = 2 pi i t}.
 
@@ -379,7 +401,7 @@ def _newton_filling(spec, pt, p, q, t, tol):
         fill = p * u2 + q * v2 - _TWO_PI_I * t
         # the filling equation is cheaper to test, and the reduced
         # residual is only needed once it holds
-        if abs(fill) <= tol:
+        if abs(fill) <= tol or abs(fill) <= _filling_floor(spec, pt, p, q, u2):
             resid = _resid_inf(pt)
             if resid <= tol:
                 return pt, it, resid, u2, v2
@@ -406,11 +428,15 @@ def solve_filling(
     scales from 0 to 1, warm-starting each Newton solve at the
     previous t and halving the t-step whenever Newton or the branch
     continuation fails. A filling is accepted when its Newton solve at
-    t = 1 has converged within newton_tol (the reduced residuals and
-    the filling equation both), its D-sum is >= _FLAT_TOL, and
-    Im V_alpha is within _BRANCH_TOL of the D-sum; otherwise it raises
-    PathObstructionError: the slope is possibly exceptional. A slope
-    whose p or q does not convert to float raises ValidationError.
+    t = 1 has converged: the reduced residuals within newton_tol, and
+    the filling equation within newton_tol or within its float rounding
+    floor, n eps (|p u| + |q| sum |terms of v|) over its n summed terms,
+    whichever is larger (the floor passes newton_tol only for large p
+    or q, where q v cannot be known to newton_tol); its D-sum is
+    >= _FLAT_TOL, and Im V_alpha is within _BRANCH_TOL of the D-sum;
+    otherwise it raises PathObstructionError: the slope is possibly
+    exceptional. A slope whose p or q does not convert to float raises
+    ValidationError.
     """
     p, q = slope.p, slope.q
     try:

@@ -93,6 +93,11 @@ def test_spec_file_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "--spec", str(path), "--format", "json", "complete")
     assert code == 0
     assert abs(json.loads(out)["volume"] - O.COMPLETE_VOLUME) < 1e-8
+    # the dumped file is the built-in: every command prints the same bytes
+    for argv in (["complete"], ["fill", "--slope=7/1"], ["trace", "--u-end=0.1i"]):
+        got = run(capsys, "--spec", str(path), *argv)
+        assert got == run(capsys, "--spec", "builtin:5_2", *argv)
+        assert got[0] == 0
 
 
 def test_malformed_spec_file_exits_usage(capsys, tmp_path):
@@ -166,6 +171,7 @@ def _assert_same_doc(got, want, names, where="doc"):
         ["fill", "--slope", "11/3"],
         ["scan", "--pmax", "8", "--qmax", "3"],
         ["trace", "--u-end=0.1i"],
+        ["fill", "--slope", "-7/1"],
     ],
 )
 def test_spec_file_with_other_variables_matches_builtin(capsys, tmp_path, kind, argv):
@@ -387,6 +393,17 @@ def test_fill_refuses_a_slope_beyond_float_range(capsys, slope):
     code, out, err = run(capsys, "fill", "--slope=" + slope)
     assert (code, out) == (1, "")
     assert err == "error: slope p and q must be within float range\n"
+
+
+@pytest.mark.parametrize(
+    "slope",
+    ["1/100000", "1/1000000", "1/10000000000", "1/1" + "0" * 300, "1" + "0" * 300 + "/1"],
+    ids=["q-1e5", "q-1e6", "q-1e10", "q-1e300", "p-1e300"],
+)
+def test_fill_accepts_a_large_slope(capsys, slope):
+    code, out, err = run(capsys, "fill", "--slope=" + slope)
+    assert (code, err) == (0, "")
+    assert "volume = 2.82812208" in out
 
 
 def test_fill_with_a_short_core_geodesic_writes_no_warning():

@@ -1,9 +1,9 @@
 """Byte-for-byte snapshots of the command line: stdout, stderr, exit code.
 
 Each file in tests/data/cli/ records one in-process run of cli.main:
-its argv, the environment it set, and what came out. The test reruns
-every case and compares all three outputs exactly, so any change to a
-printed digit, a message or an exit status shows up here.
+its argv and what came out. The test reruns every case and compares
+all three outputs exactly, so any change to a printed digit, a message
+or an exit status shows up here.
 
 The snapshots hold 15-digit numbers, so they belong to one numeric
 platform. Rewrite them only when an output change is intended:
@@ -36,36 +36,33 @@ _PER_FORMAT = {
 
 CASES = {}
 for _name, _argv in _PER_FORMAT.items():
-    CASES[_name + ".table"] = (_argv, {})  # table is the default format
+    CASES[_name + ".table"] = _argv  # table is the default format
     for _fmt in ("json", "csv"):
-        CASES["%s.%s" % (_name, _fmt)] = (["--format", _fmt] + _argv, {})
+        CASES["%s.%s" % (_name, _fmt)] = ["--format", _fmt] + _argv
 CASES.update(
     {
-        "usage_fill_slope_syntax": (["fill", "--slope", "p/q"], {}),
-        "usage_fill_meridian": (["fill", "--slope", "1/0"], {}),
-        "usage_scan_pmax": (["scan", "--pmax", "0"], {}),
-        "usage_trace_u_end": (["trace", "--u-end", "zero"], {}),
-        "usage_trace_samples": (["trace", "--u-end", "0.1i", "--samples", "0"], {}),
-        "usage_newton_tol": (["--newton-tol", "-1", "complete"], {}),
-        "usage_unknown_builtin": (["--spec", "builtin:nope", "fill", "--slope", "7"], {}),
+        "usage_fill_slope_syntax": ["fill", "--slope", "p/q"],
+        "usage_fill_meridian": ["fill", "--slope", "1/0"],
+        "usage_scan_pmax": ["scan", "--pmax", "0"],
+        "usage_trace_u_end": ["trace", "--u-end", "zero"],
+        "usage_trace_samples": ["trace", "--u-end", "0.1i", "--samples", "0"],
+        "usage_newton_tol": ["--newton-tol", "-1", "complete"],
+        "usage_unknown_builtin": ["--spec", "builtin:nope", "fill", "--slope", "7"],
     }
 )
 
 
-def invoke(argv, env):
-    """Run cli.main in-process; {argv, env, exit, stdout, stderr}."""
+def invoke(argv):
+    """Run cli.main in-process; {argv, exit, stdout, stderr}."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
         mp.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
-        for k, v in env.items():
-            mp.setenv(k, v)
         try:
             code = main(list(argv))
         except SystemExit as e:
             code = e.code
     return {
         "argv": list(argv),
-        "env": dict(env),
         "exit": code,
         "stdout": out.getvalue(),
         "stderr": err.getvalue(),
@@ -80,7 +77,7 @@ def _path(name):
 def test_cli_output_matches_snapshot(name):
     with open(_path(name)) as fh:
         expected = json.load(fh)
-    assert invoke(*CASES[name]) == expected
+    assert invoke(CASES[name]) == expected
 
 
 def test_every_snapshot_has_a_case():
@@ -90,8 +87,8 @@ def test_every_snapshot_has_a_case():
 
 if __name__ == "__main__":
     os.makedirs(DATA, exist_ok=True)
-    for name, case in sorted(CASES.items()):
+    for name, argv in sorted(CASES.items()):
         with open(_path(name), "w") as fh:
-            json.dump(invoke(*case), fh, indent=1)
+            json.dump(invoke(argv), fh, indent=1)
             fh.write("\n")
         print("wrote", _path(name))

@@ -20,6 +20,7 @@ from knotpot.errors import (
     ValidationError,
     ZeroDenominatorError,
 )
+from knotpot.invariants import report_for
 from knotpot.potential import (
     builtin_five_two,
     dump_spec,
@@ -227,6 +228,35 @@ def _scan_8x3(spec, complete):
                 else:
                     out[p, q] = eval_v_alpha(spec, slope, pt).imag
     return out
+
+
+def _fillings(spec, complete, slopes):
+    """Per slope the filling's u, v, counts and point values, or its error."""
+    out = {}
+    for p, q in slopes:
+        try:
+            sol = solve_filling(spec, normalize_slope(p, q), complete=complete)
+        except KnotpotError as e:
+            out[p, q] = repr(e)
+        else:
+            out[p, q] = (sol.u.value, sol.v.value, sol.critical.newton_iters,
+                         sol.path_steps, sol.critical.point.values)
+    return out
+
+
+def test_alternate_only_factor_changes_no_filling(spec, complete):
+    # eval_eta evaluates the alternate longitude from the variable
+    # values, so a factor that only it has is not tracked: no point
+    # build continues its log or halves a Newton step on a jump of it.
+    # Tracked, this one (exactly 1) moved 17 slopes, -28/1 to -12/1.
+    doc = json.loads(dump_spec(spec))
+    doc["longitude"]["alternate"]["factors"].append({"exp": 0, "arg": {"x": 3}})
+    variant = load_spec(json.dumps(doc))
+    assert len(variant.tables.monomials) == len(spec.tables.monomials) == 5
+    slopes = [(p, q) for q in range(1, 9) for p in range(-40, 41) if math.gcd(p, q) == 1]
+    assert len(slopes) == 415
+    want = _fillings(spec, complete, slopes)
+    assert _fillings(variant, solve_complete(variant), slopes) == want
 
 
 def test_complete_structure_has_principal_logs(spec, complete):
@@ -504,6 +534,45 @@ def test_filling_runs_a_slope_near_the_float_limit(spec, complete):
     # such a filling barely moves the point from the complete structure
     sol = solve_filling(spec, normalize_slope(10**300, 1), complete=complete)
     assert abs(sol.critical.point.values["x"] - complete.point.values["x"]) < 1e-9
+    assert abs(signed_d_sum(spec, sol.critical.point) - O.COMPLETE_VOLUME) <= 1e-14
+
+
+# the cusp shape dv/du at the complete structure, from the fiber tangent
+# of log_hessian (ROADMAP item 7)
+_TAU = 2.4902446675066088 - 2.9794470664789774j
+
+
+def _filling_volume(spec, complete, p, q):
+    sol = solve_filling(spec, normalize_slope(p, q), complete=complete)
+    return signed_d_sum(spec, sol.critical.point)
+
+
+def test_filling_accepts_large_q_below_the_complete_volume(spec, complete):
+    # q v is known only to about q eps, so from q of about 10^5 on the
+    # filling equation is accepted at its float rounding floor; the
+    # volumes rise toward the complete volume as pi^2/Q shrinks
+    vols = [_filling_volume(spec, complete, 1, 10**k) for k in (4, 5, 6)]
+    assert vols[0] < vols[1] < vols[2] < O.COMPLETE_VOLUME
+
+
+@pytest.mark.parametrize("p, q", [(1, 10**10), (1, 10**300)], ids=["q-1e10", "q-1e300"])
+def test_filling_accepts_a_slope_at_float_resolution(spec, complete, p, q):
+    # pi^2/Q is below float resolution, so the filling is the complete
+    # structure to within rounding
+    assert abs(_filling_volume(spec, complete, p, q) - O.COMPLETE_VOLUME) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "p, q", [(1, 10**4), (1, 10**5), (1, 10**6), (10**5, 1), (10**6, 1)]
+)
+def test_large_slope_core_length_is_two_pi_over_q(spec, complete, p, q):
+    # Neumann-Zagier: the core geodesic has length 2 pi/Q + O(Q^-2),
+    # Q = |p + q tau|^2 / |Im tau|
+    slope = normalize_slope(p, q)
+    sol = solve_filling(spec, slope, complete=complete)
+    length = report_for(spec, slope, sol).geodesic_length
+    big_q = abs(p + q * _TAU) ** 2 / abs(_TAU.imag)
+    assert abs(length * big_q / (2 * math.pi) - 1) <= 1e-6
 
 
 def test_filling_default_complete(spec):
