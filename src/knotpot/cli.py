@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 usage or I/O, 2 complete-structure failure,
 All numeric output is printed with 15 significant digits; scans are
 byte-deterministic so repeated runs can be diffed.
 
-Every command returns a Record, and one renderer prints it in the
-chosen format: complete and fill are key/value records, scan, trace
-and selftest are row tables, and every JSON document carries
-"schema": 1.
+Every command returns a Record of ordered (key, value) fields and, for
+scan, trace and selftest, one row table; one renderer prints it in the
+chosen format, so every format prints the same fields in the same
+order, and every JSON document carries "schema": 1.
 """
 
 import argparse
@@ -58,21 +58,22 @@ EXIT_SELFTEST = 4
 
 CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps"
 
-_SCAN_VALUES = ("volume", "cs_mod_half", "length", "torsion", "residual")
+_SCAN_COLUMNS = [(k, k) for k in CSV_HEADER.split(",")]
 
 # per command that prints the spec's variables, the keys it writes
-# beside them: JSON keys, text keys and csv column stems (variable v
-# fills v_re,v_im). A variable named like one would overwrite or repeat
-# it, and a name that is not an identifier would split or vanish in a
-# csv cell, so such a spec is refused before solving.
+# beside them: field keys and csv column stems (variable v fills
+# v_re,v_im); complete's "arg <monomial>" keys hold a space, so no
+# identifier meets them. A variable named like one would overwrite or
+# repeat it, and a name that is not an identifier would split or vanish
+# in a csv cell, so such a spec is refused before solving.
 _OUTPUT_KEYS = {
     "complete": frozenset(
-        "schema spec dilog_args volume volume_from_shapes eta eta_alternate "
+        "schema spec volume volume_from_shapes eta eta_alternate "
         "residual newton_iters".split()
     ),
     "fill": frozenset(
         "schema p q r s u v volume volume_from_shapes cs_mod_half cs_ambiguity "
-        "length torsion residual filling_residual steps".split()
+        "length torsion residual filling_residual filling_tol steps".split()
     ),
     "trace": frozenset(
         "schema u v im_v sum_d rogers_defect defect residual".split()
@@ -80,61 +81,70 @@ _OUTPUT_KEYS = {
 }
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".15g")
-
-
-def _jn(x) -> float:
-    # JSON numbers carry 15 significant digits, like the text formats
-    return float(format(float(x), ".15g"))
-
-
-def _jc(z: complex) -> dict:
-    return {"re": _jn(z.real), "im": _jn(z.imag)}
-
-
-def _fc(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return "%s%s%si" % (_f(z.real), sign, _f(abs(z.imag)))
-
-
 class UsageError(Exception):
     """Bad input caught by the CLI itself; the message is printed bare."""
 
 
 class Record(RecordBase):
-    """One command's output: the JSON body and its text form.
+    """One command's output: ordered (key, value) fields, then optionally
+    a row table written under the JSON key `table`, with `columns` as
+    (JSON key, text header) pairs and rows of one value per column.
 
-    A key/value record sets `pairs` (key, text); a row table sets
-    `rows` (lists of cells) under an optional CSV `header`.
+    Values are str, int, bool, float, complex or None; render alone
+    formats them.
     """
 
-    _fields = ("doc", "pairs", "header", "rows")
+    _fields = ("fields", "table", "columns", "rows")
 
-    def __init__(
-        self,
-        doc: dict,
-        pairs: list | None = None,
-        header: str | None = None,
-        rows: list | None = None,
-    ):
-        self.doc = doc
-        self.pairs = pairs
-        self.header = header
+    def __init__(self, fields: list, table=None, columns=(), rows=()):
+        self.fields = fields
+        self.table = table
+        self.columns = columns
         self.rows = rows
 
 
+def _f(x: float) -> str:
+    return format(x, ".15g")
+
+
+def _text(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return _f(x)
+    if isinstance(x, complex):
+        return "%s%s%si" % (_f(x.real), "+" if x.imag >= 0 else "-", _f(abs(x.imag)))
+    return "" if x is None else str(x)
+
+
+def _json(x):
+    # JSON numbers carry 15 significant digits, like the text formats
+    if isinstance(x, float):
+        return float(_f(x))
+    if isinstance(x, complex):
+        return {"re": _json(x.real), "im": _json(x.imag)}
+    return x
+
+
 def render(rec: Record, fmt: str) -> str:
-    """Text of a record: table and csv differ only for key/value records."""
+    """Text of a record: the fields as "key = value" lines (csv: key,value),
+    then the table's header and rows; a complex table cell fills two
+    columns, its real and imaginary parts."""
     if fmt == "json":
-        return json.dumps({"schema": 1, **rec.doc}, indent=2) + "\n"
-    if rec.pairs is not None:
-        lines = ["%s = %s" % kv for kv in rec.pairs]
-        if fmt == "csv":
-            lines = [ln.replace(" = ", ",", 1).replace(" ", "") for ln in lines]
-    else:
-        lines = [rec.header] if rec.header else []
-        lines += [",".join(cells) for cells in rec.rows]
+        doc = {"schema": 1, **{k: _json(x) for k, x in rec.fields}}
+        if rec.table is not None:
+            keys = [k for k, _ in rec.columns]
+            doc[rec.table] = [{k: _json(x) for k, x in zip(keys, row)} for row in rec.rows]
+        return json.dumps(doc, indent=2) + "\n"
+    sep = "," if fmt == "csv" else " = "
+    lines = [k + sep + _text(x) for k, x in rec.fields]
+    if rec.table is not None:
+        lines.append(",".join(header for _, header in rec.columns))
+        for row in rec.rows:
+            cells = []
+            for x in row:
+                cells += [_f(x.real), _f(x.imag)] if isinstance(x, complex) else [_text(x)]
+            lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -268,32 +278,24 @@ def _command_input(args):
 def cmd_complete(args, spec, cp, _):
     pt = cp.point
     tab = spec.tables
-    # the dilogarithm arguments, one per term in spec order; for 5_2
-    # they are the tetrahedron shapes, some of them inverted
-    dilog_args = [(tab.monomials[j], pt.tracked_values[j]) for _, j in tab.dilogs]
-    vol = eval_v(spec, pt).imag
-    vfs = signed_d_sum(spec, pt)
     eta, eta_alt = eval_eta(spec, pt)
-    resid = cp.residual_inf_norm
-    pairs = [("spec", spec.name)]
-    pairs += [(v, _fc(pt.values[v])) for v in spec.variables]
-    pairs += [("arg %s" % m, _fc(z)) for m, z in dilog_args]
-    pairs += [("volume", _f(vol)), ("volume_from_shapes", _f(vfs)), ("eta", _fc(eta))]
+    fields = [("spec", spec.name)]
+    fields += [(v, pt.values[v]) for v in spec.variables]
+    # the dilogarithm arguments in spec order, each once; for 5_2 they
+    # are the tetrahedron shapes, some of them inverted
+    fields += [
+        ("arg %s" % tab.monomials[j], pt.tracked_values[j])
+        for j in dict.fromkeys(j for _, j in tab.dilogs)
+    ]
+    fields += [
+        ("volume", eval_v(spec, pt).imag),
+        ("volume_from_shapes", signed_d_sum(spec, pt)),
+        ("eta", eta),
+    ]
     if eta_alt is not None:
-        pairs.append(("eta_alternate", _fc(eta_alt)))
-    pairs.append(("residual", _f(resid)))
-    doc = {
-        **{v: _jc(pt.values[v]) for v in spec.variables},
-        "dilog_args": [
-            {"arg": dict(m.exponents), "value": _jc(z)} for m, z in dilog_args
-        ],
-        "volume": _jn(vol),
-        "volume_from_shapes": _jn(vfs),
-        "eta": _jc(eta),
-        "residual": _jn(resid),
-        "newton_iters": cp.newton_iters,
-    }
-    return EXIT_OK, Record(doc, pairs=pairs)
+        fields.append(("eta_alternate", eta_alt))
+    fields += [("residual", cp.residual_inf_norm), ("newton_iters", cp.newton_iters)]
+    return EXIT_OK, Record(fields)
 
 
 def cmd_fill(args, spec, complete, slope):
@@ -306,72 +308,39 @@ def cmd_fill(args, spec, complete, slope):
         print("slope %s: %s" % (slope, msg), file=sys.stderr)
         return EXIT_OBSTRUCTION, None
     rep = report_for(spec, slope, sol)
-    pairs = [
-        ("slope", str(slope)),
-        ("cocycle_rs", "(%d, %d)" % (slope.r, slope.s)),
-        ("volume", _f(rep.volume)),
-        ("volume_from_shapes", _f(rep.volume_from_shapes)),
-        ("cs_mod_half", _f(rep.cs_value)),
-        ("length", _f(rep.geodesic_length)),
-        ("torsion", _f(rep.geodesic_torsion)),
-        ("u", _fc(sol.u.value)),
-        ("v", _fc(sol.v.value)),
-        ("residual", _f(sol.critical.residual_inf_norm)),
-        ("filling_residual", _f(sol.filling_residual)),
-        ("steps", str(sol.path_steps)),
+    fields = [("p", slope.p), ("q", slope.q), ("r", slope.r), ("s", slope.s)]
+    fields += [(v, sol.critical.point.values[v]) for v in spec.variables]
+    fields += [
+        ("u", sol.u.value),
+        ("v", sol.v.value),
+        ("volume", rep.volume),
+        ("volume_from_shapes", rep.volume_from_shapes),
+        ("cs_mod_half", rep.cs_value),
+        ("cs_ambiguity", rep.cs_ambiguity),
+        ("length", rep.geodesic_length),
+        ("torsion", rep.geodesic_torsion),
+        ("residual", sol.critical.residual_inf_norm),
+        ("filling_residual", sol.filling_residual),
+        ("filling_tol", sol.filling_tol),
+        ("steps", sol.path_steps),
     ]
-    doc = {
-        "p": slope.p,
-        "q": slope.q,
-        "r": slope.r,
-        "s": slope.s,
-        **{v: _jc(sol.critical.point.values[v]) for v in spec.variables},
-        "u": _jc(sol.u.value),
-        "v": _jc(sol.v.value),
-        "volume": _jn(rep.volume),
-        "volume_from_shapes": _jn(rep.volume_from_shapes),
-        "cs_mod_half": _jn(rep.cs_value),
-        "cs_ambiguity": _jn(rep.cs_ambiguity),
-        "length": _jn(rep.geodesic_length),
-        "torsion": _jn(rep.geodesic_torsion),
-        "residual": _jn(sol.critical.residual_inf_norm),
-        "filling_residual": _jn(sol.filling_residual),
-        "steps": sol.path_steps,
-    }
-    return EXIT_OK, Record(doc, pairs=pairs)
+    return EXIT_OK, Record(fields)
 
 
 def cmd_scan(args, spec, complete, slopes):
-    jrows, rows = [], []
+    rows = []
     for slope in slopes:
-        head = {"p": slope.p, "q": slope.q, "r": slope.r, "s": slope.s}
-        cells = [str(n) for n in head.values()]
+        head = [slope.p, slope.q, slope.r, slope.s]
         try:
             sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
         except PathObstructionError:
-            jrows.append(
-                {**head, "converged": False, **dict.fromkeys(_SCAN_VALUES + ("steps",))}
-            )
-            rows.append(cells + ["false"] + [""] * (len(_SCAN_VALUES) + 1))
+            rows.append(head + [False] + [None] * (len(_SCAN_COLUMNS) - 5))
             continue
         rep = report_for(spec, slope, sol)
-        values = (
-            rep.volume,
-            rep.cs_value,
-            rep.geodesic_length,
-            rep.geodesic_torsion,
-            max(sol.critical.residual_inf_norm, sol.filling_residual),
-        )
-        jrows.append(
-            {
-                **head,
-                "converged": True,
-                **{k: _jn(x) for k, x in zip(_SCAN_VALUES, values)},
-                "steps": sol.path_steps,
-            }
-        )
-        rows.append(cells + ["true"] + [_f(x) for x in values] + [str(sol.path_steps)])
-    return EXIT_OK, Record({"rows": jrows}, header=CSV_HEADER, rows=rows)
+        values = [rep.volume, rep.cs_value, rep.geodesic_length, rep.geodesic_torsion]
+        resid = max(sol.critical.residual_inf_norm, sol.filling_residual)
+        rows.append(head + [True] + values + [resid, sol.path_steps])
+    return EXIT_OK, Record([], "rows", _SCAN_COLUMNS, rows)
 
 
 def cmd_trace(args, spec, complete, u_end):
@@ -385,37 +354,21 @@ def cmd_trace(args, spec, complete, u_end):
         print("trace obstructed: %s" % e, file=sys.stderr)
         status = EXIT_OBSTRUCTION
     names = spec.variables[:-1]
-    header = ",".join(
-        ["u_re,u_im"]
-        + ["%s_re,%s_im" % (v, v) for v in names]
-        + ["v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"]
-    )
-    jrows, rows = [], []
+    columns = [(v, "%s_re,%s_im" % (v, v)) for v in ("u",) + names + ("v",)]
+    columns += [
+        ("im_v", "im_v"),
+        ("sum_d", "sum_d"),
+        ("rogers_defect", "defect_re,defect_im"),
+        ("residual", "residual"),
+    ]
+    rows = []
     for smp in samples:
         pt = smp.point
         vv = eval_v(spec, pt)
         defect = rogers_combo(spec, pt) - (vv + (smp.u / 2) * (smp.v / 2))
-        sum_d = signed_d_sum(spec, pt)
-        resid = _resid_inf(pt)
-        jrows.append(
-            {
-                "u": _jc(smp.u),
-                **{v: _jc(pt.values[v]) for v in names},
-                "v": _jc(smp.v),
-                "im_v": _jn(vv.imag),
-                "sum_d": _jn(sum_d),
-                "rogers_defect": _jc(defect),
-                "residual": _jn(resid),
-            }
-        )
-        cells = [smp.u.real, smp.u.imag]
-        for v in names:
-            cells += [pt.values[v].real, pt.values[v].imag]
-        cells += [
-            smp.v.real, smp.v.imag, vv.imag, sum_d, defect.real, defect.imag, resid,
-        ]
-        rows.append([_f(c) for c in cells])
-    return status, Record({"samples": jrows}, header=header, rows=rows)
+        cells = [smp.u] + [pt.values[v] for v in names] + [smp.v, vv.imag]
+        rows.append(cells + [signed_d_sum(spec, pt), defect, _resid_inf(pt)])
+    return status, Record([], "samples", columns, rows)
 
 
 def cmd_selftest():
@@ -424,26 +377,13 @@ def cmd_selftest():
 
     results = run_selftest()
     ok = all(r.passed for r in results)
-    doc = {
-        "passed": ok,
-        "groups": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "worst_over_tol": _jn(r.worst) if math.isfinite(r.worst) else None,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-    }
+    columns = [(k, k) for k in ("name", "passed", "worst_over_tol", "detail")]
     rows = [
-        [
-            "%s %s (worst err/tol %.3g; %s)"
-            % ("PASS" if r.passed else "FAIL", r.name, r.worst, r.detail)
-        ]
+        [r.name, r.passed, r.worst if math.isfinite(r.worst) else None, r.detail]
         for r in results
     ]
-    return (EXIT_OK if ok else EXIT_SELFTEST), Record(doc, rows=rows)
+    rec = Record([("passed", ok)], "groups", columns, rows)
+    return (EXIT_OK if ok else EXIT_SELFTEST), rec
 
 
 COMMANDS = {
@@ -456,9 +396,9 @@ COMMANDS = {
 
 def _run(args) -> int:
     if not math.isfinite(args.newton_tol):
-        raise UsageError("tolerances must be finite")
+        raise UsageError("--newton-tol must be finite")
     if args.newton_tol <= 0:
-        raise UsageError("tolerances must be positive")
+        raise UsageError("--newton-tol must be positive")
     if args.command == "selftest":
         status, rec = cmd_selftest()
     else:

@@ -845,17 +845,28 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     along any path the point was continued over and equals 0 at a
     complete structure reached with principal branches.
     """
+    return _eta_log_and_size(spec, pt)[0]
+
+
+def _eta_log_and_size(spec: PotentialSpec, pt: ParamPoint):
+    """(eta_log, sum of |terms|) in one pass over the terms of log eta,
+    e log(var) of the prefactor and e log(1 - m) of the factors."""
     tab = spec.tables
     one_minus = _tracked(spec, pt)[1]
     s = 0j
+    size = 0.0
     for v, e in tab.eta_prefactor:
-        s += e * pt.logs[v]
+        term = e * pt.logs[v]
+        s += term
+        size += abs(term)
     for e, j in tab.eta_factors:
         lw = one_minus[j]
         if lw is None:
             raise SingularPointError("longitude factor 1 - %s = 0" % tab.monomials[j])
-        s += e * lw
-    return s
+        term = e * lw
+        s += term
+        size += abs(term)
+    return s, size
 
 
 def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> list:

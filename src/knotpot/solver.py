@@ -35,6 +35,7 @@ from .potential import (
     _ZERO_TOL,
     ParamPoint,
     PotentialSpec,
+    _eta_log_and_size,
     _gradient,
     _hessian,
     advance_point_logs,
@@ -94,7 +95,7 @@ class CriticalPoint(RecordBase):
 class FillingSolution(RecordBase):
     """The critical point of V_alpha for a slope, with its tracked u and v."""
 
-    _fields = ("slope", "critical", "u", "v", "path_steps")
+    _fields = ("slope", "critical", "u", "v", "path_steps", "filling_tol")
 
     def __init__(
         self,
@@ -103,12 +104,14 @@ class FillingSolution(RecordBase):
         u: ContinuedLog,  # log xi^2, tracked
         v: ContinuedLog,  # log eta^2, tracked
         path_steps: int,
+        filling_tol: float,  # the bound filling_residual was accepted within
     ):
         self.slope = slope
         self.critical = critical
         self.u = u
         self.v = v
         self.path_steps = path_steps
+        self.filling_tol = filling_tol
 
     @property
     def filling_residual(self) -> float:
@@ -367,44 +370,32 @@ def trace_deformation(
     return out
 
 
-def _filling_floor(spec, pt, p, q, u2) -> float:
-    """solve_filling's float rounding floor of p u + q v at pt.
-
-    The n terms summed are p u and q times each term of v = 2 eta_log
-    (the prefactor's 2 e log(var) and the factors' 2 e log(1 - m)); a
-    sum of n terms, each rounded to eps of itself, is known to about
-    n eps times their summed magnitudes.
-    """
-    tab = spec.tables
-    logs, one_minus = pt.logs, pt.tracked_logs
-    size = 0.0
-    for v, e in tab.eta_prefactor:
-        size += abs(e * logs[v])
-    for e, j in tab.eta_factors:
-        size += abs(e * one_minus[j])
-    n = 1 + len(tab.eta_prefactor) + len(tab.eta_factors)
-    return n * _EPS * (abs(p * u2) + 2 * abs(q) * size)
-
-
 def _newton_filling(spec, pt, p, q, t, tol):
     """Newton on {x-equation, y-equation, p u + q v = 2 pi i t}.
 
     Returns the accepted point, the iterations taken, and at that point
-    the reduced residual and u = 2 log xi, v = 2 log eta.
+    the reduced residual, u = 2 log xi, v = 2 log eta and the bound the
+    filling equation was accepted within.
     """
     k = len(spec.variables) - 1
     meridian = spec.meridian
     tab = spec.tables
+    # the filling equation sums n terms, p u and q times each term of
+    # v = 2 eta_log; each is rounded to eps of itself, so the sum is
+    # known to about n eps times their summed magnitudes
+    n = 1 + len(tab.eta_prefactor) + len(tab.eta_factors)
     for it in range(60):
         u2 = 2 * pt.logs[meridian]
-        v2 = 2 * eta_log(spec, pt)
+        eta, size = _eta_log_and_size(spec, pt)
+        v2 = 2 * eta
         fill = p * u2 + q * v2 - _TWO_PI_I * t
+        bound = max(tol, n * _EPS * (abs(p * u2) + 2 * abs(q) * size))
         # the filling equation is cheaper to test, and the reduced
         # residual is only needed once it holds
-        if abs(fill) <= tol or abs(fill) <= _filling_floor(spec, pt, p, q, u2):
+        if abs(fill) <= bound:
             resid = _resid_inf(pt)
             if resid <= tol:
-                return pt, it, resid, u2, v2
+                return pt, it, resid, u2, v2, bound
         # Jacobian: the hessian's non-meridian rows, then the row of
         # the filling equation
         f = _gradient(spec, pt, tab.fiber_gradient) + [fill]
@@ -432,7 +423,8 @@ def solve_filling(
     the filling equation within newton_tol or within its float rounding
     floor, n eps (|p u| + |q| sum |terms of v|) over its n summed terms,
     whichever is larger (the floor passes newton_tol only for large p
-    or q, where q v cannot be known to newton_tol); its D-sum is
+    or q, where q v cannot be known to newton_tol; the bound used is
+    the solution's filling_tol); its D-sum is
     >= _FLAT_TOL, and Im V_alpha is within _BRANCH_TOL of the D-sum;
     otherwise it raises PathObstructionError: the slope is possibly
     exceptional. A slope whose p or q does not convert to float raises
@@ -453,7 +445,7 @@ def solve_filling(
     while t < 1.0 - 1e-15:
         target = min(1.0, t + dt)
         try:
-            pt2, it, resid, u_val, v_val = _newton_filling(
+            pt2, it, resid, u_val, v_val, fill_tol = _newton_filling(
                 spec, pt, p, q, target, newton_tol
             )
             pt, t = pt2, target
@@ -490,4 +482,5 @@ def solve_filling(
         u=ContinuedLog.from_value(u_val),
         v=ContinuedLog.from_value(v_val),
         path_steps=steps,
+        filling_tol=fill_tol,
     )

@@ -62,15 +62,16 @@ def test_complete_json(capsys):
     assert abs(doc["x"]["re"] - O.complete_root().real) < 1e-10
     assert abs(doc["eta"]["re"] - 1) < 1e-9
     assert doc["residual"] < 1e-10
-    # one dilog argument per term, in spec order, and their signed
-    # D-sum is the printed volume_from_shapes
+    # one "arg <monomial>" key per dilog term, in spec order, and their
+    # signed D-sum is the printed volume_from_shapes
     spec = builtin_five_two()
     values = {v: complex(doc[v]["re"], doc[v]["im"]) for v in spec.variables}
-    assert len(doc["dilog_args"]) == len(spec.dilog_terms)
+    args = [k for k in doc if k.startswith("arg ")]
+    assert len(args) == len(spec.dilog_terms)
     d_sum = 0.0
-    for t, a in zip(spec.dilog_terms, doc["dilog_args"]):
-        z = complex(a["value"]["re"], a["value"]["im"])
-        assert a["arg"] == dict(t.argument.exponents)
+    for t, key in zip(spec.dilog_terms, args):
+        z = complex(doc[key]["re"], doc[key]["im"])
+        assert key == "arg %s" % t.argument
         assert abs(z - t.argument.evaluate(values)) < 1e-12
         d_sum += t.sign * O.d_oracle(z)
     assert abs(d_sum - doc["volume_from_shapes"]) < 1e-12
@@ -143,11 +144,20 @@ def _spec_variant(tmp_path, kind):
     return str(path), names
 
 
+def _builtin_key(key, names):
+    """key with its variables renamed to the built-in's, also inside an
+    "arg <monomial>" key, whose factors are ordered by variable name."""
+    if not key.startswith("arg "):
+        return names.get(key, key)
+    factors = sorted((names.get(v, v), e) for v, e in (f.split("^") for f in key[4:].split()))
+    return "arg " + " ".join("%s^%s" % f for f in factors)
+
+
 def _assert_same_doc(got, want, names, where="doc"):
     """got, with its variables renamed to the built-in's, equals want,
     numbers to 1e-12."""
     if isinstance(want, dict):
-        got = {names.get(k, k): v for k, v in got.items()}
+        got = {_builtin_key(k, names): v for k, v in got.items()}
         assert got.keys() == want.keys(), where
         for k in want:
             _assert_same_doc(got[k], want[k], names, "%s/%s" % (where, k))
@@ -310,7 +320,7 @@ def test_refused_names_cover_every_key_written_beside_the_variables(capsys, argv
     refused = cli._OUTPUT_KEYS[argv[0]]
     variables = set(builtin_five_two().variables)
     doc = json.loads(run(capsys, "--format", "json", *argv)[1])
-    keys = set(doc)
+    keys = {k for k in doc if not k.startswith("arg ")}
     if argv[0] == "trace":
         keys = {"schema"}.union(*doc["samples"])
         # csv columns: a variable v fills v_re,v_im
@@ -324,6 +334,27 @@ def test_refused_names_cover_every_key_written_beside_the_variables(capsys, argv
             key = line.split(" = ")[0]
             assert key.startswith("arg ") or key in refused | variables, key
     assert keys - variables <= refused
+
+
+def _spec_with_a_repeated_dilog_argument(tmp_path):
+    """The built-in plus a copy of its first dilog term and that term
+    negated: the potential is unchanged, and one argument occurs thrice."""
+    doc = json.loads(dump_spec(builtin_five_two()))
+    first = doc["dilog_terms"][0]
+    doc["dilog_terms"] += [first, dict(first, sign=-first["sign"])]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["builtin", "repeated-arg"])
+@pytest.mark.parametrize("argv", [["complete"], ["fill", "--slope=7/1"]])
+def test_every_format_prints_the_same_keys_in_order(capsys, tmp_path, argv, repeated):
+    spec = _spec_with_a_repeated_dilog_argument(tmp_path) if repeated else "builtin:5_2"
+    table = [ln.split(" = ")[0] for ln in run(capsys, "--spec", spec, *argv)[1].splitlines()]
+    csv = run(capsys, "--spec", spec, "--format", "csv", *argv)[1].splitlines()
+    doc = json.loads(run(capsys, "--spec", spec, "--format", "json", *argv)[1])
+    assert table == [ln.split(",")[0] for ln in csv] == [k for k in doc if k != "schema"]
 
 
 # ---------------------------------------------------------------- fill
@@ -347,7 +378,7 @@ def test_fill_table(capsys):
     code, out, _ = run(capsys, "fill", "--slope=-7/1")
     assert code == 0
     fields = dict(ln.split(" = ") for ln in out.strip().splitlines())
-    assert fields["slope"] == "-7/1"
+    assert (fields["p"], fields["q"]) == ("-7", "1")
     assert abs(float(fields["volume"]) - 1.757126029188) < 1e-9
     assert float(fields["length"]) > 0
 
@@ -404,6 +435,15 @@ def test_fill_accepts_a_large_slope(capsys, slope):
     code, out, err = run(capsys, "fill", "--slope=" + slope)
     assert (code, err) == (0, "")
     assert "volume = 2.82812208" in out
+    # accepted within the printed bound: for a large q the float
+    # rounding floor of q v, past --newton-tol; a large p leaves |p u|
+    # near 2 pi, so the bound stays --newton-tol
+    doc = json.loads(run(capsys, "--format", "json", "fill", "--slope=" + slope)[1])
+    assert doc["filling_residual"] <= doc["filling_tol"]
+    if doc["q"] > 1:
+        assert doc["filling_tol"] > 1e-12
+    else:
+        assert doc["filling_tol"] == 1e-12
 
 
 def test_fill_with_a_short_core_geodesic_writes_no_warning():
@@ -599,12 +639,19 @@ def test_trace_rejects_non_finite_u_end(capsys, text):
 # ------------------------------------------------------------ selftest
 
 
+def _selftest_groups(out):
+    """{group name: passed cell} of selftest's table output."""
+    lines = out.strip().splitlines()
+    header = lines.index("name,passed,worst_over_tol,detail")
+    return {ln.split(",")[0]: ln.split(",")[1] for ln in lines[header + 1 :]}
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert all(ln.startswith("PASS") for ln in lines)
+    groups = _selftest_groups(out)
+    assert len(groups) == 3
+    assert all(passed == "true" for passed in groups.values())
 
 
 def test_selftest_json(capsys):
@@ -622,9 +669,9 @@ def test_selftest_negative_control(capsys, monkeypatch):
     monkeypatch.setattr(knotpot.potential, "bloch_wigner_d", lambda z: -orig(z))
     code, out, _ = run(capsys, "selftest")
     assert code == 4
-    fails = [ln for ln in out.strip().splitlines() if ln.startswith("FAIL")]
+    fails = [name for name, passed in _selftest_groups(out).items() if passed == "false"]
     assert fails
-    assert any("complete-structure" in ln for ln in fails)
+    assert "complete-structure" in fails
 
 
 # ------------------------------------------------------ tol and output
@@ -668,7 +715,7 @@ def test_tolerances_must_be_finite(capsys, argv):
     # nan passes a "<= 0" test and makes every "resid <= tol" false;
     # inf accepts the unrefined seed as the complete structure
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (1, "", "tolerances must be finite\n")
+    assert (code, out, err) == (1, "", "--newton-tol must be finite\n")
 
 
 def _fresh_process(code, *args):

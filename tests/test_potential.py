@@ -877,7 +877,7 @@ def test_record_contract(spec, complete):
     sol.newton_iters = 2
     assert sol.newton_iters == 2
     filling = FillingSolution(
-        normalize_slope(7, 1), complete, ContinuedLog(0j), ContinuedLog(0j), 3
+        normalize_slope(7, 1), complete, ContinuedLog(0j), ContinuedLog(0j), 3, 1e-12
     )
     sample = DeformationSample(0j, pt, 0j)
     for record in (sol, filling, sample):
