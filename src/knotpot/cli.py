@@ -234,7 +234,13 @@ def _scan_slopes(pmax: int, qmax: int):
 
 
 def _check_variable_names(spec, command):
-    """Refuse variable names that command cannot print beside its keys."""
+    """Refuse variable names that command cannot print beside its keys,
+    and for complete a spec name that would forge or split a line."""
+    if command == "complete" and ("," in spec.name or not spec.name.isprintable()):
+        raise ValidationError(
+            "spec name %r holds a comma or an unprintable character, which "
+            "complete prints; rename it" % spec.name
+        )
     taken = sorted(set(spec.variables) & _OUTPUT_KEYS[command])
     if taken:
         raise ValidationError(

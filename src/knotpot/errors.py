@@ -51,11 +51,7 @@ class SingularJacobianError(KnotpotError):
 
 
 class NoConvergenceError(KnotpotError):
-    """Newton exhausted its iterations; carries the best residual seen."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Newton exhausted its iterations or could not take a step."""
 
 
 class NoGeometricRootError(KnotpotError):

@@ -10,9 +10,9 @@ full test suite; this is a smoke test for installations.
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from . import dilog
+from ._records import RecordBase
 from .potential import (
     builtin_five_two,
     eval_eta,
@@ -29,12 +29,22 @@ _PI2_6 = math.pi * math.pi / 6.0
 _VOLUME_5_2 = 2.82812208833
 
 
-@dataclass
-class GroupResult:
-    name: str
-    passed: bool
-    worst: float  # worst err/tol ratio over the group's checks
-    detail: str
+class GroupResult(RecordBase):
+    """One identity group's verdict."""
+
+    _fields = ("name", "passed", "worst", "detail")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        worst: float,  # worst err/tol ratio over the group's checks
+        detail: str,
+    ):
+        self.name = name
+        self.passed = passed
+        self.worst = worst
+        self.detail = detail
 
 
 def _rand_z(rng, lo=0.08, hi=4.0):

@@ -193,12 +193,12 @@ def _resid_inf(pt) -> float:
     return max(map(abs, reduced_residual(pt)))
 
 
-def _damped_step(pt, deltas, best_residual):
+def _damped_step(pt, deltas):
     """pt with its first len(deltas) variable logs moved by -deltas.
 
     The step of both Newton loops: halved on each branch jump or
     singular trial point, at most 40 times, after which it raises
-    NoConvergenceError carrying best_residual(pt).
+    NoConvergenceError.
     """
     variables = pt.spec.variables
     scale = 1.0
@@ -210,9 +210,7 @@ def _damped_step(pt, deltas, best_residual):
             return advance_point_logs(pt, trial)
         except (StepTooLargeError, SingularPointError):
             scale *= 0.5
-    raise NoConvergenceError(
-        "could not step without a branch jump", best_residual=best_residual(pt)
-    )
+    raise NoConvergenceError("could not step without a branch jump")
 
 
 def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
@@ -241,11 +239,8 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
             return CriticalPoint(pt, resid, it)
         g = _gradient(spec, pt, tab.fiber_gradient)
         h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
-        pt = _damped_step(pt, _solve(h, g), _resid_inf)
-    raise NoConvergenceError(
-        "fiber Newton: no convergence in 50 iterations",
-        best_residual=_resid_inf(pt),
-    )
+        pt = _damped_step(pt, _solve(h, g))
+    raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
 
 # Fixed complete-structure seed grid: 16 starting pairs for the two
@@ -314,9 +309,7 @@ def solve_complete(
                 cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
             return cp
     if not keys:
-        raise NoConvergenceError(
-            "no seed converged for %s" % spec.name, best_residual=None
-        )
+        raise NoConvergenceError("no seed converged for %s" % spec.name)
     raise NoGeometricRootError(
         "all converged roots are flat (best residual %.3e)" % best_resid
     )
@@ -403,8 +396,8 @@ def _newton_filling(spec, pt, p, q, t, tol):
         row = [2 * q * d for d in d_eta_log(spec, pt)]
         row[k] += 2 * p
         jac[k] = row
-        pt = _damped_step(pt, _solve(jac, f), lambda _: None)
-    raise NoConvergenceError("filling Newton: no convergence", best_residual=None)
+        pt = _damped_step(pt, _solve(jac, f))
+    raise NoConvergenceError("filling Newton: no convergence")
 
 
 def solve_filling(

@@ -104,6 +104,20 @@ def edge_residuals(x, y, xi):
     return tuple(complex(e) for e in (e1, e2, e3, e4, e5))
 
 
+def solve_oracle(a, b) -> list:
+    """x with a x = b, by mpmath's LU solve at 40 digits, as complex."""
+    with mp.workdps(40):
+        x = mp.lu_solve(mp.matrix(a), mp.matrix(b))
+        return [complex(xi) for xi in x]
+
+
+def cond2_oracle(a) -> float:
+    """2-norm condition number of a: its largest singular value over
+    its smallest."""
+    s = mp.svd_c(mp.matrix(a), compute_uv=False)
+    return float(max(s) / min(s))
+
+
 def fd_gradient(f, z: complex, h: float = 1e-6) -> complex:
     """Central finite difference df/dz for analytic f."""
     return (f(z + h) - f(z - h)) / (2 * h)

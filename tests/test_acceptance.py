@@ -14,7 +14,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from knotpot.cli import main as cli_main
@@ -179,8 +178,8 @@ def test_criterion_02_derivatives(acceptance, spec):
     t0 = time.perf_counter()
     worst = 0.0
     for pt in _regular_points(spec, rng, 100):
-        g = np.array(log_gradient(spec, pt))
-        hess = np.array(log_hessian(spec, pt))
+        g = log_gradient(spec, pt)
+        hess = log_hessian(spec, pt)
         for j, v in enumerate(spec.variables):
             up = dict(pt.values)
             dn = dict(pt.values)
@@ -191,15 +190,15 @@ def test_criterion_02_derivatives(acceptance, spec):
             fd = (eval_v(spec, pu) - eval_v(spec, pd)) / (2 * h)
             worst = max(worst, abs(fd - g[j]) / max(1.0, abs(g[j])))
             # hessian column j against differenced gradient
-            fdg = (
-                np.array(log_gradient(spec, pu)) - np.array(log_gradient(spec, pd))
-            ) / (2 * h)
+            fdg = [
+                (a - b) / (2 * h)
+                for a, b in zip(log_gradient(spec, pu), log_gradient(spec, pd))
+            ]
             for i in range(len(spec.variables)):
                 worst = max(
-                    worst, abs(fdg[i] - hess[i, j]) / max(1.0, abs(hess[i, j]))
+                    worst, abs(fdg[i] - hess[i][j]) / max(1.0, abs(hess[i][j]))
                 )
     dt = time.perf_counter() - t0
-    worst = float(worst)
     ok = worst <= 1e-6 and dt < 5.0
     acceptance(
         2,

@@ -289,6 +289,27 @@ def test_variable_name_that_is_not_an_identifier_exits_usage(capsys, tmp_path, n
         )
 
 
+@pytest.mark.parametrize("name", ["five,two\nvolume,0", "a,b", "5_2\r", "tab\there", "\x1b[2J"])
+def test_spec_name_that_would_forge_a_line_exits_usage(capsys, tmp_path, name):
+    # complete prints the name as the value of spec: a line break in it
+    # starts a line of its own and a comma splits a csv cell, so the
+    # spec is refused before solving; fill prints no name and solves
+    doc = json.loads(dump_spec(builtin_five_two()))
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "--spec", str(path), "--format", fmt, "complete")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: spec name %r holds a comma or an unprintable character, "
+            "which complete prints; rename it\n" % name
+        )
+    code, out, err = run(capsys, "--spec", str(path), "fill", "--slope=7/1")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "fill", "--slope=7/1")[1]
+
+
 def test_variable_name_that_is_not_an_identifier_still_scans(capsys, tmp_path):
     code, out, err = run(capsys, "--spec", _spec_with_x_named(tmp_path, "a,b"), "scan")
     assert (code, err) == (0, "")
@@ -728,6 +749,16 @@ def _fresh_process(code, *args):
     return proc.stdout
 
 
+# prints the dataclasses of every loaded knotpot module
+_PRINT_DATACLASSES = (
+    "print(sorted({c.__module__ + '.' + c.__qualname__\n"
+    "              for name, m in list(sys.modules.items())\n"
+    "              if name.split('.')[0] == 'knotpot'\n"
+    "              for c in vars(m).values()\n"
+    "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
+)
+
+
 def test_solving_commands_do_not_import_selftest(tmp_path):
     # fresh processes: the suites load only for the selftest command,
     # and numpy never, since knotpot has no runtime dependency; and the
@@ -735,12 +766,8 @@ def test_solving_commands_do_not_import_selftest(tmp_path):
     # the InvariantReport that perfbench copies with dataclasses.replace
     code = (
         "import sys, knotpot.cli\n"
-        "print(sorted({c.__module__ + '.' + c.__qualname__\n"
-        "              for name, m in list(sys.modules.items())\n"
-        "              if name.split('.')[0] == 'knotpot'\n"
-        "              for c in vars(m).values()\n"
-        "              if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}))\n"
-        "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
+        + _PRINT_DATACLASSES
+        + "assert knotpot.cli.main(['--output', sys.argv[1], 'complete']) == 0\n"
         "assert knotpot.cli.main(['--output', sys.argv[1], 'trace', '--u-end=0.1i']) == 0\n"
         "print('knotpot.selftest' in sys.modules, 'numpy' in sys.modules)\n"
     )
@@ -755,14 +782,18 @@ def test_solving_commands_do_not_import_selftest(tmp_path):
         "print('numpy' in sys.modules)\n"
     )
     assert _fresh_process(code) == "False\n"
+    # selftest's GroupResult is written out too
     for argv in (["fill", "--slope=7/1"], ["scan", "--pmax", "3", "--qmax", "2"],
                  ["selftest"]):
         code = (
             "import sys, knotpot.cli\n"
             "assert knotpot.cli.main(['--output', sys.argv[1]] + sys.argv[2:]) == 0\n"
-            "print('numpy' in sys.modules)\n"
+            + _PRINT_DATACLASSES
+            + "print('numpy' in sys.modules)\n"
         )
-        assert _fresh_process(code, str(tmp_path / "out.txt"), *argv) == "False\n"
+        assert _fresh_process(code, str(tmp_path / "out.txt"), *argv) == (
+            "['knotpot.invariants.InvariantReport']\nFalse\n"
+        )
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
