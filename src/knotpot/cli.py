@@ -42,6 +42,7 @@ from .potential import (
     signed_d_sum,
 )
 from .solver import (
+    _MAX_NEWTON_TOL,
     _NEWTON_TOL,
     _resid_inf,
     normalize_slope,
@@ -172,8 +173,8 @@ def build_parser() -> _Parser:
         type=float,
         default=_NEWTON_TOL,
         help="every Newton solve stops, and every filling is accepted, within "
-        "this residual (default %(default)g), or for a large slope within "
-        "the float rounding of its filling equation",
+        "this residual (default %%(default)g, at most %g), or for a large "
+        "slope within the float rounding of its filling equation" % _MAX_NEWTON_TOL,
     )
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("complete", help="solve the complete structure")
@@ -356,7 +357,7 @@ def cmd_trace(args, spec, complete, u_end):
             spec, u_end, args.samples, complete=complete, newton_tol=args.newton_tol
         )
     except PathObstructionError as e:
-        samples = getattr(e, "partial", [])
+        samples = e.partial
         print("trace obstructed: %s" % e, file=sys.stderr)
         status = EXIT_OBSTRUCTION
     names = spec.variables[:-1]
@@ -405,6 +406,8 @@ def _run(args) -> int:
         raise UsageError("--newton-tol must be finite")
     if args.newton_tol <= 0:
         raise UsageError("--newton-tol must be positive")
+    if args.newton_tol > _MAX_NEWTON_TOL:
+        raise UsageError("--newton-tol must be at most %g" % _MAX_NEWTON_TOL)
     if args.command == "selftest":
         status, rec = cmd_selftest()
     else:

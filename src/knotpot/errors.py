@@ -62,9 +62,12 @@ class PathObstructionError(KnotpotError):
     """Continuation path hit a singularity or a degenerate filling.
 
     For Dehn filling this usually means the slope is exceptional; the
-    CLI reports it as data, not as a crash.
+    CLI reports it as data, not as a crash. `partial` holds the samples
+    an obstructed deformation trace emitted before it stopped, and is
+    empty for a filling.
     """
 
-    def __init__(self, message, t_reached=None):
+    def __init__(self, message, t_reached=None, partial=()):
         super().__init__(message)
         self.t_reached = t_reached
+        self.partial = list(partial)

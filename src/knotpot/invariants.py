@@ -3,7 +3,8 @@
 Volume comes out of the potential two independent ways: the imaginary
 part of V_alpha, and the signed Bloch-Wigner sum over the dilogarithm
 arguments (signed_d_sum). solve_filling accepts a solution only when
-the two agree to solver._BRANCH_TOL (1e-6). The Chern-Simons
+the two agree to its newton_tol, or to solver._BRANCH_TOL (1e-6) where
+newton_tol is tighter. The Chern-Simons
 value is recovered modulo 1/2, and only up to one global additive
 constant shared by all slopes: differences between slopes are the
 well-defined content. Core geodesic length and torsion come from the

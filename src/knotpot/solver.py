@@ -52,6 +52,11 @@ _TWO_PI_I = 2j * math.pi
 
 _NEWTON_TOL = 1e-12
 
+# the loosest newton_tol a filling is solved at; looser, the flat and
+# volume-route tests below stop telling a flat endpoint from a loose
+# solve (at 1e-2 the flat filling -3/1 is accepted, at volume 8e-6)
+_MAX_NEWTON_TOL = 1e-3
+
 _EPS = sys.float_info.epsilon
 
 # a converged endpoint whose total shape volume is below this is a
@@ -60,8 +65,9 @@ _EPS = sys.float_info.epsilon
 _FLAT_TOL = 1e-4
 
 # at a geometric endpoint Im V_alpha and the shape-volume sum agree to
-# residual accuracy; a larger gap means a dilog argument crossed its
-# cut on the way, i.e. the path left the geometric branch
+# residual accuracy: to within newton_tol, or this where newton_tol is
+# tighter; a larger gap means a dilog argument crossed its cut on the
+# way, i.e. the path left the geometric branch
 _BRANCH_TOL = 1e-6
 
 
@@ -326,9 +332,10 @@ def trace_deformation(
 
     u = log xi^2, so the meridian moves along xi = exp(u/2). Each of
     the `samples` evenly spaced targets is reached by warm-started
-    Newton on the fiber variables; the step is halved (up to 20 times)
-    whenever the branch continuation rejects a jump. Emits one
-    DeformationSample per target.
+    Newton on the fiber variables; the step is halved whenever a fiber
+    solve fails, up to 20 times per sample, after which it raises
+    PathObstructionError carrying the samples emitted so far as its
+    partial trace. Emits one DeformationSample per target.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -352,13 +359,12 @@ def trace_deformation(
                 step /= 2.0
                 halvings += 1
                 if halvings > 20:
-                    err = PathObstructionError(
+                    raise PathObstructionError(
                         "deformation path obstructed at u = %s (%s)"
                         % (t * u_end, e),
                         t_reached=t,
-                    )
-                    err.partial = out
-                    raise err from e
+                        partial=out,
+                    ) from e
         out.append(DeformationSample(t * u_end, pt, 2 * eta_log(spec, pt)))
     return out
 
@@ -418,11 +424,13 @@ def solve_filling(
     whichever is larger (the floor passes newton_tol only for large p
     or q, where q v cannot be known to newton_tol; the bound used is
     the solution's filling_tol); its D-sum is
-    >= _FLAT_TOL, and Im V_alpha is within _BRANCH_TOL of the D-sum;
-    otherwise it raises PathObstructionError: the slope is possibly
-    exceptional. A slope whose p or q does not convert to float raises
-    ValidationError.
+    >= _FLAT_TOL, and Im V_alpha is within max(_BRANCH_TOL, newton_tol)
+    of the D-sum; otherwise it raises PathObstructionError: the slope is
+    possibly exceptional. A newton_tol above _MAX_NEWTON_TOL, or a slope
+    whose p or q does not convert to float, raises ValidationError.
     """
+    if newton_tol > _MAX_NEWTON_TOL:
+        raise ValidationError("newton_tol must be at most %g" % _MAX_NEWTON_TOL)
     p, q = slope.p, slope.q
     try:
         float(p), float(q)
@@ -462,7 +470,7 @@ def solve_filling(
             t_reached=1.0,
         )
     v_alpha = eval_v_alpha(spec, slope, pt)
-    if abs(v_alpha.imag - vol_shapes) > _BRANCH_TOL:
+    if abs(v_alpha.imag - vol_shapes) > max(_BRANCH_TOL, newton_tol):
         raise PathObstructionError(
             "filling for %s left the geometric branch (volume routes disagree "
             "by %.3e); slope possibly exceptional"

@@ -1,5 +1,9 @@
 """Shared fixtures plus the acceptance summary.
 
+`spec` is the built-in 5_2 potential and `complete` its complete
+structure, solved once per session; no test may change either, and a
+test that needs a spec of its own builds it.
+
 The acceptance tests record one verdict per criterion; a terminal
 summary hook prints them as a block at the end of the run so the
 pass/fail state of each criterion is visible even when scanning a
@@ -10,7 +14,20 @@ import re
 
 import pytest
 
+from knotpot.potential import builtin_five_two
+from knotpot.solver import solve_complete
+
 _ACCEPTANCE = {}
+
+
+@pytest.fixture(scope="session")
+def spec():
+    return builtin_five_two()
+
+
+@pytest.fixture(scope="session")
+def complete(spec):
+    return solve_complete(spec)
 
 
 @pytest.fixture

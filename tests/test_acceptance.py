@@ -28,7 +28,6 @@ from knotpot.invariants import (
 )
 from knotpot.potential import (
     ParamPoint,
-    builtin_five_two,
     eta_log,
     eval_eta,
     eval_v,
@@ -93,16 +92,6 @@ def _regular_points(spec, rng, count):
         if ok:
             pts.append(pt)
     return pts
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return builtin_five_two()
-
-
-@pytest.fixture(scope="module")
-def complete(spec):
-    return solve_complete(spec)
 
 
 @pytest.fixture(scope="module")

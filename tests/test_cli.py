@@ -739,6 +739,16 @@ def test_tolerances_must_be_finite(capsys, argv):
     assert (code, out, err) == (1, "", "--newton-tol must be finite\n")
 
 
+def test_newton_tol_is_capped(capsys):
+    # looser than 1e-3 a flat filling can pass for a hyperbolic one;
+    # the cap is refused before anything is solved
+    code, out, err = run(capsys, "--newton-tol", "2e-3", "fill", "--slope", "7")
+    assert (code, out, err) == (1, "", "--newton-tol must be at most 0.001\n")
+    code, out, err = run(capsys, "--newton-tol", "1e-3", "fill", "--slope", "7")
+    assert (code, err) == (0, "")
+    assert "volume = 2.5377252" in out
+
+
 def _fresh_process(code, *args):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -19,7 +19,6 @@ from knotpot.invariants import (
 )
 from knotpot.errors import ValidationError
 from knotpot.potential import (
-    builtin_five_two,
     dump_spec,
     eval_v,
     load_spec,
@@ -47,16 +46,6 @@ VOLUME_TABLE = {
     (7, 3): 2.726766281514,
     (1, 1): 1.398508884151,
 }
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return builtin_five_two()
-
-
-@pytest.fixture(scope="module")
-def complete(spec):
-    return solve_complete(spec)
 
 
 @pytest.fixture(scope="module")

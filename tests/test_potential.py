@@ -45,21 +45,10 @@ from knotpot.solver import (
     DeformationSample,
     FillingSolution,
     normalize_slope,
-    solve_complete,
     trace_deformation,
 )
 
 PI = math.pi
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return builtin_five_two()
-
-
-@pytest.fixture(scope="module")
-def complete(spec):
-    return solve_complete(spec)
 
 
 def regular_points(spec, n, seed):

@@ -7,12 +7,17 @@ and message of the error that stopped the slope). The sha256 of that
 text is committed, so a change to any digit of any of the 415 results
 shows up here.
 
+The scan is solved once per process, by `scan_runs`; this digest and
+the value tables of `tests/test_value_tables.py` all read that one
+walk.
+
 The digest belongs to one numeric platform. Rewrite it only when an
 output change is intended:
 
     PYTHONPATH=src python tests/test_scan_digest.py
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -26,39 +31,57 @@ DIGEST = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "scan_40x8.sha256"
 )
 
+PMAX, QMAX = 40, 8
 
-def scan_lines(pmax=40, qmax=8):
-    """One line per slope of the scan, in `knotpot scan` order."""
+
+@functools.cache
+def scan_runs():
+    """The complete structure and, per slope of the scan in `knotpot
+    scan` order, (slope, FillingSolution or the error that stopped it,
+    InvariantReport or None)."""
     spec = builtin_five_two()
     complete = solve_complete(spec)
-    lines = ["complete %r %r" % (complete.point.values, complete.residual_inf_norm)]
-    for q in range(1, qmax + 1):
-        for p in range(-pmax, pmax + 1):
+    runs = []
+    for q in range(1, QMAX + 1):
+        for p in range(-PMAX, PMAX + 1):
             if math.gcd(p, q) != 1:
                 continue
             slope = normalize_slope(p, q)
             try:
                 sol = solve_filling(spec, slope, complete=complete)
             except (PathObstructionError, NoConvergenceError) as e:
-                lines.append("%s %s %s" % (slope, type(e).__name__, e))
+                runs.append((slope, e, None))
                 continue
-            lines.append(
-                "%s %r %r %r %r %d %d %r"
-                % (
-                    slope,
-                    report_for(spec, slope, sol),
-                    sol.critical.point.values,
-                    sol.u,
-                    sol.v,
-                    sol.path_steps,
-                    sol.critical.newton_iters,
-                    sol.critical.residual_inf_norm,
-                )
+            runs.append((slope, sol, report_for(spec, slope, sol)))
+    return complete, tuple(runs)
+
+
+def scan_lines():
+    """One line per slope of the scan, in `knotpot scan` order."""
+    complete, runs = scan_runs()
+    lines = ["complete %r %r" % (complete.point.values, complete.residual_inf_norm)]
+    for slope, sol, rep in runs:
+        if rep is None:
+            lines.append("%s %s %s" % (slope, type(sol).__name__, sol))
+            continue
+        lines.append(
+            "%s %r %r %r %r %d %d %r"
+            % (
+                slope,
+                rep,
+                sol.critical.point.values,
+                sol.u,
+                sol.v,
+                sol.path_steps,
+                sol.critical.newton_iters,
+                sol.critical.residual_inf_norm,
             )
+        )
     return lines
 
 
 def digest_of(lines):
+    """sha256 of the lines, each ended by a newline."""
     text = "\n".join(lines) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

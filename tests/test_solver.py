@@ -22,7 +22,6 @@ from knotpot.errors import (
 )
 from knotpot.invariants import report_for
 from knotpot.potential import (
-    builtin_five_two,
     dump_spec,
     eta_log,
     eval_eta,
@@ -44,16 +43,6 @@ TWO_PI_I = 2j * math.pi
 
 # the default seed grid as the built-in spec's seeds, named
 GRID = [dict(zip(("x", "y"), s)) for s in solver.DEFAULT_SEEDS]
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return builtin_five_two()
-
-
-@pytest.fixture(scope="module")
-def complete(spec):
-    return solve_complete(spec)
 
 
 # ------------------------------------------------------ normalize_slope
@@ -588,8 +577,9 @@ def test_filling_warm_start_determinism(spec, complete):
 
 
 def test_filling_zero_slope_is_flat(spec, complete):
-    with pytest.raises(PathObstructionError, match="flat"):
+    with pytest.raises(PathObstructionError, match="flat") as ei:
         solve_filling(spec, normalize_slope(0, 1), complete=complete)
+    assert ei.value.partial == []  # only a trace has partial samples
 
 
 def test_filling_branch_departure_detected(spec, complete):
@@ -625,6 +615,30 @@ def test_filling_accepts_what_a_looser_newton_tol_converges(spec, complete, tol)
         assert sol.critical.residual_inf_norm <= tol, (p, q)
         assert sol.filling_residual <= tol, (p, q)
         assert abs(eval_v_alpha(spec, slope, sol.critical.point).imag - vol) <= 1e-9, (p, q)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-4, 1e-3])
+def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, complete, tol):
+    # the volume routes agree to the accuracy of the solve, newton_tol,
+    # so a tolerance looser than _BRANCH_TOL refuses no slope that the
+    # default accepts, and accepts none that it refuses
+    want = _scan_8x3(spec, complete)
+    assert sum(vol is not None for vol in want.values()) == 30
+    loose = solve_complete(spec, newton_tol=tol)
+    for (p, q), vol in want.items():
+        slope = normalize_slope(p, q)
+        if vol is None:
+            with pytest.raises(PathObstructionError):
+                solve_filling(spec, slope, complete=loose, newton_tol=tol)
+            continue
+        sol = solve_filling(spec, slope, complete=loose, newton_tol=tol)
+        assert abs(eval_v_alpha(spec, slope, sol.critical.point).imag - vol) <= 1e-6, (p, q)
+
+
+@pytest.mark.parametrize("tol", [2e-3, 1.0])
+def test_filling_refuses_newton_tol_above_the_cap(spec, complete, tol):
+    with pytest.raises(ValidationError, match="newton_tol must be at most 0.001"):
+        solve_filling(spec, normalize_slope(7, 1), complete=complete, newton_tol=tol)
 
 
 def test_filling_obstructed_when_newton_never_converges(spec, complete):

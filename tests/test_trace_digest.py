@@ -11,18 +11,22 @@ obstructed trace it also hashes the error type, its message,
 text is committed, so a change to any digit of any sample shows up
 here.
 
+The traces are run once per process, by `trace_runs`; this digest and
+the trace value table of `tests/test_value_tables.py` both read them.
+
 The digest belongs to one numeric platform. Rewrite it only when an
 output change is intended:
 
     PYTHONPATH=src python tests/test_trace_digest.py
 """
 
-import hashlib
+import functools
 import os
 
 from knotpot.errors import PathObstructionError
 from knotpot.potential import builtin_five_two
 from knotpot.solver import solve_complete, trace_deformation
+from test_scan_digest import digest_of
 
 DIGEST = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "trace.sha256"
@@ -50,28 +54,35 @@ def _sample_lines(samples):
     return ["%r %r %r" % (s.u, s.point.values, s.v) for s in samples]
 
 
-def trace_lines():
-    """One line per sample of every trace, plus one per obstruction."""
+@functools.cache
+def trace_runs():
+    """Per trace of U_ENDS, (u_end, samples, obstruction or None): the
+    samples reached, and the PathObstructionError that stopped an
+    obstructed trace (its samples are the error's partial trace)."""
     spec = builtin_five_two()
     complete = solve_complete(spec)
-    lines = []
+    runs = []
     for u_end in U_ENDS:
-        lines.append("trace %r" % (u_end,))
         try:
             samples = trace_deformation(spec, u_end, SAMPLES, complete=complete)
         except PathObstructionError as e:
-            lines.extend(_sample_lines(e.partial))
-            lines.append(
-                "%s %s %r %d" % (type(e).__name__, e, e.t_reached, len(e.partial))
-            )
+            runs.append((u_end, e.partial, e))
             continue
+        runs.append((u_end, samples, None))
+    return tuple(runs)
+
+
+def trace_lines():
+    """One line per sample of every trace, plus one per obstruction."""
+    lines = []
+    for u_end, samples, e in trace_runs():
+        lines.append("trace %r" % (u_end,))
         lines.extend(_sample_lines(samples))
+        if e is not None:
+            lines.append(
+                "%s %s %r %d" % (type(e).__name__, e, e.t_reached, len(samples))
+            )
     return lines
-
-
-def digest_of(lines):
-    text = "\n".join(lines) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_traces_bit_for_bit():

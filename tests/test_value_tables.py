@@ -16,6 +16,10 @@ reported with.
 per sample `u`, the point values and `v`, and for the obstructed trace
 the error type, `t_reached` and the length of the partial trace.
 
+Both tables read the one walk of each run that the digests read:
+`scan_runs` of `tests/test_scan_digest.py` and `trace_runs` of
+`tests/test_trace_digest.py`.
+
 Complex numbers are stored as [real, imag] pairs of floats, which JSON
 writes as their repr. Rewrite the tables only from code whose values
 are trusted:
@@ -27,11 +31,8 @@ import json
 import math
 import os
 
-from knotpot.errors import NoConvergenceError, PathObstructionError
-from knotpot.invariants import report_for
-from knotpot.potential import builtin_five_two
-from knotpot.solver import normalize_slope, solve_complete, solve_filling, trace_deformation
-from test_trace_digest import SAMPLES, U_ENDS
+from test_scan_digest import scan_runs
+from test_trace_digest import trace_runs
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 SCAN_TABLE = os.path.join(DATA, "scan_40x8_values.json")
@@ -44,29 +45,12 @@ def _pair(z):
     return [z.real, z.imag]
 
 
-def _scan_reports(pmax=40, qmax=8):
-    """(slope, report or the error that stopped it), in `knotpot scan` order."""
-    spec = builtin_five_two()
-    complete = solve_complete(spec)
-    for q in range(1, qmax + 1):
-        for p in range(-pmax, pmax + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            slope = normalize_slope(p, q)
-            try:
-                sol = solve_filling(spec, slope, complete=complete)
-            except (PathObstructionError, NoConvergenceError) as e:
-                yield slope, e
-                continue
-            yield slope, report_for(spec, slope, sol)
-
-
-def scan_values(pmax=40, qmax=8):
+def scan_values():
     """One record per slope of the scan, in `knotpot scan` order."""
     rows = []
-    for slope, rep in _scan_reports(pmax, qmax):
-        if isinstance(rep, Exception):
-            rows.append({"slope": str(slope), "outcome": type(rep).__name__})
+    for slope, sol, rep in scan_runs()[1]:
+        if rep is None:
+            rows.append({"slope": str(slope), "outcome": type(sol).__name__})
             continue
         rows.append(
             {
@@ -94,19 +78,14 @@ def _sample_rows(samples):
 
 def trace_values():
     """One record per trace: its samples and, if obstructed, the obstruction."""
-    spec = builtin_five_two()
-    complete = solve_complete(spec)
     out = []
-    for u_end in U_ENDS:
+    for u_end, samples, e in trace_runs():
         rec = {"u_end": _pair(u_end), "obstruction": None}
-        try:
-            samples = trace_deformation(spec, u_end, SAMPLES, complete=complete)
-        except PathObstructionError as e:
-            samples = e.partial
+        if e is not None:
             rec["obstruction"] = {
                 "type": type(e).__name__,
                 "t_reached": e.t_reached,
-                "partial": len(e.partial),
+                "partial": len(samples),
             }
         rec["samples"] = _sample_rows(samples)
         out.append(rec)
@@ -145,10 +124,10 @@ def test_scan_40x8_report_d_sum():
     with open(SCAN_TABLE) as fh:
         want = {r["slope"]: r for r in json.load(fh)}
     accepted = 0
-    for slope, rep in _scan_reports():
+    for slope, sol, rep in scan_runs()[1]:
         w = want[str(slope)]
-        if isinstance(rep, Exception):
-            assert w["outcome"] == type(rep).__name__, str(slope)
+        if rep is None:
+            assert w["outcome"] == type(sol).__name__, str(slope)
             continue
         assert w["outcome"] == "accepted", str(slope)
         assert abs(rep.volume_from_shapes - w["volume"]) <= TOL, str(slope)
