@@ -44,6 +44,7 @@ from .potential import (
 from .solver import (
     _MAX_NEWTON_TOL,
     _NEWTON_TOL,
+    _check_newton_tol,
     _resid_inf,
     normalize_slope,
     solve_complete,
@@ -96,12 +97,7 @@ class Record(RecordBase):
     """
 
     _fields = ("fields", "table", "columns", "rows")
-
-    def __init__(self, fields: list, table=None, columns=(), rows=()):
-        self.fields = fields
-        self.table = table
-        self.columns = columns
-        self.rows = rows
+    _defaults = {"table": None, "columns": (), "rows": ()}
 
 
 def _f(x: float) -> str:
@@ -402,12 +398,7 @@ COMMANDS = {
 
 
 def _run(args) -> int:
-    if not math.isfinite(args.newton_tol):
-        raise UsageError("--newton-tol must be finite")
-    if args.newton_tol <= 0:
-        raise UsageError("--newton-tol must be positive")
-    if args.newton_tol > _MAX_NEWTON_TOL:
-        raise UsageError("--newton-tol must be at most %g" % _MAX_NEWTON_TOL)
+    _check_newton_tol(args.newton_tol)
     if args.command == "selftest":
         status, rec = cmd_selftest()
     else:

@@ -20,9 +20,7 @@ class ContinuedLog(FrozenRecord):
     """A chosen branch of log w: value = principal_log(w) + 2*pi*i*winding."""
 
     _fields = ("value", "winding")
-
-    def __init__(self, value: complex, winding: int = 0):
-        self.__dict__.update(value=value, winding=winding)
+    _defaults = {"winding": 0}
 
     @classmethod
     def from_value(cls, value: complex) -> "ContinuedLog":

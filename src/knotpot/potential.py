@@ -68,9 +68,6 @@ class Monomial(FrozenRecord):
 
     _fields = ("exponents",)
 
-    def __init__(self, exponents: tuple):
-        self.__dict__["exponents"] = exponents
-
     @classmethod
     def from_dict(cls, d: dict) -> "Monomial":
         items = tuple(sorted((v, int(e)) for v, e in d.items() if int(e) != 0))
@@ -97,45 +94,30 @@ class DilogTerm(FrozenRecord):
 
     _fields = ("sign", "argument")
 
-    def __init__(self, sign: int, argument: Monomial):
-        self.__dict__.update(sign=sign, argument=argument)
-
 
 class QuadLogTerm(FrozenRecord):
     """Contributes coeff * log(var_a) * log(var_b) to V."""
 
     _fields = ("coeff", "var_a", "var_b")
 
-    def __init__(self, coeff: Fraction, var_a: str, var_b: str):
-        self.__dict__.update(coeff=coeff, var_a=var_a, var_b=var_b)
-
 
 class LongitudeExpr(FrozenRecord):
-    """prefactor * prod (1 - argument)^exponent."""
+    """prefactor * prod (1 - argument)^exponent over factors, a tuple of
+    (exponent: int, argument: Monomial) pairs."""
 
     _fields = ("prefactor", "factors")
-
-    def __init__(self, prefactor: Monomial, factors: tuple):
-        # factors: a tuple of (exponent: int, argument: Monomial)
-        self.__dict__.update(prefactor=prefactor, factors=factors)
 
 
 class LongitudeSpec(LongitudeExpr):
     """The primary longitude expression and an optional alternate form."""
 
     _fields = ("prefactor", "factors", "alternate")
-
-    def __init__(
-        self,
-        prefactor: Monomial,
-        factors: tuple,
-        alternate: LongitudeExpr | None = None,
-    ):
-        self.__dict__.update(prefactor=prefactor, factors=factors, alternate=alternate)
+    _defaults = {"alternate": None}
 
 
 class PotentialSpec(FrozenRecord):
-    """A potential: its variables, terms, constant and longitude."""
+    """A potential: its variables, the last of them the meridian, and its
+    terms, constant and longitude."""
 
     _fields = (
         "name",
@@ -145,24 +127,6 @@ class PotentialSpec(FrozenRecord):
         "constant_pi2",
         "longitude",
     )
-
-    def __init__(
-        self,
-        name: str,
-        variables: tuple,  # ordered; the last entry is the meridian
-        dilog_terms: tuple,
-        quad_terms: tuple,
-        constant_pi2: Fraction,
-        longitude: LongitudeSpec,
-    ):
-        self.__dict__.update(
-            name=name,
-            variables=variables,
-            dilog_terms=dilog_terms,
-            quad_terms=quad_terms,
-            constant_pi2=constant_pi2,
-            longitude=longitude,
-        )
 
     @property
     def meridian(self) -> str:
@@ -344,9 +308,6 @@ class Shapes(FrozenRecord):
     """Tetrahedron moduli of the five-tetrahedron parametrization."""
 
     _fields = ("c2", "d4", "a5", "b5", "d5")
-
-    def __init__(self, c2: complex, d4: complex, a5: complex, b5: complex, d5: complex):
-        self.__dict__.update(c2=c2, d4=d4, a5=a5, b5=b5, d5=d5)
 
     def as_tuple(self):
         return (self.c2, self.d4, self.a5, self.b5, self.d5)

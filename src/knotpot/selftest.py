@@ -30,21 +30,10 @@ _VOLUME_5_2 = 2.82812208833
 
 
 class GroupResult(RecordBase):
-    """One identity group's verdict."""
+    """One identity group's verdict; worst is the worst err/tol ratio
+    over the group's checks."""
 
     _fields = ("name", "passed", "worst", "detail")
-
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        worst: float,  # worst err/tol ratio over the group's checks
-        detail: str,
-    ):
-        self.name = name
-        self.passed = passed
-        self.worst = worst
-        self.detail = detail
 
 
 def _rand_z(rng, lo=0.08, hi=4.0):

@@ -15,6 +15,7 @@ branch-free reduced residuals are within newton_tol (default
 _NEWTON_TOL); solve_filling states when a filling is accepted.
 """
 
+import cmath
 import math
 import sys
 
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .potential import (
     _ZERO_TOL,
-    ParamPoint,
     PotentialSpec,
     _eta_log_and_size,
     _gradient,
@@ -80,9 +80,6 @@ class Slope(FrozenRecord):
 
     _fields = ("p", "q", "r", "s")
 
-    def __init__(self, p: int, q: int, r: int, s: int):
-        self.__dict__.update(p=p, q=q, r=r, s=s)
-
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
 
@@ -92,32 +89,13 @@ class CriticalPoint(RecordBase):
 
     _fields = ("point", "residual_inf_norm", "newton_iters")
 
-    def __init__(self, point: ParamPoint, residual_inf_norm: float, newton_iters: int):
-        self.point = point
-        self.residual_inf_norm = residual_inf_norm
-        self.newton_iters = newton_iters
-
 
 class FillingSolution(RecordBase):
-    """The critical point of V_alpha for a slope, with its tracked u and v."""
+    """The critical point of V_alpha for a slope, with its tracked u =
+    log xi^2 and v = log eta^2 and the bound filling_tol its
+    filling_residual was accepted within."""
 
     _fields = ("slope", "critical", "u", "v", "path_steps", "filling_tol")
-
-    def __init__(
-        self,
-        slope: Slope,
-        critical: CriticalPoint,
-        u: ContinuedLog,  # log xi^2, tracked
-        v: ContinuedLog,  # log eta^2, tracked
-        path_steps: int,
-        filling_tol: float,  # the bound filling_residual was accepted within
-    ):
-        self.slope = slope
-        self.critical = critical
-        self.u = u
-        self.v = v
-        self.path_steps = path_steps
-        self.filling_tol = filling_tol
 
     @property
     def filling_residual(self) -> float:
@@ -127,19 +105,17 @@ class FillingSolution(RecordBase):
 
 
 class DeformationSample(RecordBase):
-    """One sample of the deformation space along a traced u-segment."""
+    """One sample of the deformation space at u = log xi^2 on a traced
+    segment, with v = log eta^2 continued from v(0) = 0."""
 
     _fields = ("u", "point", "v")
 
-    def __init__(
-        self,
-        u: complex,  # log xi^2 along the traced segment
-        point: ParamPoint,
-        v: complex,  # log eta^2, continued, v(0) = 0
-    ):
-        self.u = u
-        self.point = point
-        self.v = v
+
+def _check_newton_tol(newton_tol) -> None:
+    # nan, inf, 0 and negatives fail the test too
+    if not 0 < newton_tol <= _MAX_NEWTON_TOL:
+        msg = "newton_tol must be at most %g and greater than 0, got %g"
+        raise ValidationError(msg % (_MAX_NEWTON_TOL, newton_tol))
 
 
 def normalize_slope(p_raw: int, q_raw: int) -> Slope:
@@ -270,7 +246,10 @@ def solve_complete(
     complex conjugate (same equations, opposite orientation). The
     root's logs are all principal, whatever windings the seed's Newton
     path gave them, so every filling continues from the same sheet.
+    A newton_tol that is not finite, positive and at most
+    _MAX_NEWTON_TOL raises ValidationError.
     """
+    _check_newton_tol(newton_tol)
     if seeds is None:
         fiber = spec.variables[:-1]
         if len(fiber) != 2:
@@ -335,14 +314,19 @@ def trace_deformation(
     Newton on the fiber variables; the step is halved whenever a fiber
     solve fails, up to 20 times per sample, after which it raises
     PathObstructionError carrying the samples emitted so far as its
-    partial trace. Emits one DeformationSample per target.
+    partial trace. Emits one DeformationSample per target. A newton_tol
+    as solve_complete refuses, a non-finite u_end or samples < 1 raises
+    ValidationError before anything is solved.
     """
+    _check_newton_tol(newton_tol)
+    u_end = complex(u_end)
+    if not cmath.isfinite(u_end):
+        raise ValidationError("u_end must be finite, got %r" % u_end)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
     pt = complete.point
-    u_end = complex(u_end)
     out = []
     t = 0.0
     for k in range(1, samples + 1):
@@ -426,11 +410,10 @@ def solve_filling(
     the solution's filling_tol); its D-sum is
     >= _FLAT_TOL, and Im V_alpha is within max(_BRANCH_TOL, newton_tol)
     of the D-sum; otherwise it raises PathObstructionError: the slope is
-    possibly exceptional. A newton_tol above _MAX_NEWTON_TOL, or a slope
-    whose p or q does not convert to float, raises ValidationError.
+    possibly exceptional. A newton_tol as solve_complete refuses, or a
+    slope whose p or q does not convert to float, raises ValidationError.
     """
-    if newton_tol > _MAX_NEWTON_TOL:
-        raise ValidationError("newton_tol must be at most %g" % _MAX_NEWTON_TOL)
+    _check_newton_tol(newton_tol)
     p, q = slope.p, slope.q
     try:
         float(p), float(q)

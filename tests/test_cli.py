@@ -736,14 +736,17 @@ def test_tolerances_must_be_finite(capsys, argv):
     # nan passes a "<= 0" test and makes every "resid <= tol" false;
     # inf accepts the unrefined seed as the complete structure
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (1, "", "--newton-tol must be finite\n")
+    value = argv[1]
+    want = "error: newton_tol must be at most 0.001 and greater than 0, got %s\n" % value
+    assert (code, out, err) == (1, "", want)
 
 
 def test_newton_tol_is_capped(capsys):
     # looser than 1e-3 a flat filling can pass for a hyperbolic one;
     # the cap is refused before anything is solved
     code, out, err = run(capsys, "--newton-tol", "2e-3", "fill", "--slope", "7")
-    assert (code, out, err) == (1, "", "--newton-tol must be at most 0.001\n")
+    want = "error: newton_tol must be at most 0.001 and greater than 0, got 0.002\n"
+    assert (code, out, err) == (1, "", want)
     code, out, err = run(capsys, "--newton-tol", "1e-3", "fill", "--slope", "7")
     assert (code, err) == (0, "")
     assert "volume = 2.5377252" in out

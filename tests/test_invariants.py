@@ -1,7 +1,6 @@
 """Invariant extraction tests: V_alpha, the two volume routes, CS and
 core-geodesic well-definedness, and the Rogers-combination identities."""
 
-import cmath
 import json
 import math
 import random

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
+from knotpot import cli, dilog, potential, selftest, solver
+from knotpot._records import RecordBase
 from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
 from knotpot.errors import (
     SingularPointError,
@@ -873,3 +875,46 @@ def test_record_contract(spec, complete):
     for record in (sol, filling, sample):
         with pytest.raises(TypeError):
             hash(record)
+
+    # every record binds its fields by position or by name, fills only
+    # its declared defaults, and refuses a missing, extra, unknown or
+    # repeated field
+    records, todo = [], [RecordBase]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if "_fields" in vars(cls):
+                records.append(cls)
+    declared = [
+        (potential, "Monomial DilogTerm QuadLogTerm LongitudeExpr LongitudeSpec"),
+        (potential, "PotentialSpec ParamPoint Shapes"),
+        (dilog, "ContinuedLog"),
+        (solver, "Slope CriticalPoint FillingSolution DeformationSample"),
+        (cli, "Record"),
+        (selftest, "GroupResult"),
+    ]
+    assert set(records) == {getattr(m, n) for m, names in declared for n in names.split()}
+    assert {cls.__qualname__: cls._defaults for cls in records if cls._defaults} == {
+        "ContinuedLog": {"winding": 0},
+        "LongitudeSpec": {"alternate": None},
+        "Record": {"table": None, "columns": (), "rows": ()},
+    }
+    for cls in records:
+        fields = cls._fields
+        args = tuple(object() for _ in fields)
+        rec = cls(*args)
+        assert [getattr(rec, f) for f in fields] == list(args)
+        assert rec == cls(**dict(zip(fields, args)))
+        assert rec == cls(args[0], **dict(zip(fields[1:], args[1:])))
+        # defaults are declared last, so the required fields lead
+        n = len(fields) - len(cls._defaults)
+        bare = cls(*args[:n])
+        assert [getattr(bare, f) for f in fields] == [*args[:n], *cls._defaults.values()]
+        for bad, kwargs in (
+            (args[: n - 1], {}),  # missing
+            (args + (None,), {}),  # extra
+            (args, {"nonesuch": None}),  # unknown
+            (args[:1], {fields[0]: args[0]}),  # repeated
+        ):
+            with pytest.raises(TypeError):
+                cls(*bad, **kwargs)

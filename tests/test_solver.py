@@ -418,6 +418,16 @@ def test_trace_refuses_no_samples_as_a_knotpot_error(spec):
         trace_deformation(spec, 0.1j, 0)
 
 
+@pytest.mark.parametrize(
+    "u_end", [complex(math.nan), complex(math.inf), complex(0, math.inf)]
+)
+def test_trace_refuses_a_non_finite_u_end(spec, u_end):
+    # refused before the complete structure is solved, not reported as
+    # an obstruction of the path
+    with pytest.raises(ValidationError, match="u_end must be finite"):
+        trace_deformation(spec, u_end, 4)
+
+
 def test_trace_sample_contract(spec, complete):
     n = 8
     u_end = 0.05j
@@ -639,6 +649,26 @@ def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, complete
 def test_filling_refuses_newton_tol_above_the_cap(spec, complete, tol):
     with pytest.raises(ValidationError, match="newton_tol must be at most 0.001"):
         solve_filling(spec, normalize_slope(7, 1), complete=complete, newton_tol=tol)
+
+
+_ENTRY_POINTS = {
+    "solve_complete": lambda spec, cp, tol: solve_complete(spec, newton_tol=tol),
+    "trace_deformation": lambda spec, cp, tol: trace_deformation(
+        spec, 0.1j, 4, complete=cp, newton_tol=tol
+    ),
+    "solve_filling": lambda spec, cp, tol: solve_filling(
+        spec, normalize_slope(7, 1), complete=cp, newton_tol=tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 2e-3])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_newton_tol(spec, complete, entry, tol):
+    # a nan, 0 or negative tolerance would read as a path that never
+    # converges, and a loose one would accept an unrefined seed
+    with pytest.raises(ValidationError, match="newton_tol must be at most 0.001"):
+        _ENTRY_POINTS[entry](spec, complete, tol)
 
 
 def test_filling_obstructed_when_newton_never_converges(spec, complete):
