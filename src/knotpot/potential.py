@@ -388,6 +388,15 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+def _check_float_range(k, where):
+    # the evaluators read every integer of a spec as a float: quad
+    # coefficients, the constant, exponents
+    try:
+        float(k)
+    except OverflowError:
+        raise ValidationError("%s must be within float range" % where) from None
+
+
 def _check_list(obj, where):
     if not isinstance(obj, list):
         raise ValidationError("%s: must be a list" % where)
@@ -402,6 +411,7 @@ def _parse_monomial(obj, variables, where) -> Monomial:
             raise ValidationError("%s: undeclared variable %r" % (where, v))
         if not _is_int(e):
             raise ValidationError("%s: exponent of %r must be an integer" % (where, v))
+        _check_float_range(e, "%s: exponent of %r" % (where, v))
     return Monomial.from_dict(obj)
 
 
@@ -413,6 +423,8 @@ def _parse_rational(obj, where) -> Fraction:
     ):
         raise ValidationError("%s: rational must be [numerator, denominator]" % where)
     num, den = obj
+    _check_float_range(num, where + ": numerator")
+    _check_float_range(den, where + ": denominator")
     if den <= 0:
         raise ValidationError("%s: denominator must be positive" % where)
     if math.gcd(num, den) != 1:
@@ -432,6 +444,7 @@ def _parse_longitude_expr(obj, variables, where, allow_alternate):
         _check_fields(f, {"exp", "arg"}, fw)
         if not _is_int(f.get("exp")):
             raise ValidationError(fw + ": exp must be an integer")
+        _check_float_range(f["exp"], fw + ": exp")
         factors.append((f["exp"], _parse_monomial(f.get("arg", {}), variables, fw)))
     return prefactor, tuple(factors)
 
@@ -447,7 +460,8 @@ def load_spec(source) -> PotentialSpec:
     the alternate as eta_alternate beside eta, so the two forms can be
     compared. Raises SpecFormatError for bytes that are not UTF-8
     and text that is not JSON, and ValidationError for a document that
-    does not follow the format.
+    does not follow the format, an integer beyond float range among
+    them.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -772,13 +786,20 @@ def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
 
 
 def eval_longitude_expr(expr: LongitudeExpr, values: dict) -> complex:
-    """prefactor * prod (1 - m)^e, evaluated rationally (no logs)."""
-    r = expr.prefactor.evaluate(values)
-    for e, m in expr.factors:
-        f = 1 - m.evaluate(values)
-        if f == 0 and e < 0:
-            raise SingularPointError("longitude factor 1 - %s = 0 in denominator" % m)
-        r *= f**e
+    """prefactor * prod (1 - m)^e, evaluated rationally (no logs).
+
+    A power that overflows raises SingularPointError, as a vanishing
+    denominator does: the expression has no finite value at the point.
+    """
+    try:
+        r = expr.prefactor.evaluate(values)
+        for e, m in expr.factors:
+            f = 1 - m.evaluate(values)
+            if f == 0 and e < 0:
+                raise SingularPointError("longitude factor 1 - %s = 0 in denominator" % m)
+            r *= f**e
+    except OverflowError as e:
+        raise SingularPointError("longitude overflow (%s)" % e) from e
     return r
 
 

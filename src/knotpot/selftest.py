@@ -3,8 +3,9 @@
 Three groups with fixed seeds, so a pass/fail is reproducible:
 dilogarithm functional equations, derivative checks of the built-in
 potential against central finite differences, and the 5_2 complete
-structure with its known volume. Kept deliberately lighter than the
-full test suite; this is a smoke test for installations.
+structure with its known volume. The defaults keep it a quick smoke
+test for installations; acceptance criteria 1-3 of the test suite
+run the same groups at acceptance sizes.
 """
 
 import cmath

@@ -2,23 +2,24 @@
 
 Each test computes its verdict, records it through the acceptance
 fixture (conftest prints the block at the end of the run), and then
-asserts. Criterion 6 checks conjugation paired with reversing the
+asserts. Criteria 1-3 run the three `knotpot selftest` groups at
+acceptance sizes, so the suite and the command share one
+implementation of each identity check. Criterion 6 checks conjugation paired with reversing the
 slope's orientation; the -p/q fillings of the chiral 5_2 are distinct
 manifolds, so their volumes are reported, not compared. Criterion 9
 needs an external reference package and is skipped when that package
 is not installed.
 """
 
-import cmath
 import math
 import random
 import time
 
 import pytest
 
+from knotpot import selftest
 from knotpot.cli import main as cli_main
-from knotpot.dilog import bloch_wigner_d, li2, principal_log
-from knotpot.errors import KnotpotError, NoConvergenceError, PathObstructionError
+from knotpot.errors import NoConvergenceError, PathObstructionError
 from knotpot.invariants import (
     eval_v_alpha,
     im_v_alpha_parts,
@@ -29,32 +30,18 @@ from knotpot.invariants import (
 from knotpot.potential import (
     ParamPoint,
     eta_log,
-    eval_eta,
     eval_v,
-    log_gradient,
-    log_hessian,
-    make_point,
     reduced_residual,
     shapes_from_point,
 )
 from knotpot.solver import (
     Slope,
     normalize_slope,
-    solve_complete,
     solve_filling,
     trace_deformation,
 )
 
-_PI2_6 = math.pi * math.pi / 6.0
 _TWO_PI_I = 2j * math.pi
-
-
-def _rand_z(rng, lo=0.08, hi=4.0):
-    return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi + 0.1, math.pi - 0.1))
-
-
-def _offish(z):
-    return abs(z.imag) > 0.05 and abs(z) > 0.05 and abs(z - 1) > 0.05
 
 
 def _dist_mod(a, period):
@@ -73,25 +60,6 @@ def _conjugate_point(pt):
         tuple(m.evaluate(values) for m in pt.spec.tables.monomials),
         tuple(None if lw is None else lw.conjugate() for lw in pt.tracked_logs),
     )
-
-
-def _regular_points(spec, rng, count):
-    # principal-branch points with every dilog argument clear of 0, 1
-    # and the cut, and every variable clear of the negative real axis
-    pts = []
-    while len(pts) < count:
-        values = {v: _rand_z(rng, 0.3, 2.5) for v in spec.variables}
-        try:
-            pt = make_point(spec, values)
-        except KnotpotError:
-            continue
-        ok = all(
-            abs(m.imag) > 0.05 and abs(m - 1) > 0.05 and abs(m) > 0.05
-            for m in (t.argument.evaluate(values) for t in spec.dilog_terms)
-        ) and all(math.pi - abs(cmath.phase(v)) > 0.05 for v in values.values())
-        if ok:
-            pts.append(pt)
-    return pts
 
 
 @pytest.fixture(scope="module")
@@ -116,124 +84,51 @@ def scan(spec, complete):
     return rows, time.perf_counter() - t0
 
 
-def test_criterion_01_dilog_identities(acceptance):
-    n = 500
-    rng = random.Random(20260814)
+def _check_group(acceptance, number, label, seconds, group, **kw):
+    # a knotpot selftest group at acceptance size: its verdict is the
+    # criterion's, within a time bound
     t0 = time.perf_counter()
-    worst = 0.0
-    counts = [0, 0, 0, 0]
-    while min(counts) < n:
-        z = _rand_z(rng)
-        if not _offish(z):
-            continue
-        if counts[0] < n:
-            lhs = li2(z) + li2(1 / z)
-            rhs = -_PI2_6 - 0.5 * principal_log(-z) ** 2
-            worst = max(worst, abs(lhs - rhs))
-            counts[0] += 1
-        if counts[1] < n and _offish(1 - z):
-            lhs = li2(z) + li2(1 - z)
-            rhs = _PI2_6 - principal_log(z) * principal_log(1 - z)
-            worst = max(worst, abs(lhs - rhs))
-            counts[1] += 1
-        if counts[2] < n:
-            d = bloch_wigner_d(z)
-            worst = max(worst, abs(bloch_wigner_d(z.conjugate()) + d))
-            worst = max(worst, abs(bloch_wigner_d(1 / z) + d))
-            worst = max(worst, abs(bloch_wigner_d(1 - 1 / z) - d))
-            counts[2] += 1
-        if counts[3] < n:
-            w = _rand_z(rng, 0.2, 2.0)
-            if _offish(w) and abs(1 - z * w) > 0.05:
-                args = (z, w, (1 - z) / (1 - z * w), 1 - z * w, (1 - w) / (1 - z * w))
-                if all(_offish(a) for a in args):
-                    worst = max(worst, abs(sum(bloch_wigner_d(a) for a in args)))
-                    counts[3] += 1
+    res = group(**kw)
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-10 and dt < 5.0
+    ok = res.passed and dt < seconds
     acceptance(
+        number,
+        label,
+        "PASS" if ok else "FAIL",
+        "worst err/tol %.2e, %s, %.3f s" % (res.worst, res.detail, dt),
+    )
+    assert res.passed, res
+    assert dt < seconds
+
+
+def test_criterion_01_dilog_identities(acceptance):
+    _check_group(
+        acceptance,
         1,
         "dilog identity suite",
-        "PASS" if ok else "FAIL",
-        "max err %.2e over %d pts per identity, %.2f s" % (worst, n, dt),
+        5.0,
+        selftest.dilog_identities,
+        n=500,
+        seed=20260814,
     )
-    assert worst <= 1e-10
-    assert dt < 5.0
 
 
-def test_criterion_02_derivatives(acceptance, spec):
-    rng = random.Random(77)
-    h = 1e-6
-    t0 = time.perf_counter()
-    worst = 0.0
-    for pt in _regular_points(spec, rng, 100):
-        g = log_gradient(spec, pt)
-        hess = log_hessian(spec, pt)
-        for j, v in enumerate(spec.variables):
-            up = dict(pt.values)
-            dn = dict(pt.values)
-            up[v] = pt.values[v] * math.exp(h)
-            dn[v] = pt.values[v] * math.exp(-h)
-            pu = make_point(spec, up)
-            pd = make_point(spec, dn)
-            fd = (eval_v(spec, pu) - eval_v(spec, pd)) / (2 * h)
-            worst = max(worst, abs(fd - g[j]) / max(1.0, abs(g[j])))
-            # hessian column j against differenced gradient
-            fdg = [
-                (a - b) / (2 * h)
-                for a, b in zip(log_gradient(spec, pu), log_gradient(spec, pd))
-            ]
-            for i in range(len(spec.variables)):
-                worst = max(
-                    worst, abs(fdg[i] - hess[i][j]) / max(1.0, abs(hess[i][j]))
-                )
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-6 and dt < 5.0
-    acceptance(
+def test_criterion_02_derivatives(acceptance):
+    _check_group(
+        acceptance,
         2,
         "gradient and hessian vs central differences",
-        "PASS" if ok else "FAIL",
-        "max rel err %.2e at 100 points, %.2f s" % (worst, dt),
+        5.0,
+        selftest.derivative_checks,
+        n=100,
+        seed=77,
     )
-    assert worst <= 1e-6
-    assert dt < 5.0
 
 
-def test_criterion_03_complete_structure(acceptance, spec):
-    t0 = time.perf_counter()
-    cp = solve_complete(spec)
-    pt = cp.point
-    x = pt.values["x"]
-    y = pt.values["y"]
-    cubic = abs(x**3 - x - 1)
-    elim = abs(y - (x + 1))
-    eta, _ = eval_eta(spec, pt)
-    eta_err = abs(eta - 1)
-    vol_v = eval_v(spec, pt).imag
-    vol_d = volume_from_shapes(shapes_from_point(pt))
-    dt = time.perf_counter() - t0
-    ok = (
-        cubic <= 1e-12
-        and elim <= 1e-12
-        and eta_err <= 1e-10
-        and abs(vol_v - 2.82812208833) <= 1e-8
-        and abs(vol_d - 2.82812208833) <= 1e-8
-        and abs(vol_v - vol_d) <= 1e-9
-        and dt < 1.0
+def test_criterion_03_complete_structure(acceptance):
+    _check_group(
+        acceptance, 3, "complete structure of 5_2", 1.0, selftest.complete_structure_check
     )
-    acceptance(
-        3,
-        "complete structure of 5_2",
-        "PASS" if ok else "FAIL",
-        "cubic %.1e, eta %.1e, vol %.11f both routes, %.3f s" % (cubic, eta_err, vol_v, dt),
-    )
-    assert cubic <= 1e-12
-    assert elim <= 1e-12
-    assert eta_err <= 1e-10
-    assert abs(vol_v - 2.82812208833) <= 1e-8
-    assert abs(vol_d - 2.82812208833) <= 1e-8
-    assert abs(vol_v - vol_d) <= 1e-9
-    assert dt < 1.0
 
 
 def test_criterion_04_filling_equation(acceptance, spec, scan):
@@ -387,7 +282,7 @@ def test_criterion_07_im_v_alpha_identity(acceptance, spec):
     rng = random.Random(20260814)
     slope = normalize_slope(7, 1)
     worst = 0.0
-    for pt in _regular_points(spec, rng, 100):
+    for pt in selftest._regular_points(spec, rng, 100):
         lhs = eval_v_alpha(spec, slope, pt).imag
         d_sum, corr = im_v_alpha_parts(spec, pt, slope)
         worst = max(worst, abs(lhs - (d_sum + corr)))

@@ -1,5 +1,6 @@
 """Command-line front end tests, run in-process through cli.main."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,11 +9,10 @@ import sys
 import pytest
 
 import _oracles as O
-import knotpot.potential
 from knotpot import cli
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import ValidationError
-from knotpot.potential import builtin_five_two, dump_spec
+from knotpot.potential import builtin_five_two, dump_spec, load_spec
 
 
 def run(capsys, *argv):
@@ -225,6 +225,69 @@ def test_complete_without_alternate_longitude(capsys, tmp_path):
     want = run(capsys, "complete")[1].splitlines()
     kept = [ln for ln in want if not ln.startswith("eta_alternate = ")]
     assert (len(kept), kept) == (len(want) - 1, out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("quad_terms", 0, "coeff", 0), "quad_terms[0].coeff: numerator"),
+        (("quad_terms", 0, "coeff", 1), "quad_terms[0].coeff: denominator"),
+        (("constant_pi2", 0), "constant_pi2: numerator"),
+        (("constant_pi2", 1), "constant_pi2: denominator"),
+        (("dilog_terms", 0, "arg", "y"), "dilog_terms[0]: exponent of 'y'"),
+        (("longitude", "prefactor", "xi"), "longitude.prefactor: exponent of 'xi'"),
+        (("longitude", "factors", 0, "exp"), "longitude.factors[0]: exp"),
+        (("longitude", "factors", 0, "arg", "y"), "longitude.factors[0]: exponent of 'y'"),
+        (
+            ("longitude", "alternate", "prefactor", "xi"),
+            "longitude.alternate.prefactor: exponent of 'xi'",
+        ),
+        (("longitude", "alternate", "factors", 0, "exp"), "longitude.alternate.factors[0]: exp"),
+    ],
+)
+def test_spec_integer_beyond_float_range_exits_usage(capsys, tmp_path, path, field):
+    # the evaluators read every integer of a spec as a float, so
+    # load_spec refuses one that overflows it, naming the field
+    doc = json.loads(dump_spec(builtin_five_two()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400
+    msg = field + " must be within float range"
+    with pytest.raises(ValidationError) as ei:
+        load_spec(json.dumps(doc))
+    assert str(ei.value) == msg
+    spec_path = tmp_path / "big.json"
+    spec_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--spec", str(spec_path), "complete")
+    assert (code, out, err) == (1, "", "error: %s\n" % msg)
+
+
+def _overflowing_longitude(tmp_path, alternate=False):
+    # the built-in with (1 - m)^10000 for the first factor of the
+    # primary or alternate longitude, which overflows at the complete
+    # structure
+    doc = json.loads(dump_spec(builtin_five_two()))
+    lon = doc["longitude"]
+    (lon["alternate"] if alternate else lon)["factors"][0]["exp"] = 10**4
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_overflowing_alternate_longitude_prints_no_line(capsys, tmp_path):
+    # as at a 0/0 corner, the alternate has no value there
+    path = _overflowing_longitude(tmp_path, alternate=True)
+    code, out, err = run(capsys, "--spec", path, "complete")
+    want = run(capsys, "complete")[1].splitlines()
+    kept = [ln for ln in want if not ln.startswith("eta_alternate = ")]
+    assert (code, err, out.splitlines()) == (0, "", kept)
+
+
+def test_overflowing_primary_longitude_fails_complete(capsys, tmp_path):
+    code, out, err = run(capsys, "--spec", _overflowing_longitude(tmp_path), "complete")
+    assert (code, out) == (2, "")
+    assert err == "error: longitude overflow (complex exponentiation)\n"
 
 
 def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
@@ -667,32 +730,30 @@ def _selftest_groups(out):
     return {ln.split(",")[0]: ln.split(",")[1] for ln in lines[header + 1 :]}
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    groups = _selftest_groups(out)
-    assert len(groups) == 3
-    assert all(passed == "true" for passed in groups.values())
+def _scale_gradient(f):
+    return lambda spec, pt: [g * (1 + 1e-5) for g in f(spec, pt)]
 
 
-def test_selftest_json(capsys):
-    code, out, _ = run(capsys, "--format", "json", "selftest")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema"] == 1 and doc["passed"] is True
-    assert len(doc["groups"]) == 3
+# (module, function, fault, the one group it must fail)
+_SELFTEST_FAULTS = [
+    ("knotpot.dilog", "li2", lambda f: lambda z: f(z) * (1 + 1e-9), "dilog-identities"),
+    ("knotpot.selftest", "log_gradient", _scale_gradient, "derivative-checks"),
+    # D's sign where signed_d_sum reads it trips the volume checks
+    ("knotpot.potential", "bloch_wigner_d", lambda f: lambda z: -f(z), "complete-structure"),
+]
 
 
 def test_selftest_negative_control(capsys, monkeypatch):
-    # breaking D's sign where signed_d_sum reads it must trip the
-    # volume checks and name the group
-    orig = knotpot.potential.bloch_wigner_d
-    monkeypatch.setattr(knotpot.potential, "bloch_wigner_d", lambda z: -orig(z))
-    code, out, _ = run(capsys, "selftest")
-    assert code == 4
-    fails = [name for name, passed in _selftest_groups(out).items() if passed == "false"]
-    assert fails
-    assert "complete-structure" in fails
+    # acceptance criteria 1-3 run these groups, so each must fail under a
+    # fault in what it checks, and name itself alone
+    for module, name, fault, group in _SELFTEST_FAULTS:
+        with monkeypatch.context() as mp:
+            mod = importlib.import_module(module)
+            mp.setattr(mod, name, fault(getattr(mod, name)))
+            code, out, _ = run(capsys, "selftest")
+        assert code == 4, group
+        fails = [g for g, passed in _selftest_groups(out).items() if passed == "false"]
+        assert fails == [group]
 
 
 # ------------------------------------------------------ tol and output

@@ -118,14 +118,15 @@ def test_li2_derivative_by_finite_differences():
 
 
 def test_li2_inversion_property():
-    # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, upper half plane
+    # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, in both half planes
     rng = random.Random(17)
     worst = 0.0
     for _ in range(500):
-        z = complex(rng.uniform(-4, 4), rng.uniform(1e-3, 4))
-        lhs = li2(z) + li2(1 / z)
-        rhs = -O.PI2_6 - principal_log(-z) ** 2 / 2
-        worst = max(worst, abs(lhs - rhs))
+        upper = complex(rng.uniform(-4, 4), rng.uniform(1e-3, 4))
+        for z in (upper, upper.conjugate()):
+            lhs = li2(z) + li2(1 / z)
+            rhs = -O.PI2_6 - principal_log(-z) ** 2 / 2
+            worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-11
 
 
@@ -200,7 +201,7 @@ def test_d_matches_oracle():
 
 
 def test_d_symmetries():
-    # D(conj z) = -D(z) and D(1/z) = -D(z)
+    # D(conj z) = -D(z), D(1/z) = -D(z) and D(1 - 1/z) = D(z)
     rng = random.Random(31)
     worst = 0.0
     for _ in range(500):
@@ -210,6 +211,7 @@ def test_d_symmetries():
         d = bloch_wigner_d(z)
         worst = max(worst, abs(bloch_wigner_d(z.conjugate()) + d))
         worst = max(worst, abs(bloch_wigner_d(1 / z) + d))
+        worst = max(worst, abs(bloch_wigner_d(1 - 1 / z) - d))
     assert worst < 1e-12
 
 
