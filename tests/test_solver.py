@@ -645,6 +645,12 @@ def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, complete
         assert abs(eval_v_alpha(spec, slope, sol.critical.point).imag - vol) <= 1e-6, (p, q)
 
 
+@pytest.mark.parametrize("tol", [2e-3, 1.0])
+def test_filling_refuses_newton_tol_above_the_cap(spec, complete, tol):
+    with pytest.raises(ValidationError, match="newton_tol must be at most 0.001"):
+        solve_filling(spec, normalize_slope(7, 1), complete=complete, newton_tol=tol)
+
+
 _ENTRY_POINTS = {
     "solve_complete": lambda spec, cp, tol: solve_complete(spec, newton_tol=tol),
     "trace_deformation": lambda spec, cp, tol: trace_deformation(
