@@ -19,14 +19,18 @@ The evaluators do not interpret the spec. Each spec is lowered once,
 on first use, to index tables (PotentialSpec.tables): the tracked
 monomials with their (var, exp) pairs, and for every evaluator the
 integer and float coefficients it needs, each paired with the index of
-a tracked monomial or the name of a variable. Every point, built by
-make_point or advance_point_logs, evaluates each tracked monomial once
-and keeps its value and continued log(1 - m), in table order, beside
-the variable logs; the evaluators read them from there and refuse a
-point of any spec but their own or an equal one. The tables keep the
-order of the terms in the spec, so every sum is formed in the same
-order and grouping as a direct reading of the spec would form it, and
-results do not depend on the lowering.
+a tracked monomial or the name of a variable. The lowering reads each
+term list once, dilog terms, quad terms, then the primary longitude's
+factors, and appends each term to every gradient row, hessian cell and
+longitude row it enters; the reduced residual is then read off the
+fiber gradient's rows, not the terms. Every point, built by make_point
+or advance_point_logs, evaluates each tracked monomial once and keeps
+its value and continued log(1 - m), in table order, beside the
+variable logs; the evaluators read them from there and refuse a point
+of any spec but their own or an equal one. The tables keep the order
+of the terms in the spec, so every sum is formed in the same order and
+grouping as a direct reading of the spec would form it, and results do
+not depend on the lowering.
 """
 
 import cmath
@@ -132,17 +136,6 @@ class PotentialSpec(FrozenRecord):
     def meridian(self) -> str:
         return self.variables[-1]
 
-    def tracked_monomials(self):
-        """Dilog arguments then primary longitude factor arguments, deduplicated."""
-        seen = []
-        for t in self.dilog_terms:
-            if t.argument not in seen:
-                seen.append(t.argument)
-        for _, m in self.longitude.factors:
-            if m not in seen:
-                seen.append(m)
-        return seen
-
     @cached_property
     def tables(self) -> "SpecTables":
         """The spec lowered to index tables, built on first use."""
@@ -153,119 +146,117 @@ class SpecTables:
     """A PotentialSpec lowered to the index tables its evaluators read.
 
     Monomials are referred to by their index j in `monomials`, the
-    tracked monomials (the dilog arguments and the primary longitude's
-    factors) in tracked_monomials() order, and variables by
-    name or by their index in spec.variables. Rows keep the order of
-    the spec's terms. Exponents stay Python ints and coefficients
+    tracked monomials: the dilog arguments, then the primary
+    longitude's factors, each once, in order of first appearance.
+    Variables are referred to by name or by their index in
+    spec.variables. One pass over each term list appends each term to
+    every row it enters, so rows keep the order of the spec's terms.
+    Exponents and their products stay Python ints and coefficients
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
     """
 
     def __init__(self, spec: PotentialSpec):
         variables = spec.variables
+        n = len(variables)
         idx = {v: i for i, v in enumerate(variables)}
-        self.monomials = tuple(spec.tracked_monomials())
-        j_of = {m: j for j, m in enumerate(self.monomials)}
-        dilog_args = {t.argument for t in spec.dilog_terms}
-        self.is_dilog = tuple(m in dilog_args for m in self.monomials)
+        j_of = {}
+        # per variable: the gradient's (sign * a_v, j) per dilog term
+        # and (Fraction coeff, other var) per quad term slot holding v
+        grad_rows = [[] for _ in variables]
+        quad_slots = [[] for _ in variables]
+        # hessian, per cell (i_u, i_v) of the upper triangle: the
+        # (a_u * a_v, t) products in term order and the quad constants
+        # in quad order (a diagonal cell takes a quad's constant twice).
+        # Summed from 0j in that order, each cell is bit for bit the
+        # entry-by-entry sum of the spec's reading, and equal to its
+        # mirror cell, which receives the same sums in the same order.
+        cells = {(iu, iv): ([], []) for iu in range(n) for iv in range(iu, n)}
+
+        # V: (sign, j) per dilog term t, from which the hessian also
+        # takes its f_t = sign * m / (1 - m)
+        dilogs = []
+        for t, term in enumerate(spec.dilog_terms):
+            j = j_of.setdefault(term.argument, len(j_of))
+            dilogs.append((term.sign, j))
+            where = "dilog_terms[%d]: product of exponents" % t
+            exps = [(idx[v], a) for v, a in term.argument.exponents]
+            for iu, au in exps:
+                grad_rows[iu].append((term.sign * au, j))
+                for iv, av in exps:
+                    if iu <= iv:
+                        _check_float_range(au * av, where)
+                        cells[iu, iv][0].append((au * av, t))
+        self.dilogs = tuple(dilogs)
+        n_dilog = len(j_of)
+
+        # V: (coeff, var_a, var_b) per quad term
+        quads = []
+        for term in spec.quad_terms:
+            c, a, b = float(term.coeff), term.var_a, term.var_b
+            quads.append((c, a, b))
+            quad_slots[idx[a]].append((term.coeff, b))
+            quad_slots[idx[b]].append((term.coeff, a))
+            iu, iv = sorted((idx[a], idx[b]))
+            cells[iu, iv][1].extend([complex(c)] * (1 + (iu == iv)))
+        self.quads = tuple(quads)
+        self.constant = float(spec.constant_pi2) * _PI2
+
+        # primary longitude: log eta rows, and per variable the constant
+        # prefactor exponent and (e * a_v, j) per factor holding v
+        lon = spec.longitude
+        eta_factors = []
+        eta_rows = [[] for _ in variables]
+        for f, (e, m) in enumerate(lon.factors):
+            j = j_of.setdefault(m, len(j_of))
+            eta_factors.append((e, j))
+            where = "longitude.factors[%d]: product of exp and exponent" % f
+            for v, a in m.exponents:
+                _check_float_range(e * a, where)
+                eta_rows[idx[v]].append((e * a, j))
+        self.eta_prefactor = lon.prefactor.exponents
+        self.eta_factors = tuple(eta_factors)
+        self.d_eta = tuple(
+            (complex(lon.prefactor.exponent(v)), tuple(rows))
+            for v, rows in zip(variables, eta_rows)
+        )
+
+        self.monomials = tuple(j_of)
+        self.is_dilog = tuple(j < n_dilog for j in range(len(j_of)))
         # point builds: per tracked monomial its (variable index, exp)
         # pairs, in Monomial.exponents order
         self.monomial_rows = tuple(
             tuple((idx[v], e) for v, e in m.exponents) for m in self.monomials
         )
-
-        # V: (sign, j) per dilog term, (coeff, var_a, var_b) per quad term
-        self.dilogs = tuple((t.sign, j_of[t.argument]) for t in spec.dilog_terms)
-        self.quads = tuple((float(t.coeff), t.var_a, t.var_b) for t in spec.quad_terms)
-        self.constant = float(spec.constant_pi2) * _PI2
-
-        # gradient, per variable v: (sign * a_v, j) per dilog term with
-        # a_v != 0, then (coeff, other var) per quad term slot holding v
-        gradient = []
-        for v in variables:
-            rows = tuple(
-                (t.sign * t.argument.exponent(v), j_of[t.argument])
-                for t in spec.dilog_terms
-                if t.argument.exponent(v)
-            )
-            quad_rows = []
-            for t in spec.quad_terms:
-                c = float(t.coeff)
-                if t.var_a == v:
-                    quad_rows.append((c, t.var_b))
-                if t.var_b == v:
-                    quad_rows.append((c, t.var_a))
-            gradient.append((rows, tuple(quad_rows)))
-        self.gradient = tuple(gradient)
+        self.gradient = tuple(
+            (tuple(rows), tuple((float(c), w) for c, w in slots))
+            for rows, slots in zip(grad_rows, quad_slots)
+        )
         # the non-meridian components, which the solvers drive to zero
         self.fiber_gradient = self.gradient[:-1]
-
-        # hessian: f_t = sign * m / (1 - m) per dilog term t, from its
-        # (sign, j) in dilogs; then per cell (i_u, i_v) of the upper
-        # triangle the (a_u * a_v, t) products in term order and the quad
-        # constants in quad order (a diagonal cell takes a quad's
-        # constant twice).
-        # Summed from 0j in that order, each cell is bit for bit the
-        # entry-by-entry sum of the spec's reading, and equal to its
-        # mirror cell, which receives the same sums in the same order.
-        cells = []
-        for iu, u in enumerate(variables):
-            for iv in range(iu, len(variables)):
-                v = variables[iv]
-                prods = tuple(
-                    (t.argument.exponent(u) * t.argument.exponent(v), ti)
-                    for ti, t in enumerate(spec.dilog_terms)
-                    if t.argument.exponent(u) and t.argument.exponent(v)
-                )
-                consts = []
-                for t in spec.quad_terms:
-                    pair = (t.var_a, t.var_b)
-                    hits = (pair == (u, v)) + (pair == (v, u))
-                    consts += [complex(float(t.coeff))] * hits
-                cells.append((iu, iv, prods, tuple(consts)))
-        self.hessian_cells = tuple(cells)
-        # the non-meridian block the fiber Newton solves in
-        k = len(variables) - 1
-        self.fiber_hessian_cells = tuple(c for c in cells if c[1] < k)
-
-        # primary longitude: log eta rows, and per variable the constant
-        # prefactor exponent and (e * a_v, j) per factor with a_v != 0
-        lon = spec.longitude
-        self.eta_prefactor = lon.prefactor.exponents
-        self.eta_factors = tuple((e, j_of[m]) for e, m in lon.factors)
-        self.d_eta = tuple(
-            (
-                complex(lon.prefactor.exponent(v)),
-                tuple(
-                    (e * m.exponent(v), j_of[m]) for e, m in lon.factors if m.exponent(v)
-                ),
-            )
-            for v in variables
+        self.hessian_cells = tuple(
+            (iu, iv, tuple(prods), tuple(consts))
+            for (iu, iv), (prods, consts) in cells.items()
         )
+        # the non-meridian block the fiber Newton solves in
+        self.fiber_hessian_cells = tuple(c for c in self.hessian_cells if c[1] < n - 1)
 
-        # reduced residual, per non-meridian variable: (e, j) factors
-        # (1 - m)^e of the left side, (var, e) powers of the right side,
-        # and the right side's first non-integer e (else None), which is
-        # refused when a residual is evaluated, not here, so such a spec
-        # still loads
+        # reduced residual, per non-meridian variable, read off its
+        # gradient rows: the dilog rows times sigma as (e, j) factors
+        # (1 - m)^e of the left side, the quad slots summed per other
+        # variable as (var, e) powers of the right side, and the right
+        # side's first non-integer e (else None), which is refused when
+        # a residual is evaluated, not here, so such a spec still loads
         residual = []
-        for v in variables[:-1]:
+        for rows, slots in zip(grad_rows[:-1], quad_slots[:-1]):
             quad_exp = {}
-            for t in spec.quad_terms:
-                c = t.coeff
-                if t.var_a == v:
-                    quad_exp[t.var_b] = quad_exp.get(t.var_b, Fraction(0)) + c
-                if t.var_b == v:
-                    quad_exp[t.var_a] = quad_exp.get(t.var_a, Fraction(0)) + c
+            for c, w in slots:
+                quad_exp[w] = quad_exp.get(w, Fraction(0)) + c
             sigma = -1 if quad_exp.get(spec.meridian, Fraction(0)) < 0 else 1
-            lhs = tuple(
-                (sigma * t.sign * t.argument.exponent(v), j_of[t.argument])
-                for t in spec.dilog_terms
-                if t.argument.exponent(v)
-            )
-            exps = [(vp, sigma * c) for vp, c in quad_exp.items()]
+            lhs = tuple((sigma * sa, j) for sa, j in rows)
+            exps = [(w, sigma * c) for w, c in quad_exp.items()]
             bad = next((e for _, e in exps if e.denominator != 1), None)
-            rhs = tuple((vp, int(e)) for vp, e in exps if e.denominator == 1)
+            rhs = tuple((w, int(e)) for w, e in exps if e.denominator == 1)
             residual.append((lhs, rhs, bad))
         self.residual = tuple(residual)
 
@@ -460,8 +451,8 @@ def load_spec(source) -> PotentialSpec:
     the alternate as eta_alternate beside eta, so the two forms can be
     compared. Raises SpecFormatError for bytes that are not UTF-8
     and text that is not JSON, and ValidationError for a document that
-    does not follow the format, an integer beyond float range among
-    them.
+    does not follow the format, an integer or a product of exponents
+    beyond float range among them.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -534,7 +525,7 @@ def load_spec(source) -> PotentialSpec:
         )
         alternate = LongitudeExpr(apre, afac)
 
-    return PotentialSpec(
+    spec = PotentialSpec(
         name=doc["name"],
         variables=tuple(variables),
         dilog_terms=tuple(dilog_terms),
@@ -542,6 +533,10 @@ def load_spec(source) -> PotentialSpec:
         constant_pi2=constant,
         longitude=LongitudeSpec(pre, factors, alternate),
     )
+    # lowered here, so a product of exponents beyond float range is
+    # refused where the document is read
+    spec.tables
+    return spec
 
 
 def _mono_doc(m: Monomial, variables):

@@ -698,7 +698,12 @@ def assert_matches_naive(spec, pt):
 
 
 def _variant_specs(spec):
-    """The built-in, a reordered copy and a renamed copy, with name maps."""
+    """The built-in and copies of it that lower to other tables, with name maps.
+
+    Beside a reordered and a renamed copy: one tracked monomial shared
+    by three dilog terms; quad terms in swapped and diagonal slots; a
+    primary longitude factor that is no dilog argument.
+    """
     doc = _doc(spec)
     doc["variables"] = ["y", "x", "xi"]
     doc["dilog_terms"].reverse()
@@ -708,15 +713,35 @@ def _variant_specs(spec):
     for old, new in (('"x"', '"a"'), ('"y"', '"b"'), ('"xi"', '"c"')):
         text = text.replace(old, new)
     renamed = load_spec(text)
+    doc = _doc(spec)
+    first = doc["dilog_terms"][0]
+    doc["dilog_terms"] += [dict(first), dict(first, sign=-first["sign"])]
+    repeated = load_spec(json.dumps(doc))
+    doc = _doc(spec)
+    doc["quad_terms"] += [
+        {"coeff": [1, 1], "vars": ["y", "x"]},
+        {"coeff": [3, 1], "vars": ["x", "x"]},
+    ]
+    quads = load_spec(json.dumps(doc))
+    doc = _doc(spec)
+    doc["longitude"]["factors"].append({"exp": -2, "arg": {"x": 3, "y": -1}})
+    factor = load_spec(json.dumps(doc))
     same = {"x": "x", "y": "y", "xi": "xi"}
     return [
         (spec, same),
         (reordered, same),
         (renamed, {"x": "a", "y": "b", "xi": "c"}),
+        (repeated, same),
+        (quads, same),
+        (factor, same),
     ]
 
 
-@pytest.mark.parametrize("which", [0, 1, 2], ids=["builtin", "reordered", "renamed"])
+@pytest.mark.parametrize(
+    "which",
+    range(6),
+    ids=["builtin", "reordered", "renamed", "repeated_dilog", "extra_quads", "extra_factor"],
+)
 def test_tables_match_plain_reading_bit_for_bit(spec, which):
     vspec, names = _variant_specs(spec)[which]
     rng = random.Random(4242 + which)
