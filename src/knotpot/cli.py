@@ -305,10 +305,7 @@ def cmd_fill(args, spec, complete, slope):
     try:
         sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
     except PathObstructionError as e:
-        msg = str(e)
-        if "possibly exceptional" not in msg:
-            msg += " (possibly exceptional slope)"
-        print("slope %s: %s" % (slope, msg), file=sys.stderr)
+        print("slope %s: %s" % (slope, e), file=sys.stderr)
         return EXIT_OBSTRUCTION, None
     rep = report_for(spec, slope, sol)
     fields = [("p", slope.p), ("q", slope.q), ("r", slope.r), ("s", slope.s)]

@@ -243,21 +243,24 @@ class SpecTables:
 
         # reduced residual, per non-meridian variable, read off its
         # gradient rows: the dilog rows times sigma as (e, j) factors
-        # (1 - m)^e of the left side, the quad slots summed per other
-        # variable as (var, e) powers of the right side, and the right
-        # side's first non-integer e (else None), which is refused when
-        # a residual is evaluated, not here, so such a spec still loads
+        # (1 - m)^e of the left side, and the quad slots summed per
+        # other variable as (var, e) powers of the right side, each e
+        # an integer or the spec is refused here
         residual = []
         for rows, slots in zip(grad_rows[:-1], quad_slots[:-1]):
             quad_exp = {}
             for c, w in slots:
                 quad_exp[w] = quad_exp.get(w, Fraction(0)) + c
             sigma = -1 if quad_exp.get(spec.meridian, Fraction(0)) < 0 else 1
-            lhs = tuple((sigma * sa, j) for sa, j in rows)
-            exps = [(w, sigma * c) for w, c in quad_exp.items()]
-            bad = next((e for _, e in exps if e.denominator != 1), None)
-            rhs = tuple((w, int(e)) for w, e in exps if e.denominator == 1)
-            residual.append((lhs, rhs, bad))
+            rhs = []
+            for w, c in quad_exp.items():
+                if c.denominator != 1:
+                    raise ValidationError(
+                        "reduced residual needs integer quad exponents, got %s"
+                        % (sigma * c)
+                    )
+                rhs.append((w, int(sigma * c)))
+            residual.append((tuple((sigma * sa, j) for sa, j in rows), tuple(rhs)))
         self.residual = tuple(residual)
 
 
@@ -406,6 +409,14 @@ def _parse_monomial(obj, variables, where) -> Monomial:
     return Monomial.from_dict(obj)
 
 
+def _parse_arg(term, variables, where) -> Monomial:
+    # a constant m makes Li2(m), or a longitude factor 1 - m, a constant
+    m = _parse_monomial(term.get("arg", {}), variables, where)
+    if not m.exponents:
+        raise ValidationError(where + ": arg must hold a variable")
+    return m
+
+
 def _parse_rational(obj, where) -> Fraction:
     if (
         not isinstance(obj, list)
@@ -436,7 +447,7 @@ def _parse_longitude_expr(obj, variables, where, allow_alternate):
         if not _is_int(f.get("exp")):
             raise ValidationError(fw + ": exp must be an integer")
         _check_float_range(f["exp"], fw + ": exp")
-        factors.append((f["exp"], _parse_monomial(f.get("arg", {}), variables, fw)))
+        factors.append((f["exp"], _parse_arg(f, variables, fw)))
     return prefactor, tuple(factors)
 
 
@@ -451,8 +462,12 @@ def load_spec(source) -> PotentialSpec:
     the alternate as eta_alternate beside eta, so the two forms can be
     compared. Raises SpecFormatError for bytes that are not UTF-8
     and text that is not JSON, and ValidationError for a document that
-    does not follow the format, an integer or a product of exponents
-    beyond float range among them.
+    does not follow the format: among them an integer or a product of
+    exponents beyond float range, a dilog term or longitude factor
+    whose arg holds no variable, and quad coefficients that give the
+    reduced residual a non-integer exponent. This is the one place a
+    spec's contents are judged; no evaluator or Newton loop raises
+    about a spec it returns.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -493,12 +508,9 @@ def load_spec(source) -> PotentialSpec:
         _check_fields(t, {"sign", "arg"}, where)
         if not _is_int(t.get("sign")) or t["sign"] not in (-1, 1):
             raise ValidationError(where + ": sign must be -1 or 1")
-        dilog_terms.append(
-            DilogTerm(t["sign"], _parse_monomial(t.get("arg", {}), variables, where))
-        )
+        dilog_terms.append(DilogTerm(t["sign"], _parse_arg(t, variables, where)))
 
     quad_terms = []
-    meridian_in_quads = False
     for i, t in enumerate(_check_list(doc["quad_terms"], "quad_terms")):
         where = "quad_terms[%d]" % i
         _check_fields(t, {"coeff", "vars"}, where)
@@ -509,10 +521,7 @@ def load_spec(source) -> PotentialSpec:
         for v in vs:
             if v not in variables:
                 raise ValidationError("%s: undeclared variable %r" % (where, v))
-        meridian_in_quads = meridian_in_quads or doc["meridian"] in vs
         quad_terms.append(QuadLogTerm(coeff, vs[0], vs[1]))
-    if not meridian_in_quads:
-        raise ValidationError("quad_terms: meridian variable never appears")
 
     constant = _parse_rational(doc["constant_pi2"], "constant_pi2")
 
@@ -533,8 +542,8 @@ def load_spec(source) -> PotentialSpec:
         constant_pi2=constant,
         longitude=LongitudeSpec(pre, factors, alternate),
     )
-    # lowered here, so a product of exponents beyond float range is
-    # refused where the document is read
+    # lowered here, so a product of exponents beyond float range or a
+    # non-integer residual exponent is refused where the document is read
     spec.tables
     return spec
 
@@ -888,7 +897,9 @@ def reduced_residual(pt: ParamPoint):
         (1 - y/x)(1 - x/xi)/(1 - xi/x) - xi^2,
         (1 - y/x)/((1 - y/xi)(1 - 1/(y xi))) - xi^2.
 
-    Branch-free, so it is the solver's acceptance residual.
+    Branch-free, so it is the solver's acceptance residual. Raises
+    SingularPointError where a factor with a negative exponent
+    vanishes, and StepTooLargeError where a power overflows.
     """
     spec = pt.spec
     tab = spec.tables
@@ -896,17 +907,13 @@ def reduced_residual(pt: ParamPoint):
     values = pt.values
     out = []
     try:
-        for lhs_rows, rhs_rows, bad in tab.residual:
+        for lhs_rows, rhs_rows in tab.residual:
             lhs = 1 + 0j
             for e, j in lhs_rows:
                 f = 1 - mvals[j]
                 if f == 0 and e < 0:
                     raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
                 lhs *= f**e
-            if bad is not None:
-                raise ValidationError(
-                    "reduced residual needs integer quad exponents, got %s" % bad
-                )
             rhs = 1 + 0j
             for vp, e in rhs_rows:
                 rhs *= values[vp] ** e

@@ -240,7 +240,7 @@ def solve_complete(
 
     Runs Newton from each seed in order (by default DEFAULT_SEEDS, laid
     onto the two fiber variables in spec order) and returns the first
-    distinct converged root whose dilog arguments are all off the real
+    converged root whose dilog arguments are all off the real
     axis with total shape volume sum sign*D > 0; later seeds are not
     run. A root found with negative total volume is replaced by its
     complex conjugate (same equations, opposite orientation). The
@@ -258,7 +258,6 @@ def solve_complete(
             )
         seeds = [dict(zip(fiber, s)) for s in DEFAULT_SEEDS]
     meridian = spec.meridian
-    keys = []
     best_resid = math.inf
     for seed in seeds:
         values = dict(seed)
@@ -271,13 +270,6 @@ def solve_complete(
         except KnotpotError:
             continue
         best_resid = min(best_resid, cp.residual_inf_norm)
-        key = tuple(
-            (round(cp.point.values[v].real, 9), round(cp.point.values[v].imag, 9))
-            for v in spec.variables
-        )
-        if key in keys:
-            continue  # a root already seen, and not geometric
-        keys.append(key)
         vol = signed_d_sum(spec, cp.point)
         if vol < -_FLAT_TOL:
             conj_values = {v: cp.point.values[v].conjugate() for v in spec.variables}
@@ -293,7 +285,7 @@ def solve_complete(
                 pt = make_point(spec, cp.point.values)
                 cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
             return cp
-    if not keys:
+    if best_resid == math.inf:
         raise NoConvergenceError("no seed converged for %s" % spec.name)
     raise NoGeometricRootError(
         "all converged roots are flat (best residual %.3e)" % best_resid
@@ -440,7 +432,8 @@ def solve_filling(
             dt /= 2.0
             if dt < 1e-7:
                 raise PathObstructionError(
-                    "filling path for %s obstructed at t = %.6f (%s)" % (slope, t, e),
+                    "filling path for %s obstructed at t = %.6f (%s); "
+                    "slope possibly exceptional" % (slope, t, e),
                     t_reached=t,
                 ) from e
 

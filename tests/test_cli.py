@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import _oracles as O
-from knotpot import cli
+from knotpot import cli, solver
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
-from knotpot.errors import ValidationError
+from knotpot.errors import NoConvergenceError, ValidationError
 from knotpot.potential import builtin_five_two, dump_spec, load_spec
 
 
@@ -332,6 +332,49 @@ def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
         code, out, err = run(capsys, "--spec", str(path), *argv)
         assert (code, out) == (1, "")
         assert err == "error: reduced residual needs integer quad exponents, got 3/2\n"
+
+
+@pytest.mark.parametrize(
+    "path, arg",
+    [
+        (("dilog_terms", 0), None),
+        (("dilog_terms", 0), {}),
+        (("dilog_terms", 0), {"x": 0}),
+        (("longitude", "factors", 0), None),
+        (("longitude", "alternate", "factors", 0), {}),
+    ],
+    ids=["dilog_missing", "dilog_empty", "dilog_zero", "primary_missing", "alternate_empty"],
+)
+def test_spec_with_constant_arg_exits_usage(capsys, tmp_path, path, arg):
+    # refused where the spec is read, not as seeds that did not
+    # converge, a possibly exceptional slope or an eta_alternate of 0
+    doc = json.loads(dump_spec(builtin_five_two()))
+    node = doc
+    for key in path:
+        node = node[key]
+    del node["arg"]
+    if arg is not None:
+        node["arg"] = arg
+    spec_path = tmp_path / "constant.json"
+    spec_path.write_text(json.dumps(doc))
+    where = path[0] + "".join("[%d]" % k if isinstance(k, int) else "." + k for k in path[1:])
+    for argv in (["complete"], ["fill", "--slope=7/1"]):
+        code, out, err = run(capsys, "--spec", str(spec_path), *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: %s: arg must hold a variable\n" % where
+
+
+def test_fill_reports_an_obstructed_homotopy_once(capsys, monkeypatch):
+    def never_converges(*args):
+        raise NoConvergenceError("filling Newton: no convergence")
+
+    monkeypatch.setattr(solver, "_newton_filling", never_converges)
+    code, out, err = run(capsys, "fill", "--slope=7/1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "slope 7/1: filling path for 7/1 obstructed at t = 0.000000 "
+        "(filling Newton: no convergence); slope possibly exceptional\n"
+    )
 
 
 def _spec_with_x_named(tmp_path, name):

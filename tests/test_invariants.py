@@ -294,6 +294,8 @@ def test_report_for_q_two(spec, complete):
     rep = report_for(spec, slope, sol)
     assert abs(rep.volume - VOLUME_TABLE[5, 2]) < 1e-9
     assert 0 <= rep.geodesic_torsion < 2 * PI / 2
+    # a report reads only the point, whichever record carries it
+    assert report_for(spec, slope, sol.critical) == rep
 
 
 

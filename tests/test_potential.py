@@ -144,6 +144,10 @@ def test_load_spec_rejects_undeclared_variable(spec):
     doc["dilog_terms"][0]["arg"] = {"w": 1}
     with pytest.raises(ValidationError, match="w"):
         load_spec(json.dumps(doc))
+    doc = _doc(spec)
+    doc["quad_terms"][0]["vars"] = ["xi", "w"]
+    with pytest.raises(ValidationError, match="quad_terms\\[0\\]: undeclared variable 'w'"):
+        load_spec(json.dumps(doc))
 
 
 def test_load_spec_rejects_unknown_fields(spec):
@@ -197,11 +201,55 @@ def test_load_spec_requires_meridian_last(spec):
         load_spec(json.dumps(doc))
 
 
-def test_load_spec_requires_meridian_in_quads(spec):
+def _four_one_doc(quad_terms):
+    """V = Li2(x m) - Li2(m/x), the figure-eight potential, meridian m,
+    with a stand-in longitude."""
+    return {
+        "name": "4_1",
+        "variables": ["x", "m"],
+        "meridian": "m",
+        "dilog_terms": [
+            {"sign": 1, "arg": {"x": 1, "m": 1}},
+            {"sign": -1, "arg": {"x": -1, "m": 1}},
+        ],
+        "quad_terms": quad_terms,
+        "constant_pi2": [0, 1],
+        "longitude": {"prefactor": {"x": 1}, "factors": [{"exp": 1, "arg": {"x": 1}}]},
+    }
+
+
+def test_load_spec_accepts_a_meridian_in_no_quad_term():
+    # a zero coefficient changes nothing, so no quad term need hold the
+    # meridian: the spec without one solves as its zero-coefficient twin
+    bare = load_spec(json.dumps(_four_one_doc([])))
+    twin = load_spec(json.dumps(_four_one_doc([{"coeff": [0, 1], "vars": ["m", "m"]}])))
+    seeds = [{"x": 0.5 + 0.8j}]
+    got, want = (solver.solve_complete(s, seeds=seeds) for s in (bare, twin))
+    assert repr(got.point.values) == repr(want.point.values)
+    assert abs(got.point.values["x"] - cmath.exp(1j * PI / 3)) < 1e-12
+    volume = signed_d_sum(bare, got.point)
+    assert volume == signed_d_sum(twin, want.point)
+    assert abs(volume - 2 * bloch_wigner_d(cmath.exp(1j * PI / 3))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["longitude"].pop("prefactor"), "longitude: needs prefactor and factors"),
+        (
+            lambda d: d["longitude"]["alternate"].pop("factors"),
+            "longitude.alternate: needs prefactor and factors",
+        ),
+        (lambda d: d.update(variables=["x", "x", "xi"]), "variables: names must be distinct"),
+    ],
+    ids=["no_prefactor", "no_alternate_factors", "repeated_variable"],
+)
+def test_load_spec_names_the_faulty_field(spec, edit, message):
     doc = _doc(spec)
-    doc["quad_terms"] = [{"coeff": [2, 1], "vars": ["x", "y"]}]
-    with pytest.raises(ValidationError):
+    edit(doc)
+    with pytest.raises(ValidationError) as ei:
         load_spec(json.dumps(doc))
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize(
@@ -813,17 +861,38 @@ def test_tables_with_another_spec_object(spec):
                 evaluate(other, pts[0])
 
 
-def test_half_integer_quad_coefficient_fails_only_the_reduced_residual(spec):
+@pytest.mark.parametrize(
+    "pair, refused",
+    [(["xi", "x"], True), (["xi", "xi"], False), (["x", "x"], False)],
+    ids=["xi_x", "xi_xi", "x_x"],
+)
+def test_half_integer_quad_coefficient_refused_where_it_enters_a_residual(
+    spec, pair, refused
+):
+    # (xi, x) 1/2 puts xi^(1/2) in x's residual; (xi, xi) enters no
+    # residual row, and (x, x) enters x's twice, as x^1
     doc = _doc(spec)
-    doc["quad_terms"][0]["coeff"] = [1, 2]  # (xi, x): coefficient 1/2
+    doc["quad_terms"][0] = {"coeff": [1, 2], "vars": pair}
+    if refused:
+        with pytest.raises(ValidationError) as ei:
+            load_spec(json.dumps(doc))
+        assert str(ei.value) == "reduced residual needs integer quad exponents, got 1/2"
+        return
     half = load_spec(json.dumps(doc))
     assert half.quad_terms[0].coeff == Fraction(1, 2)
     pt = make_point(half, {"x": 0.3 + 0.6j, "y": 0.5 + 0.8j, "xi": 1.1 + 0.1j})
-    g = log_gradient(half, pt)
-    assert all(cmath.isfinite(z) for z in g)
-    assert _bits(g) == _bits(naive_log_gradient(half, pt))
-    with pytest.raises(ValidationError, match="integer quad exponents"):
-        reduced_residual(pt)
+    assert _bits(log_gradient(half, pt)) == _bits(naive_log_gradient(half, pt))
+    assert all(cmath.isfinite(r) for r in reduced_residual(pt))
+
+
+def test_longitude_only_factor_at_one_builds_and_eta_log_refuses(spec):
+    factor = _variant_specs(spec)[5][0]  # primary factor 1 - x^3/y, no dilog
+    x = 0.5 + 0.8j
+    pt = make_point(factor, {"x": x, "y": x**3, "xi": 1.1 + 0.1j})
+    assert pt.tracked_logs[-1] is None
+    assert all(cmath.isfinite(g) for g in log_gradient(factor, pt))
+    with pytest.raises(SingularPointError, match="longitude factor 1 - x\\^3 y\\^-1 = 0"):
+        eta_log(factor, pt)
 
 
 # the reprs @dataclass gives these records; the scan digest hashes

@@ -68,27 +68,27 @@ def _skeleton(n):
     """
     index = st.integers(0, n - 1)
     mono = st.dictionaries(index, st.integers(-6, 6))
+    # an arg holds some variable: one exponent is drawn nonzero
+    arg = st.tuples(mono, index, st.integers(-6, 6).filter(bool)).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+    # integer coefficients, so every reduced-residual exponent is one
     quad = st.fixed_dictionaries({
-        "coeff": _rationals(), "vars": st.lists(index, min_size=2, max_size=2),
-    })
-    # the meridian, n - 1, must appear in some quad term
-    meridian_quad = st.fixed_dictionaries({
-        "coeff": _rationals(),
-        "vars": index.flatmap(lambda i: st.permutations([n - 1, i])),
+        "coeff": st.integers().map(lambda k: [k, 1]),
+        "vars": st.lists(index, min_size=2, max_size=2),
     })
     expr = st.fixed_dictionaries({
         "prefactor": mono,
         "factors": st.lists(
-            st.fixed_dictionaries({"exp": st.integers(-3, 3), "arg": mono}), max_size=3
+            st.fixed_dictionaries({"exp": st.integers(-3, 3), "arg": arg}), max_size=3
         ),
     })
     return st.fixed_dictionaries({
         "dilog_terms": st.lists(
-            st.fixed_dictionaries({"sign": st.sampled_from([-1, 1]), "arg": mono}),
+            st.fixed_dictionaries({"sign": st.sampled_from([-1, 1]), "arg": arg}),
             max_size=6,
         ),
-        "quad_terms": st.tuples(st.lists(quad, max_size=4), meridian_quad, st.integers(0, 4))
-        .map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+        "quad_terms": st.lists(quad, max_size=4),
         "constant_pi2": _rationals(),
         "longitude": st.tuples(expr, st.none() | expr).map(
             lambda t: t[0] if t[1] is None else dict(t[0], alternate=t[1])

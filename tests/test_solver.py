@@ -4,7 +4,9 @@ deformation tracing, and filling continuation."""
 import cmath
 import json
 import math
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,8 @@ from knotpot.errors import (
 )
 from knotpot.invariants import report_for
 from knotpot.potential import (
+    PotentialSpec,
+    QuadLogTerm,
     dump_spec,
     eta_log,
     eval_eta,
@@ -297,12 +301,15 @@ def test_complete_rejects_default_grid_for_renamed_variables(spec):
 
 
 def test_complete_raises_spec_errors(spec):
-    # a spec fault is not a seed that failed to converge
-    doc = json.loads(dump_spec(spec))
-    doc["quad_terms"][0]["coeff"] = [3, 2]
-    half = load_spec(json.dumps(doc))
-    with pytest.raises(ValidationError, match="integer quad exponents, got 3/2"):
-        solve_complete(half)
+    # a spec fault is not a seed that failed to converge: a spec built
+    # in code, which load_spec would refuse, is refused at its lowering
+    quads = (QuadLogTerm(Fraction(3, 2), "xi", "x"),) + spec.quad_terms[1:]
+    half = PotentialSpec(
+        spec.name, spec.variables, spec.dilog_terms, quads, spec.constant_pi2, spec.longitude
+    )
+    for _ in range(2):  # a failed lowering is not cached: each read refuses
+        with pytest.raises(ValidationError, match="integer quad exponents, got 3/2"):
+            solve_complete(half)
 
 
 def test_complete_no_usable_seed(spec):
@@ -411,6 +418,14 @@ def test_trace_empty_path_gives_every_sample(spec, complete):
     for s in samples:
         assert s.point.values == complete.point.values
         assert abs(s.v) < 1e-9
+
+
+def test_trace_solves_the_complete_structure_when_not_given(spec, complete):
+    got = trace_deformation(spec, 0.05j, 2)
+    want = trace_deformation(spec, 0.05j, 2, complete=complete)
+    assert [(s.u, s.point.values, s.v) for s in got] == [
+        (s.u, s.point.values, s.v) for s in want
+    ]
 
 
 def test_trace_refuses_no_samples_as_a_knotpot_error(spec):
@@ -680,3 +695,24 @@ def test_filling_obstructed_when_newton_never_converges(spec, complete):
     assert ei.value.t_reached == 0.0
     assert "filling path for 7/1 obstructed at t = 0.000000" in str(ei.value)
     assert "filling Newton: no convergence" in str(ei.value)
+    assert str(ei.value).endswith("; slope possibly exceptional")
+
+
+# ------------------------------------------------------------- README
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # each print of the README's python block is followed, on its own
+    # line or on the next, by a comment holding what it prints
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    want = []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("#")[2] or lines[i + 1].partition("#")[2]
+            want.append(comment.strip())
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+    assert len(want) == 2
