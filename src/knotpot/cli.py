@@ -83,10 +83,6 @@ _OUTPUT_KEYS = {
 }
 
 
-class UsageError(Exception):
-    """Bad input caught by the CLI itself; the message is printed bare."""
-
-
 class Record(RecordBase):
     """One command's output: ordered (key, value) fields, then optionally
     a row table written under the JSON key `table`, with `columns` as
@@ -258,7 +254,7 @@ def _command_input(args):
         return parse_slope(args.slope)
     if args.command == "scan":
         if args.pmax < 1 or args.qmax < 1:
-            raise UsageError("scan bounds must be >= 1")
+            raise ValidationError("scan bounds must be >= 1")
         try:
             float(args.pmax), float(args.qmax)
         except OverflowError:
@@ -267,7 +263,7 @@ def _command_input(args):
     if args.command == "trace":
         u_end = parse_u_end(args.u_end)
         if args.samples < 1:
-            raise UsageError("samples must be >= 1")
+            raise ValidationError("samples must be >= 1")
         return u_end
     return None
 
@@ -423,9 +419,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except UsageError as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, SpecFormatError, ValidationError, ZeroDenominatorError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -59,8 +59,10 @@ _exp = cmath.exp
 _log = cmath.log
 _isfinite = cmath.isfinite
 
-# rejection thresholds for genuine singularities of V; points this
-# close to a pole or a dilog argument of 1 are rejected, not clamped
+# rejection thresholds for genuine singularities of V; a variable this
+# close to 0 (a log pole) and a tracked monomial this close to 1 (a
+# collapsed tetrahedron, or a longitude factor 1 - m = 0) are refused
+# where the point is built, not clamped
 _ZERO_TOL = 1e-13
 _ONE_TOL = 1e-13
 # a continued log that moves this far in one step is refused
@@ -188,7 +190,6 @@ class SpecTables:
                         _check_float_range(au * av, where)
                         cells[iu, iv][0].append((au * av, t))
         self.dilogs = tuple(dilogs)
-        n_dilog = len(j_of)
 
         # V: (coeff, var_a, var_b) per quad term
         quads = []
@@ -222,7 +223,6 @@ class SpecTables:
         )
 
         self.monomials = tuple(j_of)
-        self.is_dilog = tuple(j < n_dilog for j in range(len(j_of)))
         # point builds: per tracked monomial its (variable index, exp)
         # pairs, in Monomial.exponents order
         self.monomial_rows = tuple(
@@ -272,10 +272,10 @@ class ParamPoint(FrozenRecord):
     exp(logs[v]) by construction. tracked_values and tracked_logs hold,
     in the order of spec.tables.monomials, each tracked monomial m and
     a continued log(1 - m): the one record of the monomials that every
-    evaluator reads. A factor that appears only in the primary
-    longitude may legitimately sit at m = 1; its log is then None and
-    only eta_log rejects it. The alternate longitude's factors are not
-    tracked: eval_eta evaluates them from values.
+    evaluator reads. No tracked m lies within _ONE_TOL of 1, so every
+    log(1 - m) is a finite complex number and no evaluator checks for
+    m = 1 itself. The alternate longitude's factors are not tracked:
+    eval_eta evaluates them from values.
     """
 
     _fields = ("spec", "values", "logs", "tracked_values", "tracked_logs")
@@ -603,7 +603,10 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
     the caller moved too far in one step. A log that is not finite and
     an overflow of exp or of a monomial power raise it too: such a
     step also went too far. A log whose exp underflows to 0 raises
-    SingularPointError, as make_point does for a zero variable.
+    SingularPointError, as make_point does for a zero variable, and so
+    does a tracked monomial m, dilog argument or primary longitude
+    factor, within _ONE_TOL of 1: this is the one place a point's
+    monomials are judged, so the evaluators need no guards of their own.
 
     This is the solver's innermost step, so principal_log and
     Monomial.evaluate are written out here, operation for operation.
@@ -636,34 +639,23 @@ def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
     prev_logs = None if prev is None else prev.tracked_logs
     tracked_logs = []
     for j, m in enumerate(tab.monomials):
+        # 1 - m has imaginary part 0.0 - m.imag, never -0.0, so a
+        # negative real 1 - m logs to +pi i, never to -pi i
         w = 1 - mvals[j]
         if abs(w) < _ONE_TOL:
-            if tab.is_dilog[j]:
-                raise SingularPointError("dilog argument %s = 1" % m)
-            value = None  # longitude-only factor; reject lazily
-        else:
-            p = _log(w)
-            if p.imag == -_PI and not w.imag:
-                p = complex(p.real, _PI)
-            prev_value = None if prev_logs is None else prev_logs[j]
-            if prev_value is None:
-                value = p
-            else:
-                prev_im = prev_value.imag
-                d = prev_im - p.imag
-                if -_PI <= d <= _PI and p.imag:
-                    # winding 0, and p.imag + 0.0 is p.imag unless -0.0
-                    value = p
-                else:
-                    if not abs(d) < math.inf:
-                        raise StepTooLargeError("log(1 - %s) is not finite" % m)
-                    k = round(d / _TWO_PI)
-                    value = complex(p.real, p.imag + _TWO_PI * k)
-                jump = abs(value.imag - prev_im)
-                if jump >= _MAX_JUMP:
-                    raise StepTooLargeError(
-                        "log continuation jump %.3f >= pi/2" % jump
-                    )
+            raise SingularPointError("arg %s = 1" % m)
+        value = _log(w)
+        if prev_logs is not None:
+            prev_im = prev_logs[j].imag
+            d = prev_im - value.imag
+            if not -_PI <= d <= _PI:
+                if not abs(d) < math.inf:
+                    raise StepTooLargeError("log(1 - %s) is not finite" % m)
+                k = round(d / _TWO_PI)
+                value = complex(value.real, value.imag + _TWO_PI * k)
+            jump = abs(value.imag - prev_im)
+            if jump >= _MAX_JUMP:
+                raise StepTooLargeError("log continuation jump %.3f >= pi/2" % jump)
         tracked_logs.append(value)
     return ParamPoint(spec, values, logs, tuple(mvals), tuple(tracked_logs))
 
@@ -766,8 +758,6 @@ def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
     fs = []
     for sign, j in tab.dilogs:
         m = mvals[j]
-        if m == 1:
-            raise SingularPointError("dilog argument %s = 1" % tab.monomials[j])
         fs.append(sign * m / (1 - m))
     h = [[0j] * n for _ in range(n)]
     for iu, iv, prods, consts in cells:
@@ -846,10 +836,7 @@ def _eta_log_and_size(spec: PotentialSpec, pt: ParamPoint):
         s += term
         size += abs(term)
     for e, j in tab.eta_factors:
-        lw = one_minus[j]
-        if lw is None:
-            raise SingularPointError("longitude factor 1 - %s = 0" % tab.monomials[j])
-        term = e * lw
+        term = e * one_minus[j]
         s += term
         size += abs(term)
     return s, size
@@ -897,9 +884,10 @@ def reduced_residual(pt: ParamPoint):
         (1 - y/x)(1 - x/xi)/(1 - xi/x) - xi^2,
         (1 - y/x)/((1 - y/xi)(1 - 1/(y xi))) - xi^2.
 
-    Branch-free, so it is the solver's acceptance residual. Raises
-    SingularPointError where a factor with a negative exponent
-    vanishes, and StepTooLargeError where a power overflows.
+    Branch-free, so it is the solver's acceptance residual. Its
+    factors 1 - m are those of dilog arguments, which no built point
+    puts within _ONE_TOL of 0, so it raises only StepTooLargeError,
+    where a power overflows.
     """
     spec = pt.spec
     tab = spec.tables
@@ -910,10 +898,7 @@ def reduced_residual(pt: ParamPoint):
         for lhs_rows, rhs_rows in tab.residual:
             lhs = 1 + 0j
             for e, j in lhs_rows:
-                f = 1 - mvals[j]
-                if f == 0 and e < 0:
-                    raise SingularPointError("factor 1 - %s = 0" % tab.monomials[j])
-                lhs *= f**e
+                lhs *= (1 - mvals[j]) ** e
             rhs = 1 + 0j
             for vp, e in rhs_rows:
                 rhs *= values[vp] ** e

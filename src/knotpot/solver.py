@@ -280,7 +280,7 @@ def solve_complete(
             abs(cp.point.tracked_values[j].imag) > 1e-9 for _, j in spec.tables.dilogs
         ):
             # a seed's Newton path may wind a log: restart them principal
-            logs = [*cp.point.logs.values(), *filter(None, cp.point.tracked_logs)]
+            logs = [*cp.point.logs.values(), *cp.point.tracked_logs]
             if any(ContinuedLog.from_value(lw).winding for lw in logs):
                 pt = make_point(spec, cp.point.values)
                 cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)

@@ -58,7 +58,7 @@ def _conjugate_point(pt):
         values,
         {v: lw.conjugate() for v, lw in pt.logs.items()},
         tuple(m.evaluate(values) for m in pt.spec.tables.monomials),
-        tuple(None if lw is None else lw.conjugate() for lw in pt.tracked_logs),
+        tuple(lw.conjugate() for lw in pt.tracked_logs),
     )
 
 

@@ -3,7 +3,6 @@ core-geodesic well-definedness, and the Rogers-combination identities."""
 
 import json
 import math
-import random
 
 import pytest
 
@@ -31,6 +30,7 @@ from knotpot.solver import (
     solve_filling,
     trace_deformation,
 )
+from test_potential import regular_points
 
 PI = math.pi
 
@@ -50,25 +50,6 @@ VOLUME_TABLE = {
 @pytest.fixture(scope="module")
 def seven(spec, complete):
     return solve_filling(spec, normalize_slope(7, 1), complete=complete)
-
-
-def regular_points(spec, n, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        vals = {
-            v: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            for v in spec.variables
-        }
-        if any(abs(w) < 0.2 or abs(w.imag) < 0.05 for w in vals.values()):
-            continue
-        args = [t.argument.evaluate(vals) for t in spec.dilog_terms]
-        if any(
-            abs(m) < 0.05 or abs(m - 1) < 0.05 or abs(m.imag) < 0.05 for m in args
-        ):
-            continue
-        out.append(make_point(spec, vals))
-    return out
 
 
 # ---------------------------------------------------------- eval_v_alpha

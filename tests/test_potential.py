@@ -12,7 +12,7 @@ import pytest
 import _oracles as O
 from knotpot import cli, dilog, potential, selftest, solver
 from knotpot._records import RecordBase
-from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2
+from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2, principal_log
 from knotpot.errors import (
     SingularPointError,
     SpecFormatError,
@@ -241,8 +241,19 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
             "longitude.alternate: needs prefactor and factors",
         ),
         (lambda d: d.update(variables=["x", "x", "xi"]), "variables: names must be distinct"),
+        (
+            lambda d: d["dilog_terms"][0].update(arg=[1, 2]),
+            "dilog_terms[0]: monomial must be a var -> exponent map",
+        ),
+        (lambda d: d["quad_terms"][0].update(vars=["x"]), "quad_terms[0]: vars must be a pair"),
     ],
-    ids=["no_prefactor", "no_alternate_factors", "repeated_variable"],
+    ids=[
+        "no_prefactor",
+        "no_alternate_factors",
+        "repeated_variable",
+        "arg_not_a_map",
+        "vars_not_a_pair",
+    ],
 )
 def test_load_spec_names_the_faulty_field(spec, edit, message):
     doc = _doc(spec)
@@ -291,6 +302,12 @@ def test_make_point_principal(spec):
     pt = make_point(spec, {"x": 2, "y": 3, "xi": 1})
     assert pt.logs["xi"] == 0
     assert all(winding(lw) == 0 for lw in pt.logs.values())
+    # 1 - y/xi, a negative real near -2 (y round-trips through exp),
+    # logs onto the upper edge of the cut
+    j = spec.tables.monomials.index(spec.dilog_terms[1].argument)
+    lw = pt.tracked_logs[j]
+    assert lw == principal_log(1 - pt.tracked_values[j]) and lw.imag == PI
+    assert abs(lw - principal_log(-2)) < 1e-15
     for v in spec.variables:
         assert abs(cmath.exp(pt.logs[v]) - pt.values[v]) < 1e-12
 
@@ -561,13 +578,9 @@ def test_reduced_residual_at_complete(spec, complete):
 
 def test_reduced_residual_zero_denominator(spec):
     # xi = x makes 1 - xi/x vanish, a denominator of the first
-    # equation; make_point rejects such values eagerly, so forge the
-    # point, all five fields, to reach the residual's own guard
-    values = {"x": 2 + 0j, "y": 3 + 0j, "xi": 2 + 0j}
-    mvals = tuple(m.evaluate(values) for m in spec.tables.monomials)
-    forged = ParamPoint(spec, values, {}, mvals, (None,) * len(mvals))
-    with pytest.raises(SingularPointError, match="1 -"):
-        reduced_residual(forged)
+    # equation; no such point is built, so the residual needs no guard
+    with pytest.raises(SingularPointError, match=r"^arg x\^-1 xi\^1 = 1$"):
+        make_point(spec, {"x": 2, "y": 3, "xi": 2})
 
 
 def _xyxi(pt):
@@ -817,7 +830,7 @@ def test_tables_on_points_with_windings(spec, complete):
     for smp in samples:
         assert_matches_naive(spec, smp.point)
         windings.update(winding(lw) for lw in smp.point.logs.values())
-        windings.update(winding(lw) for lw in smp.point.tracked_logs if lw is not None)
+        windings.update(winding(lw) for lw in smp.point.tracked_logs)
     assert windings != {0}
 
 
@@ -885,14 +898,17 @@ def test_half_integer_quad_coefficient_refused_where_it_enters_a_residual(
     assert all(cmath.isfinite(r) for r in reduced_residual(pt))
 
 
-def test_longitude_only_factor_at_one_builds_and_eta_log_refuses(spec):
+def test_longitude_only_factor_at_one_is_refused_at_build(spec):
     factor = _variant_specs(spec)[5][0]  # primary factor 1 - x^3/y, no dilog
-    x = 0.5 + 0.8j
-    pt = make_point(factor, {"x": x, "y": x**3, "xi": 1.1 + 0.1j})
-    assert pt.tracked_logs[-1] is None
-    assert all(cmath.isfinite(g) for g in log_gradient(factor, pt))
-    with pytest.raises(SingularPointError, match="longitude factor 1 - x\\^3 y\\^-1 = 0"):
-        eta_log(factor, pt)
+    x, xi = 0.5 + 0.8j, 1.1 + 0.1j
+    refused = r"^arg x\^3 y\^-1 = 1$"
+    with pytest.raises(SingularPointError, match=refused):
+        make_point(factor, {"x": x, "y": x**3, "xi": xi})
+    # a step onto y = x^3 from a point beside it
+    pt = make_point(factor, {"x": x, "y": x**3 * 1.001, "xi": xi})
+    lx = pt.logs["x"]
+    with pytest.raises(SingularPointError, match=refused):
+        advance_point_logs(pt, {"x": lx, "y": 3 * lx, "xi": pt.logs["xi"]})
 
 
 # the reprs @dataclass gives these records; the scan digest hashes
