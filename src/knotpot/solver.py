@@ -205,6 +205,16 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
     within _ZERO_TOL of 0 sits on a log pole, where the residual is
     small only because the variable is, and raises SingularPointError
     as make_point would.
+
+    Exit on a cycle: each point whose residual did not fall below the
+    previous iterate's is recorded by its variable and tracked logs,
+    and when a recorded point recurs bit for bit the solve raises the
+    50-iteration NoConvergenceError at once. The message stays true:
+    the next iterate is a function of those logs alone, so a repeated
+    point repeats forever, and every point of the cycle has failed the
+    residual test, so the full 50 iterations would end in this same
+    error. The residual cannot fall all the way round a cycle, so the
+    rule catches every cycle within two of its periods.
     """
     variables = spec.variables
     k = len(variables) - 1
@@ -212,6 +222,8 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
+    prev = math.inf
+    seen = set()
     for it in range(50):
         resid = _resid_inf(pt)
         if resid <= tol:
@@ -219,9 +231,17 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
                 if abs(pt.values[v]) < _ZERO_TOL:
                     raise SingularPointError("variable %s = 0 (log pole)" % v)
             return CriticalPoint(pt, resid, it)
+        if resid >= prev:
+            # repr, not the tuple: == and hash take -0.0 for 0.0
+            state = repr((*pt.logs.values(), *pt.tracked_logs))
+            if state in seen:
+                break
+            seen.add(state)
+        prev = resid
         g = _gradient(spec, pt, tab.fiber_gradient)
         h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
         pt = _damped_step(pt, _solve(h, g))
+    # after a break too: the remaining iterations would only cycle
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
 
@@ -306,9 +326,11 @@ def trace_deformation(
     Newton on the fiber variables; the step is halved whenever a fiber
     solve fails, up to 20 times per sample, after which it raises
     PathObstructionError carrying the samples emitted so far as its
-    partial trace. Emits one DeformationSample per target. A newton_tol
-    as solve_complete refuses, a non-finite u_end or samples < 1 raises
-    ValidationError before anything is solved.
+    partial trace. A fiber solve that cycles without converging (see
+    _newton_fiber) counts as a failed solve and halves the step. Emits
+    one DeformationSample per target. A newton_tol as solve_complete
+    refuses, a non-finite u_end or samples < 1 raises ValidationError
+    before anything is solved.
     """
     _check_newton_tol(newton_tol)
     u_end = complex(u_end)

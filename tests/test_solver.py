@@ -19,13 +19,16 @@ from knotpot.errors import (
     NoGeometricRootError,
     PathObstructionError,
     SingularJacobianError,
+    SingularPointError,
     ValidationError,
     ZeroDenominatorError,
 )
 from knotpot.invariants import report_for
 from knotpot.potential import (
+    _ZERO_TOL,
     PotentialSpec,
     QuadLogTerm,
+    advance_point_logs,
     dump_spec,
     eta_log,
     eval_eta,
@@ -473,6 +476,96 @@ def test_trace_obstruction_carries_partials(spec, complete):
     assert isinstance(err.partial, list)
     for smp in err.partial:
         assert max(abs(r) for r in reduced_residual(smp.point)) <= 1e-10
+
+
+def _fiber_reference(spec, pt, xi_log, tol):
+    # the fiber Newton loop without its cycle exit: a solve that does
+    # not converge runs all 50 iterations
+    k = len(spec.variables) - 1
+    tab = spec.tables
+    logmap = dict(pt.logs)
+    logmap[spec.meridian] = xi_log
+    pt = advance_point_logs(pt, logmap)
+    for it in range(50):
+        resid = solver._resid_inf(pt)
+        if resid <= tol:
+            for v in spec.variables:
+                if abs(pt.values[v]) < _ZERO_TOL:
+                    raise SingularPointError("variable %s = 0 (log pole)" % v)
+            return solver.CriticalPoint(pt, resid, it)
+        g = solver._gradient(spec, pt, tab.fiber_gradient)
+        h = solver._hessian(spec, pt, tab.fiber_hessian_cells, k)
+        pt = solver._damped_step(pt, solver._solve(h, g))
+    raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
+
+
+def _fiber_outcome(solve, spec, args):
+    try:
+        return repr(solve(spec, *args))
+    except KnotpotError as e:
+        return type(e), str(e)
+
+
+_STALLED = (NoConvergenceError, "fiber Newton: no convergence in 50 iterations")
+
+# two traces of perfbench's trace lattice whose paths end obstructed
+# after fiber solves that cycle exactly at the residual's rounding floor
+_CYCLING_TRACES = [
+    6.742278923774466 - 0.230747532471884j,
+    7.338001941727394 + 1.3653014158308572j,
+]
+
+
+def _fiber_inputs(spec, complete, monkeypatch, u_end, samples):
+    """The (pt, xi_log, tol) of every fiber solve of an obstructed trace."""
+    inputs = []
+    orig = solver._newton_fiber
+
+    def record(spec, *args):
+        inputs.append(args)
+        return orig(spec, *args)
+
+    monkeypatch.setattr(solver, "_newton_fiber", record)
+    with pytest.raises(PathObstructionError):
+        trace_deformation(spec, u_end, samples, complete=complete)
+    monkeypatch.undo()
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "u_end, samples", [(10.0 + 0j, 4)] + [(u, 32) for u in _CYCLING_TRACES]
+)
+def test_fiber_cycle_exit_changes_no_solve(spec, complete, monkeypatch, u_end, samples):
+    inputs = _fiber_inputs(spec, complete, monkeypatch, u_end, samples)
+    outcomes = [_fiber_outcome(_fiber_reference, spec, args) for args in inputs]
+    assert _STALLED in outcomes
+    for args, want in zip(inputs, outcomes):
+        assert _fiber_outcome(solver._newton_fiber, spec, args) == want
+
+
+@pytest.mark.parametrize("u_end", _CYCLING_TRACES)
+def test_fiber_newton_leaves_a_cycle_early(spec, complete, monkeypatch, u_end):
+    # each stalled solve of these traces repeats a point exactly by its
+    # 12th step; on the real axis (u_end 10 above) the fiber logs'
+    # imaginary parts drift at 1e-36 instead, so no point repeats and
+    # those solves still run all 50 iterations
+    inputs = _fiber_inputs(spec, complete, monkeypatch, u_end, 32)
+    stalled = [a for a in inputs if _fiber_outcome(_fiber_reference, spec, a) == _STALLED]
+    assert stalled
+    steps = 0
+    orig = solver._damped_step
+
+    def count(pt, deltas):
+        nonlocal steps
+        steps += 1
+        return orig(pt, deltas)
+
+    monkeypatch.setattr(solver, "_damped_step", count)
+    for args in stalled:
+        steps = 0
+        with pytest.raises(NoConvergenceError, match="no convergence in 50 iterations"):
+            solver._newton_fiber(spec, *args)
+        assert steps <= 12
 
 
 # (u_end, sample index, x there on the branch that the 256-, 512- and
