@@ -85,16 +85,13 @@ def li2(z):
     if nz < 1e-30:
         # two series terms; log(1-z) would lose all precision here
         return z * (1.0 + 0.25 * z)
-    if rz <= 0.5:
-        if nz > 1.0:
-            # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2/2
-            l = principal_log(-z)
-            return -_series(-principal_log(1.0 - 1.0 / z)) - 0.5 * l * l - _PI2_6
+    if rz <= 0.5 and nz <= 1.0:
         return _series(-principal_log(1.0 - z))
-    if nz <= 2.0 * rz:
+    if rz > 0.5 and nz <= 2.0 * rz:
         # |z - 1| <= 1: reflection Li2(z) = pi^2/6 - Li2(1-z) - log z log(1-z)
         lz = principal_log(z)
         return -_series(-lz) - lz * principal_log(1.0 - z) + _PI2_6
+    # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2/2
     l = principal_log(-z)
     return -_series(-principal_log(1.0 - 1.0 / z)) - 0.5 * l * l - _PI2_6
 

@@ -7,6 +7,13 @@ the output format (table, json, csv) and destination, and --newton-tol.
 Exit codes: 0 success, 1 usage or I/O, 2 complete-structure failure,
 3 path obstruction (possibly exceptional slope), 4 selftest failure.
 
+Each solving command parses its own argument and calls the one library
+entry point for its job: complete solve_complete, fill solve_filling,
+trace trace_deformation, and scan solve_complete once and then
+solve_filling per slope. The library judges the slope's range, u_end,
+samples and newton_tol before it solves anything, so a usage error
+exits 1 first.
+
 All numeric output is printed with 15 significant digits; scans are
 byte-deterministic so repeated runs can be diffed.
 
@@ -17,7 +24,6 @@ order, and every JSON document carries "schema": 1.
 """
 
 import argparse
-import cmath
 import json
 import math
 import re
@@ -31,7 +37,6 @@ from .errors import (
     PathObstructionError,
     SpecFormatError,
     ValidationError,
-    ZeroDenominatorError,
 )
 from .invariants import report_for, rogers_combo
 from .potential import (
@@ -214,8 +219,6 @@ def parse_u_end(text: str) -> complex:
         u_end = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise ValidationError("could not parse u-end %r" % text) from None
-    if not cmath.isfinite(u_end):
-        raise ValidationError("u-end must be finite, got %r" % text)
     return u_end
 
 
@@ -248,33 +251,15 @@ def _check_variable_names(spec, command):
         )
 
 
-def _command_input(args):
-    """The parsed input of a solving command; raises on bad arguments."""
-    if args.command == "fill":
-        return parse_slope(args.slope)
-    if args.command == "scan":
-        if args.pmax < 1 or args.qmax < 1:
-            raise ValidationError("scan bounds must be >= 1")
-        try:
-            float(args.pmax), float(args.qmax)
-        except OverflowError:
-            raise ValidationError("scan bounds must be within float range") from None
-        return list(_scan_slopes(args.pmax, args.qmax))
-    if args.command == "trace":
-        u_end = parse_u_end(args.u_end)
-        if args.samples < 1:
-            raise ValidationError("samples must be >= 1")
-        return u_end
-    return None
-
-
 # ------------------------------------------------------------ commands
 #
-# Each takes (args, spec, complete structure, parsed input) and returns
-# (exit status, Record or None when nothing is printed).
+# Each takes (args, spec), parses its own argument, calls the library
+# entry point for its job and returns (exit status, Record or None when
+# nothing is printed).
 
 
-def cmd_complete(args, spec, cp, _):
+def cmd_complete(args, spec):
+    cp = solve_complete(spec, newton_tol=args.newton_tol)
     pt = cp.point
     tab = spec.tables
     eta, eta_alt = eval_eta(spec, pt)
@@ -297,9 +282,10 @@ def cmd_complete(args, spec, cp, _):
     return EXIT_OK, Record(fields)
 
 
-def cmd_fill(args, spec, complete, slope):
+def cmd_fill(args, spec):
+    slope = parse_slope(args.slope)
     try:
-        sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
+        sol = solve_filling(spec, slope, newton_tol=args.newton_tol)
     except PathObstructionError as e:
         print("slope %s: %s" % (slope, e), file=sys.stderr)
         return EXIT_OBSTRUCTION, None
@@ -323,9 +309,16 @@ def cmd_fill(args, spec, complete, slope):
     return EXIT_OK, Record(fields)
 
 
-def cmd_scan(args, spec, complete, slopes):
+def cmd_scan(args, spec):
+    if args.pmax < 1 or args.qmax < 1:
+        raise ValidationError("scan bounds must be >= 1")
+    try:
+        float(args.pmax), float(args.qmax)
+    except OverflowError:
+        raise ValidationError("scan bounds must be within float range") from None
+    complete = solve_complete(spec, newton_tol=args.newton_tol)
     rows = []
-    for slope in slopes:
+    for slope in _scan_slopes(args.pmax, args.qmax):
         head = [slope.p, slope.q, slope.r, slope.s]
         try:
             sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
@@ -339,12 +332,11 @@ def cmd_scan(args, spec, complete, slopes):
     return EXIT_OK, Record([], "rows", _SCAN_COLUMNS, rows)
 
 
-def cmd_trace(args, spec, complete, u_end):
+def cmd_trace(args, spec):
+    u_end = parse_u_end(args.u_end)
     status = EXIT_OK
     try:
-        samples = trace_deformation(
-            spec, u_end, args.samples, complete=complete, newton_tol=args.newton_tol
-        )
+        samples = trace_deformation(spec, u_end, args.samples, newton_tol=args.newton_tol)
     except PathObstructionError as e:
         samples = e.partial
         print("trace obstructed: %s" % e, file=sys.stderr)
@@ -398,13 +390,12 @@ def _run(args) -> int:
         spec = _load_spec(args.spec)
         if args.command in _OUTPUT_KEYS:
             _check_variable_names(spec, args.command)
-        inp = _command_input(args)
+        # of every command's calls only solve_complete raises these
         try:
-            complete = solve_complete(spec, newton_tol=args.newton_tol)
+            status, rec = COMMANDS[args.command](args, spec)
         except (NoConvergenceError, NoGeometricRootError) as e:
             print("complete structure failed: %s" % e, file=sys.stderr)
             return EXIT_COMPLETE_FAILED
-        status, rec = COMMANDS[args.command](args, spec, complete, inp)
     if rec is not None:
         text = render(rec, args.fmt)
         if args.output:
@@ -419,7 +410,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (OSError, SpecFormatError, ValidationError, ZeroDenominatorError) as e:
+    except (OSError, SpecFormatError, ValidationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except KnotpotError as e:

@@ -31,7 +31,7 @@ class SpecFormatError(KnotpotError, ValueError):
 
 
 class ValidationError(KnotpotError, ValueError):
-    """Potential spec document parsed but violates an invariant."""
+    """An argument, or a potential spec document that parsed, violates an invariant."""
 
 
 class SingularPointError(KnotpotError, ValueError):
@@ -42,7 +42,7 @@ class SingularPointError(KnotpotError, ValueError):
     """
 
 
-class ZeroDenominatorError(KnotpotError, ValueError):
+class ZeroDenominatorError(ValidationError):
     """Slope with q = 0 (meridian filling is out of scope)."""
 
 

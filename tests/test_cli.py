@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import _oracles as O
-from knotpot import cli, solver
+from knotpot import cli, selftest, solver
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import NoConvergenceError, ValidationError
 from knotpot.potential import builtin_five_two, dump_spec, load_spec
@@ -756,13 +756,51 @@ def test_trace_rejects_a_sample_on_a_log_pole(capsys):
     assert err.rstrip().endswith("(variable x = 0 (log pole))")
 
 
-@pytest.mark.parametrize("text", ["nan", "1e400", "-1e400", "1+1e400i", "nan+0i"])
+# --u-end text and the complex value trace_deformation refuses
+_NON_FINITE_U_END = {
+    "nan": "(nan+0j)",
+    "1e400": "(inf+0j)",
+    "-1e400": "(-inf+0j)",
+    "1+1e400i": "(1+infj)",
+    "nan+0i": "(nan+0j)",
+}
+
+
+@pytest.mark.parametrize("text", list(_NON_FINITE_U_END))
 def test_trace_rejects_non_finite_u_end(capsys, text):
-    with pytest.raises(ValidationError):
-        parse_u_end(text)
+    # the CLI only reads the value; the library refuses it unsolved
     code, out, err = run(capsys, "trace", "--u-end=" + text)
     assert (code, out) == (1, "")
-    assert err == "error: u-end must be finite, got %r\n" % text
+    assert err == "error: u_end must be finite, got %s\n" % _NON_FINITE_U_END[text]
+
+
+def test_usage_errors_exit_before_the_complete_structure_fails(capsys, monkeypatch):
+    # with no seed converging, every solving command exits 2, but a bad
+    # argument is judged first, by the CLI or the library, and exits 1
+    monkeypatch.setattr(solver, "DEFAULT_SEEDS", ((1.0, 1.0),))
+    failed = "complete structure failed: no seed converged for 5_2\n"
+    for argv in (
+        ["complete"],
+        ["fill", "--slope=7/1"],
+        ["scan", "--pmax", "2"],
+        ["trace", "--u-end=0.1i", "--samples", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", failed), argv
+    for argv, msg in (
+        (["fill", "--slope=p/q"], "slope must be an integer or p/q, got 'p/q'"),
+        (["fill", "--slope=1/0"], "slope with q = 0 (meridian) is not a filling"),
+        (["fill", "--slope=1" + "0" * 400], "slope p and q must be within float range"),
+        (["scan", "--pmax", "0"], "scan bounds must be >= 1"),
+        (["trace", "--u-end=0.1i", "--samples", "0"], "samples must be >= 1"),
+        (["trace", "--u-end=nan"], "u_end must be finite, got (nan+0j)"),
+        (
+            ["--newton-tol", "-1", "complete"],
+            "newton_tol must be at most 0.001 and greater than 0, got -1",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: %s\n" % msg), argv
 
 
 # ------------------------------------------------------------ selftest
@@ -799,6 +837,22 @@ def test_selftest_negative_control(capsys, monkeypatch):
         assert code == 4, group
         fails = [g for g, passed in _selftest_groups(out).items() if passed == "false"]
         assert fails == [group]
+
+
+def test_selftest_reports_a_failed_complete_structure(capsys, monkeypatch):
+    def fails(spec):
+        raise NoConvergenceError("no seed converged for 5_2")
+
+    monkeypatch.setattr(selftest, "solve_complete", fails)
+    code, out, _ = run(capsys, "--format", "json", "selftest")
+    assert code == 4
+    groups = {g["name"]: g for g in json.loads(out)["groups"]}
+    assert groups["complete-structure"] == {
+        "name": "complete-structure",
+        "passed": False,
+        "worst_over_tol": None,
+        "detail": "no seed converged for 5_2",
+    }
 
 
 # ------------------------------------------------------ tol and output

@@ -542,6 +542,19 @@ def test_eta_forms_agree_on_deformation_samples(spec, complete):
         assert abs(primary - alternate) < 1e-9
 
 
+def test_singular_alternate_leaves_its_slot_empty(spec):
+    # an alternate factor (1 - x)^-1 at x = 1 divides by zero (0j ** -1
+    # would raise ZeroDivisionError): the expression is refused as
+    # singular, and eval_eta returns the primary alone
+    doc = json.loads(dump_spec(spec))
+    doc["longitude"]["alternate"]["factors"].append({"exp": -1, "arg": {"x": 1}})
+    odd = load_spec(json.dumps(doc))
+    pt = make_point(odd, {"x": 1.0, "y": 0.5 + 0.5j, "xi": 1.2 + 0.3j})
+    with pytest.raises(SingularPointError, match=r"1 - x\^1 = 0 in denominator"):
+        eval_longitude_expr(odd.longitude.alternate, pt.values)
+    assert eval_eta(odd, pt) == (eval_longitude_expr(odd.longitude, pt.values), None)
+
+
 # -------------------------------------------------------------- shapes
 
 
