@@ -1,24 +1,27 @@
-"""Bases for knotpot's record types, written out instead of generated.
+"""The base of knotpot's record types, written out instead of generated.
 
 A record class lists its field names in `_fields`, in declaration
 order, and the defaults of its optional fields in `_defaults`. The
-bases give it what the dataclass decorator would: an __init__ taking
-the fields by position or by name, __eq__ over the fields, true only
-against the same class, and a repr Name(field=value, ...).
-FrozenRecord adds a __hash__ over the fields and refuses assignment
-and deletion. Importing them generates no code, which keeps the
-start-up of a CLI process short. Only ParamPoint, built about 426
-times per trace op, writes its own __init__: 0.5 µs a call against
-the shared one's 1.3 µs (timeit, one core of a 2-core Xeon VM).
+base gives it what a frozen dataclass would: an __init__ taking the
+fields by position or by name, __eq__ over the fields, true only
+against the same class, a repr Name(field=value, ...), a __hash__
+over the fields (a TypeError where a field is a dict or list), and
+FrozenInstanceError on assignment and deletion. So no reader can
+change a solve result that later solves share, such as the complete
+structure a scan fills every slope from. Importing the base generates
+no code, which keeps a CLI process's start-up short. ParamPoint, built
+about 426 times per trace op, writes its own __init__: 0.5 µs a call
+against the shared one's 1.3 µs (timeit, one core of a 2-core Xeon
+VM). invariants.InvariantReport stays a frozen dataclass, the one
+record callers rebuild with dataclasses.replace.
 """
 
 from dataclasses import FrozenInstanceError
 
 
 class RecordBase:
-    """Field-wise __init__, __eq__ and __repr__; unhashable, like a dataclass."""
+    """Field-wise __init__, __eq__, __repr__ and __hash__; frozen."""
 
-    __hash__ = None
     _defaults = {}
 
     def __init__(self, *args, **kwargs):
@@ -44,16 +47,12 @@ class RecordBase:
             return self._astuple() == other._astuple()
         return NotImplemented
 
+    def __hash__(self):
+        return hash(self._astuple())
+
     def __repr__(self):
         fields = ", ".join(["%s=%r" % (f, getattr(self, f)) for f in self._fields])
         return "%s(%s)" % (self.__class__.__qualname__, fields)
-
-
-class FrozenRecord(RecordBase):
-    """A record hashed by its fields whose fields cannot be reassigned."""
-
-    def __hash__(self):
-        return hash(self._astuple())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError("cannot assign to field %r" % name)

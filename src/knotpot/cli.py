@@ -41,6 +41,7 @@ from .errors import (
 from .invariants import report_for, rogers_combo
 from .potential import (
     BUILTINS,
+    _check_float_range,
     eval_eta,
     eval_v,
     load_spec,
@@ -312,10 +313,9 @@ def cmd_fill(args, spec):
 def cmd_scan(args, spec):
     if args.pmax < 1 or args.qmax < 1:
         raise ValidationError("scan bounds must be >= 1")
-    try:
-        float(args.pmax), float(args.qmax)
-    except OverflowError:
-        raise ValidationError("scan bounds must be within float range") from None
+    # each slope's filling Jacobian holds 2p and 2q
+    _check_float_range(2 * args.pmax, "scan bounds")
+    _check_float_range(2 * args.qmax, "scan bounds")
     complete = solve_complete(spec, newton_tol=args.newton_tol)
     rows = []
     for slope in _scan_slopes(args.pmax, args.qmax):

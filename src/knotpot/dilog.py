@@ -13,10 +13,10 @@ recovers the winding of such a value.
 import cmath
 
 from ._dilog_pure import _TWO_PI, bloch_wigner_d, li2, principal_log, rogers_r
-from ._records import FrozenRecord
+from ._records import RecordBase
 
 
-class ContinuedLog(FrozenRecord):
+class ContinuedLog(RecordBase):
     """A chosen branch of log w: value = principal_log(w) + 2*pi*i*winding."""
 
     _fields = ("value", "winding")

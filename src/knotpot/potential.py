@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from ._records import FrozenRecord
+from ._records import RecordBase
 from .dilog import (
     _TWO_PI,
     bloch_wigner_d,
@@ -69,7 +69,7 @@ _ONE_TOL = 1e-13
 _MAX_JUMP = _PI / 2.0
 
 
-class Monomial(FrozenRecord):
+class Monomial(RecordBase):
     """Laurent monomial prod var^exp, stored as sorted (var, exp) pairs."""
 
     _fields = ("exponents",)
@@ -95,19 +95,19 @@ class Monomial(FrozenRecord):
         return " ".join("%s^%d" % ve for ve in self.exponents) or "1"
 
 
-class DilogTerm(FrozenRecord):
+class DilogTerm(RecordBase):
     """Contributes sign * Li2(argument) to V."""
 
     _fields = ("sign", "argument")
 
 
-class QuadLogTerm(FrozenRecord):
+class QuadLogTerm(RecordBase):
     """Contributes coeff * log(var_a) * log(var_b) to V."""
 
     _fields = ("coeff", "var_a", "var_b")
 
 
-class LongitudeExpr(FrozenRecord):
+class LongitudeExpr(RecordBase):
     """prefactor * prod (1 - argument)^exponent over factors, a tuple of
     (exponent: int, argument: Monomial) pairs."""
 
@@ -121,7 +121,7 @@ class LongitudeSpec(LongitudeExpr):
     _defaults = {"alternate": None}
 
 
-class PotentialSpec(FrozenRecord):
+class PotentialSpec(RecordBase):
     """A potential: its variables, the last of them the meridian, and its
     terms, constant and longitude."""
 
@@ -264,7 +264,7 @@ class SpecTables:
         self.residual = tuple(residual)
 
 
-class ParamPoint(FrozenRecord):
+class ParamPoint(RecordBase):
     """A point in parameter space with its branch bookkeeping.
 
     Every log is a plain complex number, the value of one continued
@@ -298,7 +298,7 @@ class ParamPoint(FrozenRecord):
         d["tracked_logs"] = tracked_logs
 
 
-class Shapes(FrozenRecord):
+class Shapes(RecordBase):
     """Tetrahedron moduli of the five-tetrahedron parametrization."""
 
     _fields = ("c2", "d4", "a5", "b5", "d5")
@@ -383,8 +383,8 @@ def _is_int(obj) -> bool:
 
 
 def _check_float_range(k, where):
-    # the evaluators read every integer of a spec as a float: quad
-    # coefficients, the constant, exponents
+    # the evaluators read every integer of a spec as a float (quad
+    # coefficients, the constant, exponents), the filling Newton 2p, 2q
     try:
         float(k)
     except OverflowError:
@@ -889,9 +889,8 @@ def reduced_residual(pt: ParamPoint):
     puts within _ONE_TOL of 0, so it raises only StepTooLargeError,
     where a power overflows.
     """
-    spec = pt.spec
-    tab = spec.tables
-    mvals = _tracked(spec, pt)[0]
+    tab = pt.spec.tables
+    mvals = pt.tracked_values
     values = pt.values
     out = []
     try:

@@ -19,7 +19,7 @@ import cmath
 import math
 import sys
 
-from ._records import FrozenRecord, RecordBase
+from ._records import RecordBase
 from .dilog import ContinuedLog
 from .errors import (
     KnotpotError,
@@ -35,6 +35,7 @@ from .errors import (
 from .potential import (
     _ZERO_TOL,
     PotentialSpec,
+    _check_float_range,
     _eta_log_and_size,
     _gradient,
     _hessian,
@@ -71,7 +72,7 @@ _FLAT_TOL = 1e-4
 _BRANCH_TOL = 1e-6
 
 
-class Slope(FrozenRecord):
+class Slope(RecordBase):
     """Slope p/q in lowest terms with its canonical cocycle (r, s).
 
     ps - qr = 1; q >= 1; 0 <= s < q for q > 1 and (r, s) = (-1, 0)
@@ -379,14 +380,15 @@ def _newton_filling(spec, pt, p, q, t, tol):
     tab = spec.tables
     # the filling equation sums n terms, p u and q times each term of
     # v = 2 eta_log; each is rounded to eps of itself, so the sum is
-    # known to about n eps times their summed magnitudes
+    # known to about n eps times their summed magnitudes; |q| is
+    # scaled by n eps before it meets size, so no product overflows
     n = 1 + len(tab.eta_prefactor) + len(tab.eta_factors)
     for it in range(60):
         u2 = 2 * pt.logs[meridian]
         eta, size = _eta_log_and_size(spec, pt)
         v2 = 2 * eta
         fill = p * u2 + q * v2 - _TWO_PI_I * t
-        bound = max(tol, n * _EPS * (abs(p * u2) + 2 * abs(q) * size))
+        bound = max(tol, n * _EPS * abs(p * u2) + 2 * abs(q) * (n * _EPS * size))
         # the filling equation is cheaper to test, and the reduced
         # residual is only needed once it holds
         if abs(fill) <= bound:
@@ -425,14 +427,13 @@ def solve_filling(
     >= _FLAT_TOL, and Im V_alpha is within max(_BRANCH_TOL, newton_tol)
     of the D-sum; otherwise it raises PathObstructionError: the slope is
     possibly exceptional. A newton_tol as solve_complete refuses, or a
-    slope whose p or q does not convert to float, raises ValidationError.
+    slope whose 2p or 2q is beyond float range (the filling row of the
+    Jacobian holds both), raises ValidationError.
     """
     _check_newton_tol(newton_tol)
     p, q = slope.p, slope.q
-    try:
-        float(p), float(q)
-    except OverflowError:
-        raise ValidationError("slope p and q must be within float range") from None
+    _check_float_range(2 * p, "slope p and q")
+    _check_float_range(2 * q, "slope p and q")
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
     pt = complete.point

@@ -1,8 +1,9 @@
 """Shared fixtures plus the acceptance summary.
 
 `spec` is the built-in 5_2 potential and `complete` its complete
-structure, solved once per session; no test may change either, and a
-test that needs a spec of its own builds it.
+structure, solved once per session. No test can change either, since
+every record refuses assignment; a test that needs a spec of its own
+builds it.
 
 The acceptance tests record one verdict per criterion; a terminal
 summary hook prints them as a block at the end of the run so the

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -563,12 +564,33 @@ def test_fill_rejects_meridian_slope(capsys):
     assert code == 1
 
 
+# 2N is past float range, though N itself is not
+_HALF_RANGE_N = "9" + "0" * 307
+
+
 @pytest.mark.parametrize(
     "slope",
-    ["1" + "0" * 400 + "/1", "1/1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000],
-    ids=["p", "q", "negative-p", "past-int-digits"],
+    [
+        "1" + "0" * 400 + "/1",
+        "1/1" + "0" * 400,
+        "-1" + "0" * 400,
+        "1" + "0" * 5000,
+        _HALF_RANGE_N + "/1",
+        "1/" + _HALF_RANGE_N,
+        "-" + _HALF_RANGE_N,
+    ],
+    ids=[
+        "p",
+        "q",
+        "negative-p",
+        "past-int-digits",
+        "p-past-half",
+        "q-past-half",
+        "negative-p-past-half",
+    ],
 )
 def test_fill_refuses_a_slope_beyond_float_range(capsys, slope):
+    # the filling Jacobian holds 2p and 2q, so those must be floats
     code, out, err = run(capsys, "fill", "--slope=" + slope)
     assert (code, out) == (1, "")
     assert err == "error: slope p and q must be within float range\n"
@@ -576,8 +598,15 @@ def test_fill_refuses_a_slope_beyond_float_range(capsys, slope):
 
 @pytest.mark.parametrize(
     "slope",
-    ["1/100000", "1/1000000", "1/10000000000", "1/1" + "0" * 300, "1" + "0" * 300 + "/1"],
-    ids=["q-1e5", "q-1e6", "q-1e10", "q-1e300", "p-1e300"],
+    [
+        "1/100000",
+        "1/1000000",
+        "1/10000000000",
+        "1/1" + "0" * 300,
+        "1" + "0" * 300 + "/1",
+        "1/5" + "0" * 307,
+    ],
+    ids=["q-1e5", "q-1e6", "q-1e10", "q-1e300", "p-1e300", "q-5e307"],
 )
 def test_fill_accepts_a_large_slope(capsys, slope):
     code, out, err = run(capsys, "fill", "--slope=" + slope)
@@ -585,8 +614,11 @@ def test_fill_accepts_a_large_slope(capsys, slope):
     assert "volume = 2.82812208" in out
     # accepted within the printed bound: for a large q the float
     # rounding floor of q v, past --newton-tol; a large p leaves |p u|
-    # near 2 pi, so the bound stays --newton-tol
+    # near 2 pi, so the bound stays --newton-tol. At q = 5e307, 2q is a
+    # float but 2 |q| times the size of v is not: the floor stays finite
+    # because it is scaled by n eps first
     doc = json.loads(run(capsys, "--format", "json", "fill", "--slope=" + slope)[1])
+    assert math.isfinite(doc["filling_tol"])
     assert doc["filling_residual"] <= doc["filling_tol"]
     if doc["q"] > 1:
         assert doc["filling_tol"] > 1e-12
@@ -671,10 +703,15 @@ def test_scan_json_schema(capsys):
             assert row["volume"] is None
 
 
-@pytest.mark.parametrize("flag", ["--pmax", "--qmax"])
-def test_scan_refuses_bounds_beyond_float_range(capsys, flag):
+# no --qmax past half range: a scan that takes it runs q = 1, 2, ...
+@pytest.mark.parametrize(
+    "flag, bound",
+    [("--pmax", "1" + "0" * 400), ("--qmax", "1" + "0" * 400), ("--pmax", _HALF_RANGE_N)],
+    ids=["--pmax", "--qmax", "--pmax-past-half"],
+)
+def test_scan_refuses_bounds_beyond_float_range(capsys, flag, bound):
     # refused before a single slope is enumerated
-    code, out, err = run(capsys, "scan", flag, "1" + "0" * 400)
+    code, out, err = run(capsys, "scan", flag, bound)
     assert (code, out) == (1, "")
     assert err == "error: scan bounds must be within float range\n"
 

@@ -261,13 +261,19 @@ def test_point_build_follows_the_unwrapped_phase(steps):
 # |p| <= 12 and |q| <= 4 and |u_end| <= 3, each as often arbitrary
 # short text, at most 2 samples and a few tolerances. Bad tolerances
 # stay rare, since the CLI rejects them before it reads the rest.
+# Slopes also come from the edge of float range, |p| and |q| from
+# 2**1020 to 2**1025, where 2p or 2q may not be a float.
 
 _short_text = st.text(max_size=8)
 
+_edge = st.tuples(st.integers(2**1020, 2**1025), st.sampled_from([1, -1])).map(
+    lambda ms: ms[0] * ms[1]
+)
 _slopes = st.one_of(
     st.tuples(st.integers(-12, 12), st.integers(-4, 4), st.booleans()).map(
         lambda pqb: "%d/%d" % pqb[:2] if pqb[2] else str(pqb[0])
     ),
+    st.tuples(_edge, _edge).map(lambda pq: "%d/%d" % pq),
     _short_text,
 )
 _u_ends = st.one_of(

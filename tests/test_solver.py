@@ -628,7 +628,9 @@ def test_filling_equation_exact(spec, complete):
 
 
 @pytest.mark.parametrize(
-    "p, q", [(10**400, 1), (1, 10**400), (-(10**400), 3)], ids=["p", "q", "negative-p"]
+    "p, q",
+    [(10**400, 1), (1, 10**400), (-(10**400), 3), (9 * 10**307, 1), (1, 9 * 10**307)],
+    ids=["p", "q", "negative-p", "p-past-half", "q-past-half"],
 )
 def test_filling_refuses_a_slope_beyond_float_range(spec, complete, p, q):
     with pytest.raises(ValidationError, match="float range"):
