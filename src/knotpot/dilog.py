@@ -5,7 +5,7 @@ principal logarithm, Li2, the Rogers dilogarithm and the Bloch-Wigner
 function, all in plain Python.
 
 On top of the kernel this module adds ContinuedLog, the record of a
-particular branch of log w. The point build (potential._build_point)
+particular branch of log w. The point build (potential.SpecTables)
 continues every log and keeps only its value; ContinuedLog.from_value
 recovers the winding of such a value.
 """

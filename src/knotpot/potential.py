@@ -31,6 +31,14 @@ of any spec but their own or an equal one. The tables keep the order
 of the terms in the spec, so every sum is formed in the same order and
 grouping as a direct reading of the spec would form it, and results do
 not depend on the lowering.
+
+The point build, the reduced residual and the fiber Newton system, the
+three evaluations the Newton loops make at every iteration, are then
+compiled from those tables to straight-line Python, once per spec on
+first use (SpecTables, _compile_kernels). The compiled text makes the
+tables' loops' operations in their order and grouping, so it gives
+their results bit for bit; _compile is the package's one call of the
+built-in compile and exec.
 """
 
 import cmath
@@ -156,6 +164,24 @@ class SpecTables:
     Exponents and their products stay Python ints and coefficients
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
+
+    The three kernels the Newton loops call at every iteration are
+    lowered a second time, from monomial_rows, residual, fiber_gradient
+    and fiber_hessian_cells, to straight-line Python: build_point(logmap,
+    prev), reduced_residual(pt) and fiber_system(pt), which returns the
+    hessian's fiber block and the fiber gradient together. On first use
+    of any of them one source text holding all three is generated and
+    compiled (see _compile_kernels). The text writes out, per row and
+    cell, the same operations on the same operands in the same order
+    and grouping as the tables' loops did, starting every sum from 0j
+    and every product from 1 + 0j and keeping each factor of +-1, so
+    every result is bit for bit the same: (1 + 0j) * w is not w where
+    a part of w is -0.0. Integer exponents appear in the text as
+    literals; every other constant, float and complex coefficients,
+    variable names and monomials, is bound in the kernels' namespace
+    under an identifier of the generator's own (a literal such as
+    (-2-0j) would lose its -0.0 part), so no text from the spec
+    reaches the source.
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -262,6 +288,14 @@ class SpecTables:
                 rhs.append((w, int(sigma * c)))
             residual.append((tuple((sigma * sa, j) for sa, j in rows), tuple(rhs)))
         self.residual = tuple(residual)
+        self.spec = spec
+
+    def __getattr__(self, name):
+        # the kernels, all compiled on the first use of any of them
+        if name not in ("build_point", "reduced_residual", "fiber_system"):
+            raise AttributeError(name)
+        self.__dict__.update(_compile_kernels(self))
+        return self.__dict__[name]
 
 
 class ParamPoint(RecordBase):
@@ -590,74 +624,174 @@ def dump_spec(spec: PotentialSpec) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# ------------------------------------------------------------- points
+# ------------------------------------------------------------ kernels
 
 
-def _build_point(spec, logmap, prev: ParamPoint | None) -> ParamPoint:
-    """Assemble a ParamPoint from explicit log values.
+def _compile(source: str, namespace: dict) -> dict:
+    """Run generated source in namespace, and return the namespace.
 
-    Variable logs are taken verbatim; the derived logs of 1 - m start
-    principal when prev is None and are branch-continued from prev
-    otherwise: each takes the branch nearest its value at prev, and a
-    jump of a quarter turn or more raises StepTooLargeError, meaning
-    the caller moved too far in one step. A log that is not finite and
-    an overflow of exp or of a monomial power raise it too: such a
-    step also went too far. A log whose exp underflows to 0 raises
-    SingularPointError, as make_point does for a zero variable, and so
-    does a tracked monomial m, dilog argument or primary longitude
-    factor, within _ONE_TOL of 1: this is the one place a point's
-    monomials are judged, so the evaluators need no guards of their own.
-
-    This is the solver's innermost step, so principal_log and
-    Monomial.evaluate are written out here, operation for operation.
+    The one place knotpot compiles code: the spec kernels below and
+    solver._solve's per-size elimination are built here.
     """
-    tab = spec.tables
-    logs = {}
-    values = {}
-    xs = []
-    mvals = []
-    try:
-        for v in spec.variables:
-            lv = logmap[v]
-            if not _isfinite(lv):
-                raise StepTooLargeError("log %s is not finite" % lv)
-            w = _exp(lv)
-            if not w:
-                raise SingularPointError("variable %s = 0 (log pole)" % v)
-            logs[v] = lv
-            values[v] = w
-            xs.append(w)
-        for row in tab.monomial_rows:
-            r = 1 + 0j
-            for i, e in row:
-                r *= xs[i] ** e
-            mvals.append(r)
+    exec(compile(source, "<knotpot kernels>", "exec"), namespace)
+    return namespace
+
+
+def _int(k: int) -> str:
+    # an integer literal that parses as one operand
+    return "(%d)" % k if k < 0 else "%d" % k
+
+
+def _continue(value: complex, prev: complex, m) -> complex:
+    # a log(1 - m) that moved a quarter turn or more from prev: the
+    # branch nearest prev, or StepTooLargeError where the step still
+    # jumps that far
+    prev_im = prev.imag
+    d = prev_im - value.imag
+    if not -_PI <= d <= _PI:
+        if not abs(d) < math.inf:
+            raise StepTooLargeError("log(1 - %s) is not finite" % m)
+        k = round(d / _TWO_PI)
+        value = complex(value.real, value.imag + _TWO_PI * k)
+    jump = abs(value.imag - prev_im)
+    if jump >= _MAX_JUMP:
+        raise StepTooLargeError("log continuation jump %.3f >= pi/2" % jump)
+    return value
+
+
+# The kernels' source, filled in per spec by _compile_kernels. Locals:
+# l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
+# monomial j and its continued log(1 - m), q<j> that log at prev, f<t>
+# = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> the fiber
+# hessian and gradient. Globals: _k<n> the spec's constants, and the
+# helpers bound by _compile_kernels.
+_KERNELS = """\
+def build_point(logmap, prev):
+    try:{variables}{monomials}
     except OverflowError as e:
-        # a log so far out that exp or a monomial power overflows is a
-        # step too far, not a point: the caller halves and retries
-        raise StepTooLargeError("exp overflow (%s)" % e) from e
-    prev_logs = None if prev is None else prev.tracked_logs
-    tracked_logs = []
-    for j, m in enumerate(tab.monomials):
-        # 1 - m has imaginary part 0.0 - m.imag, never -0.0, so a
-        # negative real 1 - m logs to +pi i, never to -pi i
-        w = 1 - mvals[j]
-        if abs(w) < _ONE_TOL:
-            raise SingularPointError("arg %s = 1" % m)
-        value = _log(w)
-        if prev_logs is not None:
-            prev_im = prev_logs[j].imag
-            d = prev_im - value.imag
-            if not -_PI <= d <= _PI:
-                if not abs(d) < math.inf:
-                    raise StepTooLargeError("log(1 - %s) is not finite" % m)
-                k = round(d / _TWO_PI)
-                value = complex(value.real, value.imag + _TWO_PI * k)
-            jump = abs(value.imag - prev_im)
-            if jump >= _MAX_JUMP:
-                raise StepTooLargeError("log continuation jump %.3f >= pi/2" % jump)
-        tracked_logs.append(value)
-    return ParamPoint(spec, values, logs, tuple(mvals), tuple(tracked_logs))
+        raise _StepTooLarge('exp overflow (%s)' % e) from e
+    if prev is not None:
+        ({qs}) = prev.tracked_logs{logs}
+    return _ParamPoint(_spec, {{{values}}}, {{{vlogs}}}, ({ms}), ({ts}))
+
+def reduced_residual(pt):
+    ({ms}) = pt.tracked_values
+    values = pt.values
+    try:
+        return ({residuals})
+    except OverflowError as e:
+        raise _StepTooLarge('residual overflow (%s)' % e) from e
+
+def fiber_system(pt):
+    mvals, tlogs = _tracked(_spec, pt)
+    ({ms}) = mvals
+    ({ts}) = tlogs
+    logs = pt.logs{fiber}
+    return [{rows}], [{gs}]
+"""
+_VARIABLE = """
+        l{i} = logmap[{name}]
+        if not _isfinite(l{i}):
+            raise _StepTooLarge('log %s is not finite' % l{i})
+        w{i} = _exp(l{i})
+        if not w{i}:
+            raise _Singular('variable %s = 0 (log pole)' % {name})"""
+_TRACKED_LOG = """
+    u = 1 - m{j}
+    if abs(u) < _ONE_TOL:
+        raise _Singular('arg %s = 1' % {m})
+    t{j} = _log(u)
+    if prev is not None and not -_MAX_JUMP < q{j}.imag - t{j}.imag < _MAX_JUMP:
+        t{j} = _continue(t{j}, q{j}, {m})"""
+
+
+def _compile_kernels(tab: SpecTables) -> dict:
+    """build_point, reduced_residual and fiber_system of tab's spec.
+
+    build_point(logmap, prev) assembles a ParamPoint from explicit log
+    values. Variable logs are taken verbatim; the derived logs of
+    1 - m start principal when prev is None and are branch-continued
+    from prev otherwise: each takes the branch nearest its value at
+    prev, and a jump of a quarter turn or more raises
+    StepTooLargeError, meaning the caller moved too far in one step. A
+    log that is not finite and an overflow of exp or of a monomial
+    power raise it too: such a step also went too far. A log whose exp
+    underflows to 0 raises SingularPointError, as make_point does for
+    a zero variable, and so does a tracked monomial m, dilog argument
+    or primary longitude factor, within _ONE_TOL of 1: this is the one
+    place a point's monomials are judged, so the evaluators need no
+    guards of their own. 1 - m has imaginary part 0.0 - m.imag, never
+    -0.0, so a negative real 1 - m logs to +pi i, never to -pi i.
+
+    reduced_residual(pt) is, per row of tab.residual, the product of
+    the (1 - m)^e of its left side minus that of the variable powers
+    of its right. fiber_system(pt) is the pair (h, g) of the hessian's
+    fiber block and the fiber gradient, the rows _hessian and _gradient
+    read from tab.fiber_hessian_cells and tab.fiber_gradient.
+    """
+    spec = tab.spec
+    ns = {
+        "_spec": spec, "_tracked": _tracked, "_ParamPoint": ParamPoint,
+        "_StepTooLarge": StepTooLargeError, "_Singular": SingularPointError,
+        "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_continue": _continue,
+        "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
+    }
+
+    def const(value) -> str:
+        name = "_k%d" % len(ns)
+        ns[name] = value
+        return name
+
+    names = {v: const(v) for v in spec.variables}
+    idx = range(len(tab.monomials))
+    used = {t for _, _, prods, _ in tab.fiber_hessian_cells for _, t in prods}
+    fiber = [
+        "f%d = %s * m%d / (1 - m%d)" % (t, _int(sign), j, j)
+        for t, (sign, j) in enumerate(tab.dilogs)
+        if t in used
+    ]
+    for iu, iv, prods, consts in tab.fiber_hessian_cells:
+        terms = "".join(" + %s * f%d" % (_int(aa), t) for aa, t in prods)
+        terms += "".join(" + " + const(c) for c in consts)
+        fiber.append("h%d_%d = 0j%s" % (iu, iv, terms))
+    for i, (rows, quads) in enumerate(tab.fiber_gradient):
+        terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
+        terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
+        fiber.append("g%d = 0j%s" % (i, terms))
+    k = len(tab.fiber_gradient)
+    source = _KERNELS.format(
+        variables="".join(
+            _VARIABLE.format(i=i, name=name) for i, name in enumerate(names.values())
+        ),
+        monomials="".join(
+            "\n        m%d = (1 + 0j)" % j + "".join(" * w%d ** %s" % (i, _int(e)) for i, e in row)
+            for j, row in enumerate(tab.monomial_rows)
+        ),
+        logs="".join(_TRACKED_LOG.format(j=j, m=const(m)) for j, m in enumerate(tab.monomials)),
+        values=", ".join("%s: w%d" % (n, i) for i, n in enumerate(names.values())),
+        vlogs=", ".join("%s: l%d" % (n, i) for i, n in enumerate(names.values())),
+        qs="".join("q%d, " % j for j in idx),
+        ms="".join("m%d, " % j for j in idx),
+        ts="".join("t%d, " % j for j in idx),
+        residuals="".join(
+            "(1 + 0j)%s - (1 + 0j)%s, " % (
+                "".join(" * (1 - m%d) ** %s" % (j, _int(e)) for e, j in lhs),
+                "".join(" * values[%s] ** %s" % (names[v], _int(e)) for v, e in rhs),
+            )
+            for lhs, rhs in tab.residual
+        ),
+        fiber="".join("\n    " + line for line in fiber),
+        rows=", ".join(
+            "[%s]" % ", ".join("h%d_%d" % (min(r, c), max(r, c)) for c in range(k))
+            for r in range(k)
+        ),
+        gs=", ".join("g%d" % i for i in range(k)),
+    )
+    _compile(source, ns)
+    return {f: ns[f] for f in ("build_point", "reduced_residual", "fiber_system")}
+
+
+# ------------------------------------------------------------- points
 
 
 def _tracked(spec: PotentialSpec, pt: ParamPoint):
@@ -669,6 +803,27 @@ def _tracked(spec: PotentialSpec, pt: ParamPoint):
     if pt.spec is not spec and pt.spec != spec:
         raise ValidationError("point belongs to a spec other than %r" % spec.name)
     return pt.tracked_values, pt.tracked_logs
+
+
+def _monomial_logs(spec: PotentialSpec, pt: ParamPoint) -> list:
+    """The continued log m of each tracked monomial m of pt, in table order.
+
+    principal_log(m) + 2 pi i k, with k the winding that brings it
+    nearest sum e log v over m's factors v^e, the sum of the point's
+    continued variable logs; so it winds as they do, and where k = 0
+    it is principal_log(m) itself.
+    """
+    mvals = _tracked(spec, pt)[0]
+    logs = [pt.logs[v] for v in spec.variables]
+    out = []
+    for m, row in zip(mvals, spec.tables.monomial_rows):
+        p = principal_log(m)
+        s = 0j
+        for i, e in row:
+            s += e * logs[i]
+        k = round((s - p).imag / _TWO_PI)
+        out.append(complex(p.real, p.imag + _TWO_PI * k) if k else p)
+    return out
 
 
 def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
@@ -683,12 +838,12 @@ def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
         if abs(w) < _ZERO_TOL:
             raise SingularPointError("variable %s = 0 (log pole)" % v)
         logmap[v] = principal_log(w)
-    return _build_point(spec, logmap, None)
+    return spec.tables.build_point(logmap, None)
 
 
 def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
     """Move a point to explicit new variable logs (solver step)."""
-    return _build_point(pt.spec, logmap, pt)
+    return pt.spec.tables.build_point(logmap, pt)
 
 
 # --------------------------------------------------------- evaluation
@@ -887,22 +1042,7 @@ def reduced_residual(pt: ParamPoint):
     Branch-free, so it is the solver's acceptance residual. Its
     factors 1 - m are those of dilog arguments, which no built point
     puts within _ONE_TOL of 0, so it raises only StepTooLargeError,
-    where a power overflows.
+    where a power overflows. The body is the spec's compiled kernel
+    (SpecTables).
     """
-    tab = pt.spec.tables
-    mvals = pt.tracked_values
-    values = pt.values
-    out = []
-    try:
-        for lhs_rows, rhs_rows in tab.residual:
-            lhs = 1 + 0j
-            for e, j in lhs_rows:
-                lhs *= (1 - mvals[j]) ** e
-            rhs = 1 + 0j
-            for vp, e in rhs_rows:
-                rhs *= values[vp] ** e
-            out.append(lhs - rhs)
-    except OverflowError as e:
-        # as in _build_point: a point this far out is a step too far
-        raise StepTooLargeError("residual overflow (%s)" % e) from e
-    return tuple(out)
+    return pt.spec.tables.reduced_residual(pt)

@@ -16,6 +16,7 @@ _NEWTON_TOL); solve_filling states when a filling is accepted.
 """
 
 import cmath
+import functools
 import math
 import sys
 
@@ -36,9 +37,9 @@ from .potential import (
     _ZERO_TOL,
     PotentialSpec,
     _check_float_range,
+    _compile,
     _eta_log_and_size,
     _gradient,
-    _hessian,
     advance_point_logs,
     d_eta_log,
     eta_log,
@@ -135,41 +136,63 @@ def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     return Slope(p, q, r, s)
 
 
+def _solve_source(n: int) -> str:
+    """Gaussian elimination with partial pivoting on n x n, written out.
+
+    Entry (r, c) of the augmented matrix [a | b] is the local m<r>_<c>.
+    Column c takes as pivot the first row from c down of greatest
+    modulus, swaps it with row c and subtracts f = m<r>_<c> / pivot
+    times it from each row below, entries c + 1 to n; back substitution
+    then forms x<c> = (m<c>_<n> - m<c>_<c+1> x<c+1> - ...) / m<c>_<c>.
+    """
+    src = ["def solve(a, b):"]
+    m = [["m%d_%d" % (r, c) for c in range(n + 1)] for r in range(n)]
+    src.append("    [%s] = a" % ", ".join("[%s]" % ", ".join(row[:n]) for row in m))
+    src.append("    [%s] = b" % ", ".join(row[n] for row in m))
+    for c in range(n):
+        src += ["    p = %d" % c, "    best = abs(%s)" % m[c][c]]
+        for r in range(c + 1, n):
+            src += [
+                "    size = abs(%s)" % m[r][c],
+                "    if size > best:",
+                "        p, best = %d, size" % r,
+            ]
+        src += [
+            "    if not best:",
+            "        raise _Singular('singular Jacobian (zero pivot in column %d)')" % c,
+        ]
+        for r in range(c + 1, n):
+            top, row = ", ".join(m[c][c:]), ", ".join(m[r][c:])
+            test = "if" if r == c + 1 else "elif"
+            src.append("    %s p == %d:" % (test, r))
+            src.append("        %s, %s = %s, %s" % (top, row, row, top))
+        for r in range(c + 1, n):
+            src.append("    f = %s / %s" % (m[r][c], m[c][c]))
+            src += ["    %s -= f * %s" % (m[r][j], m[c][j]) for j in range(c + 1, n + 1)]
+    for c in range(n - 1, -1, -1):
+        terms = "".join(" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n))
+        src.append("    x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
+    src.append("    return [%s]" % ", ".join("x%d" % c for c in range(n)))
+    return "\n".join(src) + "\n"
+
+
+@functools.cache
+def _solver_of(n: int):
+    return _compile(_solve_source(n), {"_Singular": SingularJacobianError})["solve"]
+
+
 def _solve(a, b) -> list:
     """x with a x = b, by Gaussian elimination with partial pivoting.
 
     a is a list of n rows of n numbers and b a list of n; neither is
     modified. Raises SingularJacobianError on an exactly zero pivot,
-    where LAPACK's getrf reports a singular factor.
+    where LAPACK's getrf reports a singular factor. Each size n is
+    compiled once, on first use, to the straight-line code of
+    _solve_source: the same operations in the same order as the loop
+    over columns and rows it unrolls, so its results are bit for bit
+    the loop's.
     """
-    n = len(b)
-    m = [row + [bi] for row, bi in zip(a, b)]  # augmented, row by row
-    for c in range(n):
-        p = c
-        best = abs(m[c][c])
-        for r in range(c + 1, n):
-            size = abs(m[r][c])
-            if size > best:
-                p, best = r, size
-        if not best:
-            raise SingularJacobianError("singular Jacobian (zero pivot in column %d)" % c)
-        top = m[p]
-        m[p] = m[c]
-        m[c] = top
-        pivot = top[c]
-        for r in range(c + 1, n):
-            row = m[r]
-            f = row[c] / pivot
-            for j in range(c + 1, n + 1):
-                row[j] -= f * top[j]
-    x = [0j] * n
-    for c in range(n - 1, -1, -1):
-        row = m[c]
-        acc = row[n]
-        for j in range(c + 1, n):
-            acc -= row[j] * x[j]
-        x[c] = acc / row[c]
-    return x
+    return _solver_of(len(b))(a, b)
 
 
 def _resid_inf(pt) -> float:
@@ -201,8 +224,9 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
 
     Drives the continued-log gradient to zero, branch-continuing from
     pt at each trial step (halving on a branch jump), and accepts on
-    the reduced residuals. The gradient and hessian are evaluated on
-    the non-meridian block only. A converged point with a variable
+    the reduced residuals. The gradient and hessian of the
+    non-meridian block come from one call of the spec's compiled
+    fiber_system (potential.SpecTables). A converged point with a variable
     within _ZERO_TOL of 0 sits on a log pole, where the residual is
     small only because the variable is, and raises SingularPointError
     as make_point would.
@@ -218,8 +242,7 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
     rule catches every cycle within two of its periods.
     """
     variables = spec.variables
-    k = len(variables) - 1
-    tab = spec.tables
+    system = spec.tables.fiber_system
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
@@ -239,9 +262,7 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
                 break
             seen.add(state)
         prev = resid
-        g = _gradient(spec, pt, tab.fiber_gradient)
-        h = _hessian(spec, pt, tab.fiber_hessian_cells, k)
-        pt = _damped_step(pt, _solve(h, g))
+        pt = _damped_step(pt, _solve(*system(pt)))
     # after a break too: the remaining iterations would only cycle
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 

@@ -118,12 +118,23 @@ def test_spec_file_of_the_wrong_kind_exits_usage(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+_COLLIDING = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "spec_5_2_colliding_names.json"
+)
+
+
 def _spec_variant(tmp_path, kind):
     """A copy of the built-in spec written to a file, and the built-in
     name of each of its variables.
 
-    "renamed" calls x and y a and b; "reordered" declares y before x.
+    "renamed" calls x and y a and b; "reordered" declares y before x;
+    "colliding" is the committed copy that calls x, y and xi w1,
+    __import__ and ParamPoint, names that would collide with the
+    compiled kernels' own identifiers and globals if a spec's text
+    reached their source.
     """
+    if kind == "colliding":
+        return _COLLIDING, {"w1": "x", "__import__": "y", "ParamPoint": "xi"}
     text = dump_spec(builtin_five_two())
     names = {"x": "x", "y": "y", "xi": "xi"}
     if kind == "renamed":
@@ -165,7 +176,7 @@ def _assert_same_doc(got, want, names, where="doc"):
         assert got == want, where
 
 
-@pytest.mark.parametrize("kind", ["renamed", "reordered"])
+@pytest.mark.parametrize("kind", ["renamed", "reordered", "colliding"])
 @pytest.mark.parametrize(
     "argv",
     [

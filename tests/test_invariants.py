@@ -3,10 +3,13 @@ core-geodesic well-definedness, and the Rogers-combination identities."""
 
 import json
 import math
+import sys
 
 import pytest
 
 import _oracles as O
+from knotpot import dilog
+from knotpot.dilog import ContinuedLog, principal_log
 from knotpot.invariants import (
     InvariantReport,
     eval_v_alpha,
@@ -17,10 +20,12 @@ from knotpot.invariants import (
 )
 from knotpot.errors import ValidationError
 from knotpot.potential import (
+    _monomial_logs,
     dump_spec,
     eval_v,
     load_spec,
     make_point,
+    reduced_residual,
     shapes_from_point,
 )
 from knotpot.solver import (
@@ -31,8 +36,10 @@ from knotpot.solver import (
     trace_deformation,
 )
 from test_potential import regular_points
+from test_trace_digest import U_ENDS, trace_runs
 
 PI = math.pi
+EPS = sys.float_info.epsilon
 
 # volumes frozen from an independent prototype run cross-checked with
 # Neumann-Zagier length asymptotics; tolerances per contract
@@ -225,6 +232,75 @@ def test_rogers_defect_locally_constant_generic_direction(spec, complete):
     ]
     spread = max(abs(d - defects[0]) for d in defects)
     assert spread < 1e-9
+
+
+def _defect_and_size(spec, smp):
+    """rogers_combo - (V + (u/2)(v/2)) at a sample, the sum of the
+    magnitudes of the terms it is formed from, and the sample's reduced
+    residual."""
+    pt = smp.point
+    tab = spec.tables
+    uv = (smp.u / 2) * (smp.v / 2)
+    defect = rogers_combo(spec, pt) - (eval_v(spec, pt) + uv)
+    size = abs(tab.constant) * 2 + abs(uv)
+    log_m = _monomial_logs(spec, pt)
+    for _, j in tab.dilogs:
+        # Li2(m) enters both rogers_combo and V
+        size += 2 * abs(dilog.li2(pt.tracked_values[j]))
+        size += abs(0.5 * log_m[j] * pt.tracked_logs[j])
+    for c, a, b in tab.quads:
+        size += abs(c * pt.logs[a] * pt.logs[b])
+    return defect, size, max(map(abs, reduced_residual(pt)))
+
+
+# the digest traces on which continued logs wind (the first four stay
+# on the principal sheets), and one more; at 4d106f7, whose
+# rogers_combo took principal logs of m and 1 - m, the defect drifted
+# by 4.97, 6.94, 19.6, 21.3, 28.4 and 0.489 along them
+_WINDING_TRACES = U_ENDS[4:] + (0.5 + 0.5j,)
+
+
+@pytest.mark.parametrize("u_end", _WINDING_TRACES, ids=repr)
+def test_rogers_defect_constant_where_logs_wind(spec, complete, u_end):
+    runs = {u: samples for u, samples, _ in trace_runs()}
+    if u_end in runs:
+        samples = runs[u_end]
+    else:
+        samples = trace_deformation(spec, u_end, 32, complete=complete)
+    # log m or log(1 - m) leaves its principal sheet somewhere on the way
+    windings = {
+        ContinuedLog.from_value(lw).winding
+        for smp in samples
+        for lw in _monomial_logs(spec, smp.point) + list(smp.point.tracked_logs)
+    }
+    assert windings != {0}
+    # each defect is formed from its terms with a rounding error of a
+    # few eps of their summed magnitudes, and the samples solve the
+    # hyperbolicity equations only to their reduced residual, which
+    # moves every term by about that much relative to its size
+    d0, size0, res0 = _defect_and_size(spec, samples[0])
+    for smp in samples[1:]:
+        d, size, res = _defect_and_size(spec, smp)
+        assert abs(d - d0) <= (size + size0) * (4 * EPS + res + res0), smp.u
+
+
+def test_rogers_combo_is_the_rogers_sum_on_principal_branches(spec):
+    # where each continued log m is principal_log(m) itself, every term
+    # is dilog.rogers_r bit for bit; principal variable logs can still
+    # sum to another branch of log m, whose term then differs
+    on_principal = 0
+    for pt in regular_points(spec, 40, seed=71):
+        mvals = pt.tracked_values
+        if any(lm != principal_log(mvals[j]) for j, lm in enumerate(_monomial_logs(spec, pt))):
+            continue
+        on_principal += 1
+        want = 0j
+        for sign, j in spec.tables.dilogs:
+            want += sign * dilog.rogers_r(mvals[j])
+        want += spec.tables.constant
+        got = rogers_combo(spec, pt)
+        assert (got, repr(got)) == (want, repr(want))
+    assert 0 < on_principal < 40
 
 
 def test_rogers_filling_display_matches_defect_form(spec, seven):

@@ -1,9 +1,11 @@
 """Potential data model and evaluation tests."""
 
+import ast
 import cmath
 import dataclasses
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -757,8 +759,17 @@ def _bits(x):
     return x, repr(x)
 
 
+def naive_fiber_system(spec, pt):
+    # the hessian's non-meridian block and the gradient's non-meridian
+    # entries, which the fiber Newton solves with
+    k = len(spec.variables) - 1
+    h = naive_log_hessian(spec, pt)
+    return [row[:k] for row in h[:k]], naive_log_gradient(spec, pt)[:k]
+
+
 def assert_matches_naive(spec, pt):
     pairs = [
+        (spec.tables.fiber_system(pt), naive_fiber_system(spec, pt)),
         (log_gradient(spec, pt), naive_log_gradient(spec, pt)),
         (log_hessian(spec, pt), naive_log_hessian(spec, pt)),
         (reduced_residual(pt), naive_reduced_residual(pt)),
@@ -834,6 +845,25 @@ def test_tables_match_plain_reading_bit_for_bit(spec, which):
             except (StepTooLargeError, SingularPointError):
                 break
             assert_matches_naive(vspec, pt)
+
+
+def test_compile_and_exec_are_called_in_one_place():
+    # the spec kernels and the per-size solve are the package's only
+    # generated code, and potential._compile its one compile and exec
+    calls = []
+    src = os.path.dirname(potential.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            calls += [
+                (name, node.func.id)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("compile", "exec", "eval")
+            ]
+    assert calls == [("potential.py", "exec"), ("potential.py", "compile")]
 
 
 def test_tables_on_points_with_windings(spec, complete):

@@ -17,16 +17,25 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpot import potential
 from knotpot.cli import main
-from knotpot.errors import SpecFormatError, ValidationError
+from knotpot.errors import (
+    SingularPointError,
+    SpecFormatError,
+    StepTooLargeError,
+    ValidationError,
+)
 from knotpot.potential import (
     PotentialSpec,
     advance_point_logs,
     builtin_five_two,
     dump_spec,
     load_spec,
+    make_point,
+    reduced_residual,
 )
 from knotpot.solver import normalize_slope, solve_complete
+from test_potential import _bits, naive_fiber_system, naive_reduced_residual
 
 # the machine's speed varies, so a slow example is not a failure. A
 # valid document costs about 200 draws, so the round trip runs fewer
@@ -214,6 +223,85 @@ def test_load_spec_on_mutated_bytes_raises_only_spec_errors(edits):
     for at, cut, insert in edits:
         data = data[:at] + insert + data[at + cut:]
     _load_or_reject(data)
+
+
+# --------------------------------------------------- compiled kernels
+
+
+def _kernel_source(spec):
+    """The source text compiled for spec's kernels."""
+    texts = []
+    compile_ = potential._compile
+
+    def record(source, namespace):
+        texts.append(source)
+        return compile_(source, namespace)
+
+    potential._compile = record
+    try:
+        spec.tables.build_point
+    finally:
+        potential._compile = compile_
+    return texts[0]
+
+
+def _renamed(doc, new):
+    """doc with each variable v called new[v], and another name."""
+    if isinstance(doc, list):
+        return [_renamed(x, new) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {}
+    for k, v in doc.items():
+        if k in ("variables", "vars"):
+            out[k] = [new[x] for x in v]
+        elif k in ("arg", "prefactor"):
+            out[k] = {new[x]: e for x, e in v.items()}
+        elif k == "meridian":
+            out[k] = new[v]
+        elif k == "name":
+            out[k] = "renamed"
+        else:
+            out[k] = _renamed(v, new)
+    return out
+
+
+def _outcome(f, *args):
+    # a power that overflows: OverflowError in the plain reading,
+    # StepTooLargeError from the kernel that catches it
+    try:
+        return _bits(f(*args))
+    except (OverflowError, StepTooLargeError):
+        return "overflow"
+
+
+_point_values = st.complex_numbers(min_magnitude=0.25, max_magnitude=4)
+
+
+@_few
+@given(spec_documents(), st.data())
+def test_kernels_match_the_plain_reading(doc, data):
+    spec = load_spec(json.dumps(doc))
+    # no text of the spec reaches the source: the same document under
+    # other names, sorted alike so every monomial keeps its factor
+    # order, compiles to the same text
+    order = sorted(spec.variables)
+    new = {v: "v%d" % order.index(v) for v in spec.variables}
+    assert _kernel_source(spec) == _kernel_source(load_spec(json.dumps(_renamed(doc, new))))
+    points = []
+    try:
+        pt = make_point(spec, {v: data.draw(_point_values) for v in spec.variables})
+        points.append(pt)
+        # a continued point, each log moved by the same step
+        step = data.draw(_point_values) / 16
+        points.append(advance_point_logs(pt, {v: lw + step for v, lw in pt.logs.items()}))
+    except (SingularPointError, StepTooLargeError):
+        pass  # the drawn values give no point, or no step from it
+    for pt in points:
+        for m, mv in zip(spec.tables.monomials, pt.tracked_values):
+            assert _bits(mv) == _bits(m.evaluate(pt.values))
+        assert _outcome(reduced_residual, pt) == _outcome(naive_reduced_residual, pt)
+        assert _bits(spec.tables.fiber_system(pt)) == _bits(naive_fiber_system(spec, pt))
 
 
 # ------------------------------------------------ branch continuation

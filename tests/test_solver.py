@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
-from knotpot import solver
+from knotpot import potential, solver
 from knotpot.dilog import ContinuedLog
 from knotpot.errors import (
     KnotpotError,
@@ -167,6 +167,67 @@ def test_solve_matches_mpmath_on_newton_systems(spec, complete, monkeypatch):
 def test_solve_singular_matrix_raises(a):
     with pytest.raises(SingularJacobianError):
         solver._solve(a, [1j] * len(a))
+
+
+def _loop_solve(a, b):
+    # the elimination loop solver._solve unrolls per size, as a reference
+    n = len(b)
+    m = [row + [bi] for row, bi in zip(a, b)]
+    for c in range(n):
+        p = c
+        best = abs(m[c][c])
+        for r in range(c + 1, n):
+            size = abs(m[r][c])
+            if size > best:
+                p, best = r, size
+        if not best:
+            raise SingularJacobianError("singular Jacobian (zero pivot in column %d)" % c)
+        top = m[p]
+        m[p] = m[c]
+        m[c] = top
+        pivot = top[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[c] / pivot
+            for j in range(c + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0j] * n
+    for c in range(n - 1, -1, -1):
+        row = m[c]
+        acc = row[n]
+        for j in range(c + 1, n):
+            acc -= row[j] * x[j]
+        x[c] = acc / row[c]
+    return x
+
+
+def _solve_outcome(solve, a, b):
+    try:
+        return repr(solve(a, b))  # repr tells -0.0 from 0.0
+    except SingularJacobianError as e:
+        return str(e)
+
+
+# entries of equal modulus, exact zeros and signed zeros: pivot ties,
+# zero pivots and the signs of zero parts all meet the elimination
+_TIED = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, 2, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_matches_the_elimination_loop_bit_for_bit(n):
+    rng = random.Random(100 + n)
+    singular = 0
+    for trial in range(600):
+        if trial % 2:
+            entries = [rng.choice(_TIED) for _ in range(n * n + n)]
+        else:
+            entries = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n * n + n)]
+        a = [entries[r * n:(r + 1) * n] for r in range(n)]
+        b = entries[n * n:]
+        want = _solve_outcome(_loop_solve, a, b)
+        singular += want.startswith("singular")
+        assert _solve_outcome(solver._solve, a, b) == want, (a, b)
+    assert singular  # the zero-pivot exit is reached at every size
 
 
 # ------------------------------------------------------- solve_complete
@@ -479,8 +540,9 @@ def test_trace_obstruction_carries_partials(spec, complete):
 
 
 def _fiber_reference(spec, pt, xi_log, tol):
-    # the fiber Newton loop without its cycle exit: a solve that does
-    # not converge runs all 50 iterations
+    # the fiber Newton loop without its cycle exit, a solve that does
+    # not converge running all 50 iterations, and with the gradient and
+    # hessian of the tables' loops in place of the compiled fiber_system
     k = len(spec.variables) - 1
     tab = spec.tables
     logmap = dict(pt.logs)
@@ -493,8 +555,8 @@ def _fiber_reference(spec, pt, xi_log, tol):
                 if abs(pt.values[v]) < _ZERO_TOL:
                     raise SingularPointError("variable %s = 0 (log pole)" % v)
             return solver.CriticalPoint(pt, resid, it)
-        g = solver._gradient(spec, pt, tab.fiber_gradient)
-        h = solver._hessian(spec, pt, tab.fiber_hessian_cells, k)
+        g = potential._gradient(spec, pt, tab.fiber_gradient)
+        h = potential._hessian(spec, pt, tab.fiber_hessian_cells, k)
         pt = solver._damped_step(pt, solver._solve(h, g))
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
