@@ -104,6 +104,21 @@ def rogers_r(z):
     return li2(z) + 0.5 * principal_log(z) * principal_log(1.0 - z)
 
 
+def _d_from_li2(z, li2_z):
+    """D(z) from li2_z, the principal Li2 of z: the one formula for D.
+
+    z is a complex. Raises DomainError at z = 0 and z = 1, and returns
+    exactly 0.0 for real z (flat tetrahedron) so volume sums stay free
+    of +-0 noise. potential.signed_d_sum calls it with the Li2 values a
+    point stores, bloch_wigner_d with a fresh one.
+    """
+    if z == 0 or z == 1:
+        raise DomainError("bloch_wigner_d singular at z = %r" % (z,))
+    if z.imag == 0.0:
+        return 0.0
+    return li2_z.imag + math.log(abs(z)) * cmath.phase(1.0 - z)
+
+
 def bloch_wigner_d(z):
     """Bloch-Wigner function D(z) = Im Li2(z) + log|z| arg(1-z).
 
@@ -111,8 +126,4 @@ def bloch_wigner_d(z):
     stay free of +-0 noise.
     """
     z = complex(z)
-    if z == 0 or z == 1:
-        raise DomainError("bloch_wigner_d singular at z = %r" % (z,))
-    if z.imag == 0.0:
-        return 0.0
-    return li2(z).imag + math.log(abs(z)) * cmath.phase(1.0 - z)
+    return _d_from_li2(z, li2(z))

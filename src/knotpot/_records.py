@@ -12,8 +12,12 @@ structure a scan fills every slope from. Importing the base generates
 no code, which keeps a CLI process's start-up short. ParamPoint, built
 about 426 times per trace op, writes its own __init__: 0.5 µs a call
 against the shared one's 1.3 µs (timeit, one core of a 2-core Xeon
-VM). invariants.InvariantReport stays a frozen dataclass, the one
-record callers rebuild with dataclasses.replace.
+VM). A record may keep a value computed from its fields outside them,
+as a functools.cached_property, which writes the instance dict past
+__setattr__: ParamPoint keeps the Li2 of its dilog arguments so, and
+==, hash and repr, which read only _fields, do not see it.
+invariants.InvariantReport stays a frozen dataclass, the one record
+callers rebuild with dataclasses.replace.
 """
 
 from dataclasses import FrozenInstanceError

@@ -67,6 +67,9 @@ EXIT_SELFTEST = 4
 CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps"
 
 _SCAN_COLUMNS = [(k, k) for k in CSV_HEADER.split(",")]
+# scan collects every row before it prints one, so a larger box would
+# run for days without output
+_MAX_SCAN_SLOPES = 10**6
 
 # per command that prints the spec's variables, the keys it writes
 # beside them: field keys and csv column stems (variable v fills
@@ -316,6 +319,12 @@ def cmd_scan(args, spec):
     # each slope's filling Jacobian holds 2p and 2q
     _check_float_range(2 * args.pmax, "scan bounds")
     _check_float_range(2 * args.qmax, "scan bounds")
+    slopes = (2 * args.pmax + 1) * args.qmax
+    if slopes > _MAX_SCAN_SLOPES:
+        raise ValidationError(
+            "scan box holds (2 pmax + 1) qmax = %d candidate slopes, more than 10**6"
+            % slopes
+        )
     complete = solve_complete(spec, newton_tol=args.newton_tol)
     rows = []
     for slope in _scan_slopes(args.pmax, args.qmax):

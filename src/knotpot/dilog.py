@@ -12,7 +12,14 @@ recovers the winding of such a value.
 
 import cmath
 
-from ._dilog_pure import _TWO_PI, bloch_wigner_d, li2, principal_log, rogers_r
+from ._dilog_pure import (
+    _TWO_PI,
+    _d_from_li2,
+    bloch_wigner_d,
+    li2,
+    principal_log,
+    rogers_r,
+)
 from ._records import RecordBase
 
 

@@ -85,21 +85,22 @@ def rogers_combo(spec: PotentialSpec, pt: ParamPoint) -> complex:
     """Signed Rogers sum over the dilog terms plus the pi^2 constant.
 
     Each term is Li2(m) + log(m) log(1 - m) / 2 with the principal Li2
-    and the point's continued logs: log(1 - m) as tracked, log m from
-    the continued variable logs (potential._monomial_logs). Where both
-    logs are principal the term is the Rogers dilogarithm
-    dilog.rogers_r(m), bit for bit. Its defect against V + (u/2)(v/2), which
-    takes the same principal Li2 and continued logs, stays constant
-    along continued paths: the tests check this on traces whose logs
-    wind, and that it is exactly 0 up to rounding on the branch through
-    the complete structure.
+    the point stores (ParamPoint.li2_values) and its continued logs:
+    log(1 - m) as tracked, log m from the continued variable logs
+    (potential._monomial_logs). Where both logs are principal the term
+    is the Rogers dilogarithm dilog.rogers_r(m), bit for bit. Its
+    defect against V + (u/2)(v/2), which takes the same principal Li2
+    and continued logs, stays constant along continued paths: the
+    tests check this on traces whose logs wind, and that it is exactly
+    0 up to rounding on the branch through the complete structure.
     """
     tab = spec.tables
-    mvals, one_minus = _tracked(spec, pt)
+    one_minus = _tracked(spec, pt)[1]
+    li2s = pt.li2_values
     log_m = _monomial_logs(spec, pt)
     s = 0j
     for sign, j in tab.dilogs:
-        s += sign * (dilog.li2(mvals[j]) + 0.5 * log_m[j] * one_minus[j])
+        s += sign * (li2s[j] + 0.5 * log_m[j] * one_minus[j])
     return s + tab.constant
 
 

@@ -13,7 +13,11 @@ is branch-aware: a ParamPoint carries a continued logarithm, as its
 complex value, for every variable and for 1 - m of every tracked
 monomial, so gradients and the longitude log stay on one analytic
 sheet while a solver moves the point. Values of Li2 itself are always
-principal; all multivaluedness lives in the stored logs.
+principal; all multivaluedness lives in the stored logs. A point
+computes the Li2 of each distinct dilog argument once, on the first
+read by any evaluator, and keeps the values beside its fields, not
+among them (ParamPoint.li2_values): eval_v, signed_d_sum and
+invariants.rogers_combo all read them there.
 
 The evaluators do not interpret the spec. Each spec is lowered once,
 on first use, to index tables (PotentialSpec.tables): the tracked
@@ -50,7 +54,7 @@ from functools import cached_property
 from ._records import RecordBase
 from .dilog import (
     _TWO_PI,
-    bloch_wigner_d,
+    _d_from_li2,
     li2,
     principal_log,
 )
@@ -157,7 +161,8 @@ class SpecTables:
 
     Monomials are referred to by their index j in `monomials`, the
     tracked monomials: the dilog arguments, then the primary
-    longitude's factors, each once, in order of first appearance.
+    longitude's factors, each once, in order of first appearance. So
+    the distinct dilog arguments are j < dilog_arg_count.
     Variables are referred to by name or by their index in
     spec.variables. One pass over each term list appends each term to
     every row it enters, so rows keep the order of the spec's terms.
@@ -216,6 +221,7 @@ class SpecTables:
                         _check_float_range(au * av, where)
                         cells[iu, iv][0].append((au * av, t))
         self.dilogs = tuple(dilogs)
+        self.dilog_arg_count = len(j_of)
 
         # V: (coeff, var_a, var_b) per quad term
         quads = []
@@ -310,6 +316,11 @@ class ParamPoint(RecordBase):
     log(1 - m) is a finite complex number and no evaluator checks for
     m = 1 itself. The alternate longitude's factors are not tracked:
     eval_eta evaluates them from values.
+
+    li2_values, the principal Li2 of each distinct dilog argument, is
+    computed on its first read and then kept on the point. It is not
+    a field: ==, hash and repr read only the five fields above, and
+    the point stays frozen.
     """
 
     _fields = ("spec", "values", "logs", "tracked_values", "tracked_logs")
@@ -330,6 +341,12 @@ class ParamPoint(RecordBase):
         d["logs"] = logs
         d["tracked_values"] = tracked_values
         d["tracked_logs"] = tracked_logs
+
+    @cached_property
+    def li2_values(self) -> tuple:
+        """li2(m) of each distinct dilog argument m, in table order."""
+        k = self.spec.tables.dilog_arg_count
+        return tuple([li2(m) for m in self.tracked_values[:k]])
 
 
 class Shapes(RecordBase):
@@ -852,11 +869,12 @@ def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
 def eval_v(spec: PotentialSpec, pt: ParamPoint) -> complex:
     """V at pt: principal Li2 terms, continued-log quadratic part."""
     tab = spec.tables
-    mvals = _tracked(spec, pt)[0]
+    _tracked(spec, pt)  # refuses a point of another spec
+    li2s = pt.li2_values
     logs = pt.logs
     s = 0j
     for sign, j in tab.dilogs:
-        s += sign * li2(mvals[j])
+        s += sign * li2s[j]
     for c, a, b in tab.quads:
         s += c * logs[a] * logs[b]
     return s + tab.constant
@@ -874,9 +892,13 @@ def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
 
 
 def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
-    """sum sign * D(m) over the dilog terms: the volume at a critical point."""
+    """sum sign * D(m) over the dilog terms: the volume at a critical point.
+
+    Each D is formed from the point's stored Li2 (li2_values).
+    """
     mvals = _tracked(spec, pt)[0]
-    return sum(sign * bloch_wigner_d(mvals[j]) for sign, j in spec.tables.dilogs)
+    li2s = pt.li2_values
+    return sum(sign * _d_from_li2(mvals[j], li2s[j]) for sign, j in spec.tables.dilogs)
 
 
 def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:

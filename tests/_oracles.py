@@ -75,14 +75,8 @@ def five_two_shapes(x, y, xi):
     return y * xi, x / xi, x / y, xi / x, y / xi
 
 
-def edge_residuals(x, y, xi):
-    """Edge-product residuals of the five-tetrahedron triangulation.
-
-    Five equations read off the four display rows (the first row holds
-    the two monomial identities), each returned as product - 1. The
-    first two vanish identically in (x, y, xi); the rest vanish on the
-    deformation space.
-    """
+def _edge_products(x, y, xi):
+    # edge_residuals' five products minus 1, as mpmath numbers
     c2, d4, a5, b5, d5 = five_two_shapes(x, y, xi)
     e1 = d4 * b5 - 1
     e2 = a5 * b5 * d5 - 1
@@ -101,7 +95,61 @@ def edge_residuals(x, y, xi):
         * (d5 * (1 - 1 / c2) / (1 - c2))
         - 1
     )
-    return tuple(complex(e) for e in (e1, e2, e3, e4, e5))
+    return e1, e2, e3, e4, e5
+
+
+def edge_residuals(x, y, xi):
+    """Edge-product residuals of the five-tetrahedron triangulation.
+
+    Five equations read off the four display rows (the first row holds
+    the two monomial identities), each returned as product - 1. The
+    first two vanish identically in (x, y, xi); the rest vanish on the
+    deformation space.
+    """
+    return tuple(complex(e) for e in _edge_products(x, y, xi))
+
+
+def filling_oracle(p: int, q: int, steps: int = 4) -> dict:
+    """The geometric p/q Dehn filling of 5_2, solved at 30 digits.
+
+    Unknowns are the logs a, b, c of x, y, xi and w = log(1 - 1/(y xi)),
+    so every log is continued along the path, never read off a
+    principal branch. Equations: the edge equations e3 and e4, exp(w) =
+    1 - 1/(y xi), and the filling equation p u + q v = 2 pi i t with
+    u = 2 log xi and v = 2 log eta, eta = (y xi^6 / x)(1 - 1/(y xi)).
+    t runs from 0, the complete structure (xi = 1, x the cubic root,
+    y = x + 1, eta = 1), to 1 in `steps` equal steps, each solved by
+    mpmath's findroot from the last. Returns the values x, y, xi, the
+    Bloch-Wigner volume sum D over the five shapes, the core geodesic
+    length |Re 2 (s pi i - log xi) / q| = 2 |log |xi|| / q, and the
+    largest |edge residual| of all five at the root.
+    """
+    with mp.workdps(30):
+        x = mp.mpc(complete_root())
+        z = [mp.log(x), mp.log(x + 1), mp.mpc(0), mp.log(x / (x + 1))]
+
+        def equations(a, b, c, w):
+            x, y, xi = mp.exp(a), mp.exp(b), mp.exp(c)
+            e3, e4 = _edge_products(x, y, xi)[2:4]
+            log_eta = -a + b + 6 * c + w
+            return [
+                e3,
+                e4,
+                mp.exp(w) - (1 - 1 / (y * xi)),
+                2 * p * c + 2 * q * log_eta - 2j * mp.pi * t,
+            ]
+
+        for k in range(1, steps + 1):
+            t = mp.mpf(k) / steps
+            z = list(mp.findroot(equations, z))
+        a, b, c, _ = z
+        x, y, xi = mp.exp(a), mp.exp(b), mp.exp(c)
+        return {
+            "values": {"x": complex(x), "y": complex(y), "xi": complex(xi)},
+            "volume": sum(d_oracle(s) for s in five_two_shapes(x, y, xi)),
+            "length": float(2 * abs(c.real) / q),
+            "edge_residual": float(max(abs(e) for e in _edge_products(x, y, xi))),
+        }
 
 
 def solve_oracle(a, b) -> list:

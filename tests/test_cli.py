@@ -714,17 +714,42 @@ def test_scan_json_schema(capsys):
             assert row["volume"] is None
 
 
-# no --qmax past half range: a scan that takes it runs q = 1, 2, ...
 @pytest.mark.parametrize(
     "flag, bound",
-    [("--pmax", "1" + "0" * 400), ("--qmax", "1" + "0" * 400), ("--pmax", _HALF_RANGE_N)],
-    ids=["--pmax", "--qmax", "--pmax-past-half"],
+    [
+        ("--pmax", "1" + "0" * 400),
+        ("--qmax", "1" + "0" * 400),
+        ("--pmax", _HALF_RANGE_N),
+        ("--qmax", _HALF_RANGE_N),
+    ],
+    ids=["--pmax", "--qmax", "--pmax-past-half", "--qmax-past-half"],
 )
 def test_scan_refuses_bounds_beyond_float_range(capsys, flag, bound):
     # refused before a single slope is enumerated
     code, out, err = run(capsys, "scan", flag, bound)
     assert (code, out) == (1, "")
     assert err == "error: scan bounds must be within float range\n"
+
+
+@pytest.mark.parametrize(
+    "pmax, qmax, slopes",
+    [("1", "1" + "0" * 30, "3" + "0" * 30), ("2", "200001", "1000005")],
+    ids=["qmax-1e30", "one-past-the-bound"],
+)
+def test_scan_refuses_a_box_of_more_than_a_million_slopes(
+    capsys, monkeypatch, pmax, qmax, slopes
+):
+    # refused before the complete structure is solved; a box of exactly
+    # 10**6 slopes goes on to it, and here fails there
+    monkeypatch.setattr(solver, "DEFAULT_SEEDS", ((1.0, 1.0),))
+    code, out, err = run(capsys, "scan", "--pmax", pmax, "--qmax", qmax)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: scan box holds (2 pmax + 1) qmax = %s candidate slopes, "
+        "more than 10**6\n" % slopes
+    )
+    code, out, err = run(capsys, "scan", "--pmax", "2", "--qmax", "200000")
+    assert (code, out, err) == (2, "", "complete structure failed: no seed converged for 5_2\n")
 
 
 # --------------------------------------------------------------- trace
@@ -869,8 +894,9 @@ def _scale_gradient(f):
 _SELFTEST_FAULTS = [
     ("knotpot.dilog", "li2", lambda f: lambda z: f(z) * (1 + 1e-9), "dilog-identities"),
     ("knotpot.selftest", "log_gradient", _scale_gradient, "derivative-checks"),
-    # D's sign where signed_d_sum reads it trips the volume checks
-    ("knotpot.potential", "bloch_wigner_d", lambda f: lambda z: -f(z), "complete-structure"),
+    # D's sign where signed_d_sum forms it from the stored Li2 trips the
+    # volume checks
+    ("knotpot.potential", "_d_from_li2", lambda f: lambda z, l: -f(z, l), "complete-structure"),
 ]
 
 

@@ -102,6 +102,22 @@ def test_volume_oracle_table(spec, complete):
         assert 0 < vol < O.COMPLETE_VOLUME
 
 
+@pytest.mark.parametrize("p, q", [(7, 1), (5, 2), (-7, 1), (11, 3)])
+def test_report_matches_the_filling_oracle(spec, complete, p, q):
+    # both volume routes and the core length against a 30-digit solve
+    # of the edge and filling equations that shares no code with knotpot
+    oracle = O.filling_oracle(p, q)
+    assert oracle["edge_residual"] < 1e-25
+    slope = normalize_slope(p, q)
+    sol = solve_filling(spec, slope, complete=complete)
+    for v, want in oracle["values"].items():
+        assert abs(sol.critical.point.values[v] - want) <= 1e-12, v
+    rep = report_for(spec, slope, sol)
+    assert abs(rep.volume - oracle["volume"]) <= 1e-12
+    assert abs(rep.volume_from_shapes - oracle["volume"]) <= 1e-12
+    assert abs(rep.geodesic_length - oracle["length"]) <= 1e-12
+
+
 def test_volume_of_complete_without_slope(spec, complete):
     vol = eval_v(spec, complete.point).imag
     assert abs(vol - O.COMPLETE_VOLUME) < 1e-8

@@ -43,7 +43,7 @@ from knotpot.potential import (
     shapes_from_point,
     signed_d_sum,
 )
-from knotpot.invariants import im_v_alpha_parts, rogers_combo
+from knotpot.invariants import im_v_alpha_parts, report_for, rogers_combo
 from knotpot.solver import (
     CriticalPoint,
     DeformationSample,
@@ -822,11 +822,12 @@ def _variant_specs(spec):
     ]
 
 
-@pytest.mark.parametrize(
-    "which",
-    range(6),
-    ids=["builtin", "reordered", "renamed", "repeated_dilog", "extra_quads", "extra_factor"],
-)
+_VARIANT_IDS = [
+    "builtin", "reordered", "renamed", "repeated_dilog", "extra_quads", "extra_factor"
+]
+
+
+@pytest.mark.parametrize("which", range(6), ids=_VARIANT_IDS)
 def test_tables_match_plain_reading_bit_for_bit(spec, which):
     vspec, names = _variant_specs(spec)[which]
     rng = random.Random(4242 + which)
@@ -915,6 +916,51 @@ def test_tables_with_another_spec_object(spec):
         for evaluate in _EVALUATORS:
             with pytest.raises(ValidationError, match="spec other than"):
                 evaluate(other, pts[0])
+
+
+@pytest.mark.parametrize("which", range(6), ids=_VARIANT_IDS)
+def test_each_dilog_argument_takes_one_li2_per_point(spec, which, monkeypatch):
+    # every evaluator, and report_for, reads the Li2 values a point
+    # stores on its first read: one li2 call per distinct dilog argument
+    vspec, names = _variant_specs(spec)[which]
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return li2(z)
+
+    monkeypatch.setattr(potential, "li2", counting)
+    readers = _EVALUATORS + (lambda s, pt: report_for(s, _SLOPE_7_1, pt),)
+    for base in regular_points(spec, 3, seed=17):
+        pt = make_point(vspec, {names[v]: w for v, w in base.values.items()})
+        assert calls == []
+        for _ in range(2):
+            for evaluate in readers:
+                evaluate(vspec, pt)
+        args = {t.argument for t in vspec.dilog_terms}
+        assert len(calls) == len(args)
+        assert set(calls) == {m.evaluate(pt.values) for m in args}
+        del calls[:]
+
+
+def test_stored_li2_values_are_not_fields(spec):
+    # a point with hashable fields, so its hash can be compared
+    built = make_point(spec, {"x": 0.3 + 0.6j, "y": 0.5 + 0.8j, "xi": 1.1 + 0.1j})
+    pt, twin = (
+        ParamPoint(spec, None, None, built.tracked_values, built.tracked_logs)
+        for _ in range(2)
+    )
+    before = hash(pt), repr(pt)
+    assert pt.li2_values == tuple(li2(m) for m in built.tracked_values[:5])
+    assert "li2_values" in vars(pt) and "li2_values" not in vars(twin)
+    assert pt == twin and (hash(pt), repr(pt)) == (hash(twin), repr(twin)) == before
+    assert "li2_values" not in ParamPoint._fields
+    for name in ("li2_values", "tracked_values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pt, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(pt, name)
+    assert pt.li2_values == twin.li2_values
 
 
 @pytest.mark.parametrize(
