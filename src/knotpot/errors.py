@@ -37,8 +37,10 @@ class ValidationError(KnotpotError, ValueError):
 class SingularPointError(KnotpotError, ValueError):
     """Parameter point sits on a singularity of the potential.
 
-    Raised when a variable vanishes, a dilogarithm argument hits 1, or
-    a residual denominator vanishes; the message names the offender.
+    Raised by make_point and the point build for a variable at 0 or a
+    tracked monomial within 1e-13 of 1, by eval_longitude_expr for a
+    zero denominator or an overflow, and by the fiber Newton for a
+    converged point on a log pole; the message names the offender.
     """
 
 

@@ -19,10 +19,10 @@ from .potential import (
     ParamPoint,
     PotentialSpec,
     Shapes,
-    _gradient,
     _monomial_logs,
     _tracked,
     eval_v_alpha,
+    log_gradient,
     signed_d_sum,
 )
 from .solver import CriticalPoint, FillingSolution, Slope
@@ -111,7 +111,7 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
     sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points.
     Valid at any regular point with principal branches.
     """
-    g = _gradient(spec, pt, spec.tables.gradient)
+    g = log_gradient(spec, pt)
     if slope is not None:
         lx = pt.logs[spec.meridian]
         g[-1] += (2j * _PI - 2 * slope.p * lx) / slope.q

@@ -27,7 +27,7 @@ a tracked monomial or the name of a variable. The lowering reads each
 term list once, dilog terms, quad terms, then the primary longitude's
 factors, and appends each term to every gradient row, hessian cell and
 longitude row it enters; the reduced residual is then read off the
-fiber gradient's rows, not the terms. Every point, built by make_point
+non-meridian gradient rows, not the terms. Every point, built by make_point
 or advance_point_logs, evaluates each tracked monomial once and keeps
 its value and continued log(1 - m), in table order, beside the
 variable logs; the evaluators read them from there and refuse a point
@@ -36,13 +36,13 @@ of the terms in the spec, so every sum is formed in the same order and
 grouping as a direct reading of the spec would form it, and results do
 not depend on the lowering.
 
-The point build, the reduced residual and the fiber Newton system, the
-three evaluations the Newton loops make at every iteration, are then
-compiled from those tables to straight-line Python, once per spec on
-first use (SpecTables, _compile_kernels). The compiled text makes the
-tables' loops' operations in their order and grouping, so it gives
-their results bit for bit; _compile is the package's one call of the
-built-in compile and exec.
+The point build, the reduced residual, the log-gradient, the
+log-hessian and the fiber Newton system are then compiled from those
+tables to straight-line Python, once per spec on first use (SpecTables,
+_compile_kernels): the one implementation of each. The text forms each
+sum in the order and grouping of the plain reading of the spec, so it
+gives that reading's results bit for bit; _compile is the package's
+one call of the built-in compile and exec.
 """
 
 import cmath
@@ -170,18 +170,15 @@ class SpecTables:
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
 
-    The three kernels the Newton loops call at every iteration are
-    lowered a second time, from monomial_rows, residual, fiber_gradient
-    and fiber_hessian_cells, to straight-line Python: build_point(logmap,
-    prev), reduced_residual(pt) and fiber_system(pt), which returns the
-    hessian's fiber block and the fiber gradient together. On first use
-    of any of them one source text holding all three is generated and
-    compiled (see _compile_kernels). The text writes out, per row and
-    cell, the same operations on the same operands in the same order
-    and grouping as the tables' loops did, starting every sum from 0j
+    The kernels, build_point(logmap, prev), reduced_residual(pt),
+    log_gradient(pt), log_hessian(pt) and fiber_system(pt), are lowered
+    a second time, to straight-line Python in one source text compiled
+    on the first use of any of them (see _compile_kernels). The text
+    writes out, per row and cell, the operations of the plain reading
+    of the spec in its order and grouping, starting every sum from 0j
     and every product from 1 + 0j and keeping each factor of +-1, so
-    every result is bit for bit the same: (1 + 0j) * w is not w where
-    a part of w is -0.0. Integer exponents appear in the text as
+    every result is bit for bit that reading's: (1 + 0j) * w is not w
+    where a part of w is -0.0. Integer exponents appear in the text as
     literals; every other constant, float and complex coefficients,
     variable names and monomials, is bound in the kernels' namespace
     under an identifier of the generator's own (a literal such as
@@ -264,14 +261,10 @@ class SpecTables:
             (tuple(rows), tuple((float(c), w) for c, w in slots))
             for rows, slots in zip(grad_rows, quad_slots)
         )
-        # the non-meridian components, which the solvers drive to zero
-        self.fiber_gradient = self.gradient[:-1]
         self.hessian_cells = tuple(
             (iu, iv, tuple(prods), tuple(consts))
             for (iu, iv), (prods, consts) in cells.items()
         )
-        # the non-meridian block the fiber Newton solves in
-        self.fiber_hessian_cells = tuple(c for c in self.hessian_cells if c[1] < n - 1)
 
         # reduced residual, per non-meridian variable, read off its
         # gradient rows: the dilog rows times sigma as (e, j) factors
@@ -298,7 +291,7 @@ class SpecTables:
 
     def __getattr__(self, name):
         # the kernels, all compiled on the first use of any of them
-        if name not in ("build_point", "reduced_residual", "fiber_system"):
+        if name not in _KERNEL_NAMES:
             raise AttributeError(name)
         self.__dict__.update(_compile_kernels(self))
         return self.__dict__[name]
@@ -676,12 +669,14 @@ def _continue(value: complex, prev: complex, m) -> complex:
     return value
 
 
+_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_system", "log_gradient", "log_hessian")
+
 # The kernels' source, filled in per spec by _compile_kernels. Locals:
 # l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
 # monomial j and its continued log(1 - m), q<j> that log at prev, f<t>
-# = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> the fiber
-# hessian and gradient. Globals: _k<n> the spec's constants, and the
-# helpers bound by _compile_kernels.
+# = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian
+# cell u <= v and a gradient entry. Globals: _k<n> the spec's
+# constants, and the helpers bound by _compile_kernels.
 _KERNELS = """\
 def build_point(logmap, prev):
     try:{variables}{monomials}
@@ -703,8 +698,17 @@ def fiber_system(pt):
     mvals, tlogs = _tracked(_spec, pt)
     ({ms}) = mvals
     ({ts}) = tlogs
-    logs = pt.logs{fiber}
-    return [{rows}], [{gs}]
+    logs = pt.logs{fiber_h[0]}{fiber_g[0]}
+    return {fiber_h[1]}, {fiber_g[1]}
+
+def log_gradient(pt):
+    ({ts}) = _tracked(_spec, pt)[1]
+    logs = pt.logs{grad[0]}
+    return {grad[1]}
+
+def log_hessian(pt):
+    ({ms}) = _tracked(_spec, pt)[0]{hess[0]}
+    return {hess[1]}
 """
 _VARIABLE = """
         l{i} = logmap[{name}]
@@ -723,7 +727,7 @@ _TRACKED_LOG = """
 
 
 def _compile_kernels(tab: SpecTables) -> dict:
-    """build_point, reduced_residual and fiber_system of tab's spec.
+    """The kernels of tab's spec, by name (_KERNEL_NAMES).
 
     build_point(logmap, prev) assembles a ParamPoint from explicit log
     values. Variable logs are taken verbatim; the derived logs of
@@ -742,9 +746,10 @@ def _compile_kernels(tab: SpecTables) -> dict:
 
     reduced_residual(pt) is, per row of tab.residual, the product of
     the (1 - m)^e of its left side minus that of the variable powers
-    of its right. fiber_system(pt) is the pair (h, g) of the hessian's
-    fiber block and the fiber gradient, the rows _hessian and _gradient
-    read from tab.fiber_hessian_cells and tab.fiber_gradient.
+    of its right. log_gradient(pt) and log_hessian(pt) are fresh lists
+    of the rows of tab.gradient and the cells of tab.hessian_cells, a
+    cell and its mirror one value; fiber_system(pt) is the pair (h, g)
+    of their non-meridian block and entries, in text of its own.
     """
     spec = tab.spec
     ns = {
@@ -761,21 +766,38 @@ def _compile_kernels(tab: SpecTables) -> dict:
 
     names = {v: const(v) for v in spec.variables}
     idx = range(len(tab.monomials))
-    used = {t for _, _, prods, _ in tab.fiber_hessian_cells for _, t in prods}
-    fiber = [
-        "f%d = %s * m%d / (1 - m%d)" % (t, _int(sign), j, j)
-        for t, (sign, j) in enumerate(tab.dilogs)
-        if t in used
-    ]
-    for iu, iv, prods, consts in tab.fiber_hessian_cells:
-        terms = "".join(" + %s * f%d" % (_int(aa), t) for aa, t in prods)
-        terms += "".join(" + " + const(c) for c in consts)
-        fiber.append("h%d_%d = 0j%s" % (iu, iv, terms))
-    for i, (rows, quads) in enumerate(tab.fiber_gradient):
-        terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
-        terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
-        fiber.append("g%d = 0j%s" % (i, terms))
-    k = len(tab.fiber_gradient)
+
+    def hessian(n):
+        # the lines and the returned row lists of the leading n x n
+        # block: f<t> of each dilog term a cell of it reads, the cells
+        cells = [c for c in tab.hessian_cells if c[1] < n]
+        used = {t for _, _, prods, _ in cells for _, t in prods}
+        lines = [
+            "f%d = %s * m%d / (1 - m%d)" % (t, _int(sign), j, j)
+            for t, (sign, j) in enumerate(tab.dilogs)
+            if t in used
+        ]
+        for iu, iv, prods, consts in cells:
+            terms = "".join(" + %s * f%d" % (_int(aa), t) for aa, t in prods)
+            terms += "".join(" + " + const(c) for c in consts)
+            lines.append("h%d_%d = 0j%s" % (iu, iv, terms))
+        rows = ", ".join(
+            "[%s]" % ", ".join("h%d_%d" % (min(r, c), max(r, c)) for c in range(n))
+            for r in range(n)
+        )
+        return "".join("\n    " + line for line in lines), "[%s]" % rows
+
+    def gradient(n):
+        # the lines and the returned list of the first n entries
+        lines = []
+        for i, (rows, quads) in enumerate(tab.gradient[:n]):
+            terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
+            terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
+            lines.append("g%d = 0j%s" % (i, terms))
+        gs = ", ".join("g%d" % i for i in range(n))
+        return "".join("\n    " + line for line in lines), "[%s]" % gs
+
+    n = len(names)
     source = _KERNELS.format(
         variables="".join(
             _VARIABLE.format(i=i, name=name) for i, name in enumerate(names.values())
@@ -797,15 +819,13 @@ def _compile_kernels(tab: SpecTables) -> dict:
             )
             for lhs, rhs in tab.residual
         ),
-        fiber="".join("\n    " + line for line in fiber),
-        rows=", ".join(
-            "[%s]" % ", ".join("h%d_%d" % (min(r, c), max(r, c)) for c in range(k))
-            for r in range(k)
-        ),
-        gs=", ".join("g%d" % i for i in range(k)),
+        fiber_h=hessian(n - 1),
+        fiber_g=gradient(n - 1),
+        hess=hessian(n),
+        grad=gradient(n),
     )
     _compile(source, ns)
-    return {f: ns[f] for f in ("build_point", "reduced_residual", "fiber_system")}
+    return {f: ns[f] for f in _KERNEL_NAMES}
 
 
 # ------------------------------------------------------------- points
@@ -901,50 +921,16 @@ def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
     return sum(sign * _d_from_li2(mvals[j], li2s[j]) for sign, j in spec.tables.dilogs)
 
 
-def _gradient(spec: PotentialSpec, pt: ParamPoint, table) -> list:
-    """log_gradient's components for tab.gradient or tab.fiber_gradient."""
-    one_minus = _tracked(spec, pt)[1]
-    logs = pt.logs
-    g = []
-    for rows, quad_rows in table:
-        acc = 0j
-        for sa, j in rows:
-            acc -= sa * one_minus[j]
-        for c, w in quad_rows:
-            acc += c * logs[w]
-        g.append(acc)
-    return g
-
-
 def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> list:
     """v dV/dv over spec.variables, from the stored logs.
 
-    A list of complex, one per variable in spec order. Component v is
-    sum_terms -sign * a_v * log(1 - m) plus the quadratic
+    A fresh list of complex, one per variable in spec order. Component
+    v is sum_terms -sign * a_v * log(1 - m) plus the quadratic
     contributions, with a_v the exponent of v in m. All logs are the
     continued branches carried by pt, so on a solution branch these
     are exactly the equations the solver drives to zero.
     """
-    return _gradient(spec, pt, spec.tables.gradient)
-
-
-def _hessian(spec: PotentialSpec, pt: ParamPoint, cells, n: int) -> list:
-    """n x n rows of log_hessian from tab.hessian_cells or a block of it."""
-    tab = spec.tables
-    mvals = _tracked(spec, pt)[0]
-    fs = []
-    for sign, j in tab.dilogs:
-        m = mvals[j]
-        fs.append(sign * m / (1 - m))
-    h = [[0j] * n for _ in range(n)]
-    for iu, iv, prods, consts in cells:
-        acc = 0j
-        for aa, t in prods:
-            acc += aa * fs[t]
-        for c in consts:
-            acc += c
-        h[iu][iv] = h[iv][iu] = acc
-    return h
+    return spec.tables.log_gradient(pt)
 
 
 def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
@@ -953,7 +939,7 @@ def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
     A fresh list of row lists of complex, indexed [u][v] in spec order;
     the caller may modify it.
     """
-    return _hessian(spec, pt, spec.tables.hessian_cells, len(spec.variables))
+    return spec.tables.log_hessian(pt)
 
 
 def eval_longitude_expr(expr: LongitudeExpr, values: dict) -> complex:

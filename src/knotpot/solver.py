@@ -39,11 +39,11 @@ from .potential import (
     _check_float_range,
     _compile,
     _eta_log_and_size,
-    _gradient,
     advance_point_logs,
     d_eta_log,
     eta_log,
     eval_v_alpha,
+    log_gradient,
     log_hessian,
     make_point,
     reduced_residual,
@@ -60,6 +60,10 @@ _NEWTON_TOL = 1e-12
 _MAX_NEWTON_TOL = 1e-3
 
 _EPS = sys.float_info.epsilon
+
+# trace_deformation returns every sample at once, and the CLI prints
+# none before the last, so a larger count would run for days unseen
+_MAX_SAMPLES = 10**6
 
 # a converged endpoint whose total shape volume is below this is a
 # flat representation, not a hyperbolic filling; the smallest genuine
@@ -351,8 +355,8 @@ def trace_deformation(
     partial trace. A fiber solve that cycles without converging (see
     _newton_fiber) counts as a failed solve and halves the step. Emits
     one DeformationSample per target. A newton_tol as solve_complete
-    refuses, a non-finite u_end or samples < 1 raises ValidationError
-    before anything is solved.
+    refuses, a non-finite u_end, or samples < 1 or above _MAX_SAMPLES
+    raises ValidationError before anything is solved.
     """
     _check_newton_tol(newton_tol)
     u_end = complex(u_end)
@@ -360,6 +364,8 @@ def trace_deformation(
         raise ValidationError("u_end must be finite, got %r" % u_end)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    if samples > _MAX_SAMPLES:
+        raise ValidationError("samples must be at most 10**6, got %d" % samples)
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
     pt = complete.point
@@ -398,12 +404,11 @@ def _newton_filling(spec, pt, p, q, t, tol):
     """
     k = len(spec.variables) - 1
     meridian = spec.meridian
-    tab = spec.tables
     # the filling equation sums n terms, p u and q times each term of
     # v = 2 eta_log; each is rounded to eps of itself, so the sum is
     # known to about n eps times their summed magnitudes; |q| is
     # scaled by n eps before it meets size, so no product overflows
-    n = 1 + len(tab.eta_prefactor) + len(tab.eta_factors)
+    n = 1 + len(spec.tables.eta_prefactor) + len(spec.tables.eta_factors)
     for it in range(60):
         u2 = 2 * pt.logs[meridian]
         eta, size = _eta_log_and_size(spec, pt)
@@ -416,9 +421,10 @@ def _newton_filling(spec, pt, p, q, t, tol):
             resid = _resid_inf(pt)
             if resid <= tol:
                 return pt, it, resid, u2, v2, bound
-        # Jacobian: the hessian's non-meridian rows, then the row of
-        # the filling equation
-        f = _gradient(spec, pt, tab.fiber_gradient) + [fill]
+        # the gradient's and the hessian's non-meridian rows, then the
+        # filling equation and its Jacobian row
+        f = log_gradient(spec, pt)
+        f[k] = fill
         jac = log_hessian(spec, pt)
         row = [2 * q * d for d in d_eta_log(spec, pt)]
         row[k] += 2 * p

@@ -866,6 +866,10 @@ def test_usage_errors_exit_before_the_complete_structure_fails(capsys, monkeypat
         (["fill", "--slope=1" + "0" * 400], "slope p and q must be within float range"),
         (["scan", "--pmax", "0"], "scan bounds must be >= 1"),
         (["trace", "--u-end=0.1i", "--samples", "0"], "samples must be >= 1"),
+        (
+            ["trace", "--u-end=0.1i", "--samples", "1000000000"],
+            "samples must be at most 10**6, got 1000000000",
+        ),
         (["trace", "--u-end=nan"], "u_end must be finite, got (nan+0j)"),
         (
             ["--newton-tol", "-1", "complete"],

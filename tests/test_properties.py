@@ -31,11 +31,19 @@ from knotpot.potential import (
     builtin_five_two,
     dump_spec,
     load_spec,
+    log_gradient,
+    log_hessian,
     make_point,
     reduced_residual,
 )
 from knotpot.solver import normalize_slope, solve_complete
-from test_potential import _bits, naive_fiber_system, naive_reduced_residual
+from test_potential import (
+    _bits,
+    naive_fiber_system,
+    naive_log_gradient,
+    naive_log_hessian,
+    naive_reduced_residual,
+)
 
 # the machine's speed varies, so a slow example is not a failure. A
 # valid document costs about 200 draws, so the round trip runs fewer
@@ -302,6 +310,8 @@ def test_kernels_match_the_plain_reading(doc, data):
             assert _bits(mv) == _bits(m.evaluate(pt.values))
         assert _outcome(reduced_residual, pt) == _outcome(naive_reduced_residual, pt)
         assert _bits(spec.tables.fiber_system(pt)) == _bits(naive_fiber_system(spec, pt))
+        assert _bits(log_gradient(spec, pt)) == _bits(naive_log_gradient(spec, pt))
+        assert _bits(log_hessian(spec, pt)) == _bits(naive_log_hessian(spec, pt))
 
 
 # ------------------------------------------------ branch continuation

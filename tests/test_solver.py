@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
-from knotpot import potential, solver
+from knotpot import solver
 from knotpot.dilog import ContinuedLog
 from knotpot.errors import (
     KnotpotError,
@@ -45,6 +45,7 @@ from knotpot.solver import (
     solve_filling,
     trace_deformation,
 )
+from test_potential import naive_fiber_system
 
 TWO_PI_I = 2j * math.pi
 
@@ -497,6 +498,16 @@ def test_trace_refuses_no_samples_as_a_knotpot_error(spec):
         trace_deformation(spec, 0.1j, 0)
 
 
+def test_trace_refuses_more_than_a_million_samples_before_solving(spec, monkeypatch):
+    # refused before the complete structure is solved; a count of
+    # exactly 10**6 goes on to it, and here fails there
+    monkeypatch.setattr(solver, "DEFAULT_SEEDS", ((1.0, 1.0),))
+    with pytest.raises(ValidationError, match=r"samples must be at most 10\*\*6, got 1000001$"):
+        trace_deformation(spec, 0.1j, 10**6 + 1)
+    with pytest.raises(NoConvergenceError, match="no seed converged"):
+        trace_deformation(spec, 0.1j, 10**6)
+
+
 @pytest.mark.parametrize(
     "u_end", [complex(math.nan), complex(math.inf), complex(0, math.inf)]
 )
@@ -541,10 +552,9 @@ def test_trace_obstruction_carries_partials(spec, complete):
 
 def _fiber_reference(spec, pt, xi_log, tol):
     # the fiber Newton loop without its cycle exit, a solve that does
-    # not converge running all 50 iterations, and with the gradient and
-    # hessian of the tables' loops in place of the compiled fiber_system
-    k = len(spec.variables) - 1
-    tab = spec.tables
+    # not converge running all 50 iterations, and with the plain
+    # reading's gradient and hessian in place of the compiled
+    # fiber_system
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
@@ -555,9 +565,7 @@ def _fiber_reference(spec, pt, xi_log, tol):
                 if abs(pt.values[v]) < _ZERO_TOL:
                     raise SingularPointError("variable %s = 0 (log pole)" % v)
             return solver.CriticalPoint(pt, resid, it)
-        g = potential._gradient(spec, pt, tab.fiber_gradient)
-        h = potential._hessian(spec, pt, tab.fiber_hessian_cells, k)
-        pt = solver._damped_step(pt, solver._solve(h, g))
+        pt = solver._damped_step(pt, solver._solve(*naive_fiber_system(spec, pt)))
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
 
@@ -815,12 +823,6 @@ def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, complete
             continue
         sol = solve_filling(spec, slope, complete=loose, newton_tol=tol)
         assert abs(eval_v_alpha(spec, slope, sol.critical.point).imag - vol) <= 1e-6, (p, q)
-
-
-@pytest.mark.parametrize("tol", [2e-3, 1.0])
-def test_filling_refuses_newton_tol_above_the_cap(spec, complete, tol):
-    with pytest.raises(ValidationError, match="newton_tol must be at most 0.001"):
-        solve_filling(spec, normalize_slope(7, 1), complete=complete, newton_tol=tol)
 
 
 _ENTRY_POINTS = {
