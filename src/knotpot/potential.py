@@ -37,12 +37,13 @@ grouping as a direct reading of the spec would form it, and results do
 not depend on the lowering.
 
 The point build, the reduced residual, the log-gradient, the
-log-hessian and the fiber Newton system are then compiled from those
-tables to straight-line Python, once per spec on first use (SpecTables,
-_compile_kernels): the one implementation of each. The text forms each
-sum in the order and grouping of the plain reading of the spec, so it
-gives that reading's results bit for bit; _compile is the package's
-one call of the built-in compile and exec.
+log-hessian, the fiber Newton system and the longitude (log eta, the
+summed size of its terms and its Jacobian row) are then compiled from
+those tables to straight-line Python, once per spec on first use
+(SpecTables, _compile_kernels): the one implementation of each. The
+text forms each sum in the order and grouping of the plain reading of
+the spec, so it gives that reading's results bit for bit; _compile is
+the package's one call of the built-in compile and exec.
 """
 
 import cmath
@@ -171,11 +172,12 @@ class SpecTables:
     does the arithmetic of the plain reading of the spec.
 
     The kernels, build_point(logmap, prev), reduced_residual(pt),
-    log_gradient(pt), log_hessian(pt) and fiber_system(pt), are lowered
-    a second time, to straight-line Python in one source text compiled
-    on the first use of any of them (see _compile_kernels). The text
-    writes out, per row and cell, the operations of the plain reading
-    of the spec in its order and grouping, starting every sum from 0j
+    log_gradient(pt), log_hessian(pt), fiber_system(pt) and
+    longitude(pt), are lowered a second time, to straight-line Python
+    in one source text compiled on the first use of any of them (see
+    _compile_kernels). The text writes out, per row and cell, the
+    operations of the plain reading of the spec in its order and
+    grouping, starting every sum from 0j (a sum of moduli from 0.0)
     and every product from 1 + 0j and keeping each factor of +-1, so
     every result is bit for bit that reading's: (1 + 0j) * w is not w
     where a part of w is -0.0. Integer exponents appear in the text as
@@ -669,14 +671,16 @@ def _continue(value: complex, prev: complex, m) -> complex:
     return value
 
 
-_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_system", "log_gradient", "log_hessian")
+_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_system", "log_gradient",
+                 "log_hessian", "longitude")
 
 # The kernels' source, filled in per spec by _compile_kernels. Locals:
 # l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
 # monomial j and its continued log(1 - m), q<j> that log at prev, f<t>
 # = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian
-# cell u <= v and a gradient entry. Globals: _k<n> the spec's
-# constants, and the helpers bound by _compile_kernels.
+# cell u <= v and a gradient entry, e<k> term k of log eta. Globals:
+# _k<n> the spec's constants, each bound once, and the helpers bound by
+# _compile_kernels.
 _KERNELS = """\
 def build_point(logmap, prev):
     try:{variables}{monomials}
@@ -695,9 +699,7 @@ def reduced_residual(pt):
         raise _StepTooLarge('residual overflow (%s)' % e) from e
 
 def fiber_system(pt):
-    mvals, tlogs = _tracked(_spec, pt)
-    ({ms}) = mvals
-    ({ts}) = tlogs
+    ({ms}), ({ts}) = _tracked(_spec, pt)
     logs = pt.logs{fiber_h[0]}{fiber_g[0]}
     return {fiber_h[1]}, {fiber_g[1]}
 
@@ -709,6 +711,11 @@ def log_gradient(pt):
 def log_hessian(pt):
     ({ms}) = _tracked(_spec, pt)[0]{hess[0]}
     return {hess[1]}
+
+def longitude(pt):
+    ({ms}), ({ts}) = _tracked(_spec, pt)
+    logs = pt.logs{eta_terms}
+    return 0j{eta_sum}, 0.0{eta_size}, [{d_eta}]
 """
 _VARIABLE = """
         l{i} = logmap[{name}]
@@ -750,6 +757,13 @@ def _compile_kernels(tab: SpecTables) -> dict:
     of the rows of tab.gradient and the cells of tab.hessian_cells, a
     cell and its mirror one value; fiber_system(pt) is the pair (h, g)
     of their non-meridian block and entries, in text of its own.
+    longitude(pt) is the triple (log eta, the sum of the moduli of its
+    terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
+    of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
+    that order, and per variable its prefactor exponent minus
+    e a m / (1 - m) per row entry. Each constant is bound once, however
+    many kernels read it: by type and repr, so 2.0 is one name and a
+    -0.0 part keeps its own.
     """
     spec = tab.spec
     ns = {
@@ -759,8 +773,10 @@ def _compile_kernels(tab: SpecTables) -> dict:
         "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
     }
 
+    consts = {}
+
     def const(value) -> str:
-        name = "_k%d" % len(ns)
+        name = consts.setdefault((type(value), repr(value)), "_k%d" % len(ns))
         ns[name] = value
         return name
 
@@ -797,6 +813,13 @@ def _compile_kernels(tab: SpecTables) -> dict:
         gs = ", ".join("g%d" % i for i in range(n))
         return "".join("\n    " + line for line in lines), "[%s]" % gs
 
+    # log eta's terms, in the order they are summed, and its row
+    terms = ["%s * logs[%s]" % (_int(e), names[v]) for v, e in tab.eta_prefactor]
+    terms += ["%s * t%d" % (_int(e), j) for e, j in tab.eta_factors]
+    d_eta = [
+        const(acc) + "".join(" - %s * m%d / (1 - m%d)" % (_int(ea), j, j) for ea, j in rows)
+        for acc, rows in tab.d_eta
+    ]
     n = len(names)
     source = _KERNELS.format(
         variables="".join(
@@ -823,6 +846,10 @@ def _compile_kernels(tab: SpecTables) -> dict:
         fiber_g=gradient(n - 1),
         hess=hessian(n),
         grad=gradient(n),
+        eta_terms="".join("\n    e%d = %s" % (k, term) for k, term in enumerate(terms)),
+        eta_sum="".join(" + e%d" % k for k in range(len(terms))),
+        eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),
+        d_eta=", ".join(d_eta),
     )
     _compile(source, ns)
     return {f: ns[f] for f in _KERNEL_NAMES}
@@ -982,42 +1009,19 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
 
     Built as a sum of the stored continued logs, so it is continuous
     along any path the point was continued over and equals 0 at a
-    complete structure reached with principal branches.
+    complete structure reached with principal branches. The body is
+    the spec's compiled longitude kernel (SpecTables).
     """
-    return _eta_log_and_size(spec, pt)[0]
-
-
-def _eta_log_and_size(spec: PotentialSpec, pt: ParamPoint):
-    """(eta_log, sum of |terms|) in one pass over the terms of log eta,
-    e log(var) of the prefactor and e log(1 - m) of the factors."""
-    tab = spec.tables
-    one_minus = _tracked(spec, pt)[1]
-    s = 0j
-    size = 0.0
-    for v, e in tab.eta_prefactor:
-        term = e * pt.logs[v]
-        s += term
-        size += abs(term)
-    for e, j in tab.eta_factors:
-        term = e * one_minus[j]
-        s += term
-        size += abs(term)
-    return s, size
+    return spec.tables.longitude(pt)[0]
 
 
 def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> list:
     """Derivatives v d(log eta)/dv over spec.variables (Jacobian row).
 
-    A list of complex, one per variable in spec order.
+    A fresh list of complex, one per variable in spec order, from the
+    spec's compiled longitude kernel (SpecTables).
     """
-    mvals = _tracked(spec, pt)[0]
-    out = []
-    for acc, rows in spec.tables.d_eta:
-        for ea, j in rows:
-            mv = mvals[j]
-            acc -= ea * mv / (1 - mv)
-        out.append(acc)
-    return out
+    return spec.tables.longitude(pt)[2]
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:

@@ -9,10 +9,11 @@ coordinates of the parameter point:
 
 Throughout, u = log xi^2 and v = log eta^2 are the branch-continued
 log-holonomies of meridian and longitude, seeded u = v = 0 at the
-complete structure; windings evolve only by continuation. Every
-Newton loop steps on the continued-log gradient and stops once the
-branch-free reduced residuals are within newton_tol (default
-_NEWTON_TOL); solve_filling states when a filling is accepted.
+complete structure; windings evolve only by continuation. All three
+solve by the one damped-Newton loop, _newton, which steps on the
+continued-log gradient and stops once the branch-free reduced
+residuals are within newton_tol (default _NEWTON_TOL); solve_filling
+states when a filling is accepted.
 """
 
 import cmath
@@ -38,9 +39,7 @@ from .potential import (
     PotentialSpec,
     _check_float_range,
     _compile,
-    _eta_log_and_size,
     advance_point_logs,
-    d_eta_log,
     eta_log,
     eval_v_alpha,
     log_gradient,
@@ -206,7 +205,7 @@ def _resid_inf(pt) -> float:
 def _damped_step(pt, deltas):
     """pt with its first len(deltas) variable logs moved by -deltas.
 
-    The step of both Newton loops: halved on each branch jump or
+    The step of the Newton loop: halved on each branch jump or
     singular trial point, at most 40 times, after which it raises
     NoConvergenceError.
     """
@@ -223,52 +222,68 @@ def _damped_step(pt, deltas):
     raise NoConvergenceError("could not step without a branch jump")
 
 
+def _newton(pt, system, cap, failure):
+    """Damped Newton from pt: the one Newton loop of the solver.
+
+    system(pt) returns (r, None) to accept pt, or (r, (a, b)) to step
+    to pt moved by -x with a x = b (_damped_step); r is a float and a
+    function of pt alone. Returns (pt, r, iterations) at the accepted
+    point, and raises NoConvergenceError(failure) after cap steps.
+
+    Exit on a cycle: each point whose r did not fall below the
+    previous iterate's is recorded by its variable and tracked logs,
+    and when a recorded point recurs bit for bit the loop raises that
+    error at once. The error stays true: the next iterate is a function
+    of those logs alone, so a repeated point repeats forever, and every
+    point of the cycle has been refused, so the full cap of iterations
+    would end in this same error. r cannot fall all the way round a
+    cycle, so the rule catches every cycle within two of its periods.
+    """
+    prev, seen = math.inf, {}
+    for it in range(cap):
+        r, step = system(pt)
+        if step is None:
+            return pt, r, it
+        if r >= prev:
+            state = (*pt.logs.values(), *pt.tracked_logs)
+            # == and hash take -0.0 for 0.0, so a match is confirmed by
+            # repr, which costs too much to form for every state
+            if any(repr(s) == repr(state) for s in seen.get(state, ())):
+                break
+            seen.setdefault(state, []).append(state)
+        prev = r
+        pt = _damped_step(pt, _solve(*step))
+    # after a break too: the remaining iterations would only cycle
+    raise NoConvergenceError(failure)
+
+
 def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
     """Newton on the non-meridian variables at a fixed meridian log.
 
     Drives the continued-log gradient to zero, branch-continuing from
     pt at each trial step (halving on a branch jump), and accepts on
-    the reduced residuals. The gradient and hessian of the
-    non-meridian block come from one call of the spec's compiled
-    fiber_system (potential.SpecTables). A converged point with a variable
-    within _ZERO_TOL of 0 sits on a log pole, where the residual is
-    small only because the variable is, and raises SingularPointError
-    as make_point would.
-
-    Exit on a cycle: each point whose residual did not fall below the
-    previous iterate's is recorded by its variable and tracked logs,
-    and when a recorded point recurs bit for bit the solve raises the
-    50-iteration NoConvergenceError at once. The message stays true:
-    the next iterate is a function of those logs alone, so a repeated
-    point repeats forever, and every point of the cycle has failed the
-    residual test, so the full 50 iterations would end in this same
-    error. The residual cannot fall all the way round a cycle, so the
-    rule catches every cycle within two of its periods.
+    the reduced residuals, at most 50 iterations of _newton. The
+    gradient and hessian of the non-meridian block come from one call
+    of the spec's compiled fiber_system (potential.SpecTables). A
+    converged point with a variable within _ZERO_TOL of 0 sits on a log
+    pole, where the residual is small only because the variable is,
+    and raises SingularPointError as make_point would.
     """
-    variables = spec.variables
-    system = spec.tables.fiber_system
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
-    prev = math.inf
-    seen = set()
-    for it in range(50):
+
+    def system(pt):
         resid = _resid_inf(pt)
-        if resid <= tol:
-            for v in variables:
-                if abs(pt.values[v]) < _ZERO_TOL:
-                    raise SingularPointError("variable %s = 0 (log pole)" % v)
-            return CriticalPoint(pt, resid, it)
-        if resid >= prev:
-            # repr, not the tuple: == and hash take -0.0 for 0.0
-            state = repr((*pt.logs.values(), *pt.tracked_logs))
-            if state in seen:
-                break
-            seen.add(state)
-        prev = resid
-        pt = _damped_step(pt, _solve(*system(pt)))
-    # after a break too: the remaining iterations would only cycle
-    raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
+        if resid > tol:
+            return resid, spec.tables.fiber_system(pt)
+        for v in spec.variables:
+            if abs(pt.values[v]) < _ZERO_TOL:
+                raise SingularPointError("variable %s = 0 (log pole)" % v)
+        return resid, None
+
+    msg = "fiber Newton: no convergence in 50 iterations"
+    return CriticalPoint(*_newton(pt, system, 50, msg))
 
 
 # Fixed complete-structure seed grid: 16 starting pairs for the two
@@ -353,7 +368,7 @@ def trace_deformation(
     solve fails, up to 20 times per sample, after which it raises
     PathObstructionError carrying the samples emitted so far as its
     partial trace. A fiber solve that cycles without converging (see
-    _newton_fiber) counts as a failed solve and halves the step. Emits
+    _newton) counts as a failed solve and halves the step. Emits
     one DeformationSample per target. A newton_tol as solve_complete
     refuses, a non-finite u_end, or samples < 1 or above _MAX_SAMPLES
     raises ValidationError before anything is solved.
@@ -398,39 +413,45 @@ def trace_deformation(
 def _newton_filling(spec, pt, p, q, t, tol):
     """Newton on {x-equation, y-equation, p u + q v = 2 pi i t}.
 
+    At most 60 iterations of _newton, with r = |p u + q v - 2 pi i t|.
     Returns the accepted point, the iterations taken, and at that point
     the reduced residual, u = 2 log xi, v = 2 log eta and the bound the
     filling equation was accepted within.
     """
     k = len(spec.variables) - 1
-    meridian = spec.meridian
     # the filling equation sums n terms, p u and q times each term of
     # v = 2 eta_log; each is rounded to eps of itself, so the sum is
     # known to about n eps times their summed magnitudes; |q| is
     # scaled by n eps before it meets size, so no product overflows
     n = 1 + len(spec.tables.eta_prefactor) + len(spec.tables.eta_factors)
-    for it in range(60):
-        u2 = 2 * pt.logs[meridian]
-        eta, size = _eta_log_and_size(spec, pt)
+    accepted = None
+
+    def system(pt):
+        nonlocal accepted
+        u2 = 2 * pt.logs[spec.meridian]
+        eta, size, d_eta = spec.tables.longitude(pt)
         v2 = 2 * eta
         fill = p * u2 + q * v2 - _TWO_PI_I * t
+        r = abs(fill)
         bound = max(tol, n * _EPS * abs(p * u2) + 2 * abs(q) * (n * _EPS * size))
         # the filling equation is cheaper to test, and the reduced
         # residual is only needed once it holds
-        if abs(fill) <= bound:
+        if r <= bound:
             resid = _resid_inf(pt)
             if resid <= tol:
-                return pt, it, resid, u2, v2, bound
+                accepted = resid, u2, v2, bound
+                return r, None
         # the gradient's and the hessian's non-meridian rows, then the
         # filling equation and its Jacobian row
         f = log_gradient(spec, pt)
         f[k] = fill
         jac = log_hessian(spec, pt)
-        row = [2 * q * d for d in d_eta_log(spec, pt)]
-        row[k] += 2 * p
-        jac[k] = row
-        pt = _damped_step(pt, _solve(jac, f))
-    raise NoConvergenceError("filling Newton: no convergence")
+        jac[k] = [2 * q * d for d in d_eta]
+        jac[k][k] += 2 * p
+        return r, (jac, f)
+
+    pt, _, it = _newton(pt, system, 60, "filling Newton: no convergence")
+    return (pt, it, *accepted)
 
 
 def solve_filling(

@@ -718,6 +718,16 @@ def naive_eta_log(spec, pt):
     return s
 
 
+def naive_eta_size(spec, pt):
+    # the moduli of naive_eta_log's terms, summed in the same order
+    size = 0.0
+    for v, e in spec.longitude.prefactor.exponents:
+        size += abs(e * pt.logs[v])
+    for e, m in spec.longitude.factors:
+        size += abs(e * one_minus_logs(pt)[m])
+    return size
+
+
 def naive_d_eta_log(spec, pt):
     out = []
     for v in spec.variables:
@@ -729,6 +739,11 @@ def naive_d_eta_log(spec, pt):
                 acc -= e * a * mv / (1 - mv)
         out.append(acc)
     return out
+
+
+def naive_longitude(spec, pt):
+    # the triple of the compiled longitude kernel
+    return naive_eta_log(spec, pt), naive_eta_size(spec, pt), naive_d_eta_log(spec, pt)
 
 
 def naive_reduced_residual(pt):
@@ -770,6 +785,7 @@ def naive_fiber_system(spec, pt):
 def assert_matches_naive(spec, pt):
     pairs = [
         (spec.tables.fiber_system(pt), naive_fiber_system(spec, pt)),
+        (spec.tables.longitude(pt), naive_longitude(spec, pt)),
         (log_gradient(spec, pt), naive_log_gradient(spec, pt)),
         (log_hessian(spec, pt), naive_log_hessian(spec, pt)),
         (reduced_residual(pt), naive_reduced_residual(pt)),
@@ -865,6 +881,14 @@ def test_compile_and_exec_are_called_in_one_place():
                 and node.func.id in ("compile", "exec", "eval")
             ]
     assert calls == [("potential.py", "exec"), ("potential.py", "compile")]
+
+
+def test_each_kernel_constant_is_bound_once(spec):
+    # one name per constant, however many kernels read it; equal type
+    # and repr, so 2.0 and 2 or 0.0 and -0.0 would keep a name each
+    ns = spec.tables.build_point.__globals__
+    keys = [(type(v), repr(v)) for k, v in ns.items() if k.startswith("_k")]
+    assert len(keys) == len(set(keys)) > 0
 
 
 def test_tables_on_points_with_windings(spec, complete):

@@ -42,6 +42,7 @@ from test_potential import (
     naive_fiber_system,
     naive_log_gradient,
     naive_log_hessian,
+    naive_longitude,
     naive_reduced_residual,
 )
 
@@ -312,6 +313,7 @@ def test_kernels_match_the_plain_reading(doc, data):
         assert _bits(spec.tables.fiber_system(pt)) == _bits(naive_fiber_system(spec, pt))
         assert _bits(log_gradient(spec, pt)) == _bits(naive_log_gradient(spec, pt))
         assert _bits(log_hessian(spec, pt)) == _bits(naive_log_hessian(spec, pt))
+        assert _outcome(spec.tables.longitude, pt) == _outcome(naive_longitude, spec, pt)
 
 
 # ------------------------------------------------ branch continuation

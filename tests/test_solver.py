@@ -12,6 +12,7 @@ import pytest
 
 import _oracles as O
 from knotpot import solver
+from knotpot.cli import main
 from knotpot.dilog import ContinuedLog
 from knotpot.errors import (
     KnotpotError,
@@ -45,7 +46,14 @@ from knotpot.solver import (
     solve_filling,
     trace_deformation,
 )
-from test_potential import naive_fiber_system
+from test_potential import (
+    naive_d_eta_log,
+    naive_eta_log,
+    naive_eta_size,
+    naive_fiber_system,
+    naive_log_gradient,
+    naive_log_hessian,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -569,7 +577,7 @@ def _fiber_reference(spec, pt, xi_log, tol):
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
 
-def _fiber_outcome(solve, spec, args):
+def _newton_outcome(solve, spec, args):
     try:
         return repr(solve(spec, *args))
     except KnotpotError as e:
@@ -607,10 +615,10 @@ def _fiber_inputs(spec, complete, monkeypatch, u_end, samples):
 )
 def test_fiber_cycle_exit_changes_no_solve(spec, complete, monkeypatch, u_end, samples):
     inputs = _fiber_inputs(spec, complete, monkeypatch, u_end, samples)
-    outcomes = [_fiber_outcome(_fiber_reference, spec, args) for args in inputs]
+    outcomes = [_newton_outcome(_fiber_reference, spec, args) for args in inputs]
     assert _STALLED in outcomes
     for args, want in zip(inputs, outcomes):
-        assert _fiber_outcome(solver._newton_fiber, spec, args) == want
+        assert _newton_outcome(solver._newton_fiber, spec, args) == want
 
 
 @pytest.mark.parametrize("u_end", _CYCLING_TRACES)
@@ -620,7 +628,7 @@ def test_fiber_newton_leaves_a_cycle_early(spec, complete, monkeypatch, u_end):
     # imaginary parts drift at 1e-36 instead, so no point repeats and
     # those solves still run all 50 iterations
     inputs = _fiber_inputs(spec, complete, monkeypatch, u_end, 32)
-    stalled = [a for a in inputs if _fiber_outcome(_fiber_reference, spec, a) == _STALLED]
+    stalled = [a for a in inputs if _newton_outcome(_fiber_reference, spec, a) == _STALLED]
     assert stalled
     steps = 0
     orig = solver._damped_step
@@ -636,6 +644,75 @@ def test_fiber_newton_leaves_a_cycle_early(spec, complete, monkeypatch, u_end):
         with pytest.raises(NoConvergenceError, match="no convergence in 50 iterations"):
             solver._newton_fiber(spec, *args)
         assert steps <= 12
+
+
+def _filling_reference(spec, pt, p, q, t, tol):
+    # the filling Newton loop without its cycle exit, a solve that does
+    # not converge running all 60 iterations, and with the plain
+    # reading's gradient, hessian, eta_log and d_eta_log in place of
+    # the compiled kernels
+    k = len(spec.variables) - 1
+    lon = spec.longitude
+    n = 1 + len(lon.prefactor.exponents) + len(lon.factors)
+    eps = solver._EPS
+    for it in range(60):
+        u2 = 2 * pt.logs[spec.meridian]
+        v2 = 2 * naive_eta_log(spec, pt)
+        size = naive_eta_size(spec, pt)
+        fill = p * u2 + q * v2 - TWO_PI_I * t
+        bound = max(tol, n * eps * abs(p * u2) + 2 * abs(q) * (n * eps * size))
+        if abs(fill) <= bound:
+            resid = solver._resid_inf(pt)
+            if resid <= tol:
+                return pt, it, resid, u2, v2, bound
+        f = naive_log_gradient(spec, pt)
+        f[k] = fill
+        jac = naive_log_hessian(spec, pt)
+        row = [2 * q * d for d in naive_d_eta_log(spec, pt)]
+        row[k] += 2 * p
+        jac[k] = row
+        pt = solver._damped_step(pt, solver._solve(jac, f))
+    raise NoConvergenceError("filling Newton: no convergence")
+
+
+def test_filling_cycle_exit_changes_no_solve(capsys, monkeypatch):
+    # every filling Newton solve of scan 8x3, the rejected slopes' among
+    # them, ends as the reference without the cycle exit ends it
+    inputs = []
+    orig = solver._newton_filling
+
+    def record(*args):
+        inputs.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(solver, "_newton_filling", record)
+    assert main(["--format", "csv", "scan", "--pmax", "8", "--qmax", "3"]) == 0
+    monkeypatch.undo()
+    assert ",false," in capsys.readouterr().out
+    for spec, *args in inputs:
+        want = _newton_outcome(_filling_reference, spec, args)
+        assert _newton_outcome(solver._newton_filling, spec, args) == want
+
+
+@pytest.mark.parametrize("p, q", [(5, 1), (7, 3), (100, 1)])
+def test_filling_newton_leaves_a_cycle_early(spec, complete, monkeypatch, p, q):
+    # no filling solve of scan 40x8 stalls; one held to a newton_tol
+    # below the reduced residual's rounding floor does, and cycles
+    # there: the reference runs all 60 iterations to the same error
+    args = (complete.point, p, q, 1.0, 1e-18)
+    want = (NoConvergenceError, "filling Newton: no convergence")
+    assert _newton_outcome(_filling_reference, spec, args) == want
+    steps = 0
+    orig = solver._damped_step
+
+    def count(pt, deltas):
+        nonlocal steps
+        steps += 1
+        return orig(pt, deltas)
+
+    monkeypatch.setattr(solver, "_damped_step", count)
+    assert _newton_outcome(solver._newton_filling, spec, args) == want
+    assert steps < 60
 
 
 # (u_end, sample index, x there on the branch that the 256-, 512- and
