@@ -37,13 +37,15 @@ grouping as a direct reading of the spec would form it, and results do
 not depend on the lowering.
 
 The point build, the reduced residual, the log-gradient, the
-log-hessian, the fiber Newton system and the longitude (log eta, the
-summed size of its terms and its Jacobian row) are then compiled from
-those tables to straight-line Python, once per spec on first use
-(SpecTables, _compile_kernels): the one implementation of each. The
-text forms each sum in the order and grouping of the plain reading of
-the spec, so it gives that reading's results bit for bit; _compile is
-the package's one call of the built-in compile and exec.
+log-hessian, the fiber Newton step (the reduced residual, and where
+it is above the tolerance the step solved from the fiber block of the
+gradient and hessian) and the longitude (log eta, the summed size of
+its terms and its Jacobian row) are then compiled from those tables
+to straight-line Python, once per spec on first use (SpecTables,
+_compile_kernels): the one implementation of each. The text forms
+each sum in the order and grouping of the plain reading of the spec,
+so it gives that reading's results bit for bit; _compile is the
+package's one call of the built-in compile and exec.
 """
 
 import cmath
@@ -60,6 +62,7 @@ from .dilog import (
     principal_log,
 )
 from .errors import (
+    SingularJacobianError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
@@ -172,12 +175,13 @@ class SpecTables:
     does the arithmetic of the plain reading of the spec.
 
     The kernels, build_point(logmap, prev), reduced_residual(pt),
-    log_gradient(pt), log_hessian(pt), fiber_system(pt) and
+    fiber_step(pt, tol), log_gradient(pt), log_hessian(pt) and
     longitude(pt), are lowered a second time, to straight-line Python
     in one source text compiled on the first use of any of them (see
-    _compile_kernels). The text writes out, per row and cell, the
-    operations of the plain reading of the spec in its order and
-    grouping, starting every sum from 0j (a sum of moduli from 0.0)
+    _compile_kernels); fiber_step's elimination is _solve_source's,
+    the text solver._solve runs. The text writes out, per row and
+    cell, the operations of the plain reading of the spec in its order
+    and grouping, starting every sum from 0j (a sum of moduli from 0.0)
     and every product from 1 + 0j and keeping each factor of +-1, so
     every result is bit for bit that reading's: (1 + 0j) * w is not w
     where a part of w is -0.0. Integer exponents appear in the text as
@@ -642,11 +646,59 @@ def dump_spec(spec: PotentialSpec) -> str:
 def _compile(source: str, namespace: dict) -> dict:
     """Run generated source in namespace, and return the namespace.
 
-    The one place knotpot compiles code: the spec kernels below and
-    solver._solve's per-size elimination are built here.
+    The one place knotpot compiles code. Two generators write what it
+    compiles: _compile_kernels the spec kernels, and _solve_source the
+    elimination, which solver._solve runs per size n and the fiber_step
+    kernel inlines.
     """
     exec(compile(source, "<knotpot kernels>", "exec"), namespace)
     return namespace
+
+
+def _solve_source(a: list, b: list):
+    """Gaussian elimination with partial pivoting on a x = b, written out.
+
+    a is n rows of n operands and b n operands, each the source text of
+    a number, read once and left unchanged. Returns the statements,
+    each on a line of its own indented as a function body, and the
+    text of the list x they solve for. Entry (r, c) of the augmented
+    matrix [a | b] is the local m<r>_<c>, loaded first. Column c takes
+    as pivot the first row from c down of greatest modulus, swaps it
+    with row c and subtracts f = m<r>_<c> / pivot times it from each
+    row below, entries c + 1 to n; back substitution then forms x<c> =
+    (m<c>_<n> - m<c>_<c+1> x<c+1> - ...) / m<c>_<c>. An exactly zero
+    pivot raises _SingularJacobian, which the caller's namespace binds
+    to SingularJacobianError.
+    """
+    n = len(b)
+    m = [["m%d_%d" % (r, c) for c in range(n + 1)] for r in range(n)]
+    src = ["%s = %s" % (m[r][c], v) for r in range(n) for c, v in enumerate(a[r] + [b[r]])]
+    for c in range(n):
+        src += ["p = %d" % c, "best = abs(%s)" % m[c][c]]
+        for r in range(c + 1, n):
+            src += [
+                "size = abs(%s)" % m[r][c],
+                "if size > best:",
+                "    p, best = %d, size" % r,
+            ]
+        src += [
+            "if not best:",
+            "    raise _SingularJacobian('singular Jacobian (zero pivot in column %d)')"
+            % c,
+        ]
+        for r in range(c + 1, n):
+            top, row = ", ".join(m[c][c:]), ", ".join(m[r][c:])
+            test = "if" if r == c + 1 else "elif"
+            src.append("%s p == %d:" % (test, r))
+            src.append("    %s, %s = %s, %s" % (top, row, row, top))
+        for r in range(c + 1, n):
+            src.append("f = %s / %s" % (m[r][c], m[c][c]))
+            src += ["%s -= f * %s" % (m[r][j], m[c][j]) for j in range(c + 1, n + 1)]
+    for c in range(n - 1, -1, -1):
+        terms = "".join(" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n))
+        src.append("x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
+    xs = ", ".join("x%d" % c for c in range(n))
+    return "".join("\n    " + line for line in src), "[%s]" % xs
 
 
 def _int(k: int) -> str:
@@ -671,16 +723,17 @@ def _continue(value: complex, prev: complex, m) -> complex:
     return value
 
 
-_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_system", "log_gradient",
+_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_step", "log_gradient",
                  "log_hessian", "longitude")
 
 # The kernels' source, filled in per spec by _compile_kernels. Locals:
 # l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
-# monomial j and its continued log(1 - m), q<j> that log at prev, f<t>
-# = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian
-# cell u <= v and a gradient entry, e<k> term k of log eta. Globals:
-# _k<n> the spec's constants, each bound once, and the helpers bound by
-# _compile_kernels.
+# monomial j and its continued log(1 - m), q<j> that log at prev, r<i>
+# reduced residual row i and r the largest modulus of the rows, f<t> =
+# sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian cell
+# u <= v and a gradient entry, e<k> term k of log eta; fiber_step's
+# elimination names its own (_solve_source). Globals: _k<n> the spec's
+# constants, each bound once, and the helpers bound by _compile_kernels.
 _KERNELS = """\
 def build_point(logmap, prev):
     try:{variables}{monomials}
@@ -698,19 +751,26 @@ def reduced_residual(pt):
     except OverflowError as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
 
-def fiber_system(pt):
+def fiber_step(pt, tol):
     ({ms}), ({ts}) = _tracked(_spec, pt)
-    logs = pt.logs{fiber_h[0]}{fiber_g[0]}
-    return {fiber_h[1]}, {fiber_g[1]}
+    values = pt.values
+    try:
+        ({rs}) = ({residuals})
+    except OverflowError as e:
+        raise _StepTooLarge('residual overflow (%s)' % e) from e{norm}
+    if not r > tol:
+        return r, None
+    logs = pt.logs{fiber_h}{fiber_g}{fiber_x[0]}
+    return r, {fiber_x[1]}
 
 def log_gradient(pt):
     ({ts}) = _tracked(_spec, pt)[1]
-    logs = pt.logs{grad[0]}
-    return {grad[1]}
+    logs = pt.logs{grad}
+    return {grad_row}
 
 def log_hessian(pt):
-    ({ms}) = _tracked(_spec, pt)[0]{hess[0]}
-    return {hess[1]}
+    ({ms}) = _tracked(_spec, pt)[0]{hess}
+    return {hess_rows}
 
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
@@ -755,8 +815,14 @@ def _compile_kernels(tab: SpecTables) -> dict:
     the (1 - m)^e of its left side minus that of the variable powers
     of its right. log_gradient(pt) and log_hessian(pt) are fresh lists
     of the rows of tab.gradient and the cells of tab.hessian_cells, a
-    cell and its mirror one value; fiber_system(pt) is the pair (h, g)
-    of their non-meridian block and entries, in text of its own.
+    cell and its mirror one value. fiber_step(pt, tol) is one step of
+    the fiber Newton. It takes r, the largest modulus of the reduced
+    residual's rows, as max takes it: a later row replaces r only
+    where it is larger, so a NaN counts only as the first row. It
+    returns (r, None) where r > tol fails, a NaN r included, and
+    otherwise (r, x), x solved from the non-meridian block of the
+    hessian and the gradient's non-meridian entries, in text of their
+    own, by the elimination solver._solve runs (_solve_source).
     longitude(pt) is the triple (log eta, the sum of the moduli of its
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
@@ -771,6 +837,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
         "_StepTooLarge": StepTooLargeError, "_Singular": SingularPointError,
         "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_continue": _continue,
         "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
+        "_SingularJacobian": SingularJacobianError,
     }
 
     consts = {}
@@ -784,8 +851,9 @@ def _compile_kernels(tab: SpecTables) -> dict:
     idx = range(len(tab.monomials))
 
     def hessian(n):
-        # the lines and the returned row lists of the leading n x n
-        # block: f<t> of each dilog term a cell of it reads, the cells
+        # the lines and the rows, a list of the names of each row's
+        # cells, of the leading n x n block: f<t> of each dilog term a
+        # cell of it reads, the cells
         cells = [c for c in tab.hessian_cells if c[1] < n]
         used = {t for _, _, prods, _ in cells for _, t in prods}
         lines = [
@@ -797,21 +865,21 @@ def _compile_kernels(tab: SpecTables) -> dict:
             terms = "".join(" + %s * f%d" % (_int(aa), t) for aa, t in prods)
             terms += "".join(" + " + const(c) for c in consts)
             lines.append("h%d_%d = 0j%s" % (iu, iv, terms))
-        rows = ", ".join(
-            "[%s]" % ", ".join("h%d_%d" % (min(r, c), max(r, c)) for c in range(n))
-            for r in range(n)
-        )
-        return "".join("\n    " + line for line in lines), "[%s]" % rows
+        rows = [["h%d_%d" % (min(r, c), max(r, c)) for c in range(n)] for r in range(n)]
+        return "".join("\n    " + line for line in lines), rows
 
     def gradient(n):
-        # the lines and the returned list of the first n entries
+        # the lines and the names of the first n entries
         lines = []
         for i, (rows, quads) in enumerate(tab.gradient[:n]):
             terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
             terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
             lines.append("g%d = 0j%s" % (i, terms))
-        gs = ", ".join("g%d" % i for i in range(n))
-        return "".join("\n    " + line for line in lines), "[%s]" % gs
+        return "".join("\n    " + line for line in lines), ["g%d" % i for i in range(n)]
+
+    def listed(names):
+        # a list display of names, or of lists of names
+        return "[%s]" % ", ".join(v if isinstance(v, str) else listed(v) for v in names)
 
     # log eta's terms, in the order they are summed, and its row
     terms = ["%s * logs[%s]" % (_int(e), names[v]) for v, e in tab.eta_prefactor]
@@ -821,6 +889,12 @@ def _compile_kernels(tab: SpecTables) -> dict:
         for acc, rows in tab.d_eta
     ]
     n = len(names)
+    # max(map(abs, rows)) written out; with no rows, max raises as over none
+    norm = ["r = abs(r0)"] if n > 1 else ["r = max(())"]
+    for i in range(1, n - 1):
+        norm += ["size = abs(r%d)" % i, "if size > r:", "    r = size"]
+    hess, grad = hessian(n), gradient(n)
+    fiber_h, fiber_g = hessian(n - 1), gradient(n - 1)
     source = _KERNELS.format(
         variables="".join(
             _VARIABLE.format(i=i, name=name) for i, name in enumerate(names.values())
@@ -842,10 +916,15 @@ def _compile_kernels(tab: SpecTables) -> dict:
             )
             for lhs, rhs in tab.residual
         ),
-        fiber_h=hessian(n - 1),
-        fiber_g=gradient(n - 1),
-        hess=hessian(n),
-        grad=gradient(n),
+        rs="".join("r%d, " % i for i in range(n - 1)),
+        norm="".join("\n    " + line for line in norm),
+        fiber_h=fiber_h[0],
+        fiber_g=fiber_g[0],
+        fiber_x=_solve_source(fiber_h[1], fiber_g[1]),
+        hess=hess[0],
+        hess_rows=listed(hess[1]),
+        grad=grad[0],
+        grad_row=listed(grad[1]),
         eta_terms="".join("\n    e%d = %s" % (k, term) for k, term in enumerate(terms)),
         eta_sum="".join(" + e%d" % k for k in range(len(terms))),
         eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),

@@ -39,6 +39,7 @@ from .potential import (
     PotentialSpec,
     _check_float_range,
     _compile,
+    _solve_source,
     advance_point_logs,
     eta_log,
     eval_v_alpha,
@@ -139,49 +140,15 @@ def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     return Slope(p, q, r, s)
 
 
-def _solve_source(n: int) -> str:
-    """Gaussian elimination with partial pivoting on n x n, written out.
-
-    Entry (r, c) of the augmented matrix [a | b] is the local m<r>_<c>.
-    Column c takes as pivot the first row from c down of greatest
-    modulus, swaps it with row c and subtracts f = m<r>_<c> / pivot
-    times it from each row below, entries c + 1 to n; back substitution
-    then forms x<c> = (m<c>_<n> - m<c>_<c+1> x<c+1> - ...) / m<c>_<c>.
-    """
-    src = ["def solve(a, b):"]
-    m = [["m%d_%d" % (r, c) for c in range(n + 1)] for r in range(n)]
-    src.append("    [%s] = a" % ", ".join("[%s]" % ", ".join(row[:n]) for row in m))
-    src.append("    [%s] = b" % ", ".join(row[n] for row in m))
-    for c in range(n):
-        src += ["    p = %d" % c, "    best = abs(%s)" % m[c][c]]
-        for r in range(c + 1, n):
-            src += [
-                "    size = abs(%s)" % m[r][c],
-                "    if size > best:",
-                "        p, best = %d, size" % r,
-            ]
-        src += [
-            "    if not best:",
-            "        raise _Singular('singular Jacobian (zero pivot in column %d)')" % c,
-        ]
-        for r in range(c + 1, n):
-            top, row = ", ".join(m[c][c:]), ", ".join(m[r][c:])
-            test = "if" if r == c + 1 else "elif"
-            src.append("    %s p == %d:" % (test, r))
-            src.append("        %s, %s = %s, %s" % (top, row, row, top))
-        for r in range(c + 1, n):
-            src.append("    f = %s / %s" % (m[r][c], m[c][c]))
-            src += ["    %s -= f * %s" % (m[r][j], m[c][j]) for j in range(c + 1, n + 1)]
-    for c in range(n - 1, -1, -1):
-        terms = "".join(" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n))
-        src.append("    x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
-    src.append("    return [%s]" % ", ".join("x%d" % c for c in range(n)))
-    return "\n".join(src) + "\n"
-
-
 @functools.cache
 def _solver_of(n: int):
-    return _compile(_solve_source(n), {"_Singular": SingularJacobianError})["solve"]
+    a = [["a%d_%d" % (r, c) for c in range(n)] for r in range(n)]
+    b = ["b%d" % r for r in range(n)]
+    body, x = _solve_source(a, b)
+    source = "def solve(a, b):\n    [%s] = a\n    [%s] = b%s\n    return %s\n" % (
+        ", ".join("[%s]" % ", ".join(row) for row in a), ", ".join(b), body, x
+    )
+    return _compile(source, {"_SingularJacobian": SingularJacobianError})["solve"]
 
 
 def _solve(a, b) -> list:
@@ -191,9 +158,9 @@ def _solve(a, b) -> list:
     modified. Raises SingularJacobianError on an exactly zero pivot,
     where LAPACK's getrf reports a singular factor. Each size n is
     compiled once, on first use, to the straight-line code of
-    _solve_source: the same operations in the same order as the loop
-    over columns and rows it unrolls, so its results are bit for bit
-    the loop's.
+    potential._solve_source: the same operations in the same order as
+    the loop over columns and rows it unrolls, so its results are bit
+    for bit the loop's.
     """
     return _solver_of(len(b))(a, b)
 
@@ -225,10 +192,11 @@ def _damped_step(pt, deltas):
 def _newton(pt, system, cap, failure):
     """Damped Newton from pt: the one Newton loop of the solver.
 
-    system(pt) returns (r, None) to accept pt, or (r, (a, b)) to step
-    to pt moved by -x with a x = b (_damped_step); r is a float and a
-    function of pt alone. Returns (pt, r, iterations) at the accepted
-    point, and raises NoConvergenceError(failure) after cap steps.
+    system(pt) returns (r, None) to accept pt, or (r, x) to step to pt
+    moved by -x (_damped_step), x solved from the Newton system at pt;
+    r is a float and a function of pt alone. Returns (pt, r,
+    iterations) at the accepted point, and raises
+    NoConvergenceError(failure) after cap steps.
 
     Exit on a cycle: each point whose r did not fall below the
     previous iterate's is recorded by its variable and tracked logs,
@@ -238,11 +206,15 @@ def _newton(pt, system, cap, failure):
     point of the cycle has been refused, so the full cap of iterations
     would end in this same error. r cannot fall all the way round a
     cycle, so the rule catches every cycle within two of its periods.
+    system solves for x before the loop looks for a cycle, and that
+    raises nothing the exit would have spared: a recurring point was
+    solved without error when it was first recorded, and its solve is
+    a function of the same logs.
     """
     prev, seen = math.inf, {}
     for it in range(cap):
-        r, step = system(pt)
-        if step is None:
+        r, x = system(pt)
+        if x is None:
             return pt, r, it
         if r >= prev:
             state = (*pt.logs.values(), *pt.tracked_logs)
@@ -252,7 +224,7 @@ def _newton(pt, system, cap, failure):
                 break
             seen.setdefault(state, []).append(state)
         prev = r
-        pt = _damped_step(pt, _solve(*step))
+        pt = _damped_step(pt, x)
     # after a break too: the remaining iterations would only cycle
     raise NoConvergenceError(failure)
 
@@ -262,25 +234,26 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
 
     Drives the continued-log gradient to zero, branch-continuing from
     pt at each trial step (halving on a branch jump), and accepts on
-    the reduced residuals, at most 50 iterations of _newton. The
-    gradient and hessian of the non-meridian block come from one call
-    of the spec's compiled fiber_system (potential.SpecTables). A
-    converged point with a variable within _ZERO_TOL of 0 sits on a log
-    pole, where the residual is small only because the variable is,
-    and raises SingularPointError as make_point would.
+    the reduced residuals, at most 50 iterations of _newton. Each
+    iteration is one call of the spec's compiled fiber_step
+    (potential.SpecTables): the residual, and where it is above tol
+    the step solved from the non-meridian block of the gradient and
+    hessian. A converged point with a variable within _ZERO_TOL of 0
+    sits on a log pole, where the residual is small only because the
+    variable is, and raises SingularPointError as make_point would.
     """
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
+    fiber_step = spec.tables.fiber_step
 
     def system(pt):
-        resid = _resid_inf(pt)
-        if resid > tol:
-            return resid, spec.tables.fiber_system(pt)
-        for v in spec.variables:
-            if abs(pt.values[v]) < _ZERO_TOL:
-                raise SingularPointError("variable %s = 0 (log pole)" % v)
-        return resid, None
+        r, x = fiber_step(pt, tol)
+        if x is None:
+            for v in spec.variables:
+                if abs(pt.values[v]) < _ZERO_TOL:
+                    raise SingularPointError("variable %s = 0 (log pole)" % v)
+        return r, x
 
     msg = "fiber Newton: no convergence in 50 iterations"
     return CriticalPoint(*_newton(pt, system, 50, msg))
@@ -448,7 +421,7 @@ def _newton_filling(spec, pt, p, q, t, tol):
         jac = log_hessian(spec, pt)
         jac[k] = [2 * q * d for d in d_eta]
         jac[k][k] += 2 * p
-        return r, (jac, f)
+        return r, _solve(jac, f)
 
     pt, _, it = _newton(pt, system, 60, "filling Newton: no convergence")
     return (pt, it, *accepted)

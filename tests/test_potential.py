@@ -16,6 +16,7 @@ from knotpot import cli, dilog, potential, selftest, solver
 from knotpot._records import RecordBase
 from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2, principal_log
 from knotpot.errors import (
+    SingularJacobianError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
@@ -782,9 +783,22 @@ def naive_fiber_system(spec, pt):
     return [row[:k] for row in h[:k]], naive_log_gradient(spec, pt)[:k]
 
 
+def naive_fiber_step(spec, pt, tol):
+    # the fiber Newton's step from the plain reading: the max norm of
+    # the reduced residual, and where it is above tol the step _solve
+    # takes on the plain reading's fiber system
+    r = solver._resid_inf(pt)
+    return r, solver._solve(*naive_fiber_system(spec, pt)) if r > tol else None
+
+
 def assert_matches_naive(spec, pt):
+    r = solver._resid_inf(pt)
+    # a tol of r itself accepts the point; the float below it steps
+    for tol, steps in ((r, False), (math.nextafter(r, -math.inf), True)):
+        got = spec.tables.fiber_step(pt, tol)
+        assert (got[1] is not None) == steps
+        assert _bits(got) == _bits(naive_fiber_step(spec, pt, tol))
     pairs = [
-        (spec.tables.fiber_system(pt), naive_fiber_system(spec, pt)),
         (spec.tables.longitude(pt), naive_longitude(spec, pt)),
         (log_gradient(spec, pt), naive_log_gradient(spec, pt)),
         (log_hessian(spec, pt), naive_log_hessian(spec, pt)),
@@ -862,6 +876,23 @@ def test_tables_match_plain_reading_bit_for_bit(spec, which):
             except (StepTooLargeError, SingularPointError):
                 break
             assert_matches_naive(vspec, pt)
+
+
+def test_fiber_step_raises_on_a_singular_block_as_solve_does(spec):
+    # a fiber variable that no term holds leaves its hessian row and
+    # column zero: the kernel's elimination stops at the zero pivot
+    # _solve stops at, with _solve's error
+    doc = _doc(spec)
+    doc["variables"] = ["x", "y", "z", "xi"]
+    zspec = load_spec(json.dumps(doc))
+    base = regular_points(spec, 1, seed=17)[0]
+    pt = make_point(zspec, dict(base.values, z=1.5 + 0.5j))
+    with pytest.raises(SingularJacobianError) as want:
+        solver._solve(*naive_fiber_system(zspec, pt))
+    with pytest.raises(SingularJacobianError) as got:
+        zspec.tables.fiber_step(pt, 0.0)
+    assert str(got.value) == str(want.value)
+    assert str(want.value) == "singular Jacobian (zero pivot in column 2)"
 
 
 def test_compile_and_exec_are_called_in_one_place():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from knotpot import potential
 from knotpot.cli import main
 from knotpot.errors import (
+    SingularJacobianError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
@@ -39,7 +40,7 @@ from knotpot.potential import (
 from knotpot.solver import normalize_slope, solve_complete
 from test_potential import (
     _bits,
-    naive_fiber_system,
+    naive_fiber_step,
     naive_log_gradient,
     naive_log_hessian,
     naive_longitude,
@@ -277,11 +278,14 @@ def _renamed(doc, new):
 
 def _outcome(f, *args):
     # a power that overflows: OverflowError in the plain reading,
-    # StepTooLargeError from the kernel that catches it
+    # StepTooLargeError from the kernel that catches it; a zero pivot,
+    # and the max norm of a spec with no fiber variable, raise alike
     try:
         return _bits(f(*args))
     except (OverflowError, StepTooLargeError):
         return "overflow"
+    except (SingularJacobianError, ValueError) as e:
+        return type(e), str(e)
 
 
 _point_values = st.complex_numbers(min_magnitude=0.25, max_magnitude=4)
@@ -310,7 +314,10 @@ def test_kernels_match_the_plain_reading(doc, data):
         for m, mv in zip(spec.tables.monomials, pt.tracked_values):
             assert _bits(mv) == _bits(m.evaluate(pt.values))
         assert _outcome(reduced_residual, pt) == _outcome(naive_reduced_residual, pt)
-        assert _bits(spec.tables.fiber_system(pt)) == _bits(naive_fiber_system(spec, pt))
+        # a tol below every max norm steps, one above every norm accepts
+        for tol in (-1.0, math.inf):
+            want = _outcome(naive_fiber_step, spec, pt, tol)
+            assert _outcome(spec.tables.fiber_step, pt, tol) == want
         assert _bits(log_gradient(spec, pt)) == _bits(naive_log_gradient(spec, pt))
         assert _bits(log_hessian(spec, pt)) == _bits(naive_log_hessian(spec, pt))
         assert _outcome(spec.tables.longitude, pt) == _outcome(naive_longitude, spec, pt)

@@ -54,6 +54,7 @@ from test_potential import (
     naive_log_gradient,
     naive_log_hessian,
 )
+from test_trace_digest import SAMPLES, U_ENDS, trace_runs
 
 TWO_PI_I = 2j * math.pi
 
@@ -136,15 +137,26 @@ def test_solve_pivots_on_a_tiny_leading_entry():
     assert _rel_gap(solver._solve(a, b), O.solve_oracle(a, b)) <= 1e-13
 
 
-def _recorded_systems(monkeypatch, run):
+def _recorded_systems(monkeypatch, spec, run):
+    # (a, b, x): each system _solve is handed, and each fiber system
+    # the compiled fiber_step solves inline, with the x found for it
     systems = []
-    orig = solver._solve
+    solve, step = solver._solve, spec.tables.fiber_step
 
     def record(a, b):
-        systems.append(([row[:] for row in a], b[:]))
-        return orig(a, b)
+        a0, b0 = [row[:] for row in a], b[:]
+        x = solve(a, b)
+        systems.append((a0, b0, x))
+        return x
+
+    def record_step(pt, tol):
+        r, x = step(pt, tol)
+        if x is not None:
+            systems.append((*naive_fiber_system(spec, pt), x))
+        return r, x
 
     monkeypatch.setattr(solver, "_solve", record)
+    monkeypatch.setattr(spec.tables, "fiber_step", record_step)
     run()
     monkeypatch.undo()
     return systems
@@ -158,10 +170,10 @@ def test_solve_matches_mpmath_on_newton_systems(spec, complete, monkeypatch):
             solve_filling(spec, normalize_slope(p, q), complete=complete)
         trace_deformation(spec, 1.5 + 0.5j, 8, complete=complete)
 
-    systems = _recorded_systems(monkeypatch, run)
-    assert {len(b) for _, b in systems} == {2, 3}
-    for a, b in systems:
-        assert _rel_gap(solver._solve(a, b), O.solve_oracle(a, b)) <= 1e-13
+    systems = _recorded_systems(monkeypatch, spec, run)
+    assert {len(b) for _, b, _ in systems} == {2, 3}
+    for a, b, x in systems:
+        assert _rel_gap(x, O.solve_oracle(a, b)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -560,9 +572,9 @@ def test_trace_obstruction_carries_partials(spec, complete):
 
 def _fiber_reference(spec, pt, xi_log, tol):
     # the fiber Newton loop without its cycle exit, a solve that does
-    # not converge running all 50 iterations, and with the plain
-    # reading's gradient and hessian in place of the compiled
-    # fiber_system
+    # not converge running all 50 iterations, and with the residual,
+    # the plain reading's gradient and hessian and _solve in place of
+    # the compiled fiber_step
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
@@ -594,8 +606,9 @@ _CYCLING_TRACES = [
 ]
 
 
-def _fiber_inputs(spec, complete, monkeypatch, u_end, samples):
-    """The (pt, xi_log, tol) of every fiber solve of an obstructed trace."""
+def _fiber_inputs(spec, complete, monkeypatch, u_end, samples, obstructed=True):
+    """The (pt, xi_log, tol) of every fiber solve of a trace, which
+    ends obstructed, or not, as `obstructed` says."""
     inputs = []
     orig = solver._newton_fiber
 
@@ -604,8 +617,12 @@ def _fiber_inputs(spec, complete, monkeypatch, u_end, samples):
         return orig(spec, *args)
 
     monkeypatch.setattr(solver, "_newton_fiber", record)
-    with pytest.raises(PathObstructionError):
+    try:
         trace_deformation(spec, u_end, samples, complete=complete)
+    except PathObstructionError:
+        assert obstructed
+    else:
+        assert not obstructed
     monkeypatch.undo()
     return inputs
 
@@ -618,6 +635,19 @@ def test_fiber_cycle_exit_changes_no_solve(spec, complete, monkeypatch, u_end, s
     outcomes = [_newton_outcome(_fiber_reference, spec, args) for args in inputs]
     assert _STALLED in outcomes
     for args, want in zip(inputs, outcomes):
+        assert _newton_outcome(solver._newton_fiber, spec, args) == want
+
+
+@pytest.mark.parametrize("u_end", U_ENDS)
+def test_fiber_newton_matches_the_reference_on_the_digest_traces(
+    spec, complete, monkeypatch, u_end
+):
+    # every fiber solve of the pinned traces, the converging ones above
+    # all, ends exactly as the reference's
+    obstructed = any(e is not None for u, _, e in trace_runs() if u == u_end)
+    inputs = _fiber_inputs(spec, complete, monkeypatch, u_end, SAMPLES, obstructed)
+    for args in inputs:
+        want = _newton_outcome(_fiber_reference, spec, args)
         assert _newton_outcome(solver._newton_fiber, spec, args) == want
 
 
