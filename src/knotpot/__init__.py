@@ -41,7 +41,6 @@ from .potential import (
     BUILTINS,
     DilogTerm,
     LongitudeExpr,
-    LongitudeSpec,
     Monomial,
     ParamPoint,
     PotentialSpec,
@@ -84,7 +83,6 @@ __all__ = [
     "InvariantReport",
     "KnotpotError",
     "LongitudeExpr",
-    "LongitudeSpec",
     "Monomial",
     "NoConvergenceError",
     "NoGeometricRootError",

@@ -79,8 +79,7 @@ _MAX_SCAN_SLOPES = 10**6
 # in a csv cell, so such a spec is refused before solving.
 _OUTPUT_KEYS = {
     "complete": frozenset(
-        "schema spec volume volume_from_shapes eta eta_alternate "
-        "residual newton_iters".split()
+        "schema spec volume volume_from_shapes eta residual newton_iters".split()
     ),
     "fill": frozenset(
         "schema p q r s u v volume volume_from_shapes cs_mod_half cs_ambiguity "
@@ -266,7 +265,6 @@ def cmd_complete(args, spec):
     cp = solve_complete(spec, newton_tol=args.newton_tol)
     pt = cp.point
     tab = spec.tables
-    eta, eta_alt = eval_eta(spec, pt)
     fields = [("spec", spec.name)]
     fields += [(v, pt.values[v]) for v in spec.variables]
     # the dilogarithm arguments in spec order, each once; for 5_2 they
@@ -278,11 +276,10 @@ def cmd_complete(args, spec):
     fields += [
         ("volume", eval_v(spec, pt).imag),
         ("volume_from_shapes", signed_d_sum(spec, pt)),
-        ("eta", eta),
+        ("eta", eval_eta(spec, pt)[0]),
+        ("residual", cp.residual_inf_norm),
+        ("newton_iters", cp.newton_iters),
     ]
-    if eta_alt is not None:
-        fields.append(("eta_alternate", eta_alt))
-    fields += [("residual", cp.residual_inf_norm), ("newton_iters", cp.newton_iters)]
     return EXIT_OK, Record(fields)
 
 

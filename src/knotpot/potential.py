@@ -24,7 +24,7 @@ on first use, to index tables (PotentialSpec.tables): the tracked
 monomials with their (var, exp) pairs, and for every evaluator the
 integer and float coefficients it needs, each paired with the index of
 a tracked monomial or the name of a variable. The lowering reads each
-term list once, dilog terms, quad terms, then the primary longitude's
+term list once, dilog terms, quad terms, then the longitude's
 factors, and appends each term to every gradient row, hessian cell and
 longitude row it enters; the reduced residual is then read off the
 non-meridian gradient rows, not the terms. Every point, built by make_point
@@ -130,13 +130,6 @@ class LongitudeExpr(RecordBase):
     _fields = ("prefactor", "factors")
 
 
-class LongitudeSpec(LongitudeExpr):
-    """The primary longitude expression and an optional alternate form."""
-
-    _fields = ("prefactor", "factors", "alternate")
-    _defaults = {"alternate": None}
-
-
 class PotentialSpec(RecordBase):
     """A potential: its variables, the last of them the meridian, and its
     terms, constant and longitude."""
@@ -164,9 +157,9 @@ class SpecTables:
     """A PotentialSpec lowered to the index tables its evaluators read.
 
     Monomials are referred to by their index j in `monomials`, the
-    tracked monomials: the dilog arguments, then the primary
-    longitude's factors, each once, in order of first appearance. So
-    the distinct dilog arguments are j < dilog_arg_count.
+    tracked monomials: the dilog arguments, then the longitude's
+    factors, each once, in order of first appearance. So the distinct
+    dilog arguments are j < dilog_arg_count.
     Variables are referred to by name or by their index in
     spec.variables. One pass over each term list appends each term to
     every row it enters, so rows keep the order of the spec's terms.
@@ -238,7 +231,7 @@ class SpecTables:
         self.quads = tuple(quads)
         self.constant = float(spec.constant_pi2) * _PI2
 
-        # primary longitude: log eta rows, and per variable the constant
+        # longitude: log eta rows, and per variable the constant
         # prefactor exponent and (e * a_v, j) per factor holding v
         lon = spec.longitude
         eta_factors = []
@@ -313,8 +306,7 @@ class ParamPoint(RecordBase):
     a continued log(1 - m): the one record of the monomials that every
     evaluator reads. No tracked m lies within _ONE_TOL of 1, so every
     log(1 - m) is a finite complex number and no evaluator checks for
-    m = 1 itself. The alternate longitude's factors are not tracked:
-    eval_eta evaluates them from values.
+    m = 1 itself.
 
     li2_values, the principal Li2 of each distinct dilog argument, is
     computed on its first read and then kept on the point. It is not
@@ -363,9 +355,7 @@ def builtin_five_two() -> PotentialSpec:
     V = -Li2(1/(y xi)) + Li2(y/xi) - Li2(y/x) + Li2(xi/x) + Li2(x/xi)
         + log xi * log(x^2 / (y^2 xi^6)) - pi^2/6,
 
-    with longitude eigenvalue eta = (y xi^6 / x)(1 - 1/(y xi)), equal
-    on the deformation space to
-    (y xi^6 / x)(1 - xi/x) / ((1 - x/xi)(1 - y/xi)).
+    with longitude eigenvalue eta = (y xi^6 / x)(1 - 1/(y xi)).
     """
     m = Monomial.from_dict
     dilogs = (
@@ -380,17 +370,9 @@ def builtin_five_two() -> PotentialSpec:
         QuadLogTerm(Fraction(-2), "xi", "y"),
         QuadLogTerm(Fraction(-6), "xi", "xi"),
     )
-    longitude = LongitudeSpec(
+    longitude = LongitudeExpr(
         prefactor=m({"x": -1, "y": 1, "xi": 6}),
         factors=((1, m({"y": -1, "xi": -1})),),
-        alternate=LongitudeExpr(
-            prefactor=m({"x": -1, "y": 1, "xi": 6}),
-            factors=(
-                (1, m({"xi": 1, "x": -1})),
-                (-1, m({"x": 1, "xi": -1})),
-                (-1, m({"y": 1, "xi": -1})),
-            ),
-        ),
     )
     return PotentialSpec(
         name="5_2",
@@ -484,21 +466,20 @@ def _parse_rational(obj, where) -> Fraction:
     return Fraction(num, den)
 
 
-def _parse_longitude_expr(obj, variables, where, allow_alternate):
-    fields = {"prefactor", "factors"} | ({"alternate"} if allow_alternate else set())
-    _check_fields(obj, fields, where)
+def _parse_longitude(obj, variables) -> LongitudeExpr:
+    _check_fields(obj, {"prefactor", "factors"}, "longitude")
     if "prefactor" not in obj or "factors" not in obj:
-        raise ValidationError("%s: needs prefactor and factors" % where)
-    prefactor = _parse_monomial(obj["prefactor"], variables, where + ".prefactor")
+        raise ValidationError("longitude: needs prefactor and factors")
+    prefactor = _parse_monomial(obj["prefactor"], variables, "longitude.prefactor")
     factors = []
-    for i, f in enumerate(_check_list(obj["factors"], where + ".factors")):
-        fw = "%s.factors[%d]" % (where, i)
+    for i, f in enumerate(_check_list(obj["factors"], "longitude.factors")):
+        fw = "longitude.factors[%d]" % i
         _check_fields(f, {"exp", "arg"}, fw)
         if not _is_int(f.get("exp")):
             raise ValidationError(fw + ": exp must be an integer")
         _check_float_range(f["exp"], fw + ": exp")
         factors.append((f["exp"], _parse_arg(f, variables, fw)))
-    return prefactor, tuple(factors)
+    return LongitudeExpr(prefactor, tuple(factors))
 
 
 def load_spec(source) -> PotentialSpec:
@@ -506,11 +487,7 @@ def load_spec(source) -> PotentialSpec:
 
     Accepts a str, bytes, or a readable file object. Unknown fields
     are rejected so typos fail loudly rather than silently changing
-    the potential. The longitude may carry an optional "alternate": a
-    second closed form of eta, equal to the primary on the deformation
-    space. The solvers use only the primary; `knotpot complete` prints
-    the alternate as eta_alternate beside eta, so the two forms can be
-    compared. Raises SpecFormatError for bytes that are not UTF-8
+    the potential. Raises SpecFormatError for bytes that are not UTF-8
     and text that is not JSON, and ValidationError for a document that
     does not follow the format: among them an integer or a product of
     exponents beyond float range, a dilog term or longitude factor
@@ -575,22 +552,13 @@ def load_spec(source) -> PotentialSpec:
 
     constant = _parse_rational(doc["constant_pi2"], "constant_pi2")
 
-    lon = doc["longitude"]
-    pre, factors = _parse_longitude_expr(lon, variables, "longitude", True)
-    alternate = None
-    if "alternate" in lon:
-        apre, afac = _parse_longitude_expr(
-            lon["alternate"], variables, "longitude.alternate", False
-        )
-        alternate = LongitudeExpr(apre, afac)
-
     spec = PotentialSpec(
         name=doc["name"],
         variables=tuple(variables),
         dilog_terms=tuple(dilog_terms),
         quad_terms=tuple(quad_terms),
         constant_pi2=constant,
-        longitude=LongitudeSpec(pre, factors, alternate),
+        longitude=_parse_longitude(doc["longitude"], variables),
     )
     # lowered here, so a product of exponents beyond float range or a
     # non-integer residual exponent is refused where the document is read
@@ -606,19 +574,7 @@ def _mono_doc(m: Monomial, variables):
 def dump_spec(spec: PotentialSpec) -> str:
     """Serialize a spec to the document format; load_spec round-trips it."""
     variables = spec.variables
-
-    def expr_doc(expr):
-        d = {
-            "prefactor": _mono_doc(expr.prefactor, variables),
-            "factors": [
-                {"exp": e, "arg": _mono_doc(m, variables)} for e, m in expr.factors
-            ],
-        }
-        return d
-
-    lon = expr_doc(spec.longitude)
-    if spec.longitude.alternate is not None:
-        lon["alternate"] = expr_doc(spec.longitude.alternate)
+    lon = spec.longitude
     doc = {
         "name": spec.name,
         "variables": list(variables),
@@ -634,7 +590,12 @@ def dump_spec(spec: PotentialSpec) -> str:
             for t in spec.quad_terms
         ],
         "constant_pi2": [spec.constant_pi2.numerator, spec.constant_pi2.denominator],
-        "longitude": lon,
+        "longitude": {
+            "prefactor": _mono_doc(lon.prefactor, variables),
+            "factors": [
+                {"exp": e, "arg": _mono_doc(m, variables)} for e, m in lon.factors
+            ],
+        },
         "meridian": spec.meridian,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -806,7 +767,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
     power raise it too: such a step also went too far. A log whose exp
     underflows to 0 raises SingularPointError, as make_point does for
     a zero variable, and so does a tracked monomial m, dilog argument
-    or primary longitude factor, within _ONE_TOL of 1: this is the one
+    or longitude factor, within _ONE_TOL of 1: this is the one
     place a point's monomials are judged, so the evaluators need no
     guards of their own. 1 - m has imaginary part 0.0 - m.imag, never
     -0.0, so a negative real 1 - m logs to +pi i, never to -pi i.
@@ -1067,24 +1028,19 @@ def eval_longitude_expr(expr: LongitudeExpr, values: dict) -> complex:
 
 
 def eval_eta(spec: PotentialSpec, pt: ParamPoint):
-    """(primary, alternate) values of the longitude eigenvalue.
+    """(eta, None): the longitude eigenvalue at pt, evaluated rationally.
 
-    The alternate slot is None when the spec declares no alternate
-    expression or when the alternate is singular at pt (0/0 corner);
-    the primary must be evaluable or the point is rejected.
+    The second slot, where a spec's alternate form of eta was once
+    evaluated, is always None. It stays while perfbench reads
+    eval_eta(...)[0], and goes when that reader changes with it.
+    Raises SingularPointError where the longitude has no finite value
+    at pt.
     """
-    primary = eval_longitude_expr(spec.longitude, pt.values)
-    alternate = None
-    if spec.longitude.alternate is not None:
-        try:
-            alternate = eval_longitude_expr(spec.longitude.alternate, pt.values)
-        except SingularPointError:
-            alternate = None
-    return primary, alternate
+    return eval_longitude_expr(spec.longitude, pt.values), None
 
 
 def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
-    """Continued log of the longitude eigenvalue (primary expression).
+    """Continued log of the longitude eigenvalue.
 
     Built as a sum of the stored continued logs, so it is continuous
     along any path the point was continued over and equals 0 at a

@@ -218,18 +218,15 @@ def test_complete_with_other_variables_matches_builtin(capsys, tmp_path, kind):
     _assert_same_doc(got, want, names)
 
 
-def test_complete_without_alternate_longitude(capsys, tmp_path):
-    # the alternate form of eta is optional: without it complete prints
-    # no eta_alternate line and every other line as before
+def test_spec_with_an_alternate_longitude_exits_usage(capsys, tmp_path):
+    # the second closed form of eta that spec documents once carried is
+    # an unknown field now, refused before anything is solved
     doc = json.loads(dump_spec(builtin_five_two()))
-    del doc["longitude"]["alternate"]
-    path = tmp_path / "no_alternate.json"
+    doc["longitude"]["alternate"] = dict(doc["longitude"])
+    path = tmp_path / "alternate.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "--spec", str(path), "complete")
-    assert (code, err) == (0, "")
-    want = run(capsys, "complete")[1].splitlines()
-    kept = [ln for ln in want if not ln.startswith("eta_alternate = ")]
-    assert (len(kept), kept) == (len(want) - 1, out.splitlines())
+    assert (code, out, err) == (1, "", "error: longitude: unknown field(s) ['alternate']\n")
 
 
 @pytest.mark.parametrize(
@@ -243,11 +240,6 @@ def test_complete_without_alternate_longitude(capsys, tmp_path):
         (("longitude", "prefactor", "xi"), "longitude.prefactor: exponent of 'xi'"),
         (("longitude", "factors", 0, "exp"), "longitude.factors[0]: exp"),
         (("longitude", "factors", 0, "arg", "y"), "longitude.factors[0]: exponent of 'y'"),
-        (
-            ("longitude", "alternate", "prefactor", "xi"),
-            "longitude.alternate.prefactor: exponent of 'xi'",
-        ),
-        (("longitude", "alternate", "factors", 0, "exp"), "longitude.alternate.factors[0]: exp"),
     ],
 )
 def test_spec_integer_beyond_float_range_exits_usage(capsys, tmp_path, path, field):
@@ -307,29 +299,14 @@ def test_spec_exponent_product_beyond_float_range_exits_usage(
         assert (code, out, err) == (1, "", "error: %s\n" % msg)
 
 
-def _overflowing_longitude(tmp_path, alternate=False):
-    # the built-in with (1 - m)^10000 for the first factor of the
-    # primary or alternate longitude, which overflows at the complete
-    # structure
+def test_overflowing_primary_longitude_fails_complete(capsys, tmp_path):
+    # the built-in with (1 - m)^10000 for the longitude's first factor,
+    # which overflows at the complete structure
     doc = json.loads(dump_spec(builtin_five_two()))
-    lon = doc["longitude"]
-    (lon["alternate"] if alternate else lon)["factors"][0]["exp"] = 10**4
+    doc["longitude"]["factors"][0]["exp"] = 10**4
     path = tmp_path / "power.json"
     path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def test_overflowing_alternate_longitude_prints_no_line(capsys, tmp_path):
-    # as at a 0/0 corner, the alternate has no value there
-    path = _overflowing_longitude(tmp_path, alternate=True)
-    code, out, err = run(capsys, "--spec", path, "complete")
-    want = run(capsys, "complete")[1].splitlines()
-    kept = [ln for ln in want if not ln.startswith("eta_alternate = ")]
-    assert (code, err, out.splitlines()) == (0, "", kept)
-
-
-def test_overflowing_primary_longitude_fails_complete(capsys, tmp_path):
-    code, out, err = run(capsys, "--spec", _overflowing_longitude(tmp_path), "complete")
+    code, out, err = run(capsys, "--spec", str(path), "complete")
     assert (code, out) == (2, "")
     assert err == "error: longitude overflow (complex exponentiation)\n"
 
@@ -353,13 +330,12 @@ def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
         (("dilog_terms", 0), {}),
         (("dilog_terms", 0), {"x": 0}),
         (("longitude", "factors", 0), None),
-        (("longitude", "alternate", "factors", 0), {}),
     ],
-    ids=["dilog_missing", "dilog_empty", "dilog_zero", "primary_missing", "alternate_empty"],
+    ids=["dilog_missing", "dilog_empty", "dilog_zero", "primary_missing"],
 )
 def test_spec_with_constant_arg_exits_usage(capsys, tmp_path, path, arg):
     # refused where the spec is read, not as seeds that did not
-    # converge, a possibly exceptional slope or an eta_alternate of 0
+    # converge or a possibly exceptional slope
     doc = json.loads(dump_spec(builtin_five_two()))
     node = doc
     for key in path:

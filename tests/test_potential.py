@@ -23,8 +23,8 @@ from knotpot.errors import (
     ValidationError,
 )
 from knotpot.potential import (
+    DilogTerm,
     LongitudeExpr,
-    LongitudeSpec,
     Monomial,
     ParamPoint,
     advance_point_logs,
@@ -100,7 +100,7 @@ def test_builtin_shape(spec):
     assert spec.meridian == "xi"
     assert dict(spec.longitude.prefactor.exponents) == {"x": -1, "y": 1, "xi": 6}
     assert [t.sign for t in spec.dilog_terms] == [-1, 1, -1, 1, 1]
-    assert spec.longitude.alternate is not None
+    assert spec.longitude.factors == ((1, Monomial.from_dict({"y": -1, "xi": -1})),)
 
 
 def test_builtin_quad_terms(spec):
@@ -182,7 +182,6 @@ def test_load_spec_rejects_bad_rationals(spec):
         (("dilog_terms", 0, "arg", "y"), "exponent"),
         (("longitude", "prefactor", "xi"), "exponent"),
         (("longitude", "factors", 0, "exp"), "exp"),
-        (("longitude", "alternate", "factors", 0, "exp"), "exp"),
     ],
 )
 def test_load_spec_rejects_booleans_and_floats_for_integers(spec, path, match):
@@ -240,8 +239,9 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
     [
         (lambda d: d["longitude"].pop("prefactor"), "longitude: needs prefactor and factors"),
         (
-            lambda d: d["longitude"]["alternate"].pop("factors"),
-            "longitude.alternate: needs prefactor and factors",
+            # the second form of eta that documents once carried
+            lambda d: d["longitude"].update(alternate=dict(d["longitude"])),
+            "longitude: unknown field(s) ['alternate']",
         ),
         (lambda d: d.update(variables=["x", "x", "xi"]), "variables: names must be distinct"),
         (
@@ -252,7 +252,7 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
     ],
     ids=[
         "no_prefactor",
-        "no_alternate_factors",
+        "alternate_refused",
         "repeated_variable",
         "arg_not_a_map",
         "vars_not_a_pair",
@@ -268,8 +268,7 @@ def test_load_spec_names_the_faulty_field(spec, edit, message):
 
 @pytest.mark.parametrize(
     "path",
-    [("dilog_terms",), ("quad_terms",), ("longitude", "factors"),
-     ("longitude", "alternate", "factors")],
+    [("dilog_terms",), ("quad_terms",), ("longitude", "factors")],
 )
 def test_load_spec_rejects_term_lists_that_are_not_lists(spec, path):
     for bad in (None, 3, 1.5, True):
@@ -531,31 +530,9 @@ def test_eval_longitude_display_point(spec):
 
 
 def test_eta_is_one_at_complete(spec, complete):
-    primary, alternate = eval_eta(spec, complete.point)
-    assert abs(primary - 1) < 1e-10
-    assert alternate is not None
-    assert abs(alternate - 1) < 1e-10
-
-
-def test_eta_forms_agree_on_deformation_samples(spec, complete):
-    samples = trace_deformation(spec, 0.12j, 6, complete=complete)
-    for smp in samples:
-        primary, alternate = eval_eta(spec, smp.point)
-        assert alternate is not None
-        assert abs(primary - alternate) < 1e-9
-
-
-def test_singular_alternate_leaves_its_slot_empty(spec):
-    # an alternate factor (1 - x)^-1 at x = 1 divides by zero (0j ** -1
-    # would raise ZeroDivisionError): the expression is refused as
-    # singular, and eval_eta returns the primary alone
-    doc = json.loads(dump_spec(spec))
-    doc["longitude"]["alternate"]["factors"].append({"exp": -1, "arg": {"x": 1}})
-    odd = load_spec(json.dumps(doc))
-    pt = make_point(odd, {"x": 1.0, "y": 0.5 + 0.5j, "xi": 1.2 + 0.3j})
-    with pytest.raises(SingularPointError, match=r"1 - x\^1 = 0 in denominator"):
-        eval_longitude_expr(odd.longitude.alternate, pt.values)
-    assert eval_eta(odd, pt) == (eval_longitude_expr(odd.longitude, pt.values), None)
+    eta, empty = eval_eta(spec, complete.point)
+    assert abs(eta - 1) < 1e-10
+    assert empty is None
 
 
 # -------------------------------------------------------------- shapes
@@ -817,7 +794,7 @@ def _variant_specs(spec):
 
     Beside a reordered and a renamed copy: one tracked monomial shared
     by three dilog terms; quad terms in swapped and diagonal slots; a
-    primary longitude factor that is no dilog argument.
+    longitude factor that is no dilog argument.
     """
     doc = _doc(spec)
     doc["variables"] = ["y", "x", "xi"]
@@ -1067,14 +1044,9 @@ _FIVE_TWO_REPR = (
     "quad_terms=(QuadLogTerm(coeff=Fraction(2, 1), var_a='xi', var_b='x'), "
     "QuadLogTerm(coeff=Fraction(-2, 1), var_a='xi', var_b='y'), "
     "QuadLogTerm(coeff=Fraction(-6, 1), var_a='xi', var_b='xi')), "
-    "constant_pi2=Fraction(-1, 6), longitude=LongitudeSpec("
+    "constant_pi2=Fraction(-1, 6), longitude=LongitudeExpr("
     "prefactor=Monomial(exponents=(('x', -1), ('xi', 6), ('y', 1))), "
-    "factors=((1, Monomial(exponents=(('xi', -1), ('y', -1)))),), "
-    "alternate=LongitudeExpr("
-    "prefactor=Monomial(exponents=(('x', -1), ('xi', 6), ('y', 1))), "
-    "factors=((1, Monomial(exponents=(('x', -1), ('xi', 1)))), "
-    "(-1, Monomial(exponents=(('x', 1), ('xi', -1)))), "
-    "(-1, Monomial(exponents=(('xi', -1), ('y', 1))))))))"
+    "factors=((1, Monomial(exponents=(('xi', -1), ('y', -1)))),)))"
 )
 
 
@@ -1094,13 +1066,9 @@ def test_record_contract(spec, complete):
     m = Monomial.from_dict({"x": 1, "xi": -1})
     index = {m: "x/xi"}
     assert index[Monomial.from_dict({"xi": -1, "x": 1})] == "x/xi"
-    lon = spec.longitude
-    assert LongitudeSpec(lon.prefactor, lon.factors) != LongitudeExpr(
-        lon.prefactor, lon.factors
-    )
-    assert LongitudeSpec(lon.prefactor, lon.factors) == LongitudeSpec(
-        lon.prefactor, lon.factors, None
-    )
+    # equal fields make equal records only within one class
+    assert DilogTerm(1, m) != LongitudeExpr(1, m)
+    assert DilogTerm(1, m) == DilogTerm(sign=1, argument=m)
     assert ContinuedLog(1j) == ContinuedLog(1j, 0) != ContinuedLog(1j, 1)
 
     # a record holding a point hashes through the point's values dict,
@@ -1125,7 +1093,7 @@ def test_record_contract(spec, complete):
             if "_fields" in vars(cls):
                 records.append(cls)
     declared = [
-        (potential, "Monomial DilogTerm QuadLogTerm LongitudeExpr LongitudeSpec"),
+        (potential, "Monomial DilogTerm QuadLogTerm LongitudeExpr"),
         (potential, "PotentialSpec ParamPoint Shapes"),
         (dilog, "ContinuedLog"),
         (solver, "Slope CriticalPoint FillingSolution DeformationSample"),
@@ -1135,7 +1103,6 @@ def test_record_contract(spec, complete):
     assert set(records) == {getattr(m, n) for m, names in declared for n in names.split()}
     assert {cls.__qualname__: cls._defaults for cls in records if cls._defaults} == {
         "ContinuedLog": {"winding": 0},
-        "LongitudeSpec": {"alternate": None},
         "Record": {"table": None, "columns": (), "rows": ()},
     }
     for cls in records:

@@ -109,9 +109,7 @@ def _skeleton(n):
         ),
         "quad_terms": st.lists(quad, max_size=4),
         "constant_pi2": _rationals(),
-        "longitude": st.tuples(expr, st.none() | expr).map(
-            lambda t: t[0] if t[1] is None else dict(t[0], alternate=t[1])
-        ),
+        "longitude": expr,
     })
 
 

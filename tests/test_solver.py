@@ -279,8 +279,7 @@ def _x_inverted(spec):
     doc = json.loads(dump_spec(spec))
     lon = doc["longitude"]
     monomials = [t["arg"] for t in doc["dilog_terms"]]
-    for expr in (lon, lon["alternate"]):
-        monomials += [expr["prefactor"]] + [f["arg"] for f in expr["factors"]]
+    monomials += [lon["prefactor"]] + [f["arg"] for f in lon["factors"]]
     for m in monomials:
         if "x" in m:
             m["x"] = -m["x"]
@@ -304,35 +303,6 @@ def _scan_8x3(spec, complete):
                 else:
                     out[p, q] = eval_v_alpha(spec, slope, pt).imag
     return out
-
-
-def _fillings(spec, complete, slopes):
-    """Per slope the filling's u, v, counts and point values, or its error."""
-    out = {}
-    for p, q in slopes:
-        try:
-            sol = solve_filling(spec, normalize_slope(p, q), complete=complete)
-        except KnotpotError as e:
-            out[p, q] = repr(e)
-        else:
-            out[p, q] = (sol.u.value, sol.v.value, sol.critical.newton_iters,
-                         sol.path_steps, sol.critical.point.values)
-    return out
-
-
-def test_alternate_only_factor_changes_no_filling(spec, complete):
-    # eval_eta evaluates the alternate longitude from the variable
-    # values, so a factor that only it has is not tracked: no point
-    # build continues its log or halves a Newton step on a jump of it.
-    # Tracked, this one (exactly 1) moved 17 slopes, -28/1 to -12/1.
-    doc = json.loads(dump_spec(spec))
-    doc["longitude"]["alternate"]["factors"].append({"exp": 0, "arg": {"x": 3}})
-    variant = load_spec(json.dumps(doc))
-    assert len(variant.tables.monomials) == len(spec.tables.monomials) == 5
-    slopes = [(p, q) for q in range(1, 9) for p in range(-40, 41) if math.gcd(p, q) == 1]
-    assert len(slopes) == 415
-    want = _fillings(spec, complete, slopes)
-    assert _fillings(variant, solve_complete(variant), slopes) == want
 
 
 def test_complete_structure_has_principal_logs(spec, complete):
