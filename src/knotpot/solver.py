@@ -40,6 +40,7 @@ from .potential import (
     _check_float_range,
     _compile,
     _solve_source,
+    _tracked,
     advance_point_logs,
     eta_log,
     eval_v_alpha,
@@ -75,6 +76,9 @@ _FLAT_TOL = 1e-4
 # tighter; a larger gap means a dilog argument crossed its cut on the
 # way, i.e. the path left the geometric branch
 _BRANCH_TOL = 1e-6
+
+# normalize_slope's refusal of q = 0, which solve_filling repeats
+_MERIDIAN_MSG = "slope with q = 0 (meridian) is not a filling"
 
 
 class Slope(RecordBase):
@@ -127,7 +131,7 @@ def _check_newton_tol(newton_tol) -> None:
 def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     """Lowest-terms slope with q >= 1 and the canonical cocycle."""
     if q_raw == 0:
-        raise ZeroDenominatorError("slope with q = 0 (meridian) is not a filling")
+        raise ZeroDenominatorError(_MERIDIAN_MSG)
     g = math.gcd(p_raw, q_raw)
     p, q = p_raw // g, q_raw // g
     if q < 0:
@@ -343,8 +347,9 @@ def trace_deformation(
     partial trace. A fiber solve that cycles without converging (see
     _newton) counts as a failed solve and halves the step. Emits
     one DeformationSample per target. A newton_tol as solve_complete
-    refuses, a non-finite u_end, or samples < 1 or above _MAX_SAMPLES
-    raises ValidationError before anything is solved.
+    refuses, a non-finite u_end, samples < 1 or above _MAX_SAMPLES, or
+    a complete whose point belongs to a spec not equal to spec raises
+    ValidationError before anything is solved.
     """
     _check_newton_tol(newton_tol)
     u_end = complex(u_end)
@@ -356,6 +361,8 @@ def trace_deformation(
         raise ValidationError("samples must be at most 10**6, got %d" % samples)
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
+    else:
+        _tracked(spec, complete.point)  # refuses a point of another spec
     pt = complete.point
     out = []
     t = 0.0
@@ -447,16 +454,25 @@ def solve_filling(
     the solution's filling_tol); its D-sum is
     >= _FLAT_TOL, and Im V_alpha is within max(_BRANCH_TOL, newton_tol)
     of the D-sum; otherwise it raises PathObstructionError: the slope is
-    possibly exceptional. A newton_tol as solve_complete refuses, or a
-    slope whose 2p or 2q is beyond float range (the filling row of the
-    Jacobian holds both), raises ValidationError.
+    possibly exceptional. Raises ValidationError before anything is
+    solved on: a newton_tol as solve_complete refuses; a slope with
+    q < 0 or gcd(p, q) != 1, or q = 0 (ZeroDenominatorError, as
+    normalize_slope), its r and s unchecked; a slope whose 2p or 2q is
+    beyond float range (the filling row of the Jacobian holds both); or
+    a complete whose point belongs to a spec not equal to spec.
     """
     _check_newton_tol(newton_tol)
     p, q = slope.p, slope.q
+    if q == 0:
+        raise ZeroDenominatorError(_MERIDIAN_MSG)
+    if q < 0 or math.gcd(p, q) != 1:
+        raise ValidationError("slope %s is not in lowest terms with q >= 1" % slope)
     _check_float_range(2 * p, "slope p and q")
     _check_float_range(2 * q, "slope p and q")
     if complete is None:
         complete = solve_complete(spec, newton_tol=newton_tol)
+    else:
+        _tracked(spec, complete.point)  # refuses a point of another spec
     pt = complete.point
     t = 0.0
     dt = 0.25

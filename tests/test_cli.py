@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import _oracles as O
+import knotpot
 from knotpot import cli, selftest, solver
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import NoConvergenceError, ValidationError
@@ -613,13 +614,19 @@ def test_fill_accepts_a_large_slope(capsys, slope):
         assert doc["filling_tol"] == 1e-12
 
 
+def _knotpot_env():
+    # a child process imports the knotpot this run imported, whether
+    # that is the checkout's src/ or an installed copy
+    site = os.path.dirname(os.path.dirname(knotpot.__file__))
+    return dict(os.environ, PYTHONPATH=site)
+
+
 def test_fill_with_a_short_core_geodesic_writes_no_warning():
     # a fresh process, so stderr is what a user sees: the core of
     # 1000000/1 is about 1.9e-11 long, short but not degenerate
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "knotpot.cli", "fill", "--slope=1000000/1"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, env=_knotpot_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "volume = 2.82812208830138\n" in proc.stdout
@@ -962,11 +969,9 @@ def test_newton_tol_is_capped(capsys):
 
 
 def _fresh_process(code, *args):
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_knotpot_env(), check=True,
     )
     return proc.stdout
 

@@ -41,11 +41,13 @@ from knotpot.potential import (
     signed_d_sum,
 )
 from knotpot.solver import (
+    Slope,
     normalize_slope,
     solve_complete,
     solve_filling,
     trace_deformation,
 )
+from test_invariants import VOLUME_TABLE
 from test_potential import (
     naive_d_eta_log,
     naive_eta_log,
@@ -789,6 +791,56 @@ def test_filling_runs_a_slope_near_the_float_limit(spec, complete):
     sol = solve_filling(spec, normalize_slope(10**300, 1), complete=complete)
     assert abs(sol.critical.point.values["x"] - complete.point.values["x"]) < 1e-9
     assert abs(signed_d_sum(spec, sol.critical.point) - O.COMPLETE_VOLUME) <= 1e-14
+
+
+def _refuse_newton(monkeypatch):
+    def fail(*args):
+        raise AssertionError("solver._newton entered")
+
+    monkeypatch.setattr(solver, "_newton", fail)
+
+
+@pytest.mark.parametrize(
+    "slope, error, msg",
+    [
+        (Slope(1, 0, 0, 0), ZeroDenominatorError,
+         "slope with q = 0 (meridian) is not a filling"),
+        (Slope(14, 2, -1, 0), ValidationError, "slope 14/2 is not in lowest terms with q >= 1"),
+        (Slope(-7, -1, 1, 0), ValidationError, "slope -7/-1 is not in lowest terms with q >= 1"),
+    ],
+    ids=["meridian", "not-lowest-terms", "negative-q"],
+)
+def test_filling_refuses_a_slope_that_is_not_normalized(
+    spec, complete, monkeypatch, slope, error, msg
+):
+    # the filling equation and V_alpha read p and q as a normalized
+    # slope's; r and s are left free, for the shifted cocycles
+    _refuse_newton(monkeypatch)
+    with pytest.raises(error) as ei:
+        solve_filling(spec, slope, complete=complete)
+    assert str(ei.value) == msg
+
+
+def test_solves_refuse_a_complete_of_another_spec(spec, complete, monkeypatch):
+    # the 5_2 potential with x renamed: its points are not the
+    # built-in's, and the error says so rather than blaming the path
+    renamed = load_spec(dump_spec(spec).replace('"x"', '"a"'))
+    _refuse_newton(monkeypatch)
+    msg = "^point belongs to a spec other than '5_2'$"
+    with pytest.raises(ValidationError, match=msg):
+        solve_filling(renamed, normalize_slope(7, 1), complete=complete)
+    with pytest.raises(ValidationError, match=msg):
+        trace_deformation(renamed, 0.1j, 4, complete=complete)
+
+
+def test_solves_take_a_complete_of_an_equal_spec(spec, complete):
+    equal = load_spec(dump_spec(spec))
+    assert equal is not spec
+    sol = solve_filling(equal, normalize_slope(7, 1), complete=complete)
+    assert abs(signed_d_sum(equal, sol.critical.point) - VOLUME_TABLE[7, 1]) < 1e-9
+    got = trace_deformation(equal, 0.1j, 4, complete=complete)
+    want = trace_deformation(spec, 0.1j, 4, complete=complete)
+    assert [s.v for s in got] == [s.v for s in want]
 
 
 # the cusp shape dv/du at the complete structure, from the fiber tangent
