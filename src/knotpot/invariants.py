@@ -19,8 +19,6 @@ from .potential import (
     ParamPoint,
     PotentialSpec,
     Shapes,
-    _monomial_logs,
-    _tracked,
     eval_v_alpha,
     log_gradient,
     signed_d_sum,
@@ -87,21 +85,15 @@ def rogers_combo(spec: PotentialSpec, pt: ParamPoint) -> complex:
     Each term is Li2(m) + log(m) log(1 - m) / 2 with the principal Li2
     the point stores (ParamPoint.li2_values) and its continued logs:
     log(1 - m) as tracked, log m from the continued variable logs
-    (potential._monomial_logs). Where both logs are principal the term
+    (the monomial_logs kernel). Where both logs are principal the term
     is the Rogers dilogarithm dilog.rogers_r(m), bit for bit. Its
     defect against V + (u/2)(v/2), which takes the same principal Li2
     and continued logs, stays constant along continued paths: the
     tests check this on traces whose logs wind, and that it is exactly
-    0 up to rounding on the branch through the complete structure.
+    0 up to rounding on the branch through the complete structure. The
+    body is the spec's compiled rogers_combo kernel (potential.SpecTables).
     """
-    tab = spec.tables
-    one_minus = _tracked(spec, pt)[1]
-    li2s = pt.li2_values
-    log_m = _monomial_logs(spec, pt)
-    s = 0j
-    for sign, j in tab.dilogs:
-        s += sign * (li2s[j] + 0.5 * log_m[j] * one_minus[j])
-    return s + tab.constant
+    return spec.tables.rogers_combo(pt)
 
 
 def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):

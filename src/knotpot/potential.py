@@ -39,13 +39,17 @@ not depend on the lowering.
 The point build, the reduced residual, the log-gradient, the
 log-hessian, the fiber Newton step (the reduced residual, and where
 it is above the tolerance the step solved from the fiber block of the
-gradient and hessian) and the longitude (log eta, the summed size of
-its terms and its Jacobian row) are then compiled from those tables
-to straight-line Python, once per spec on first use (SpecTables,
-_compile_kernels): the one implementation of each. The text forms
-each sum in the order and grouping of the plain reading of the spec,
-so it gives that reading's results bit for bit; _compile is the
-package's one call of the built-in compile and exec.
+gradient and hessian), the longitude (log eta, the summed size of
+its terms and its Jacobian row), and the per-sample evaluators V,
+the signed D sum, the continued log of each monomial and the Rogers
+sum, are then compiled from those tables to straight-line Python,
+once per spec on first use (SpecTables, _compile_kernels): the one
+implementation of each. The text forms each sum in the order and
+grouping of the plain reading of the spec, and each integer power
+w ** e with |e| <= 100 by the multiplications and the division that
+CPython's complex ** int performs, starting from (1 + 0j) * w, so it
+gives that reading's results bit for bit; _compile is the package's
+one call of the built-in compile and exec.
 """
 
 import cmath
@@ -55,13 +59,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._records import RecordBase
-from .dilog import (
-    _TWO_PI,
-    _d_from_li2,
-    li2,
-    principal_log,
-)
+from .dilog import _TWO_PI, li2, principal_log
 from .errors import (
+    DomainError,
     SingularJacobianError,
     SingularPointError,
     SpecFormatError,
@@ -168,16 +168,18 @@ class SpecTables:
     does the arithmetic of the plain reading of the spec.
 
     The kernels, build_point(logmap, prev), reduced_residual(pt),
-    fiber_step(pt, tol), log_gradient(pt), log_hessian(pt) and
-    longitude(pt), are lowered a second time, to straight-line Python
-    in one source text compiled on the first use of any of them (see
+    fiber_step(pt, tol), log_gradient(pt), log_hessian(pt),
+    longitude(pt), eval_v(pt), signed_d_sum(pt), monomial_logs(pt) and
+    rogers_combo(pt), are lowered a second time, to straight-line Python,
+    one source text each, all compiled on the first use of any (see
     _compile_kernels); fiber_step's elimination is _solve_source's,
     the text solver._solve runs. The text writes out, per row and
     cell, the operations of the plain reading of the spec in its order
     and grouping, starting every sum from 0j (a sum of moduli from 0.0)
     and every product from 1 + 0j and keeping each factor of +-1, so
     every result is bit for bit that reading's: (1 + 0j) * w is not w
-    where a part of w is -0.0. Integer exponents appear in the text as
+    where a part of w is -0.0. Integer powers are written out as `**`
+    forms them, and integer exponents appear in the text as
     literals; every other constant, float and complex coefficients,
     variable names and monomials, is bound in the kernels' namespace
     under an identifier of the generator's own (a literal such as
@@ -659,7 +661,7 @@ def _solve_source(a: list, b: list):
         terms = "".join(" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n))
         src.append("x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
     xs = ", ".join("x%d" % c for c in range(n))
-    return "".join("\n    " + line for line in src), "[%s]" % xs
+    return _indented(src, "    "), "[%s]" % xs
 
 
 def _int(k: int) -> str:
@@ -667,77 +669,127 @@ def _int(k: int) -> str:
     return "(%d)" % k if k < 0 else "%d" % k
 
 
-def _continue(value: complex, prev: complex, m) -> complex:
-    # a log(1 - m) that moved a quarter turn or more from prev: the
-    # branch nearest prev, or StepTooLargeError where the step still
-    # jumps that far
-    prev_im = prev.imag
-    d = prev_im - value.imag
-    if not -_PI <= d <= _PI:
-        if not abs(d) < math.inf:
-            raise StepTooLargeError("log(1 - %s) is not finite" % m)
-        k = round(d / _TWO_PI)
-        value = complex(value.real, value.imag + _TWO_PI * k)
-    jump = abs(value.imag - prev_im)
-    if jump >= _MAX_JUMP:
-        raise StepTooLargeError("log continuation jump %.3f >= pi/2" % jump)
-    return value
+def _power(lines: dict, base: str, e: int, finite=False) -> str:
+    """The name of base ** e, its lines added to lines (name -> text).
+
+    Written out as `**` forms it (see _compile_kernels), each name's
+    line once, so a square or power already in lines is not formed
+    again; the power 1 of a base known finite has no overflow check.
+    """
+    if e == 0:
+        return "(1 + 0j)"
+    name = "%s_%s%d" % (base, "n" * (e < 0), abs(e))
+    if abs(e) > 100:
+        lines.setdefault(name, "%s = %s ** %s" % (name, base, _int(e)))
+        return name
+    squares = [base]
+    for k in range(1, abs(e).bit_length()):
+        squares.append("%s_s%d" % (base, k))
+        lines.setdefault(squares[k], "%s = %s * %s" % (squares[k], squares[k - 1], squares[k - 1]))
+    r = "(1 + 0j)" + "".join(" * " + sq for k, sq in enumerate(squares) if abs(e) >> k & 1)
+    text = "%s = %s" % (name, r if e > 0 else "(1 + 0j) / (%s)" % r)
+    if e != 1 or not finite:
+        text += "\nif _isinf(%s):\n    raise OverflowError('complex exponentiation')" % name
+    lines.setdefault(name, text)
+    return name
+
+
+def _indented(lines, indent: str) -> str:
+    # each line of each text on a line of its own, indented
+    return "".join("\n" + indent + line for text in lines for line in text.split("\n"))
 
 
 _KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_step", "log_gradient",
-                 "log_hessian", "longitude")
+                 "log_hessian", "longitude", "eval_v", "signed_d_sum",
+                 "monomial_logs", "rogers_combo")
 
-# The kernels' source, filled in per spec by _compile_kernels. Locals:
+# The kernels' sources, one text per kernel, filled in per spec and
+# compiled one at a time by _compile_kernels: the compiler's peak memory
+# is then the largest kernel's, not the sum of all ten. Locals:
 # l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
 # monomial j and its continued log(1 - m), q<j> that log at prev, r<i>
 # reduced residual row i and r the largest modulus of the rows, f<t> =
 # sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian cell
-# u <= v and a gradient entry, e<k> term k of log eta; fiber_step's
-# elimination names its own (_solve_source). Globals: _k<n> the spec's
-# constants, each bound once, and the helpers bound by _compile_kernels.
-_KERNELS = """\
+# u <= v and a gradient entry, e<k> term k of log eta, a<j> the Li2 of
+# dilog argument j, d<j> its D and p<j> the continued log m<j>; each
+# power and square is named after its base (_power), w<i>, u<j> = 1 - m<j>
+# or v<i> = values of variable i, and fiber_step's elimination names its
+# own (_solve_source). Globals: _k<n> the spec's constants, each bound
+# once, and the helpers bound by _compile_kernels.
+_KERNELS = (
+    """\
 def build_point(logmap, prev):
     try:{variables}{monomials}
-    except OverflowError as e:
+    except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('exp overflow (%s)' % e) from e
     if prev is not None:
         ({qs}) = prev.tracked_logs{logs}
     return _ParamPoint(_spec, {{{values}}}, {{{vlogs}}}, ({ms}), ({ts}))
-
+""",
+    """\
 def reduced_residual(pt):
     ({ms}) = pt.tracked_values
     values = pt.values
-    try:
+    try:{powers}
         return ({residuals})
-    except OverflowError as e:
+    except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
-
+""",
+    """\
 def fiber_step(pt, tol):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     values = pt.values
-    try:
+    try:{powers}
         ({rs}) = ({residuals})
-    except OverflowError as e:
+    except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e{norm}
     if not r > tol:
         return r, None
     logs = pt.logs{fiber_h}{fiber_g}{fiber_x[0]}
     return r, {fiber_x[1]}
-
+""",
+    """\
 def log_gradient(pt):
     ({ts}) = _tracked(_spec, pt)[1]
     logs = pt.logs{grad}
     return {grad_row}
-
+""",
+    """\
 def log_hessian(pt):
     ({ms}) = _tracked(_spec, pt)[0]{hess}
     return {hess_rows}
-
+""",
+    """\
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     logs = pt.logs{eta_terms}
     return 0j{eta_sum}, 0.0{eta_size}, [{d_eta}]
-"""
+""",
+    """\
+def eval_v(pt):
+    _tracked(_spec, pt)
+    ({as_}) = pt.li2_values
+    logs = pt.logs
+    return 0j{v_terms} + {constant}
+""",
+    """\
+def signed_d_sum(pt):
+    ({ms}) = _tracked(_spec, pt)[0]
+    ({as_}) = pt.li2_values{ds}
+    return sum(({d_terms}))
+""",
+    """\
+def monomial_logs(pt):
+    ({ms}) = _tracked(_spec, pt)[0]{mlogs}
+    return [{ps}]
+""",
+    """\
+def rogers_combo(pt):
+    ({ms}), ({ts}) = _tracked(_spec, pt)
+    ({as_}) = pt.li2_values{mlogs}
+    return 0j{r_terms} + {constant}
+""",
+)
 _VARIABLE = """
         l{i} = logmap[{name}]
         if not _isfinite(l{i}):
@@ -745,13 +797,39 @@ _VARIABLE = """
         w{i} = _exp(l{i})
         if not w{i}:
             raise _Singular('variable %s = 0 (log pole)' % {name})"""
+# a log(1 - m) a quarter turn or more from prev takes the branch nearest
+# prev, or raises StepTooLargeError where the step still jumps that far
 _TRACKED_LOG = """
     u = 1 - m{j}
     if abs(u) < _ONE_TOL:
         raise _Singular('arg %s = 1' % {m})
     t{j} = _log(u)
-    if prev is not None and not -_MAX_JUMP < q{j}.imag - t{j}.imag < _MAX_JUMP:
-        t{j} = _continue(t{j}, q{j}, {m})"""
+    if prev is not None:
+        d = q{j}.imag - t{j}.imag
+        if not -_MAX_JUMP < d < _MAX_JUMP:
+            if not -_PI <= d <= _PI:
+                if not abs(d) < _inf:
+                    raise _StepTooLarge('log(1 - %s) is not finite' % {m})
+                t{j} = complex(t{j}.real, t{j}.imag + _TWO_PI * round(d / _TWO_PI))
+            d = abs(t{j}.imag - q{j}.imag)
+            if d >= _MAX_JUMP:
+                raise _StepTooLarge('log continuation jump %.3f >= pi/2' % d)"""
+# D of dilog argument j from its stored Li2, as dilog._d_from_li2 forms it
+_D = """
+    if m{j} == 0 or m{j} == 1:
+        raise _Domain('bloch_wigner_d singular at z = %r' % (m{j},))
+    d{j} = 0.0 if m{j}.imag == 0.0 else a{j}.imag + _mlog(abs(m{j})) * _phase(1.0 - m{j})"""
+# the principal log of m, as dilog.principal_log takes it, moved by the
+# winding k that brings it nearest s, the sum e log v over its factors
+_MONOMIAL_LOG = """
+    if m{j} == 0:
+        raise _Domain('log of zero')
+    p{j} = _log(m{j})
+    if p{j}.imag == -_PI and not m{j}.imag:
+        p{j} = complex(p{j}.real, _PI)
+    k = round((0j{s} - p{j}).imag / _TWO_PI)
+    if k:
+        p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
 
 
 def _compile_kernels(tab: SpecTables) -> dict:
@@ -764,7 +842,8 @@ def _compile_kernels(tab: SpecTables) -> dict:
     prev, and a jump of a quarter turn or more raises
     StepTooLargeError, meaning the caller moved too far in one step. A
     log that is not finite and an overflow of exp or of a monomial
-    power raise it too: such a step also went too far. A log whose exp
+    power raise it too, and so does a negative power of a value that
+    underflows to 0: such a step also went too far. A log whose exp
     underflows to 0 raises SingularPointError, as make_point does for
     a zero variable, and so does a tracked monomial m, dilog argument
     or longitude factor, within _ONE_TOL of 1: this is the one
@@ -774,7 +853,8 @@ def _compile_kernels(tab: SpecTables) -> dict:
 
     reduced_residual(pt) is, per row of tab.residual, the product of
     the (1 - m)^e of its left side minus that of the variable powers
-    of its right. log_gradient(pt) and log_hessian(pt) are fresh lists
+    of its right, a power that overflows or divides by 0 raising
+    StepTooLargeError. log_gradient(pt) and log_hessian(pt) are fresh lists
     of the rows of tab.gradient and the cells of tab.hessian_cells, a
     cell and its mirror one value. fiber_step(pt, tol) is one step of
     the fiber Newton. It takes r, the largest modulus of the reduced
@@ -788,17 +868,45 @@ def _compile_kernels(tab: SpecTables) -> dict:
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
     that order, and per variable its prefactor exponent minus
-    e a m / (1 - m) per row entry. Each constant is bound once, however
-    many kernels read it: by type and repr, so 2.0 is one name and a
-    -0.0 part keeps its own.
+    e a m / (1 - m) per row entry.
+
+    eval_v(pt), signed_d_sum(pt) and rogers_combo(pt) are the bodies
+    of potential.eval_v, potential.signed_d_sum and
+    invariants.rogers_combo, on the point's stored Li2 values.
+    monomial_logs(pt) is the list of the continued log m of each
+    tracked monomial m: principal_log(m) + 2 pi i k, with k the winding
+    that brings it nearest sum e log v over m's factors v^e, so it
+    winds as the variable logs do; rogers_combo holds its text. The
+    text writes out the D formula of dilog._d_from_li2 and the
+    principal log of dilog.principal_log, each with the DomainError it
+    raises, and signed_d_sum adds its terms with sum over a tuple, as
+    the plain reading adds them with sum.
+
+    Every integer power e with |e| <= 100 is written out (_power) as
+    CPython 3.11's complex ** int forms it (c_powi): (1 + 0j) times
+    the square of the base at the lowest set bit of |e|, that product
+    times the square at each higher set bit, the squares formed by
+    repeated squaring; for e < 0 then (1 + 0j) / r, which raises
+    ZeroDivisionError where r == 0; and OverflowError('complex
+    exponentiation') where the result has an infinite part. So each
+    power is `**`'s bit for bit and raises `**`'s error type, which the
+    kernels refuse as an overflow. The leading (1 + 0j) * stays: it is
+    not the identity on a -0.0 part, (1 + 0j) * (-0.0 - 1j) being -1j.
+    A larger |e| keeps `**`, which takes another algorithm there. Each
+    power and square is formed once per call, before the first row or
+    monomial that reads it, so the powers are taken in the order of the
+    plain reading. Each constant is bound once, however many kernels
+    read it: by type and repr, so 2.0 is one name and a -0.0 part keeps
+    its own.
     """
     spec = tab.spec
     ns = {
         "_spec": spec, "_tracked": _tracked, "_ParamPoint": ParamPoint,
         "_StepTooLarge": StepTooLargeError, "_Singular": SingularPointError,
-        "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_continue": _continue,
-        "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
-        "_SingularJacobian": SingularJacobianError,
+        "_Domain": DomainError, "_SingularJacobian": SingularJacobianError,
+        "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_isinf": cmath.isinf,
+        "_mlog": math.log, "_phase": cmath.phase, "_inf": math.inf,
+        "_PI": _PI, "_TWO_PI": _TWO_PI, "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
     }
 
     consts = {}
@@ -827,7 +935,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
             terms += "".join(" + " + const(c) for c in consts)
             lines.append("h%d_%d = 0j%s" % (iu, iv, terms))
         rows = [["h%d_%d" % (min(r, c), max(r, c)) for c in range(n)] for r in range(n)]
-        return "".join("\n    " + line for line in lines), rows
+        return _indented(lines, "    "), rows
 
     def gradient(n):
         # the lines and the names of the first n entries
@@ -836,12 +944,33 @@ def _compile_kernels(tab: SpecTables) -> dict:
             terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
             terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
             lines.append("g%d = 0j%s" % (i, terms))
-        return "".join("\n    " + line for line in lines), ["g%d" % i for i in range(n)]
+        return _indented(lines, "    "), ["g%d" % i for i in range(n)]
 
     def listed(names):
         # a list display of names, or of lists of names
         return "[%s]" % ", ".join(v if isinstance(v, str) else listed(v) for v in names)
 
+    # the monomials, and the residual rows, each power written out
+    # before the first that reads it: of a variable value w<i> (finite,
+    # as _exp gave it), a 1 - m<j> or a variable value
+    build = {}
+    for j, row in enumerate(tab.monomial_rows):
+        factors = "".join(" * " + _power(build, "w%d" % i, e, True) for i, e in row)
+        build["m%d" % j] = "m%d = (1 + 0j)%s" % (j, factors)
+    powers = {}
+
+    def power(base, load, e):
+        powers.setdefault(base, "%s = %s" % (base, load))
+        return _power(powers, base, e)
+
+    residuals = "".join(
+        "(1 + 0j)%s - (1 + 0j)%s, " % (
+            "".join(" * " + power("u%d" % j, "1 - m%d" % j, e) for e, j in lhs),
+            "".join(" * " + power("v%d" % spec.variables.index(v), "values[%s]" % names[v], e)
+                    for v, e in rhs),
+        )
+        for lhs, rhs in tab.residual
+    )
     # log eta's terms, in the order they are summed, and its row
     terms = ["%s * logs[%s]" % (_int(e), names[v]) for v, e in tab.eta_prefactor]
     terms += ["%s * t%d" % (_int(e), j) for e, j in tab.eta_factors]
@@ -849,6 +978,8 @@ def _compile_kernels(tab: SpecTables) -> dict:
         const(acc) + "".join(" - %s * m%d / (1 - m%d)" % (_int(ea), j, j) for ea, j in rows)
         for acc, rows in tab.d_eta
     ]
+    args = range(tab.dilog_arg_count)
+    mlogs = ["logs = pt.logs"] + ["l%d = logs[%s]" % ve for ve in enumerate(names.values())]
     n = len(names)
     # max(map(abs, rows)) written out; with no rows, max raises as over none
     norm = ["r = abs(r0)"] if n > 1 else ["r = max(())"]
@@ -856,29 +987,21 @@ def _compile_kernels(tab: SpecTables) -> dict:
         norm += ["size = abs(r%d)" % i, "if size > r:", "    r = size"]
     hess, grad = hessian(n), gradient(n)
     fiber_h, fiber_g = hessian(n - 1), gradient(n - 1)
-    source = _KERNELS.format(
+    fields = dict(
         variables="".join(
             _VARIABLE.format(i=i, name=name) for i, name in enumerate(names.values())
         ),
-        monomials="".join(
-            "\n        m%d = (1 + 0j)" % j + "".join(" * w%d ** %s" % (i, _int(e)) for i, e in row)
-            for j, row in enumerate(tab.monomial_rows)
-        ),
+        monomials=_indented(build.values(), " " * 8),
         logs="".join(_TRACKED_LOG.format(j=j, m=const(m)) for j, m in enumerate(tab.monomials)),
         values=", ".join("%s: w%d" % (n, i) for i, n in enumerate(names.values())),
         vlogs=", ".join("%s: l%d" % (n, i) for i, n in enumerate(names.values())),
         qs="".join("q%d, " % j for j in idx),
         ms="".join("m%d, " % j for j in idx),
         ts="".join("t%d, " % j for j in idx),
-        residuals="".join(
-            "(1 + 0j)%s - (1 + 0j)%s, " % (
-                "".join(" * (1 - m%d) ** %s" % (j, _int(e)) for e, j in lhs),
-                "".join(" * values[%s] ** %s" % (names[v], _int(e)) for v, e in rhs),
-            )
-            for lhs, rhs in tab.residual
-        ),
+        powers=_indented(powers.values(), " " * 8),
+        residuals=residuals,
         rs="".join("r%d, " % i for i in range(n - 1)),
-        norm="".join("\n    " + line for line in norm),
+        norm=_indented(norm, " " * 4),
         fiber_h=fiber_h[0],
         fiber_g=fiber_g[0],
         fiber_x=_solve_source(fiber_h[1], fiber_g[1]),
@@ -890,8 +1013,26 @@ def _compile_kernels(tab: SpecTables) -> dict:
         eta_sum="".join(" + e%d" % k for k in range(len(terms))),
         eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),
         d_eta=", ".join(d_eta),
+        as_="".join("a%d, " % j for j in args),
+        constant=const(tab.constant),
+        v_terms="".join(" + %s * a%d" % (_int(sign), j) for sign, j in tab.dilogs)
+        + "".join(
+            " + %s * logs[%s] * logs[%s]" % (const(c), names[a], names[b])
+            for c, a, b in tab.quads
+        ),
+        ds="".join(_D.format(j=j) for j in args),
+        d_terms="".join("%s * d%d, " % (_int(sign), j) for sign, j in tab.dilogs),
+        mlogs=_indented(mlogs, " " * 4) + "".join(
+            _MONOMIAL_LOG.format(j=j, s="".join(" + %s * l%d" % (_int(e), i) for i, e in row))
+            for j, row in enumerate(tab.monomial_rows)
+        ),
+        ps="".join("p%d, " % j for j in idx),
+        r_terms="".join(
+            " + %s * (a%d + 0.5 * p%d * t%d)" % (_int(sign), j, j, j) for sign, j in tab.dilogs
+        ),
     )
-    _compile(source, ns)
+    for kernel in _KERNELS:
+        _compile(kernel.format(**fields), ns)
     return {f: ns[f] for f in _KERNEL_NAMES}
 
 
@@ -907,27 +1048,6 @@ def _tracked(spec: PotentialSpec, pt: ParamPoint):
     if pt.spec is not spec and pt.spec != spec:
         raise ValidationError("point belongs to a spec other than %r" % spec.name)
     return pt.tracked_values, pt.tracked_logs
-
-
-def _monomial_logs(spec: PotentialSpec, pt: ParamPoint) -> list:
-    """The continued log m of each tracked monomial m of pt, in table order.
-
-    principal_log(m) + 2 pi i k, with k the winding that brings it
-    nearest sum e log v over m's factors v^e, the sum of the point's
-    continued variable logs; so it winds as they do, and where k = 0
-    it is principal_log(m) itself.
-    """
-    mvals = _tracked(spec, pt)[0]
-    logs = [pt.logs[v] for v in spec.variables]
-    out = []
-    for m, row in zip(mvals, spec.tables.monomial_rows):
-        p = principal_log(m)
-        s = 0j
-        for i, e in row:
-            s += e * logs[i]
-        k = round((s - p).imag / _TWO_PI)
-        out.append(complex(p.real, p.imag + _TWO_PI * k) if k else p)
-    return out
 
 
 def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
@@ -954,17 +1074,11 @@ def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
 
 
 def eval_v(spec: PotentialSpec, pt: ParamPoint) -> complex:
-    """V at pt: principal Li2 terms, continued-log quadratic part."""
-    tab = spec.tables
-    _tracked(spec, pt)  # refuses a point of another spec
-    li2s = pt.li2_values
-    logs = pt.logs
-    s = 0j
-    for sign, j in tab.dilogs:
-        s += sign * li2s[j]
-    for c, a, b in tab.quads:
-        s += c * logs[a] * logs[b]
-    return s + tab.constant
+    """V at pt: principal Li2 terms, continued-log quadratic part.
+
+    The body is the spec's compiled eval_v kernel (SpecTables).
+    """
+    return spec.tables.eval_v(pt)
 
 
 def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
@@ -981,11 +1095,10 @@ def eval_v_alpha(spec: PotentialSpec, slope, pt: ParamPoint) -> complex:
 def signed_d_sum(spec: PotentialSpec, pt: ParamPoint) -> float:
     """sum sign * D(m) over the dilog terms: the volume at a critical point.
 
-    Each D is formed from the point's stored Li2 (li2_values).
+    Each D is formed from the point's stored Li2 (li2_values), in the
+    spec's compiled signed_d_sum kernel (SpecTables).
     """
-    mvals = _tracked(spec, pt)[0]
-    li2s = pt.li2_values
-    return sum(sign * _d_from_li2(mvals[j], li2s[j]) for sign, j in spec.tables.dilogs)
+    return spec.tables.signed_d_sum(pt)
 
 
 def log_gradient(spec: PotentialSpec, pt: ParamPoint) -> list:

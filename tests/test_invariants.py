@@ -20,7 +20,6 @@ from knotpot.invariants import (
 )
 from knotpot.errors import ValidationError
 from knotpot.potential import (
-    _monomial_logs,
     dump_spec,
     eval_v,
     load_spec,
@@ -259,7 +258,7 @@ def _defect_and_size(spec, smp):
     uv = (smp.u / 2) * (smp.v / 2)
     defect = rogers_combo(spec, pt) - (eval_v(spec, pt) + uv)
     size = abs(tab.constant) * 2 + abs(uv)
-    log_m = _monomial_logs(spec, pt)
+    log_m = spec.tables.monomial_logs(pt)
     for _, j in tab.dilogs:
         # Li2(m) enters both rogers_combo and V
         size += 2 * abs(dilog.li2(pt.tracked_values[j]))
@@ -287,7 +286,7 @@ def test_rogers_defect_constant_where_logs_wind(spec, complete, u_end):
     windings = {
         ContinuedLog.from_value(lw).winding
         for smp in samples
-        for lw in _monomial_logs(spec, smp.point) + list(smp.point.tracked_logs)
+        for lw in spec.tables.monomial_logs(smp.point) + list(smp.point.tracked_logs)
     }
     assert windings != {0}
     # each defect is formed from its terms with a rounding error of a
@@ -307,7 +306,7 @@ def test_rogers_combo_is_the_rogers_sum_on_principal_branches(spec):
     on_principal = 0
     for pt in regular_points(spec, 40, seed=71):
         mvals = pt.tracked_values
-        if any(lm != principal_log(mvals[j]) for j, lm in enumerate(_monomial_logs(spec, pt))):
+        if any(lm != principal_log(mvals[j]) for j, lm in enumerate(spec.tables.monomial_logs(pt))):
             continue
         on_principal += 1
         want = 0j

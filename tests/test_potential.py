@@ -52,6 +52,7 @@ from knotpot.solver import (
     normalize_slope,
     trace_deformation,
 )
+from test_trace_digest import trace_runs
 
 PI = math.pi
 
@@ -379,15 +380,32 @@ def test_advance_point_logs_overflow_is_a_step_too_large(spec, complete):
 
 
 def test_advance_point_logs_monomial_power_overflow(spec):
-    # exp(300) is finite, its cube is not
+    # exp(300) is finite, its cube is not; exp(-300) is not 0, its cube
+    # underflows to 0, whose reciprocal is refused as an overflow
+    for exponent, lx in ((3, 300 + 0.5j), (-3, -300 + 0.5j)):
+        doc = _doc(spec)
+        doc["dilog_terms"][0]["arg"] = {"x": exponent, "xi": -1}
+        cubic = load_spec(json.dumps(doc))
+        pt = make_point(cubic, {"x": 0.5 + 0.5j, "y": 0.3 + 0.6j, "xi": 1.1})
+        logs = dict(pt.logs)
+        logs["x"] = lx
+        with pytest.raises(StepTooLargeError, match="overflow"):
+            advance_point_logs(pt, logs)
+
+
+def test_residual_power_underflow_is_a_step_too_large(spec):
+    # x's residual row gains y^-3, and y^3 underflows to 0 at log y =
+    # -260: the plain reading's ** raises ZeroDivisionError there, the
+    # kernels refuse the point as an overflow, so the solvers halve
     doc = _doc(spec)
-    doc["dilog_terms"][0]["arg"] = {"x": 3, "xi": -1}
-    cubic = load_spec(json.dumps(doc))
-    pt = make_point(cubic, {"x": 0.5 + 0.5j, "y": 0.3 + 0.6j, "xi": 1.1})
-    logs = dict(pt.logs)
-    logs["x"] = 300 + 0.5j
-    with pytest.raises(StepTooLargeError, match="overflow"):
-        advance_point_logs(pt, logs)
+    doc["quad_terms"].append({"coeff": [-3, 1], "vars": ["x", "y"]})
+    quad = load_spec(json.dumps(doc))
+    pt = quad.tables.build_point({"x": 0.3 + 0.6j, "y": -260 + 0.5j, "xi": 0.1 + 0.2j}, None)
+    with pytest.raises(ZeroDivisionError):
+        naive_reduced_residual(pt)
+    for kernel in (reduced_residual, lambda pt: quad.tables.fiber_step(pt, 0.0)):
+        with pytest.raises(StepTooLargeError, match="^residual overflow"):
+            kernel(pt)
 
 
 # -------------------------------------------------------------- eval_v
@@ -644,6 +662,31 @@ def naive_signed_d_sum(spec, pt):
     )
 
 
+def naive_monomial_logs(spec, pt):
+    # the continued log m of each tracked monomial m: principal_log(m)
+    # moved by the winding k that brings it nearest sum e log v over
+    # m's factors v^e
+    logs = [pt.logs[v] for v in spec.variables]
+    out = []
+    for m, row in zip(pt.tracked_values, spec.tables.monomial_rows):
+        p = principal_log(m)
+        s = 0j
+        for i, e in row:
+            s += e * logs[i]
+        k = round((s - p).imag / (2 * PI))
+        out.append(complex(p.real, p.imag + 2 * PI * k) if k else p)
+    return out
+
+
+def naive_rogers_combo(spec, pt):
+    tab = spec.tables
+    log_m = naive_monomial_logs(spec, pt)
+    s = 0j
+    for sign, j in tab.dilogs:
+        s += sign * (li2(pt.tracked_values[j]) + 0.5 * log_m[j] * pt.tracked_logs[j])
+    return s + tab.constant
+
+
 def one_minus_logs(pt):
     # the continued log(1 - m) keyed by tracked Monomial m
     return dict(zip(pt.spec.tables.monomials, pt.tracked_logs))
@@ -784,6 +827,8 @@ def assert_matches_naive(spec, pt):
         (d_eta_log(spec, pt), naive_d_eta_log(spec, pt)),
         (eval_v(spec, pt), naive_eval_v(spec, pt)),
         (signed_d_sum(spec, pt), naive_signed_d_sum(spec, pt)),
+        (spec.tables.monomial_logs(pt), naive_monomial_logs(spec, pt)),
+        (rogers_combo(spec, pt), naive_rogers_combo(spec, pt)),
     ]
     for got, want in pairs:
         assert _bits(got) == _bits(want)
@@ -900,14 +945,72 @@ def test_each_kernel_constant_is_bound_once(spec):
 
 
 def test_tables_on_points_with_windings(spec, complete):
-    # a long trace leaves several continued logs off the principal sheet
+    # a long trace leaves several continued logs off the principal
+    # sheet; on the digest trace to -2 - i a tracked log(1 - m) winds,
+    # which the build rewinds, and on the one to 1.5 + 0.5i a continued
+    # log m leaves principal_log(m) by 2 pi k, k != 0
+    runs = {u: samples for u, samples, _ in trace_runs()}
     samples = trace_deformation(spec, 2 + 1j, 16, complete=complete)
-    windings = set()
-    for smp in samples:
-        assert_matches_naive(spec, smp.point)
-        windings.update(winding(lw) for lw in smp.point.logs.values())
-        windings.update(winding(lw) for lw in smp.point.tracked_logs)
-    assert windings != {0}
+    windings, tracked, monomial = set(), set(), set()
+    for smp in samples + runs[-2 - 1j] + runs[1.5 + 0.5j]:
+        pt = smp.point
+        assert_matches_naive(spec, pt)
+        windings.update(winding(lw) for lw in pt.logs.values())
+        windings.update(winding(lw) for lw in pt.tracked_logs)
+        for m, lm in zip(pt.tracked_values, spec.tables.monomial_logs(pt)):
+            monomial.add(round((lm - principal_log(m)).imag / (2 * PI)))
+    for smp in runs[-2 - 1j]:
+        tracked.update(winding(lw) for lw in smp.point.tracked_logs)
+    assert windings != {0} and tracked != {0} and monomial != {0}
+
+
+# the exponents of CPython's two algorithms for complex ** int, up to
+# |e| = 100 and beyond it, and operands with -0.0 parts, subnormals,
+# huge and tiny parts, infinities and NaNs
+_POWER_EXPONENTS = (1, 2, 3, 7, 100, 101)
+_POWER_PARTS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e160, -1e160,
+    1e308, -1e308, 1.0, -1.0, 0.75, math.inf, -math.inf, math.nan,
+)
+
+
+def _power_of(e, finite):
+    # w ** e as the kernels write it out, compiled into f(w)
+    lines = {}
+    name = potential._power(lines, "w", e, finite)
+    text = "def f(w):%s\n    return %s" % (potential._indented(lines.values(), "    "), name)
+    return potential._compile(text, {"_isinf": cmath.isinf})["f"]
+
+
+def _power_outcome(f, w):
+    # the repr, which tells -0.0 and NaN apart, or the error's type
+    # and, for an overflow, its message
+    try:
+        return repr(f(w))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    except OverflowError as err:
+        return OverflowError, str(err)
+
+
+def test_written_out_powers_match_pow_bit_for_bit():
+    rng = random.Random(31)
+    operands = [complex(a, b) for a in _POWER_PARTS for b in _POWER_PARTS]
+    operands += [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-4, 4)) for _ in range(50)]
+    operands += [
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-320, 308)
+        for _ in range(200)
+    ]
+    for e in _POWER_EXPONENTS + tuple(-e for e in _POWER_EXPONENTS):
+        written = _power_of(e, finite=False)
+        for w in operands:
+            want = _power_outcome(lambda w: w ** e, w)
+            assert _power_outcome(written, w) == want, (e, w)
+            if abs(e) == 1 and w and cmath.isfinite(w):
+                # a finite nonzero base: power 1 is written unchecked
+                assert _power_outcome(_power_of(e, finite=True), w) == want, (e, w)
+    # (1 + 0j) * w is not w where a part of w is -0.0
+    assert repr(_power_of(1, finite=True)(complex(-0.0, -1.0))) == "-1j"
 
 
 _SLOPE_7_1 = normalize_slope(7, 1)

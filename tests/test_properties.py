@@ -26,25 +26,32 @@ from knotpot.errors import (
     StepTooLargeError,
     ValidationError,
 )
+from knotpot.invariants import rogers_combo
 from knotpot.potential import (
     PotentialSpec,
     advance_point_logs,
     builtin_five_two,
     dump_spec,
+    eval_v,
     load_spec,
     log_gradient,
     log_hessian,
     make_point,
     reduced_residual,
+    signed_d_sum,
 )
 from knotpot.solver import normalize_slope, solve_complete
 from test_potential import (
     _bits,
+    naive_eval_v,
     naive_fiber_step,
     naive_log_gradient,
     naive_log_hessian,
     naive_longitude,
+    naive_monomial_logs,
     naive_reduced_residual,
+    naive_rogers_combo,
+    naive_signed_d_sum,
 )
 
 # the machine's speed varies, so a slow example is not a failure. A
@@ -237,7 +244,7 @@ def test_load_spec_on_mutated_bytes_raises_only_spec_errors(edits):
 
 
 def _kernel_source(spec):
-    """The source text compiled for spec's kernels."""
+    """The source texts compiled for spec's kernels, joined."""
     texts = []
     compile_ = potential._compile
 
@@ -250,7 +257,7 @@ def _kernel_source(spec):
         spec.tables.build_point
     finally:
         potential._compile = compile_
-    return texts[0]
+    return "".join(texts)
 
 
 def _renamed(doc, new):
@@ -275,12 +282,14 @@ def _renamed(doc, new):
 
 
 def _outcome(f, *args):
-    # a power that overflows: OverflowError in the plain reading,
-    # StepTooLargeError from the kernel that catches it; a zero pivot,
-    # and the max norm of a spec with no fiber variable, raise alike
+    # a power that overflows, or a negative power of a value that
+    # underflows to 0: OverflowError or ZeroDivisionError in the plain
+    # reading, StepTooLargeError from the kernel that catches it; a
+    # zero pivot, the max norm of a spec with no fiber variable, and a
+    # DomainError of a log or a D the evaluators write out, raise alike
     try:
         return _bits(f(*args))
-    except (OverflowError, StepTooLargeError):
+    except (OverflowError, ZeroDivisionError, StepTooLargeError):
         return "overflow"
     except (SingularJacobianError, ValueError) as e:
         return type(e), str(e)
@@ -319,6 +328,13 @@ def test_kernels_match_the_plain_reading(doc, data):
         assert _bits(log_gradient(spec, pt)) == _bits(naive_log_gradient(spec, pt))
         assert _bits(log_hessian(spec, pt)) == _bits(naive_log_hessian(spec, pt))
         assert _outcome(spec.tables.longitude, pt) == _outcome(naive_longitude, spec, pt)
+        for got, want in (
+            (eval_v, naive_eval_v),
+            (signed_d_sum, naive_signed_d_sum),
+            (lambda s, pt: s.tables.monomial_logs(pt), naive_monomial_logs),
+            (rogers_combo, naive_rogers_combo),
+        ):
+            assert _outcome(got, spec, pt) == _outcome(want, spec, pt)
 
 
 # ------------------------------------------------ branch continuation
