@@ -47,6 +47,7 @@ _ODD = (
     -1.0356517612181247e-17,
     2.395218621026187e-19,
 )
+_C5, _C7, _C9, _C11, _C13, _C15, _C17, _C19, _C21, _C23 = _ODD
 
 
 def principal_log(w):
@@ -65,12 +66,12 @@ def principal_log(w):
 
 def _series(u):
     # Bernoulli series in u = -log(1-z); caller guarantees |u| small.
+    # s is the odd terms' Horner sum from c_23 down, s = s * w + c from
+    # s = 0j, written out as one expression
     w = u * u
-    s = 0.0j
-    for c in reversed(_ODD):
-        s = s * w + c
-    s *= w * w * u
-    return u + _C2 * w + _C3 * w * u + s
+    s = (((((((((0.0j * w + _C23) * w + _C21) * w + _C19) * w + _C17) * w + _C15) * w
+              + _C13) * w + _C11) * w + _C9) * w + _C7) * w + _C5
+    return u + _C2 * w + _C3 * w * u + s * (w * w * u)
 
 
 def li2(z):

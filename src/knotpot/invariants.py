@@ -20,7 +20,6 @@ from .potential import (
     PotentialSpec,
     Shapes,
     eval_v_alpha,
-    log_gradient,
     signed_d_sum,
 )
 from .solver import CriticalPoint, FillingSolution, Slope
@@ -101,16 +100,13 @@ def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
 
     The first part is sum sign * D(m); the second is
     sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points.
-    Valid at any regular point with principal branches.
+    Valid at any regular point with principal branches. The body is the
+    spec's compiled im_v_alpha_parts kernel (potential.SpecTables): the
+    log-gradient, with the slope's term (2 pi i - 2 p log xi) / q added
+    to its meridian entry, the correction summed from 0.0 in variable
+    order, and the D sum of signed_d_sum.
     """
-    g = log_gradient(spec, pt)
-    if slope is not None:
-        lx = pt.logs[spec.meridian]
-        g[-1] += (2j * _PI - 2 * slope.p * lx) / slope.q
-    corr = 0.0
-    for v, gv in zip(spec.variables, g):
-        corr += math.log(abs(pt.values[v])) * gv.imag
-    return signed_d_sum(spec, pt), corr
+    return spec.tables.im_v_alpha_parts(pt, slope)
 
 
 def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> InvariantReport:

@@ -36,25 +36,30 @@ of the terms in the spec, so every sum is formed in the same order and
 grouping as a direct reading of the spec would form it, and results do
 not depend on the lowering.
 
-The point build, the reduced residual, the log-gradient, the
-log-hessian, the fiber Newton step (the reduced residual, and where
-it is above the tolerance the step solved from the fiber block of the
-gradient and hessian), the longitude (log eta, the summed size of
-its terms and its Jacobian row), and the per-sample evaluators V,
-the signed D sum, the continued log of each monomial and the Rogers
-sum, are then compiled from those tables to straight-line Python,
-once per spec on first use (SpecTables, _compile_kernels): the one
-implementation of each. The text forms each sum in the order and
-grouping of the plain reading of the spec, and each integer power
-w ** e with |e| <= 100 by the multiplications and the division that
-CPython's complex ** int performs, starting from (1 + 0j) * w, so it
-gives that reading's results bit for bit; _compile is the package's
-one call of the built-in compile and exec.
+The point build (which also forms a damped Newton step's trial logs,
+logmap[v] - scale * delta, itself), the reduced residual, the
+log-gradient, the log-hessian, the fiber Newton step (the reduced
+residual, and where it is above the tolerance the step solved from
+the fiber block of the gradient and hessian), the longitude (log eta,
+the summed size of its terms and its Jacobian row), log eta alone,
+and the per-sample evaluators V, the signed D sum, the two parts of
+Im V_alpha (the D sum and the log-modulus correction), the continued
+log of each monomial and the Rogers sum, are then lowered from those
+tables to straight-line Python: the texts once per spec, and each
+kernel compiled on its own first use (SpecTables, _compile_kernels),
+so a process compiles only the kernels it calls. Each is the one
+implementation of what it computes. The text forms each sum in the
+order and grouping of the plain reading of the spec, and each integer
+power w ** e with |e| <= 100 by the multiplications and the division
+that CPython's complex ** int performs, starting from (1 + 0j) * w,
+so it gives that reading's results bit for bit; _compile is the
+package's one call of the built-in compile and exec.
 """
 
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -83,6 +88,9 @@ _ZERO_TOL = 1e-13
 _ONE_TOL = 1e-13
 # a continued log that moves this far in one step is refused
 _MAX_JUMP = _PI / 2.0
+# a log whose real part exceeds this has an exp of modulus beyond float
+# range, whether or not its parts overflow
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Monomial(RecordBase):
@@ -167,24 +175,26 @@ class SpecTables:
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
 
-    The kernels, build_point(logmap, prev), reduced_residual(pt),
-    fiber_step(pt, tol), log_gradient(pt), log_hessian(pt),
-    longitude(pt), eval_v(pt), signed_d_sum(pt), monomial_logs(pt) and
-    rogers_combo(pt), are lowered a second time, to straight-line Python,
-    one source text each, all compiled on the first use of any (see
-    _compile_kernels); fiber_step's elimination is _solve_source's,
-    the text solver._solve runs. The text writes out, per row and
-    cell, the operations of the plain reading of the spec in its order
-    and grouping, starting every sum from 0j (a sum of moduli from 0.0)
-    and every product from 1 + 0j and keeping each factor of +-1, so
-    every result is bit for bit that reading's: (1 + 0j) * w is not w
-    where a part of w is -0.0. Integer powers are written out as `**`
-    forms them, and integer exponents appear in the text as
-    literals; every other constant, float and complex coefficients,
-    variable names and monomials, is bound in the kernels' namespace
-    under an identifier of the generator's own (a literal such as
-    (-2-0j) would lose its -0.0 part), so no text from the spec
-    reaches the source.
+    The kernels, build_point(logmap, prev, deltas=(), scale=1.0),
+    reduced_residual(pt), fiber_step(pt, tol), log_gradient(pt),
+    log_hessian(pt), longitude(pt), eta_log(pt), eval_v(pt),
+    signed_d_sum(pt), im_v_alpha_parts(pt, slope), monomial_logs(pt)
+    and rogers_combo(pt), are lowered a second time, to straight-line
+    Python, one source text each. The texts are generated together, on
+    the first use of any kernel, and each kernel is compiled on its own
+    first use (see _compile_kernels); fiber_step's elimination is
+    _solve_source's, the text solver._solve runs. The text writes out,
+    per row and cell, the operations of the plain reading of the spec
+    in its order and grouping, starting every sum from 0j (a sum of
+    moduli from 0.0) and every product from 1 + 0j and keeping each
+    factor of +-1, so every result is bit for bit that reading's:
+    (1 + 0j) * w is not w where a part of w is -0.0. Integer powers
+    are written out as `**` forms them, and integer exponents appear
+    in the text as literals; every other constant, float and complex
+    coefficients, variable names and monomials, is bound in the
+    kernels' namespace under an identifier of the generator's own (a
+    literal such as (-2-0j) would lose its -0.0 part), so no text from
+    the spec reaches the source.
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -290,12 +300,17 @@ class SpecTables:
         self.residual = tuple(residual)
         self.spec = spec
 
+    @cached_property
+    def _kernel(self):
+        # kernel(name) compiles one kernel from the texts generated once
+        return _compile_kernels(self)
+
     def __getattr__(self, name):
-        # the kernels, all compiled on the first use of any of them
-        if name not in _KERNEL_NAMES:
+        # each kernel, compiled on its first use
+        if name not in _KERNELS:
             raise AttributeError(name)
-        self.__dict__.update(_compile_kernels(self))
-        return self.__dict__[name]
+        kernel = self.__dict__[name] = self._kernel(name)
+        return kernel
 
 
 class ParamPoint(RecordBase):
@@ -699,34 +714,35 @@ def _indented(lines, indent: str) -> str:
     return "".join("\n" + indent + line for text in lines for line in text.split("\n"))
 
 
-_KERNEL_NAMES = ("build_point", "reduced_residual", "fiber_step", "log_gradient",
-                 "log_hessian", "longitude", "eval_v", "signed_d_sum",
-                 "monomial_logs", "rogers_combo")
-
-# The kernels' sources, one text per kernel, filled in per spec and
-# compiled one at a time by _compile_kernels: the compiler's peak memory
-# is then the largest kernel's, not the sum of all ten. Locals:
-# l<i> and w<i> the log and value of variable i, m<j> and t<j> tracked
-# monomial j and its continued log(1 - m), q<j> that log at prev, r<i>
-# reduced residual row i and r the largest modulus of the rows, f<t> =
-# sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian cell
-# u <= v and a gradient entry, e<k> term k of log eta, a<j> the Li2 of
-# dilog argument j, d<j> its D and p<j> the continued log m<j>; each
-# power and square is named after its base (_power), w<i>, u<j> = 1 - m<j>
-# or v<i> = values of variable i, and fiber_step's elimination names its
-# own (_solve_source). Globals: _k<n> the spec's constants, each bound
-# once, and the helpers bound by _compile_kernels.
-_KERNELS = (
-    """\
-def build_point(logmap, prev):
+# The kernels' sources by name, one text per kernel, filled in once per
+# spec by _compile_kernels and each compiled on its first use: a process
+# compiles only the kernels it calls, and the compiler's peak memory is
+# the largest kernel's. Locals: l<i> and w<i> the log and value of
+# variable i, k the number of build_point's deltas, m<j> and t<j>
+# tracked monomial j and its continued log(1 - m), q<j> that log at
+# prev, r<i> reduced residual row i and r the largest modulus of the
+# rows, f<t> = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a
+# hessian cell u <= v and a gradient entry, e<k> term k of log eta,
+# a<j> the Li2 of dilog argument j, d<j> its D and p<j> the continued
+# log m<j>; each power and square is named after its base (_power),
+# w<i>, u<j> = 1 - m<j> or v<i> = values of variable i, and fiber_step's
+# elimination names its own (_solve_source). Globals: _k<n> the spec's
+# constants, each bound once, and the helpers bound by _compile_kernels.
+_KERNELS = {
+    "build_point": """\
+def build_point(logmap, prev, deltas=(), scale=1.0):
+    k = len(deltas)
     try:{variables}{monomials}
     except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('exp overflow (%s)' % e) from e
-    if prev is not None:
-        ({qs}) = prev.tracked_logs{logs}
+    try:
+        if prev is not None:
+            ({qs}) = prev.tracked_logs{logs}
+    except OverflowError as e:
+        raise _StepTooLarge('1 - m overflow (%s)' % e) from e
     return _ParamPoint(_spec, {{{values}}}, {{{vlogs}}}, ({ms}), ({ts}))
 """,
-    """\
+    "reduced_residual": """\
 def reduced_residual(pt):
     ({ms}) = pt.tracked_values
     values = pt.values
@@ -735,85 +751,107 @@ def reduced_residual(pt):
     except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
 """,
-    """\
+    "fiber_step": """\
 def fiber_step(pt, tol):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     values = pt.values
     try:{powers}
-        ({rs}) = ({residuals})
+        ({rs}) = ({residuals}){norm}
     except (OverflowError, ZeroDivisionError) as e:
-        raise _StepTooLarge('residual overflow (%s)' % e) from e{norm}
+        raise _StepTooLarge('residual overflow (%s)' % e) from e
     if not r > tol:
         return r, None
     logs = pt.logs{fiber_h}{fiber_g}{fiber_x[0]}
     return r, {fiber_x[1]}
 """,
-    """\
+    "log_gradient": """\
 def log_gradient(pt):
     ({ts}) = _tracked(_spec, pt)[1]
     logs = pt.logs{grad}
     return {grad_row}
 """,
-    """\
+    "log_hessian": """\
 def log_hessian(pt):
     ({ms}) = _tracked(_spec, pt)[0]{hess}
     return {hess_rows}
 """,
-    """\
+    "longitude": """\
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     logs = pt.logs{eta_terms}
     return 0j{eta_sum}, 0.0{eta_size}, [{d_eta}]
 """,
-    """\
+    "eta_log": """\
+def eta_log(pt):
+    ({ts}) = _tracked(_spec, pt)[1]
+    logs = pt.logs{eta_terms}
+    return 0j{eta_sum}
+""",
+    "eval_v": """\
 def eval_v(pt):
     _tracked(_spec, pt)
     ({as_}) = pt.li2_values
     logs = pt.logs
     return 0j{v_terms} + {constant}
 """,
-    """\
+    "signed_d_sum": """\
 def signed_d_sum(pt):
     ({ms}) = _tracked(_spec, pt)[0]
     ({as_}) = pt.li2_values{ds}
     return sum(({d_terms}))
 """,
-    """\
+    "im_v_alpha_parts": """\
+def im_v_alpha_parts(pt, slope):
+    ({ms}), ({ts}) = _tracked(_spec, pt)
+    logs = pt.logs{grad}
+    if slope is not None:
+        {g_last} = {g_last} + (2j * _PI - 2 * slope.p * logs[{meridian}]) / slope.q
+    values = pt.values
+    corr = 0.0{corr_terms}
+    ({as_}) = pt.li2_values{ds}
+    return sum(({d_terms})), corr
+""",
+    "monomial_logs": """\
 def monomial_logs(pt):
     ({ms}) = _tracked(_spec, pt)[0]{mlogs}
     return [{ps}]
 """,
-    """\
+    "rogers_combo": """\
 def rogers_combo(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     ({as_}) = pt.li2_values{mlogs}
     return 0j{r_terms} + {constant}
 """,
-)
+}
+# a variable log, moved by -scale * its delta where build_point has one
 _VARIABLE = """
         l{i} = logmap[{name}]
+        if k > {i}:
+            l{i} = l{i} - scale * deltas[{i}]
         if not _isfinite(l{i}):
             raise _StepTooLarge('log %s is not finite' % l{i})
         w{i} = _exp(l{i})
+        if l{i}.real > _LOG_MAX:
+            raise _StepTooLarge('exp overflow (|exp(%s)| beyond float range)' % l{i})
         if not w{i}:
             raise _Singular('variable %s = 0 (log pole)' % {name})"""
 # a log(1 - m) a quarter turn or more from prev takes the branch nearest
 # prev, or raises StepTooLargeError where the step still jumps that far
 _TRACKED_LOG = """
-    u = 1 - m{j}
-    if abs(u) < _ONE_TOL:
-        raise _Singular('arg %s = 1' % {m})
-    t{j} = _log(u)
-    if prev is not None:
-        d = q{j}.imag - t{j}.imag
-        if not -_MAX_JUMP < d < _MAX_JUMP:
-            if not -_PI <= d <= _PI:
-                if not abs(d) < _inf:
-                    raise _StepTooLarge('log(1 - %s) is not finite' % {m})
-                t{j} = complex(t{j}.real, t{j}.imag + _TWO_PI * round(d / _TWO_PI))
-            d = abs(t{j}.imag - q{j}.imag)
-            if d >= _MAX_JUMP:
-                raise _StepTooLarge('log continuation jump %.3f >= pi/2' % d)"""
+        u = 1 - m{j}
+        if abs(u) < _ONE_TOL:
+            raise _Singular('arg %s = 1' % {m})
+        t{j} = _log(u)
+        if prev is not None:
+            d = q{j}.imag - t{j}.imag
+            if not -_MAX_JUMP < d < _MAX_JUMP:
+                if not -_PI <= d <= _PI:
+                    if not abs(d) < _inf:
+                        raise _StepTooLarge('log(1 - %s) is not finite' % {m})
+                    t{j} = complex(t{j}.real, t{j}.imag + _TWO_PI * round(d / _TWO_PI))
+                d = abs(t{j}.imag - q{j}.imag)
+                if d >= _MAX_JUMP:
+                    raise _StepTooLarge('log continuation jump %.3f >= pi/2' % d)"""
 # D of dilog argument j from its stored Li2, as dilog._d_from_li2 forms it
 _D = """
     if m{j} == 0 or m{j} == 1:
@@ -832,21 +870,29 @@ _MONOMIAL_LOG = """
         p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
 
 
-def _compile_kernels(tab: SpecTables) -> dict:
-    """The kernels of tab's spec, by name (_KERNEL_NAMES).
+def _compile_kernels(tab: SpecTables):
+    """kernel(name): the kernel of tab's spec so named (_KERNELS), compiled.
 
-    build_point(logmap, prev) assembles a ParamPoint from explicit log
-    values. Variable logs are taken verbatim; the derived logs of
-    1 - m start principal when prev is None and are branch-continued
-    from prev otherwise: each takes the branch nearest its value at
-    prev, and a jump of a quarter turn or more raises
+    The source texts of all the kernels are generated here, once; each
+    call of kernel compiles one of them, into the namespace they share.
+
+    build_point(logmap, prev, deltas=(), scale=1.0) assembles a
+    ParamPoint from explicit log values. Variable logs are taken
+    verbatim, except that the i-th variable, for each i below
+    len(deltas), takes logmap[v] - scale * deltas[i]: the trial point
+    of a damped Newton step, as a dict of the moved logs would give it.
+    The derived logs of 1 - m start principal when prev is None and are
+    branch-continued from prev otherwise: each takes the branch nearest
+    its value at prev, and a jump of a quarter turn or more raises
     StepTooLargeError, meaning the caller moved too far in one step. A
-    log that is not finite and an overflow of exp or of a monomial
-    power raise it too, and so does a negative power of a value that
-    underflows to 0: such a step also went too far. A log whose exp
-    underflows to 0 raises SingularPointError, as make_point does for
-    a zero variable, and so does a tracked monomial m, dilog argument
-    or longitude factor, within _ONE_TOL of 1: this is the one
+    log that is not finite or whose real part exceeds _LOG_MAX (so that
+    |exp| overflows, even where its parts do not), an overflow of exp
+    or of a monomial power, and a 1 - m whose modulus overflows raise
+    it too, and so does a negative power of a value that underflows to
+    0: such a step also went too far. A log
+    whose exp underflows to 0 raises SingularPointError, as make_point
+    does for a zero variable, and so does a tracked monomial m, dilog
+    argument or longitude factor, within _ONE_TOL of 1: this is the one
     place a point's monomials are judged, so the evaluators need no
     guards of their own. 1 - m has imaginary part 0.0 - m.imag, never
     -0.0, so a negative real 1 - m logs to +pi i, never to -pi i.
@@ -859,21 +905,26 @@ def _compile_kernels(tab: SpecTables) -> dict:
     cell and its mirror one value. fiber_step(pt, tol) is one step of
     the fiber Newton. It takes r, the largest modulus of the reduced
     residual's rows, as max takes it: a later row replaces r only
-    where it is larger, so a NaN counts only as the first row. It
-    returns (r, None) where r > tol fails, a NaN r included, and
-    otherwise (r, x), x solved from the non-meridian block of the
-    hessian and the gradient's non-meridian entries, in text of their
-    own, by the elimination solver._solve runs (_solve_source).
+    where it is larger, so a NaN counts only as the first row; a row
+    whose modulus overflows raises StepTooLargeError, as an overflowing
+    power does. It returns (r, None) where r > tol fails, a NaN r
+    included, and otherwise (r, x), x solved from the non-meridian
+    block of the hessian and the gradient's non-meridian entries, in
+    text of their own, by the elimination solver._solve runs
+    (_solve_source).
     longitude(pt) is the triple (log eta, the sum of the moduli of its
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
     that order, and per variable its prefactor exponent minus
-    e a m / (1 - m) per row entry.
+    e a m / (1 - m) per row entry. eta_log(pt) is log eta alone, the
+    same text.
 
-    eval_v(pt), signed_d_sum(pt) and rogers_combo(pt) are the bodies
-    of potential.eval_v, potential.signed_d_sum and
-    invariants.rogers_combo, on the point's stored Li2 values.
-    monomial_logs(pt) is the list of the continued log m of each
+    eval_v(pt), signed_d_sum(pt), im_v_alpha_parts(pt, slope) and
+    rogers_combo(pt) are the bodies of potential.eval_v,
+    potential.signed_d_sum, invariants.im_v_alpha_parts and
+    invariants.rogers_combo, on the point's stored Li2 values;
+    im_v_alpha_parts holds the text of the log-gradient and of the D
+    sum. monomial_logs(pt) is the list of the continued log m of each
     tracked monomial m: principal_log(m) + 2 pi i k, with k the winding
     that brings it nearest sum e log v over m's factors v^e, so it
     winds as the variable logs do; rogers_combo holds its text. The
@@ -907,6 +958,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
         "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_isinf": cmath.isinf,
         "_mlog": math.log, "_phase": cmath.phase, "_inf": math.inf,
         "_PI": _PI, "_TWO_PI": _TWO_PI, "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
+        "_LOG_MAX": _LOG_MAX,
     }
 
     consts = {}
@@ -1001,7 +1053,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
         powers=_indented(powers.values(), " " * 8),
         residuals=residuals,
         rs="".join("r%d, " % i for i in range(n - 1)),
-        norm=_indented(norm, " " * 4),
+        norm=_indented(norm, " " * 8),
         fiber_h=fiber_h[0],
         fiber_g=fiber_g[0],
         fiber_x=_solve_source(fiber_h[1], fiber_g[1]),
@@ -1009,6 +1061,11 @@ def _compile_kernels(tab: SpecTables) -> dict:
         hess_rows=listed(hess[1]),
         grad=grad[0],
         grad_row=listed(grad[1]),
+        g_last=grad[1][-1],
+        meridian=names[spec.meridian],
+        corr_terms="".join(
+            " + _mlog(abs(values[%s])) * %s.imag" % vg for vg in zip(names.values(), grad[1])
+        ),
         eta_terms="".join("\n    e%d = %s" % (k, term) for k, term in enumerate(terms)),
         eta_sum="".join(" + e%d" % k for k in range(len(terms))),
         eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),
@@ -1031,9 +1088,12 @@ def _compile_kernels(tab: SpecTables) -> dict:
             " + %s * (a%d + 0.5 * p%d * t%d)" % (_int(sign), j, j, j) for sign, j in tab.dilogs
         ),
     )
-    for kernel in _KERNELS:
-        _compile(kernel.format(**fields), ns)
-    return {f: ns[f] for f in _KERNEL_NAMES}
+    sources = {name: text.format(**fields) for name, text in _KERNELS.items()}
+
+    def kernel(name):
+        return _compile(sources[name], ns)[name]
+
+    return kernel
 
 
 # ------------------------------------------------------------- points
@@ -1065,9 +1125,17 @@ def make_point(spec: PotentialSpec, values: dict) -> ParamPoint:
     return spec.tables.build_point(logmap, None)
 
 
-def advance_point_logs(pt: ParamPoint, logmap: dict) -> ParamPoint:
-    """Move a point to explicit new variable logs (solver step)."""
-    return pt.spec.tables.build_point(logmap, pt)
+def advance_point_logs(
+    pt: ParamPoint, logmap: dict, deltas=(), scale: float = 1.0
+) -> ParamPoint:
+    """Move a point to explicit new variable logs (solver step).
+
+    The i-th variable, for each i below len(deltas), moves to
+    logmap[v] - scale * deltas[i] instead: the damped Newton trial
+    point, formed inside the spec's compiled build_point (SpecTables),
+    bit for bit as a dict of the moved logs would give it.
+    """
+    return pt.spec.tables.build_point(logmap, pt, deltas, scale)
 
 
 # --------------------------------------------------------- evaluation
@@ -1158,9 +1226,11 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     Built as a sum of the stored continued logs, so it is continuous
     along any path the point was continued over and equals 0 at a
     complete structure reached with principal branches. The body is
-    the spec's compiled longitude kernel (SpecTables).
+    the spec's compiled eta_log kernel (SpecTables): the text of the
+    longitude kernel's log eta, without its term sizes and Jacobian
+    row.
     """
-    return spec.tables.longitude(pt)[0]
+    return spec.tables.eta_log(pt)
 
 
 def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> list:

@@ -178,16 +178,14 @@ def _damped_step(pt, deltas):
 
     The step of the Newton loop: halved on each branch jump or
     singular trial point, at most 40 times, after which it raises
-    NoConvergenceError.
+    NoConvergenceError. Each trial point is built by advance_point_logs
+    from pt's logs, the deltas and the scale, whose compiled build_point
+    forms the moved logs itself.
     """
-    variables = pt.spec.variables
     scale = 1.0
     for _ in range(40):
-        trial = dict(pt.logs)
-        for v, d in zip(variables, deltas):
-            trial[v] -= scale * d
         try:
-            return advance_point_logs(pt, trial)
+            return advance_point_logs(pt, pt.logs, deltas, scale)
         except (StepTooLargeError, SingularPointError):
             scale *= 0.5
     raise NoConvergenceError("could not step without a branch jump")
@@ -363,7 +361,11 @@ def trace_deformation(
         complete = solve_complete(spec, newton_tol=newton_tol)
     else:
         _tracked(spec, complete.point)  # refuses a point of another spec
+    # solved with the complete point's own spec, which every point built
+    # from it shares: each kernel then knows them by identity, not by a
+    # comparison of every term of an equal spec
     pt = complete.point
+    spec = pt.spec
     out = []
     t = 0.0
     for k in range(1, samples + 1):
@@ -473,7 +475,11 @@ def solve_filling(
         complete = solve_complete(spec, newton_tol=newton_tol)
     else:
         _tracked(spec, complete.point)  # refuses a point of another spec
+    # solved with the complete point's own spec, which every point built
+    # from it shares: each kernel then knows them by identity, not by a
+    # comparison of every term of an equal spec
     pt = complete.point
+    spec = pt.spec
     t = 0.0
     dt = 0.25
     steps = 0

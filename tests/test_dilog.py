@@ -6,8 +6,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as O
+from knotpot import _dilog_pure
 from knotpot.dilog import (
     ContinuedLog,
     bloch_wigner_d,
@@ -143,6 +146,68 @@ def test_li2_reflection_property():
         rhs = O.PI2_6 - principal_log(z) * principal_log(1 - z)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-11
+
+
+# _dilog_pure._series writes its Horner loop out as one expression; the
+# loop stays here as its reference, and li2 must not tell them apart
+
+
+def _series_loop(u):
+    w = u * u
+    s = 0.0j
+    for c in reversed(_dilog_pure._ODD):
+        s = s * w + c
+    s *= w * w * u
+    return u + _dilog_pure._C2 * w + _dilog_pure._C3 * w * u + s
+
+
+def _nudged(z, ulps):
+    # z with its real part moved by ulps units in the last place
+    x = z.real
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return complex(x, z.imag)
+
+
+def _on_boundary(kind, t):
+    # a point on one of li2's branch boundaries, at angle or height t
+    if kind == 0:
+        return cmath.rect(1.0, t)  # |z| = 1
+    if kind == 1:
+        return complex(0.5, 4 * t)  # Re z = 0.5
+    if kind == 2:
+        return 1 + cmath.rect(1.0, t)  # |z|^2 = 2 Re z
+    return cmath.rect(1e-15, t)  # |z|^2 = 1e-30
+
+
+_finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_boundary = st.builds(
+    lambda kind, t, ulps: _nudged(_on_boundary(kind, t), ulps),
+    st.integers(0, 3),
+    st.floats(-math.pi, math.pi),
+    st.integers(-2, 2),
+)
+_EXACT_BOUNDARY = (
+    1j, -1j, -1 + 0j, complex(-1, -0.0), 0.5 + 0j, 0.5 + 0.5j, 0.5 - 2j, 1 + 1j, 1 - 1j,
+    2 + 0j, complex(1e-15, 0), complex(0, 1e-15), complex(-1e-15, -0.0),
+)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.one_of(_finite, _boundary, st.sampled_from(_EXACT_BOUNDARY)))
+def test_li2_matches_the_horner_loop_bit_for_bit(z):
+    got = li2(z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dilog_pure, "_series", _series_loop)
+        want = li2(z)
+    assert repr(got) == repr(want)
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.complex_numbers())
+def test_series_is_the_horner_loop_on_any_operand(u):
+    # -0.0 parts, infinities and NaNs included
+    assert repr(_dilog_pure._series(u)) == repr(_series_loop(u))
 
 
 # ----------------------------------------------------------- rogers_r

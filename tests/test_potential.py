@@ -2,7 +2,9 @@
 
 import ast
 import cmath
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -687,6 +689,18 @@ def naive_rogers_combo(spec, pt):
     return s + tab.constant
 
 
+def naive_im_v_alpha_parts(spec, pt, slope=None):
+    # the body the im_v_alpha_parts kernel replaced, on plain readings
+    g = naive_log_gradient(spec, pt)
+    if slope is not None:
+        lx = pt.logs[spec.meridian]
+        g[-1] += (2j * PI - 2 * slope.p * lx) / slope.q
+    corr = 0.0
+    for v, gv in zip(spec.variables, g):
+        corr += math.log(abs(pt.values[v])) * gv.imag
+    return naive_signed_d_sum(spec, pt), corr
+
+
 def one_minus_logs(pt):
     # the continued log(1 - m) keyed by tracked Monomial m
     return dict(zip(pt.spec.tables.monomials, pt.tracked_logs))
@@ -811,6 +825,9 @@ def naive_fiber_step(spec, pt, tol):
     return r, solver._solve(*naive_fiber_system(spec, pt)) if r > tol else None
 
 
+_SEVEN = normalize_slope(7, 1)
+
+
 def assert_matches_naive(spec, pt):
     r = solver._resid_inf(pt)
     # a tol of r itself accepts the point; the float below it steps
@@ -829,6 +846,8 @@ def assert_matches_naive(spec, pt):
         (signed_d_sum(spec, pt), naive_signed_d_sum(spec, pt)),
         (spec.tables.monomial_logs(pt), naive_monomial_logs(spec, pt)),
         (rogers_combo(spec, pt), naive_rogers_combo(spec, pt)),
+        (im_v_alpha_parts(spec, pt), naive_im_v_alpha_parts(spec, pt)),
+        (im_v_alpha_parts(spec, pt, _SEVEN), naive_im_v_alpha_parts(spec, pt, _SEVEN)),
     ]
     for got, want in pairs:
         assert _bits(got) == _bits(want)
@@ -934,6 +953,18 @@ def test_compile_and_exec_are_called_in_one_place():
                 and node.func.id in ("compile", "exec", "eval")
             ]
     assert calls == [("potential.py", "exec"), ("potential.py", "compile")]
+
+
+def test_each_kernel_is_compiled_on_its_first_use(monkeypatch):
+    # a fill compiles the kernels it calls and no other: not the
+    # per-sample kernels of trace
+    fresh = builtin_five_two()
+    monkeypatch.setitem(potential.BUILTINS, "5_2", lambda: fresh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fill", "--slope", "7/1"]) == 0
+    compiled = set(fresh.tables.__dict__) & set(potential._KERNELS)
+    assert "fiber_step" in compiled and "longitude" in compiled
+    assert not compiled & {"monomial_logs", "rogers_combo", "im_v_alpha_parts", "eta_log"}
 
 
 def test_each_kernel_constant_is_bound_once(spec):

@@ -20,18 +20,20 @@ from hypothesis import strategies as st
 from knotpot import potential
 from knotpot.cli import main
 from knotpot.errors import (
+    KnotpotError,
     SingularJacobianError,
     SingularPointError,
     SpecFormatError,
     StepTooLargeError,
     ValidationError,
 )
-from knotpot.invariants import rogers_combo
+from knotpot.invariants import im_v_alpha_parts, rogers_combo
 from knotpot.potential import (
     PotentialSpec,
     advance_point_logs,
     builtin_five_two,
     dump_spec,
+    eta_log,
     eval_v,
     load_spec,
     log_gradient,
@@ -40,11 +42,17 @@ from knotpot.potential import (
     reduced_residual,
     signed_d_sum,
 )
-from knotpot.solver import normalize_slope, solve_complete
+from knotpot.solver import (
+    normalize_slope,
+    solve_complete,
+    trace_deformation,
+)
 from test_potential import (
     _bits,
+    naive_eta_log,
     naive_eval_v,
     naive_fiber_step,
+    naive_im_v_alpha_parts,
     naive_log_gradient,
     naive_log_hessian,
     naive_longitude,
@@ -254,7 +262,8 @@ def _kernel_source(spec):
 
     potential._compile = record
     try:
-        spec.tables.build_point
+        for name in potential._KERNELS:
+            getattr(spec.tables, name)
     finally:
         potential._compile = compile_
     return "".join(texts)
@@ -328,11 +337,18 @@ def test_kernels_match_the_plain_reading(doc, data):
         assert _bits(log_gradient(spec, pt)) == _bits(naive_log_gradient(spec, pt))
         assert _bits(log_hessian(spec, pt)) == _bits(naive_log_hessian(spec, pt))
         assert _outcome(spec.tables.longitude, pt) == _outcome(naive_longitude, spec, pt)
+        seven = normalize_slope(7, 1)
         for got, want in (
             (eval_v, naive_eval_v),
             (signed_d_sum, naive_signed_d_sum),
             (lambda s, pt: s.tables.monomial_logs(pt), naive_monomial_logs),
             (rogers_combo, naive_rogers_combo),
+            (im_v_alpha_parts, naive_im_v_alpha_parts),
+            (
+                lambda s, pt: im_v_alpha_parts(s, pt, seven),
+                lambda s, pt: naive_im_v_alpha_parts(s, pt, seven),
+            ),
+            (eta_log, naive_eta_log),
         ):
             assert _outcome(got, spec, pt) == _outcome(want, spec, pt)
 
@@ -344,8 +360,12 @@ _log_step = st.builds(cmath.rect, st.floats(0, 0.5), st.floats(-math.pi, math.pi
 
 
 @functools.lru_cache(maxsize=None)
+def _complete():
+    return solve_complete(builtin_five_two())
+
+
 def _complete_point():
-    return solve_complete(builtin_five_two()).point
+    return _complete().point
 
 
 @_settings
@@ -376,6 +396,39 @@ def test_point_build_follows_the_unwrapped_phase(steps):
             assert abs(lw.real - math.log(abs(1 - m))) < 1e-12
 
 
+_signed_zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+_delta = st.one_of(st.complex_numbers(max_magnitude=3), st.sampled_from(_signed_zeros))
+
+
+def _built(*args):
+    # the point, or the refusal, by repr: repr tells -0.0 from 0.0
+    try:
+        return repr(advance_point_logs(*args))
+    except (StepTooLargeError, SingularPointError) as e:
+        return type(e), str(e)
+
+
+@_many
+@given(
+    st.lists(_log_step, min_size=2, max_size=2),
+    st.sampled_from(_signed_zeros),
+    st.lists(_delta, max_size=4),
+    st.one_of(st.sampled_from([1.0, 0.5, 2.0**-39, 0.0]), st.floats(0, 1)),
+)
+def test_advance_with_deltas_builds_the_dict_trial(move, meridian_log, deltas, scale):
+    # the trial point of a damped Newton step, from the deltas inside
+    # the build, is the one built from a dict of the moved logs. The
+    # complete point's meridian log is 0j, so each signed zero is a log
+    # of the same point, and a zero step on it tells the sign of -0.0
+    pt = _complete_point()
+    logmap = {v: pt.logs[v] + d for v, d in zip(pt.logs, move)}
+    logmap[pt.spec.meridian] = meridian_log
+    trial = dict(logmap)
+    for v, d in zip(pt.spec.variables, deltas):
+        trial[v] -= scale * d
+    assert _built(pt, logmap, deltas, scale) == _built(pt, trial)
+
+
 # ------------------------------------------------------------ CLI argv
 #
 # Each example is a solve, so the draws stay small: slopes p/q with
@@ -397,8 +450,21 @@ _slopes = st.one_of(
     st.tuples(_edge, _edge).map(lambda pq: "%d/%d" % pq),
     _short_text,
 )
+# the edge band of u_end: a real part of modulus 700 to 1e308, drawn
+# half the time below 3000, where exp(u / 2) first leaves float range,
+# and an imaginary part in [-4, 4], so that xi's phase covers quarter
+# turns and a value can have finite parts and a modulus beyond range
+_u_edge = st.builds(
+    complex,
+    st.tuples(
+        st.one_of(st.floats(700, 3000), st.floats(700, 1e308)), st.sampled_from([1, -1])
+    ).map(lambda ms: ms[0] * ms[1]),
+    st.floats(-4, 4),
+)
 _u_ends = st.one_of(
-    st.complex_numbers(max_magnitude=3).map(lambda u: "%r%si" % (u.real, format(u.imag, "+"))),
+    st.one_of(st.complex_numbers(max_magnitude=3), _u_edge).map(
+        lambda u: "%r%si" % (u.real, format(u.imag, "+"))
+    ),
     _short_text,
 )
 _tolerances = st.sampled_from(["1e-300", "1e-14", "1e-12", "1e-10", "1e-6", "1", "0"])
@@ -440,3 +506,15 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(argv):
             code = e.code
     assert code in range(5), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@_many
+@given(st.one_of(st.complex_numbers(max_magnitude=3), _u_edge), st.integers(1, 2))
+def test_trace_raises_only_knotpot_errors_on_any_finite_u_end(u_end, samples):
+    # a point whose values leave float range is refused where it is
+    # built, and the trace halves its step or reports an obstruction
+    complete = _complete()
+    try:
+        trace_deformation(complete.point.spec, u_end, samples, complete=complete)
+    except KnotpotError:
+        pass

@@ -843,6 +843,27 @@ def test_solves_take_a_complete_of_an_equal_spec(spec, complete):
     assert [s.v for s in got] == [s.v for s in want]
 
 
+def test_solves_compare_an_equal_spec_once(spec, complete, monkeypatch):
+    # the solves check complete against the spec once, then solve with
+    # complete's own spec: the kernels know its points by identity, and
+    # no iteration compares the two specs term by term
+    equal = load_spec(dump_spec(spec))
+    calls = []
+    eq = PotentialSpec.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(PotentialSpec, "__eq__", counted)
+    sol = solve_filling(equal, normalize_slope(7, 1), complete=complete)
+    assert sol.critical.newton_iters > 3
+    assert len(calls) == 1
+    del calls[:]
+    trace_deformation(equal, 1.5 + 0.5j, 8, complete=complete)
+    assert len(calls) == 1
+
+
 # the cusp shape dv/du at the complete structure, from the fiber tangent
 # of log_hessian (ROADMAP item 7)
 _TAU = 2.4902446675066088 - 2.9794470664789774j
