@@ -21,6 +21,7 @@ from ._dilog_pure import (
     rogers_r,
 )
 from ._records import RecordBase
+from .errors import DomainError
 
 
 class ContinuedLog(RecordBase):
@@ -31,6 +32,12 @@ class ContinuedLog(RecordBase):
 
     @classmethod
     def from_value(cls, value: complex) -> "ContinuedLog":
-        """The branch whose value is exactly `value`, winding recovered."""
-        p = principal_log(cmath.exp(value))
+        """The branch whose value is exactly `value`, winding recovered.
+
+        Raises DomainError where exp(value) is not a nonzero float.
+        """
+        try:
+            p = principal_log(cmath.exp(value))
+        except OverflowError as e:
+            raise DomainError("exp(%r) beyond float range" % (value,)) from e
         return cls(value, round((value.imag - p.imag) / _TWO_PI))

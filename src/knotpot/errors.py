@@ -19,10 +19,10 @@ class StepTooLargeError(KnotpotError):
     """A step moved a point too far to continue its logs.
 
     Raised when the point build cannot continue a log to a branch
-    within a quarter turn, and when a point build or reduced_residual
-    overflows or meets a log that is not finite. Signals the
-    continuation driver to halve its step; it is not a user-facing
-    failure unless halving bottoms out.
+    within a quarter turn, and when a point build, reduced_residual, the
+    longitude or a Newton system overflows or meets a log that is not
+    finite. Signals the continuation driver to halve its step; it is not
+    a user-facing failure unless halving bottoms out.
     """
 
 
@@ -38,8 +38,8 @@ class SingularPointError(KnotpotError, ValueError):
     """Parameter point sits on a singularity of the potential.
 
     Raised by make_point and the point build for a variable at 0 or a
-    tracked monomial within 1e-13 of 1, by eval_longitude_expr for a
-    zero denominator or an overflow, and by the fiber Newton for a
+    tracked monomial within 1e-13 of 1, by eval_eta where the
+    longitude has no finite value, and by the fiber step for a
     converged point on a log pole; the message names the offender.
     """
 

@@ -20,40 +20,12 @@ among them (ParamPoint.li2_values): eval_v, signed_d_sum and
 invariants.rogers_combo all read them there.
 
 The evaluators do not interpret the spec. Each spec is lowered once,
-on first use, to index tables (PotentialSpec.tables): the tracked
-monomials with their (var, exp) pairs, and for every evaluator the
-integer and float coefficients it needs, each paired with the index of
-a tracked monomial or the name of a variable. The lowering reads each
-term list once, dilog terms, quad terms, then the longitude's
-factors, and appends each term to every gradient row, hessian cell and
-longitude row it enters; the reduced residual is then read off the
-non-meridian gradient rows, not the terms. Every point, built by make_point
-or advance_point_logs, evaluates each tracked monomial once and keeps
-its value and continued log(1 - m), in table order, beside the
-variable logs; the evaluators read them from there and refuse a point
-of any spec but their own or an equal one. The tables keep the order
-of the terms in the spec, so every sum is formed in the same order and
-grouping as a direct reading of the spec would form it, and results do
-not depend on the lowering.
-
-The point build (which also forms a damped Newton step's trial logs,
-logmap[v] - scale * delta, itself), the reduced residual, the
-log-gradient, the log-hessian, the fiber Newton step (the reduced
-residual, and where it is above the tolerance the step solved from
-the fiber block of the gradient and hessian), the longitude (log eta,
-the summed size of its terms and its Jacobian row), log eta alone,
-and the per-sample evaluators V, the signed D sum, the two parts of
-Im V_alpha (the D sum and the log-modulus correction), the continued
-log of each monomial and the Rogers sum, are then lowered from those
-tables to straight-line Python: the texts once per spec, and each
-kernel compiled on its own first use (SpecTables, _compile_kernels),
-so a process compiles only the kernels it calls. Each is the one
-implementation of what it computes. The text forms each sum in the
-order and grouping of the plain reading of the spec, and each integer
-power w ** e with |e| <= 100 by the multiplications and the division
-that CPython's complex ** int performs, starting from (1 + 0j) * w,
-so it gives that reading's results bit for bit; _compile is the
-package's one call of the built-in compile and exec.
+on first use, to index tables (PotentialSpec.tables, SpecTables), and
+from them to straight-line kernels (_compile_kernels), each the one
+implementation of what it computes and bit for bit the plain reading
+of the spec. Every point, built by make_point or advance_point_logs,
+evaluates each tracked monomial once and keeps its value and continued
+log(1 - m) beside the variable logs; the evaluators read them there.
 """
 
 import cmath
@@ -175,26 +147,8 @@ class SpecTables:
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
 
-    The kernels, build_point(logmap, prev, deltas=(), scale=1.0),
-    reduced_residual(pt), fiber_step(pt, tol), log_gradient(pt),
-    log_hessian(pt), longitude(pt), eta_log(pt), eval_v(pt),
-    signed_d_sum(pt), im_v_alpha_parts(pt, slope), monomial_logs(pt)
-    and rogers_combo(pt), are lowered a second time, to straight-line
-    Python, one source text each. The texts are generated together, on
-    the first use of any kernel, and each kernel is compiled on its own
-    first use (see _compile_kernels); fiber_step's elimination is
-    _solve_source's, the text solver._solve runs. The text writes out,
-    per row and cell, the operations of the plain reading of the spec
-    in its order and grouping, starting every sum from 0j (a sum of
-    moduli from 0.0) and every product from 1 + 0j and keeping each
-    factor of +-1, so every result is bit for bit that reading's:
-    (1 + 0j) * w is not w where a part of w is -0.0. Integer powers
-    are written out as `**` forms them, and integer exponents appear
-    in the text as literals; every other constant, float and complex
-    coefficients, variable names and monomials, is bound in the
-    kernels' namespace under an identifier of the generator's own (a
-    literal such as (-2-0j) would lose its -0.0 part), so no text from
-    the spec reaches the source.
+    Each kernel of _KERNELS is an attribute, compiled on its first use
+    (_compile_kernels).
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -759,7 +713,7 @@ def fiber_step(pt, tol):
         ({rs}) = ({residuals}){norm}
     except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
-    if not r > tol:
+    if not r > tol:{poles}
         return r, None
     logs = pt.logs{fiber_h}{fiber_g}{fiber_x[0]}
     return r, {fiber_x[1]}
@@ -779,7 +733,10 @@ def log_hessian(pt):
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     logs = pt.logs{eta_terms}
-    return 0j{eta_sum}, 0.0{eta_size}, [{d_eta}]
+    size = 0.0{eta_size}
+    if not size < _inf:
+        raise _StepTooLarge('longitude overflow (term size %r)' % size)
+    return 0j{eta_sum}, size, [{d_eta}]
 """,
     "eta_log": """\
 def eta_log(pt):
@@ -835,10 +792,14 @@ _VARIABLE = """
             raise _StepTooLarge('exp overflow (|exp(%s)| beyond float range)' % l{i})
         if not w{i}:
             raise _Singular('variable %s = 0 (log pole)' % {name})"""
+# fiber_step's refusal of an accepted point on a log pole
+_POLE = """
+        if abs(values[{name}]) < _ZERO_TOL:
+            raise _Singular('variable %s = 0 (log pole)' % {name})"""
 # a log(1 - m) a quarter turn or more from prev takes the branch nearest
 # prev, or raises StepTooLargeError where the step still jumps that far
 _TRACKED_LOG = """
-        u = 1 - m{j}
+        u = (1 + 0j) - m{j}
         if abs(u) < _ONE_TOL:
             raise _Singular('arg %s = 1' % {m})
         t{j} = _log(u)
@@ -875,6 +836,11 @@ def _compile_kernels(tab: SpecTables):
 
     The source texts of all the kernels are generated here, once; each
     call of kernel compiles one of them, into the namespace they share.
+    Each text writes out, per row and cell, the operations of the plain
+    reading of the spec in its order and grouping, starting every sum
+    from 0j (a sum of moduli from 0.0) and every product from 1 + 0j
+    and keeping each factor of +-1, so every result is bit for bit that
+    reading's: (1 + 0j) * w is not w where a part of w is -0.0.
 
     build_point(logmap, prev, deltas=(), scale=1.0) assembles a
     ParamPoint from explicit log values. Variable logs are taken
@@ -894,8 +860,10 @@ def _compile_kernels(tab: SpecTables):
     does for a zero variable, and so does a tracked monomial m, dilog
     argument or longitude factor, within _ONE_TOL of 1: this is the one
     place a point's monomials are judged, so the evaluators need no
-    guards of their own. 1 - m has imaginary part 0.0 - m.imag, never
-    -0.0, so a negative real 1 - m logs to +pi i, never to -pi i.
+    guards of their own. 1 - m is formed as (1 + 0j) - m, whose
+    imaginary part is 0.0 - m.imag, never -0.0, so a negative real
+    1 - m logs to +pi i, never to -pi i; int - complex would take
+    -m.imag where a CPython applies C99's mixed real-complex rules.
 
     reduced_residual(pt) is, per row of tab.residual, the product of
     the (1 - m)^e of its left side minus that of the variable powers
@@ -911,13 +879,19 @@ def _compile_kernels(tab: SpecTables):
     included, and otherwise (r, x), x solved from the non-meridian
     block of the hessian and the gradient's non-meridian entries, in
     text of their own, by the elimination solver._solve runs
-    (_solve_source).
+    (_solve_source). A point it would accept with a variable within
+    _ZERO_TOL of 0 sits on a log pole, where r is small only because
+    the variable is: it raises SingularPointError for the first such
+    variable in spec order, as make_point does.
     longitude(pt) is the triple (log eta, the sum of the moduli of its
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
     that order, and per variable its prefactor exponent minus
-    e a m / (1 - m) per row entry. eta_log(pt) is log eta alone, the
-    same text.
+    e a m / (1 - m) per row entry. Where the sum of the moduli is not
+    finite, log eta has no finite value, and it raises
+    StepTooLargeError; a term whose modulus overflows raises
+    OverflowError, which solver._newton refuses the same way.
+    eta_log(pt) is log eta alone, the same text.
 
     eval_v(pt), signed_d_sum(pt), im_v_alpha_parts(pt, slope) and
     rogers_combo(pt) are the bodies of potential.eval_v,
@@ -946,9 +920,13 @@ def _compile_kernels(tab: SpecTables):
     A larger |e| keeps `**`, which takes another algorithm there. Each
     power and square is formed once per call, before the first row or
     monomial that reads it, so the powers are taken in the order of the
-    plain reading. Each constant is bound once, however many kernels
-    read it: by type and repr, so 2.0 is one name and a -0.0 part keeps
-    its own.
+    plain reading. Integer exponents appear in the text as literals;
+    every other constant, float and complex coefficients, variable names
+    and monomials, is bound in the namespace under a name of the
+    generator's own (a literal such as (-2-0j) would lose its -0.0
+    part), so no text from the spec reaches the source. Each is bound
+    once, however many kernels read it: by type and repr, so 2.0 is one
+    name and a -0.0 part keeps its own.
     """
     spec = tab.spec
     ns = {
@@ -957,8 +935,8 @@ def _compile_kernels(tab: SpecTables):
         "_Domain": DomainError, "_SingularJacobian": SingularJacobianError,
         "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_isinf": cmath.isinf,
         "_mlog": math.log, "_phase": cmath.phase, "_inf": math.inf,
-        "_PI": _PI, "_TWO_PI": _TWO_PI, "_ONE_TOL": _ONE_TOL, "_MAX_JUMP": _MAX_JUMP,
-        "_LOG_MAX": _LOG_MAX,
+        "_PI": _PI, "_TWO_PI": _TWO_PI, "_ZERO_TOL": _ZERO_TOL, "_ONE_TOL": _ONE_TOL,
+        "_MAX_JUMP": _MAX_JUMP, "_LOG_MAX": _LOG_MAX,
     }
 
     consts = {}
@@ -1054,6 +1032,7 @@ def _compile_kernels(tab: SpecTables):
         residuals=residuals,
         rs="".join("r%d, " % i for i in range(n - 1)),
         norm=_indented(norm, " " * 8),
+        poles="".join(_POLE.format(name=name) for name in names.values()),
         fiber_h=fiber_h[0],
         fiber_g=fiber_g[0],
         fiber_x=_solve_source(fiber_h[1], fiber_g[1]),
@@ -1190,34 +1169,24 @@ def log_hessian(spec: PotentialSpec, pt: ParamPoint) -> list:
     return spec.tables.log_hessian(pt)
 
 
-def eval_longitude_expr(expr: LongitudeExpr, values: dict) -> complex:
-    """prefactor * prod (1 - m)^e, evaluated rationally (no logs).
-
-    A power that overflows raises SingularPointError, as a vanishing
-    denominator does: the expression has no finite value at the point.
-    """
-    try:
-        r = expr.prefactor.evaluate(values)
-        for e, m in expr.factors:
-            f = 1 - m.evaluate(values)
-            if f == 0 and e < 0:
-                raise SingularPointError("longitude factor 1 - %s = 0 in denominator" % m)
-            r *= f**e
-    except OverflowError as e:
-        raise SingularPointError("longitude overflow (%s)" % e) from e
-    return r
-
-
 def eval_eta(spec: PotentialSpec, pt: ParamPoint):
     """(eta, None): the longitude eigenvalue at pt, evaluated rationally.
 
-    The second slot, where a spec's alternate form of eta was once
-    evaluated, is always None. It stays while perfbench reads
-    eval_eta(...)[0], and goes when that reader changes with it.
-    Raises SingularPointError where the longitude has no finite value
-    at pt.
+    prefactor * prod (1 - m)^e, with each m the point's tracked value;
+    the second slot is always None, while perfbench reads
+    eval_eta(...)[0]. A point of a spec not equal to spec raises
+    ValidationError, and a power that overflows, or a negative power of
+    a value that underflows to 0, SingularPointError: the longitude has
+    no finite value at pt.
     """
-    return eval_longitude_expr(spec.longitude, pt.values), None
+    ms = _tracked(spec, pt)[0]
+    try:
+        r = spec.longitude.prefactor.evaluate(pt.values)
+        for e, j in spec.tables.eta_factors:
+            r *= (1 - ms[j]) ** e
+    except (OverflowError, ZeroDivisionError) as e:
+        raise SingularPointError("longitude overflow (%s)" % e) from e
+    return r, None
 
 
 def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:

@@ -35,7 +35,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .potential import (
-    _ZERO_TOL,
     PotentialSpec,
     _check_float_range,
     _compile,
@@ -198,7 +197,9 @@ def _newton(pt, system, cap, failure):
     moved by -x (_damped_step), x solved from the Newton system at pt;
     r is a float and a function of pt alone. Returns (pt, r,
     iterations) at the accepted point, and raises
-    NoConvergenceError(failure) after cap steps.
+    NoConvergenceError(failure) after cap steps. A value of the system
+    that leaves float range (OverflowError) raises StepTooLargeError:
+    the step to pt went too far.
 
     Exit on a cycle: each point whose r did not fall below the
     previous iterate's is recorded by its variable and tracked logs,
@@ -215,7 +216,10 @@ def _newton(pt, system, cap, failure):
     """
     prev, seen = math.inf, {}
     for it in range(cap):
-        r, x = system(pt)
+        try:
+            r, x = system(pt)
+        except OverflowError as e:
+            raise StepTooLargeError("Newton system overflow (%s)" % e) from e
         if x is None:
             return pt, r, it
         if r >= prev:
@@ -240,23 +244,12 @@ def _newton_fiber(spec, pt, xi_log, tol) -> CriticalPoint:
     iteration is one call of the spec's compiled fiber_step
     (potential.SpecTables): the residual, and where it is above tol
     the step solved from the non-meridian block of the gradient and
-    hessian. A converged point with a variable within _ZERO_TOL of 0
-    sits on a log pole, where the residual is small only because the
-    variable is, and raises SingularPointError as make_point would.
+    hessian; it refuses a converged point on a log pole.
     """
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
-    fiber_step = spec.tables.fiber_step
-
-    def system(pt):
-        r, x = fiber_step(pt, tol)
-        if x is None:
-            for v in spec.variables:
-                if abs(pt.values[v]) < _ZERO_TOL:
-                    raise SingularPointError("variable %s = 0 (log pole)" % v)
-        return r, x
-
+    system = functools.partial(spec.tables.fiber_step, tol=tol)
     msg = "fiber Newton: no convergence in 50 iterations"
     return CriticalPoint(*_newton(pt, system, 50, msg))
 
@@ -328,6 +321,23 @@ def solve_complete(
     )
 
 
+def _start(spec, complete, newton_tol):
+    """(spec, point) both continuations start from: complete's point, or
+    that of the complete structure of spec solved at newton_tol, and its
+    own spec.
+
+    A complete of a spec not equal to spec raises ValidationError. The
+    continuation solves with the point's own spec, which every point
+    built from it shares: each kernel then knows them by identity, not
+    by a comparison of every term of an equal spec.
+    """
+    if complete is None:
+        complete = solve_complete(spec, newton_tol=newton_tol)
+    pt = complete.point
+    _tracked(spec, pt)
+    return pt.spec, pt
+
+
 def trace_deformation(
     spec: PotentialSpec,
     u_end: complex,
@@ -357,15 +367,7 @@ def trace_deformation(
         raise ValidationError("samples must be >= 1")
     if samples > _MAX_SAMPLES:
         raise ValidationError("samples must be at most 10**6, got %d" % samples)
-    if complete is None:
-        complete = solve_complete(spec, newton_tol=newton_tol)
-    else:
-        _tracked(spec, complete.point)  # refuses a point of another spec
-    # solved with the complete point's own spec, which every point built
-    # from it shares: each kernel then knows them by identity, not by a
-    # comparison of every term of an equal spec
-    pt = complete.point
-    spec = pt.spec
+    spec, pt = _start(spec, complete, newton_tol)
     out = []
     t = 0.0
     for k in range(1, samples + 1):
@@ -471,15 +473,7 @@ def solve_filling(
         raise ValidationError("slope %s is not in lowest terms with q >= 1" % slope)
     _check_float_range(2 * p, "slope p and q")
     _check_float_range(2 * q, "slope p and q")
-    if complete is None:
-        complete = solve_complete(spec, newton_tol=newton_tol)
-    else:
-        _tracked(spec, complete.point)  # refuses a point of another spec
-    # solved with the complete point's own spec, which every point built
-    # from it shares: each kernel then knows them by identity, not by a
-    # comparison of every term of an equal spec
-    pt = complete.point
-    spec = pt.spec
+    spec, pt = _start(spec, complete, newton_tol)
     t = 0.0
     dt = 0.25
     steps = 0

@@ -312,6 +312,34 @@ def test_overflowing_primary_longitude_fails_complete(capsys, tmp_path):
     assert err == "error: longitude overflow (complex exponentiation)\n"
 
 
+@pytest.mark.parametrize(
+    "prefactor, slope, reason",
+    [
+        ({"y": 17 * 10**307}, "7/1", "Newton system overflow (absolute value too large)"),
+        ({"y": 41 * 10**306}, "1/2", "Newton system overflow (absolute value too large)"),
+        ({"x": 692 * 10**305, "y": 10**307}, "0/1", "longitude overflow (term size inf)"),
+    ],
+    ids=["longitude_term", "filling_equation", "longitude_sum"],
+)
+def test_overflowing_longitude_obstructs_fill(capsys, tmp_path, prefactor, slope, reason):
+    # the built-in with longitude prefactor exponents near float range:
+    # a term of log eta, or q v in the filling equation, has finite
+    # parts but a modulus beyond it, which the Newton loop refuses as a
+    # step too large, or log eta's terms sum to an infinite size, which
+    # the longitude kernel refuses; the filling halves and the slope is
+    # reported obstructed
+    doc = json.loads(dump_spec(builtin_five_two()))
+    doc["longitude"]["prefactor"].update(prefactor)
+    path = tmp_path / "prefactor.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--spec", str(path), "fill", "--slope", slope)
+    assert (code, out) == (3, "")
+    assert err == (
+        "slope %s: filling path for %s obstructed at t = 0.000000 (%s); "
+        "slope possibly exceptional\n" % (slope, slope, reason)
+    )
+
+
 def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):
     # the spec's fault is reported as such, not as seeds that did not converge
     doc = json.loads(dump_spec(builtin_five_two()))

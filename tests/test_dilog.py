@@ -319,6 +319,13 @@ def test_continued_log_invariants():
     assert up.winding == 1 and abs(cmath.exp(up.value) + 2) < 1e-14
 
 
+@pytest.mark.parametrize("value", [complex(710, 0), complex(-746, 1)], ids=["overflow", "underflow"])
+def test_continued_log_of_a_value_whose_exp_is_no_float(value):
+    # exp(value) past float range, or underflowing to 0, has no log
+    with pytest.raises(DomainError):
+        ContinuedLog.from_value(value)
+
+
 # ------------------------------------------- continuing log(1 - m)
 #
 # The point build is the one place that continues the log of 1 - m of

@@ -4,6 +4,7 @@ import ast
 import cmath
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -35,7 +36,6 @@ from knotpot.potential import (
     dump_spec,
     eta_log,
     eval_eta,
-    eval_longitude_expr,
     eval_v,
     eval_v_alpha,
     load_spec,
@@ -541,12 +541,33 @@ def test_array_evaluators_return_plain_lists(spec, complete):
 # ----------------------------------------------------------- longitude
 
 
-def test_eval_longitude_display_point(spec):
-    # (x, y, xi) = (1, 2, 1) pins the primary form to (2/1)(1 - 1/2);
-    # x/xi = 1 makes this a singular ParamPoint, so evaluate the
-    # expression directly on the values
-    val = eval_longitude_expr(spec.longitude, {"x": 1, "y": 2, "xi": 1})
-    assert abs(val - 1) < 1e-15
+def test_eval_eta_at_a_regular_point(spec):
+    # (x, y, xi) = (2, 4, 1): eta = (y xi^6 / x)(1 - 1/(y xi)) = (4/2)(1 - 1/4),
+    # read off the point's values, each an exp of its log
+    eta, empty = eval_eta(spec, make_point(spec, {"x": 2, "y": 4, "xi": 1}))
+    assert abs(eta - 1.5) < 1e-15 and empty is None
+
+
+def test_eval_eta_refuses_a_point_of_another_spec(spec, complete):
+    # the point's tracked monomials are read in its own spec's table
+    # order, so a spec that differs only by a term, or in its names, is
+    # refused rather than evaluated on the values
+    doc = _doc(spec)
+    doc["quad_terms"].append({"coeff": [1, 1], "vars": ["x", "y"]})
+    extra_quad = load_spec(json.dumps(doc))
+    renamed = load_spec(dump_spec(spec).replace('"x"', '"a"').replace('"y"', '"b"'))
+    for other in (extra_quad, renamed):
+        with pytest.raises(ValidationError, match="point belongs to a spec other than"):
+            eval_eta(other, complete.point)
+
+
+def test_eval_eta_refuses_a_longitude_power_that_underflows(spec):
+    # x^-100 at x = 1e-4: x^100 underflows to 0, and `**` divides by it
+    doc = _doc(spec)
+    doc["longitude"]["prefactor"] = {"x": -100}
+    pt = make_point(load_spec(json.dumps(doc)), {"x": 1e-4, "y": 0.5 + 0.5j, "xi": 1j})
+    with pytest.raises(SingularPointError, match=r"^longitude overflow \("):
+        eval_eta(pt.spec, pt)
 
 
 def test_eta_is_one_at_complete(spec, complete):
@@ -820,21 +841,42 @@ def naive_fiber_system(spec, pt):
 def naive_fiber_step(spec, pt, tol):
     # the fiber Newton's step from the plain reading: the max norm of
     # the reduced residual, and where it is above tol the step _solve
-    # takes on the plain reading's fiber system
+    # takes on the plain reading's fiber system; a point it would
+    # accept with a variable within _ZERO_TOL of 0 is a log pole
     r = solver._resid_inf(pt)
-    return r, solver._solve(*naive_fiber_system(spec, pt)) if r > tol else None
+    if r > tol:
+        return r, solver._solve(*naive_fiber_system(spec, pt))
+    for v in spec.variables:
+        if abs(pt.values[v]) < potential._ZERO_TOL:
+            raise SingularPointError("variable %s = 0 (log pole)" % v)
+    return r, None
 
 
 _SEVEN = normalize_slope(7, 1)
 
 
-def assert_matches_naive(spec, pt):
+def _fiber_outcome(step, pt, tol):
+    # the step by repr, which tells each float's bits and reads a NaN
+    # as equal to itself, or its refusal of an accepted log pole
+    try:
+        return repr(step(pt, tol))
+    except SingularPointError as e:
+        return str(e)
+
+
+def assert_fiber_step_matches_naive(spec, pt):
     r = solver._resid_inf(pt)
-    # a tol of r itself accepts the point; the float below it steps
-    for tol, steps in ((r, False), (math.nextafter(r, -math.inf), True)):
-        got = spec.tables.fiber_step(pt, tol)
-        assert (got[1] is not None) == steps
-        assert _bits(got) == _bits(naive_fiber_step(spec, pt, tol))
+    # a tol of r itself accepts the point, or refuses it on a log pole;
+    # the float below it steps
+    below = math.nextafter(r, -math.inf)
+    for tol in (r, below):
+        got = _fiber_outcome(spec.tables.fiber_step, pt, tol)
+        assert got == _fiber_outcome(functools.partial(naive_fiber_step, spec), pt, tol)
+    assert spec.tables.fiber_step(pt, below)[1] is not None
+
+
+def assert_matches_naive(spec, pt):
+    assert_fiber_step_matches_naive(spec, pt)
     pairs = [
         (spec.tables.longitude(pt), naive_longitude(spec, pt)),
         (log_gradient(spec, pt), naive_log_gradient(spec, pt)),
@@ -919,6 +961,22 @@ def test_tables_match_plain_reading_bit_for_bit(spec, which):
             assert_matches_naive(vspec, pt)
 
 
+def test_fiber_step_refuses_a_converged_log_pole(spec, complete):
+    # the first try of a trace to u = -2000 in 3 samples: the fiber
+    # Newton at log xi = -1000/3 converges in 6 steps, to x near 4e-181
+    # and y near 1e-164, where the residual is small only because x and
+    # y are; the kernel refuses the point as the plain reading does
+    pt = complete.point
+    pt = advance_point_logs(pt, dict(pt.logs, xi=(-2000 / 3) / 2.0))
+    for _ in range(6):
+        pt = solver._damped_step(pt, spec.tables.fiber_step(pt, -1.0)[1])
+    r = solver._resid_inf(pt)
+    assert r < 1e-12 and abs(pt.values["x"]) < potential._ZERO_TOL
+    with pytest.raises(SingularPointError, match=r"^variable x = 0 \(log pole\)$"):
+        spec.tables.fiber_step(pt, r)
+    assert_fiber_step_matches_naive(spec, pt)
+
+
 def test_fiber_step_raises_on_a_singular_block_as_solve_does(spec):
     # a fiber variable that no term holds leaves its hessian row and
     # column zero: the kernel's elimination stops at the zero pivot
@@ -953,6 +1011,22 @@ def test_compile_and_exec_are_called_in_one_place():
                 and node.func.id in ("compile", "exec", "eval")
             ]
     assert calls == [("potential.py", "exec"), ("potential.py", "compile")]
+
+
+def test_solver_names_no_point_threshold():
+    # the point build and the fiber step kernel judge a point; the
+    # solver names neither threshold, not even to import it
+    with open(solver.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"_ZERO_TOL", "_ONE_TOL"}
 
 
 def test_each_kernel_is_compiled_on_its_first_use(monkeypatch):

@@ -27,7 +27,7 @@ from knotpot.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from knotpot.invariants import im_v_alpha_parts, rogers_combo
+from knotpot.invariants import im_v_alpha_parts, report_for, rogers_combo
 from knotpot.potential import (
     PotentialSpec,
     advance_point_logs,
@@ -45,6 +45,7 @@ from knotpot.potential import (
 from knotpot.solver import (
     normalize_slope,
     solve_complete,
+    solve_filling,
     trace_deformation,
 )
 from test_potential import (
@@ -518,3 +519,54 @@ def test_trace_raises_only_knotpot_errors_on_any_finite_u_end(u_end, samples):
         trace_deformation(complete.point.spec, u_end, samples, complete=complete)
     except KnotpotError:
         pass
+
+
+# the built-in document's integers that a mutation may set: the
+# exponents of log eta's terms, each drawn, and those of the tracked
+# monomials and the quad coefficients, a few drawn at a time
+_LONGITUDE = _BUILTIN_DOC["longitude"]
+_LOG_ETA_SITES = [("longitude", "prefactor", v) for v in _LONGITUDE["prefactor"]] + [
+    ("longitude", "factors", 0, "exp")
+]
+_TERM_SITES = [("longitude", "factors", 0, "arg", v) for v in _LONGITUDE["factors"][0]["arg"]] + [
+    ("dilog_terms", i, "arg", v)
+    for i, t in enumerate(_BUILTIN_DOC["dilog_terms"]) for v in t["arg"]
+] + [("quad_terms", i, "coeff", 0) for i in range(len(_BUILTIN_DOC["quad_terms"]))]
+# the edge band, up to 17 * 10**307 and that value itself: near the top
+# of float range, where an exponent times a log of modulus about 1 may
+# have finite parts and a modulus beyond range
+_edge_band = st.tuples(
+    st.one_of(st.just(17 * 10**307), st.integers(10**307, 17 * 10**307)),
+    st.sampled_from([1, -1]),
+).map(lambda ms: ms[0] * ms[1])
+_site_values = st.one_of(st.integers(-6, 6), _edge_band)
+
+
+@_few
+@given(
+    st.lists(_site_values, min_size=len(_LOG_ETA_SITES), max_size=len(_LOG_ETA_SITES)),
+    st.lists(st.tuples(st.sampled_from(_TERM_SITES), _site_values), max_size=2),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 4)), min_size=1, max_size=3),
+)
+def test_solve_filling_raises_only_knotpot_errors_on_any_admitted_slope(eta, edits, slopes):
+    # a spec load_spec admits and a slope solve_filling's checks admit:
+    # each filling is accepted and reported, or refused with a
+    # KnotpotError
+    doc = json.loads(json.dumps(_BUILTIN_DOC))
+    edits += list(zip(_LOG_ETA_SITES, eta))
+    for path, k in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = k
+    try:
+        spec = load_spec(json.dumps(doc))
+        complete = solve_complete(spec)
+    except KnotpotError:
+        return
+    for p, q in slopes:
+        slope = normalize_slope(p, q)
+        try:
+            report_for(spec, slope, solve_filling(spec, slope, complete=complete))
+        except KnotpotError:
+            pass

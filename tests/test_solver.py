@@ -20,13 +20,11 @@ from knotpot.errors import (
     NoGeometricRootError,
     PathObstructionError,
     SingularJacobianError,
-    SingularPointError,
     ValidationError,
     ZeroDenominatorError,
 )
 from knotpot.invariants import report_for
 from knotpot.potential import (
-    _ZERO_TOL,
     PotentialSpec,
     QuadLogTerm,
     advance_point_logs,
@@ -52,6 +50,7 @@ from test_potential import (
     naive_d_eta_log,
     naive_eta_log,
     naive_eta_size,
+    naive_fiber_step,
     naive_fiber_system,
     naive_log_gradient,
     naive_log_hessian,
@@ -544,20 +543,17 @@ def test_trace_obstruction_carries_partials(spec, complete):
 
 def _fiber_reference(spec, pt, xi_log, tol):
     # the fiber Newton loop without its cycle exit, a solve that does
-    # not converge running all 50 iterations, and with the residual,
-    # the plain reading's gradient and hessian and _solve in place of
-    # the compiled fiber_step
+    # not converge running all 50 iterations, and with the plain
+    # reading's step (naive_fiber_step) in place of the compiled
+    # fiber_step
     logmap = dict(pt.logs)
     logmap[spec.meridian] = xi_log
     pt = advance_point_logs(pt, logmap)
     for it in range(50):
-        resid = solver._resid_inf(pt)
-        if resid <= tol:
-            for v in spec.variables:
-                if abs(pt.values[v]) < _ZERO_TOL:
-                    raise SingularPointError("variable %s = 0 (log pole)" % v)
+        resid, x = naive_fiber_step(spec, pt, tol)
+        if x is None:
             return solver.CriticalPoint(pt, resid, it)
-        pt = solver._damped_step(pt, solver._solve(*naive_fiber_system(spec, pt)))
+        pt = solver._damped_step(pt, x)
     raise NoConvergenceError("fiber Newton: no convergence in 50 iterations")
 
 
