@@ -22,7 +22,7 @@ from .potential import (
     eval_v_alpha,
     signed_d_sum,
 )
-from .solver import CriticalPoint, FillingSolution, Slope
+from .solver import CriticalPoint, FillingSolution, Slope, _check_slope
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
@@ -113,8 +113,12 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
     """Full invariant report for an accepted filling solution.
 
     sol may also be a CriticalPoint or a ParamPoint: the report reads
-    only the point.
+    only the point. A slope that solve_filling refuses raises the same
+    error here, except one with q < 0: the reversed oriented slope
+    (-p, -q, -r, -s) of an accepted one is reported, for its conjugate
+    point.
     """
+    _check_slope(slope)
     pt = _point_of(sol)
     va = eval_v_alpha(spec, slope, pt)
     cs, amb = _cs_class(va)

@@ -33,12 +33,11 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from ._records import RecordBase
-from .dilog import _TWO_PI, li2, principal_log
+from .dilog import _TWO_PI, _d_from_li2, li2, principal_log
 from .errors import (
-    DomainError,
     SingularJacobianError,
     SingularPointError,
     SpecFormatError,
@@ -148,12 +147,15 @@ class SpecTables:
     does the arithmetic of the plain reading of the spec.
 
     Each kernel of _KERNELS is an attribute, compiled on its first use
-    (_compile_kernels).
+    (_compile_kernels). A spec with no fiber variable, the meridian its
+    only variable, raises ValidationError: no solver can run it.
     """
 
     def __init__(self, spec: PotentialSpec):
         variables = spec.variables
         n = len(variables)
+        if n < 2:
+            raise ValidationError("variables: must declare a fiber variable before the meridian")
         idx = {v: i for i, v in enumerate(variables)}
         j_of = {}
         # per variable: the gradient's (sign * a_v, j) per dilog term
@@ -462,8 +464,9 @@ def load_spec(source) -> PotentialSpec:
     and text that is not JSON, and ValidationError for a document that
     does not follow the format: among them an integer or a product of
     exponents beyond float range, a dilog term or longitude factor
-    whose arg holds no variable, and quad coefficients that give the
-    reduced residual a non-integer exponent. This is the one place a
+    whose arg holds no variable, quad coefficients that give the
+    reduced residual a non-integer exponent, and a meridian declared
+    with no fiber variable before it. This is the one place a
     spec's contents are judged; no evaluator or Newton loop raises
     about a spec it returns.
     """
@@ -531,8 +534,8 @@ def load_spec(source) -> PotentialSpec:
         constant_pi2=constant,
         longitude=_parse_longitude(doc["longitude"], variables),
     )
-    # lowered here, so a product of exponents beyond float range or a
-    # non-integer residual exponent is refused where the document is read
+    # lowered here, so an exponent product beyond float range, a non-integer
+    # residual exponent or a lone meridian is refused where the document is read
     spec.tables
     return spec
 
@@ -580,8 +583,8 @@ def _compile(source: str, namespace: dict) -> dict:
 
     The one place knotpot compiles code. Two generators write what it
     compiles: _compile_kernels the spec kernels, and _solve_source the
-    elimination, which solver._solve runs per size n and the fiber_step
-    kernel inlines.
+    elimination, which _solve runs per size n and the fiber_step kernel
+    inlines.
     """
     exec(compile(source, "<knotpot kernels>", "exec"), namespace)
     return namespace
@@ -631,6 +634,31 @@ def _solve_source(a: list, b: list):
         src.append("x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
     xs = ", ".join("x%d" % c for c in range(n))
     return _indented(src, "    "), "[%s]" % xs
+
+
+@cache
+def _solver_of(n: int):
+    a = [["a%d_%d" % (r, c) for c in range(n)] for r in range(n)]
+    b = ["b%d" % r for r in range(n)]
+    body, x = _solve_source(a, b)
+    source = "def solve(a, b):\n    [%s] = a\n    [%s] = b%s\n    return %s\n" % (
+        ", ".join("[%s]" % ", ".join(row) for row in a), ", ".join(b), body, x
+    )
+    return _compile(source, {"_SingularJacobian": SingularJacobianError})["solve"]
+
+
+def _solve(a, b) -> list:
+    """x with a x = b, by Gaussian elimination with partial pivoting.
+
+    a is a list of n rows of n numbers and b a list of n; neither is
+    modified. Raises SingularJacobianError on an exactly zero pivot,
+    where LAPACK's getrf reports a singular factor. Each size n is
+    compiled once, on first use, to the straight-line code of
+    _solve_source: the same operations in the same order as the loop
+    over columns and rows it unrolls, so its results are bit for bit
+    the loop's.
+    """
+    return _solver_of(len(b))(a, b)
 
 
 def _int(k: int) -> str:
@@ -813,19 +841,10 @@ _TRACKED_LOG = """
                 d = abs(t{j}.imag - q{j}.imag)
                 if d >= _MAX_JUMP:
                     raise _StepTooLarge('log continuation jump %.3f >= pi/2' % d)"""
-# D of dilog argument j from its stored Li2, as dilog._d_from_li2 forms it
-_D = """
-    if m{j} == 0 or m{j} == 1:
-        raise _Domain('bloch_wigner_d singular at z = %r' % (m{j},))
-    d{j} = 0.0 if m{j}.imag == 0.0 else a{j}.imag + _mlog(abs(m{j})) * _phase(1.0 - m{j})"""
-# the principal log of m, as dilog.principal_log takes it, moved by the
-# winding k that brings it nearest s, the sum e log v over its factors
+# the principal log of m moved by the winding k that brings it nearest
+# s, the sum e log v over its factors
 _MONOMIAL_LOG = """
-    if m{j} == 0:
-        raise _Domain('log of zero')
-    p{j} = _log(m{j})
-    if p{j}.imag == -_PI and not m{j}.imag:
-        p{j} = complex(p{j}.real, _PI)
+    p{j} = _principal_log(m{j})
     k = round((0j{s} - p{j}).imag / _TWO_PI)
     if k:
         p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
@@ -878,11 +897,11 @@ def _compile_kernels(tab: SpecTables):
     power does. It returns (r, None) where r > tol fails, a NaN r
     included, and otherwise (r, x), x solved from the non-meridian
     block of the hessian and the gradient's non-meridian entries, in
-    text of their own, by the elimination solver._solve runs
-    (_solve_source). A point it would accept with a variable within
-    _ZERO_TOL of 0 sits on a log pole, where r is small only because
-    the variable is: it raises SingularPointError for the first such
-    variable in spec order, as make_point does.
+    text of their own, by the elimination _solve runs (_solve_source).
+    A point it would accept with a variable within _ZERO_TOL of 0 sits
+    on a log pole, where r is small only because the variable is: it
+    raises SingularPointError for the first such variable in spec
+    order, as make_point does.
     longitude(pt) is the triple (log eta, the sum of the moduli of its
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
@@ -901,10 +920,9 @@ def _compile_kernels(tab: SpecTables):
     sum. monomial_logs(pt) is the list of the continued log m of each
     tracked monomial m: principal_log(m) + 2 pi i k, with k the winding
     that brings it nearest sum e log v over m's factors v^e, so it
-    winds as the variable logs do; rogers_combo holds its text. The
-    text writes out the D formula of dilog._d_from_li2 and the
-    principal log of dilog.principal_log, each with the DomainError it
-    raises, and signed_d_sum adds its terms with sum over a tuple, as
+    winds as the variable logs do; rogers_combo holds its text. Each D
+    is dilog._d_from_li2's and each principal log dilog.principal_log's,
+    called, and signed_d_sum adds its terms with sum over a tuple, as
     the plain reading adds them with sum.
 
     Every integer power e with |e| <= 100 is written out (_power) as
@@ -932,9 +950,9 @@ def _compile_kernels(tab: SpecTables):
     ns = {
         "_spec": spec, "_tracked": _tracked, "_ParamPoint": ParamPoint,
         "_StepTooLarge": StepTooLargeError, "_Singular": SingularPointError,
-        "_Domain": DomainError, "_SingularJacobian": SingularJacobianError,
-        "_exp": _exp, "_log": _log, "_isfinite": _isfinite, "_isinf": cmath.isinf,
-        "_mlog": math.log, "_phase": cmath.phase, "_inf": math.inf,
+        "_SingularJacobian": SingularJacobianError, "_d": _d_from_li2,
+        "_principal_log": principal_log, "_exp": _exp, "_log": _log,
+        "_isfinite": _isfinite, "_isinf": cmath.isinf, "_mlog": math.log, "_inf": math.inf,
         "_PI": _PI, "_TWO_PI": _TWO_PI, "_ZERO_TOL": _ZERO_TOL, "_ONE_TOL": _ONE_TOL,
         "_MAX_JUMP": _MAX_JUMP, "_LOG_MAX": _LOG_MAX,
     }
@@ -1011,8 +1029,8 @@ def _compile_kernels(tab: SpecTables):
     args = range(tab.dilog_arg_count)
     mlogs = ["logs = pt.logs"] + ["l%d = logs[%s]" % ve for ve in enumerate(names.values())]
     n = len(names)
-    # max(map(abs, rows)) written out; with no rows, max raises as over none
-    norm = ["r = abs(r0)"] if n > 1 else ["r = max(())"]
+    # max(map(abs, rows)) written out
+    norm = ["r = abs(r0)"]
     for i in range(1, n - 1):
         norm += ["size = abs(r%d)" % i, "if size > r:", "    r = size"]
     hess, grad = hessian(n), gradient(n)
@@ -1056,7 +1074,7 @@ def _compile_kernels(tab: SpecTables):
             " + %s * logs[%s] * logs[%s]" % (const(c), names[a], names[b])
             for c, a, b in tab.quads
         ),
-        ds="".join(_D.format(j=j) for j in args),
+        ds="".join("\n    d%d = _d(m%d, a%d)" % (j, j, j) for j in args),
         d_terms="".join("%s * d%d, " % (_int(sign), j) for sign, j in tab.dilogs),
         mlogs=_indented(mlogs, " " * 4) + "".join(
             _MONOMIAL_LOG.format(j=j, s="".join(" + %s * l%d" % (_int(e), i) for i, e in row))

@@ -28,7 +28,6 @@ from .errors import (
     NoConvergenceError,
     NoGeometricRootError,
     PathObstructionError,
-    SingularJacobianError,
     SingularPointError,
     StepTooLargeError,
     ValidationError,
@@ -37,8 +36,7 @@ from .errors import (
 from .potential import (
     PotentialSpec,
     _check_float_range,
-    _compile,
-    _solve_source,
+    _solve,
     _tracked,
     advance_point_logs,
     eta_log,
@@ -76,8 +74,10 @@ _FLAT_TOL = 1e-4
 # way, i.e. the path left the geometric branch
 _BRANCH_TOL = 1e-6
 
-# normalize_slope's refusal of q = 0, which solve_filling repeats
+# normalize_slope's refusal of q = 0, which _check_slope repeats
 _MERIDIAN_MSG = "slope with q = 0 (meridian) is not a filling"
+# _check_slope's refusal, and solve_filling's of q < 0
+_LOWEST_MSG = "slope %s is not in lowest terms with q >= 1"
 
 
 class Slope(RecordBase):
@@ -127,6 +127,19 @@ def _check_newton_tol(newton_tol) -> None:
         raise ValidationError(msg % (_MAX_NEWTON_TOL, newton_tol))
 
 
+def _check_slope(slope) -> None:
+    # q = 0 raises as normalize_slope does; the filling row of the
+    # Jacobian holds 2p and 2q. q < 0 passes, for the reversed oriented
+    # slope (-p, -q, -r, -s) that report_for reports
+    p, q = slope.p, slope.q
+    if q == 0:
+        raise ZeroDenominatorError(_MERIDIAN_MSG)
+    if math.gcd(p, q) != 1:
+        raise ValidationError(_LOWEST_MSG % slope)
+    _check_float_range(2 * p, "slope p and q")
+    _check_float_range(2 * q, "slope p and q")
+
+
 def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     """Lowest-terms slope with q >= 1 and the canonical cocycle."""
     if q_raw == 0:
@@ -141,31 +154,6 @@ def normalize_slope(p_raw: int, q_raw: int) -> Slope:
         s = pow(p, -1, q)  # exists since gcd(p, q) = 1
         r = (p * s - 1) // q
     return Slope(p, q, r, s)
-
-
-@functools.cache
-def _solver_of(n: int):
-    a = [["a%d_%d" % (r, c) for c in range(n)] for r in range(n)]
-    b = ["b%d" % r for r in range(n)]
-    body, x = _solve_source(a, b)
-    source = "def solve(a, b):\n    [%s] = a\n    [%s] = b%s\n    return %s\n" % (
-        ", ".join("[%s]" % ", ".join(row) for row in a), ", ".join(b), body, x
-    )
-    return _compile(source, {"_SingularJacobian": SingularJacobianError})["solve"]
-
-
-def _solve(a, b) -> list:
-    """x with a x = b, by Gaussian elimination with partial pivoting.
-
-    a is a list of n rows of n numbers and b a list of n; neither is
-    modified. Raises SingularJacobianError on an exactly zero pivot,
-    where LAPACK's getrf reports a singular factor. Each size n is
-    compiled once, on first use, to the straight-line code of
-    potential._solve_source: the same operations in the same order as
-    the loop over columns and rows it unrolls, so its results are bit
-    for bit the loop's.
-    """
-    return _solver_of(len(b))(a, b)
 
 
 def _resid_inf(pt) -> float:
@@ -466,13 +454,10 @@ def solve_filling(
     a complete whose point belongs to a spec not equal to spec.
     """
     _check_newton_tol(newton_tol)
+    if slope.q < 0:
+        raise ValidationError(_LOWEST_MSG % slope)
+    _check_slope(slope)
     p, q = slope.p, slope.q
-    if q == 0:
-        raise ZeroDenominatorError(_MERIDIAN_MSG)
-    if q < 0 or math.gcd(p, q) != 1:
-        raise ValidationError("slope %s is not in lowest terms with q >= 1" % slope)
-    _check_float_range(2 * p, "slope p and q")
-    _check_float_range(2 * q, "slope p and q")
     spec, pt = _start(spec, complete, newton_tol)
     t = 0.0
     dt = 0.25

@@ -252,6 +252,16 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
             "dilog_terms[0]: monomial must be a var -> exponent map",
         ),
         (lambda d: d["quad_terms"][0].update(vars=["x"]), "quad_terms[0]: vars must be a pair"),
+        (
+            # the meridian alone: no fiber variable for a solver to solve
+            lambda d: d.update(
+                variables=["xi"],
+                dilog_terms=[{"sign": 1, "arg": {"xi": 1}}],
+                quad_terms=[{"coeff": [-6, 1], "vars": ["xi", "xi"]}],
+                longitude={"prefactor": {"xi": 1}, "factors": []},
+            ),
+            "variables: must declare a fiber variable before the meridian",
+        ),
     ],
     ids=[
         "no_prefactor",
@@ -259,6 +269,7 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
         "repeated_variable",
         "arg_not_a_map",
         "vars_not_a_pair",
+        "meridian_alone",
     ],
 )
 def test_load_spec_names_the_faulty_field(spec, edit, message):
@@ -1013,10 +1024,9 @@ def test_compile_and_exec_are_called_in_one_place():
     assert calls == [("potential.py", "exec"), ("potential.py", "compile")]
 
 
-def test_solver_names_no_point_threshold():
-    # the point build and the fiber step kernel judge a point; the
-    # solver names neither threshold, not even to import it
-    with open(solver.__file__) as fh:
+def _names_in(module):
+    """Every name, attribute and imported name the module's source holds."""
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     names = set()
     for node in ast.walk(tree):
@@ -1026,7 +1036,36 @@ def test_solver_names_no_point_threshold():
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert not names & {"_ZERO_TOL", "_ONE_TOL"}
+    return names
+
+
+def test_solver_names_no_point_threshold():
+    # the point build and the fiber step kernel judge a point; the
+    # solver names neither threshold, not even to import it
+    assert not _names_in(solver) & {"_ZERO_TOL", "_ONE_TOL"}
+
+
+def test_solver_compiles_no_code():
+    # the elimination is compiled beside its generator, in potential
+    assert not _names_in(solver) & {"_compile", "_solve_source"}
+
+
+def test_kernels_call_the_one_d_and_principal_log(spec):
+    # the kernels bind dilog's own D and principal log, not a copy
+    bound = list(spec.tables.eval_v.__globals__.values())
+    assert any(v is dilog._d_from_li2 for v in bound)
+    assert any(v is dilog.principal_log for v in bound)
+
+
+def test_every_kernel_binding_is_read():
+    # each name _compile_kernels binds is read by some kernel of the
+    # built-in, so no binding outlives the text that read it
+    tables = builtin_five_two().tables
+    read = set()
+    for name in potential._KERNELS:
+        read.update(getattr(tables, name).__code__.co_names)
+    bound = set(tables.eval_v.__globals__) - set(potential._KERNELS) - {"__builtins__"}
+    assert bound and bound <= read, bound - read
 
 
 def test_each_kernel_is_compiled_on_its_first_use(monkeypatch):

@@ -14,7 +14,7 @@ import json
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from knotpot import potential
@@ -43,6 +43,8 @@ from knotpot.potential import (
     signed_d_sum,
 )
 from knotpot.solver import (
+    CriticalPoint,
+    Slope,
     normalize_slope,
     solve_complete,
     solve_filling,
@@ -147,9 +149,13 @@ def _named(node, variables):
 
 
 @st.composite
-def spec_documents(draw):
-    """Valid spec documents: any names, terms, exponents and rationals."""
-    variables = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+def spec_documents(draw, min_variables=2):
+    """Valid spec documents: any names, terms, exponents and rationals.
+
+    With min_variables=1 also documents of the meridian alone, which
+    load_spec refuses: such a spec has no fiber to solve.
+    """
+    variables = draw(st.lists(st.text(), min_size=min_variables, max_size=4, unique=True))
     doc = _named(draw(_skeleton(len(variables))), variables)
     doc.update(name=draw(st.text()), variables=variables, meridian=variables[-1])
     return doc
@@ -295,8 +301,7 @@ def _outcome(f, *args):
     # a power that overflows, or a negative power of a value that
     # underflows to 0: OverflowError or ZeroDivisionError in the plain
     # reading, StepTooLargeError from the kernel that catches it; a
-    # zero pivot, the max norm of a spec with no fiber variable, and a
-    # DomainError of a log or a D the evaluators write out, raise alike
+    # zero pivot, and a DomainError of a log or a D, raise alike
     try:
         return _bits(f(*args))
     except (OverflowError, ZeroDivisionError, StepTooLargeError):
@@ -570,3 +575,43 @@ def test_solve_filling_raises_only_knotpot_errors_on_any_admitted_slope(eta, edi
             report_for(spec, slope, solve_filling(spec, slope, complete=complete))
         except KnotpotError:
             pass
+
+
+# normalized slopes, and records of any four integers
+_slope_records = st.one_of(
+    st.builds(normalize_slope, st.integers(-12, 12), st.integers(1, 4)),
+    st.builds(Slope, *[st.integers(-4, 4)] * 4),
+)
+
+
+# hypothesis's explain phase, which traces the lines run by variations
+# of a failing example, ran past 100 s and 600 MB on a failure of this
+# property; without it a failure shrinks in seconds
+@settings(_few, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(spec_documents(min_variables=1), st.data())
+def test_drawn_documents_raise_only_knotpot_errors(doc, data):
+    # each call on a document, and on what the calls before it gave,
+    # may fail, but only with a KnotpotError: a spec load_spec returns
+    # is one the solvers can run. Where the one drawn seed finds no
+    # complete structure, a point of drawn values stands in for it
+    try:
+        spec = load_spec(json.dumps(doc))
+    except KnotpotError:
+        return
+    fiber = spec.variables[:-1]
+    try:
+        complete = solve_complete(spec, seeds=[{v: data.draw(_point_values) for v in fiber}])
+    except KnotpotError:
+        try:
+            values = {v: data.draw(_point_values) for v in spec.variables}
+            complete = CriticalPoint(make_point(spec, values), 0.0, 0)
+        except KnotpotError:
+            return
+    slope = data.draw(_slope_records)
+    sol = complete
+    with contextlib.suppress(KnotpotError):
+        sol = solve_filling(spec, slope, complete=complete)
+    with contextlib.suppress(KnotpotError):
+        report_for(spec, slope, sol)
+    with contextlib.suppress(KnotpotError):
+        trace_deformation(spec, data.draw(_point_values), 3, complete=complete)

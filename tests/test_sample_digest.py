@@ -5,14 +5,16 @@ pins what is evaluated on each of them. On every sample of the digest
 traces (`trace_runs`, partial traces included) it hashes the repr of
 eval_v, rogers_combo, im_v_alpha_parts without a slope and with the
 slope 7/1, reduced_residual and eta_log, or the type and message of the
-error one of them raised. The sha256 of that text is kept below, so a
+error one of them raised. The sha256 of that text is committed, so a
 change to any digit of any of them shows up here.
 
 The digest belongs to one numeric platform. Rewrite it only when an
-output change is intended; this prints the new value:
+output change is intended:
 
-    PYTHONPATH=src:tests python tests/test_sample_digest.py
+    PYTHONPATH=src python tests/test_sample_digest.py
 """
+
+import os
 
 from knotpot.errors import KnotpotError
 from knotpot.invariants import im_v_alpha_parts, rogers_combo
@@ -21,7 +23,9 @@ from knotpot.solver import normalize_slope
 from test_scan_digest import digest_of
 from test_trace_digest import trace_runs
 
-DIGEST = "3d25151948430bd65ea68c0fc8727651a9981221dc0efe6050b8a21ba18a2b57"
+DIGEST = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "sample.sha256"
+)
 
 _SLOPE = normalize_slope(7, 1)
 
@@ -55,8 +59,12 @@ def sample_lines():
 def test_sample_invariants_bit_for_bit():
     lines = sample_lines()
     assert len(lines) > 9 * 16
-    assert digest_of(lines) == DIGEST
+    with open(DIGEST) as fh:
+        expected = fh.read().split()[0]
+    assert digest_of(lines) == expected
 
 
 if __name__ == "__main__":
-    print(digest_of(sample_lines()))
+    with open(DIGEST, "w") as fh:
+        fh.write(digest_of(sample_lines()) + "  sample\n")
+    print("wrote", DIGEST)

@@ -817,6 +817,27 @@ def test_filling_refuses_a_slope_that_is_not_normalized(
     assert str(ei.value) == msg
 
 
+@pytest.mark.parametrize(
+    "slope, error, msg",
+    [
+        (Slope(1, 0, 0, 0), ZeroDenominatorError,
+         "slope with q = 0 (meridian) is not a filling"),
+        (Slope(14, 2, -1, 0), ValidationError, "slope 14/2 is not in lowest terms with q >= 1"),
+        (normalize_slope(10**400, 1), ValidationError,
+         "slope p and q must be within float range"),
+    ],
+    ids=["meridian", "not-lowest-terms", "float-range"],
+)
+def test_report_refuses_a_slope_that_solve_filling_refuses(spec, complete, slope, error, msg):
+    # report_for reads p and q as solve_filling does, so it judges the
+    # slope by the same check before it reads the point; only q < 0
+    # passes, for the reversed oriented slope (-p, -q, -r, -s) of the
+    # well-definedness criterion
+    with pytest.raises(error) as ei:
+        report_for(spec, slope, complete)
+    assert str(ei.value) == msg
+
+
 def test_solves_refuse_a_complete_of_another_spec(spec, complete, monkeypatch):
     # the 5_2 potential with x renamed: its points are not the
     # built-in's, and the error says so rather than blaming the path
