@@ -110,9 +110,8 @@ def _d_from_li2(z, li2_z):
 
     z is a complex. Raises DomainError at z = 0 and z = 1, and returns
     exactly 0.0 for real z (flat tetrahedron) so volume sums stay free
-    of +-0 noise. The spec kernels of potential.signed_d_sum and
-    invariants.im_v_alpha_parts call it with the Li2 values a point
-    stores, bloch_wigner_d with a fresh one.
+    of +-0 noise. The spec kernel of potential.signed_d_sum calls it
+    with the Li2 values a point stores, bloch_wigner_d with a fresh one.
     """
     if z == 0 or z == 1:
         raise DomainError("bloch_wigner_d singular at z = %r" % (z,))

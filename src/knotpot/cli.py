@@ -267,11 +267,12 @@ def cmd_complete(args, spec):
     tab = spec.tables
     fields = [("spec", spec.name)]
     fields += [(v, pt.values[v]) for v in spec.variables]
-    # the dilogarithm arguments in spec order, each once; for 5_2 they
-    # are the tetrahedron shapes, some of them inverted
+    # the dilogarithm arguments in spec order, each once (the tables
+    # number them first); for 5_2 they are the tetrahedron shapes, some
+    # of them inverted
     fields += [
         ("arg %s" % tab.monomials[j], pt.tracked_values[j])
-        for j in dict.fromkeys(j for _, j in tab.dilogs)
+        for j in range(tab.dilog_arg_count)
     ]
     fields += [
         ("volume", eval_v(spec, pt).imag),

@@ -8,18 +8,21 @@ newton_tol is tighter. The Chern-Simons
 value is recovered modulo 1/2, and only up to one global additive
 constant shared by all slopes: differences between slopes are the
 well-defined content. Core geodesic length and torsion come from the
-tracked meridian log-holonomy.
+tracked meridian log-holonomy. The module composes the potential's
+evaluators and compiles nothing of its own.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import dilog
+from .errors import ValidationError
 from .potential import (
     ParamPoint,
     PotentialSpec,
     Shapes,
     eval_v_alpha,
+    log_gradient,
     signed_d_sum,
 )
 from .solver import CriticalPoint, FillingSolution, Slope, _check_slope
@@ -41,8 +44,11 @@ class InvariantReport:
     length_sign: int  # sign of Re(complex length) before |.|
 
 
-def _point_of(sol) -> ParamPoint:
+def _point_of(slope: Slope, sol) -> ParamPoint:
     if isinstance(sol, FillingSolution):
+        # a cocycle shift (r, s) of the solution's slope reads its point
+        if (sol.slope.p, sol.slope.q) != (slope.p, slope.q):
+            raise ValidationError("solution fills slope %s, not %s" % (sol.slope, slope))
         return sol.critical.point
     if isinstance(sol, CriticalPoint):
         return sol.point
@@ -89,24 +95,32 @@ def rogers_combo(spec: PotentialSpec, pt: ParamPoint) -> complex:
     defect against V + (u/2)(v/2), which takes the same principal Li2
     and continued logs, stays constant along continued paths: the
     tests check this on traces whose logs wind, and that it is exactly
-    0 up to rounding on the branch through the complete structure. The
-    body is the spec's compiled rogers_combo kernel (potential.SpecTables).
+    0 up to rounding on the branch through the complete structure.
     """
-    return spec.tables.rogers_combo(pt)
+    log_m = spec.tables.monomial_logs(pt)
+    a, t = pt.li2_values, pt.tracked_logs
+    total = 0j
+    for sign, j in spec.tables.dilogs:
+        total += sign * (a[j] + 0.5 * log_m[j] * t[j])
+    return total + spec.tables.constant
 
 
 def im_v_alpha_parts(spec: PotentialSpec, pt: ParamPoint, slope=None):
     """(D-sum, log-modulus correction) whose total is Im V (or Im V_alpha).
 
-    The first part is sum sign * D(m); the second is
-    sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points.
-    Valid at any regular point with principal branches. The body is the
-    spec's compiled im_v_alpha_parts kernel (potential.SpecTables): the
-    log-gradient, with the slope's term (2 pi i - 2 p log xi) / q added
-    to its meridian entry, the correction summed from 0.0 in variable
-    order, and the D sum of signed_d_sum.
+    The first part is signed_d_sum, sum sign * D(m); the second is
+    sum_v log|v| Im(v dV_alpha/dv), which vanishes at critical points,
+    summed from 0.0 in variable order over the log-gradient with the
+    slope's term (2 pi i - 2 p log xi) / q added to its meridian entry.
+    Valid at any regular point with principal branches.
     """
-    return spec.tables.im_v_alpha_parts(pt, slope)
+    grad = log_gradient(spec, pt)
+    if slope is not None:
+        grad[-1] += (2j * _PI - 2 * slope.p * pt.logs[spec.meridian]) / slope.q
+    corr = 0.0
+    for v, g in zip(spec.variables, grad):
+        corr += math.log(abs(pt.values[v])) * g.imag
+    return signed_d_sum(spec, pt), corr
 
 
 def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> InvariantReport:
@@ -114,12 +128,12 @@ def report_for(spec: PotentialSpec, slope: Slope, sol: FillingSolution) -> Invar
 
     sol may also be a CriticalPoint or a ParamPoint: the report reads
     only the point. A slope that solve_filling refuses raises the same
-    error here, except one with q < 0: the reversed oriented slope
-    (-p, -q, -r, -s) of an accepted one is reported, for its conjugate
-    point.
+    error here (solver._check_slope), and a FillingSolution of another
+    p/q raises ValidationError; a cocycle shift (r, s) of its slope is
+    reported.
     """
     _check_slope(slope)
-    pt = _point_of(sol)
+    pt = _point_of(slope, sol)
     va = eval_v_alpha(spec, slope, pt)
     cs, amb = _cs_class(va)
     length, torsion, length_sign = _core_geodesic(slope, pt)

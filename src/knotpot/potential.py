@@ -785,27 +785,10 @@ def signed_d_sum(pt):
     ({as_}) = pt.li2_values{ds}
     return sum(({d_terms}))
 """,
-    "im_v_alpha_parts": """\
-def im_v_alpha_parts(pt, slope):
-    ({ms}), ({ts}) = _tracked(_spec, pt)
-    logs = pt.logs{grad}
-    if slope is not None:
-        {g_last} = {g_last} + (2j * _PI - 2 * slope.p * logs[{meridian}]) / slope.q
-    values = pt.values
-    corr = 0.0{corr_terms}
-    ({as_}) = pt.li2_values{ds}
-    return sum(({d_terms})), corr
-""",
     "monomial_logs": """\
 def monomial_logs(pt):
     ({ms}) = _tracked(_spec, pt)[0]{mlogs}
     return [{ps}]
-""",
-    "rogers_combo": """\
-def rogers_combo(pt):
-    ({ms}), ({ts}) = _tracked(_spec, pt)
-    ({as_}) = pt.li2_values{mlogs}
-    return 0j{r_terms} + {constant}
 """,
 }
 # a variable log, moved by -scale * its delta where build_point has one
@@ -912,18 +895,15 @@ def _compile_kernels(tab: SpecTables):
     OverflowError, which solver._newton refuses the same way.
     eta_log(pt) is log eta alone, the same text.
 
-    eval_v(pt), signed_d_sum(pt), im_v_alpha_parts(pt, slope) and
-    rogers_combo(pt) are the bodies of potential.eval_v,
-    potential.signed_d_sum, invariants.im_v_alpha_parts and
-    invariants.rogers_combo, on the point's stored Li2 values;
-    im_v_alpha_parts holds the text of the log-gradient and of the D
-    sum. monomial_logs(pt) is the list of the continued log m of each
+    eval_v(pt) and signed_d_sum(pt) are the bodies of potential.eval_v
+    and potential.signed_d_sum, on the point's stored Li2 values.
+    monomial_logs(pt) is the list of the continued log m of each
     tracked monomial m: principal_log(m) + 2 pi i k, with k the winding
     that brings it nearest sum e log v over m's factors v^e, so it
-    winds as the variable logs do; rogers_combo holds its text. Each D
-    is dilog._d_from_li2's and each principal log dilog.principal_log's,
-    called, and signed_d_sum adds its terms with sum over a tuple, as
-    the plain reading adds them with sum.
+    winds as the variable logs do; invariants.rogers_combo reads it.
+    Each D is dilog._d_from_li2's and each principal log
+    dilog.principal_log's, called, and signed_d_sum adds its terms with
+    sum over a tuple, as the plain reading adds them with sum.
 
     Every integer power e with |e| <= 100 is written out (_power) as
     CPython 3.11's complex ** int forms it (c_powi): (1 + 0j) times
@@ -952,7 +932,7 @@ def _compile_kernels(tab: SpecTables):
         "_StepTooLarge": StepTooLargeError, "_Singular": SingularPointError,
         "_SingularJacobian": SingularJacobianError, "_d": _d_from_li2,
         "_principal_log": principal_log, "_exp": _exp, "_log": _log,
-        "_isfinite": _isfinite, "_isinf": cmath.isinf, "_mlog": math.log, "_inf": math.inf,
+        "_isfinite": _isfinite, "_isinf": cmath.isinf, "_inf": math.inf,
         "_PI": _PI, "_TWO_PI": _TWO_PI, "_ZERO_TOL": _ZERO_TOL, "_ONE_TOL": _ONE_TOL,
         "_MAX_JUMP": _MAX_JUMP, "_LOG_MAX": _LOG_MAX,
     }
@@ -1058,11 +1038,6 @@ def _compile_kernels(tab: SpecTables):
         hess_rows=listed(hess[1]),
         grad=grad[0],
         grad_row=listed(grad[1]),
-        g_last=grad[1][-1],
-        meridian=names[spec.meridian],
-        corr_terms="".join(
-            " + _mlog(abs(values[%s])) * %s.imag" % vg for vg in zip(names.values(), grad[1])
-        ),
         eta_terms="".join("\n    e%d = %s" % (k, term) for k, term in enumerate(terms)),
         eta_sum="".join(" + e%d" % k for k in range(len(terms))),
         eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),
@@ -1081,9 +1056,6 @@ def _compile_kernels(tab: SpecTables):
             for j, row in enumerate(tab.monomial_rows)
         ),
         ps="".join("p%d, " % j for j in idx),
-        r_terms="".join(
-            " + %s * (a%d + 0.5 * p%d * t%d)" % (_int(sign), j, j, j) for sign, j in tab.dilogs
-        ),
     )
     sources = {name: text.format(**fields) for name, text in _KERNELS.items()}
 

@@ -95,7 +95,7 @@ def _regular_points(spec, rng, count):
         # variable clear of the log cut, for differencing
         ok = all(
             abs(m.imag) > 0.05 and abs(m - 1) > 0.05 and abs(m) > 0.05
-            for m in (pt.tracked_values[j] for _, j in spec.tables.dilogs)
+            for m in pt.tracked_values[: spec.tables.dilog_arg_count]
         ) and all(math.pi - abs(cmath.phase(v)) >= 0.05 for v in values.values())
         if ok:
             pts.append(pt)

@@ -76,7 +76,7 @@ _BRANCH_TOL = 1e-6
 
 # normalize_slope's refusal of q = 0, which _check_slope repeats
 _MERIDIAN_MSG = "slope with q = 0 (meridian) is not a filling"
-# _check_slope's refusal, and solve_filling's of q < 0
+# _check_slope's refusal of q < 0 and of a common factor
 _LOWEST_MSG = "slope %s is not in lowest terms with q >= 1"
 
 
@@ -128,13 +128,13 @@ def _check_newton_tol(newton_tol) -> None:
 
 
 def _check_slope(slope) -> None:
-    # q = 0 raises as normalize_slope does; the filling row of the
-    # Jacobian holds 2p and 2q. q < 0 passes, for the reversed oriented
-    # slope (-p, -q, -r, -s) that report_for reports
+    # the one slope rule of solve_filling and report_for: q = 0 raises
+    # as normalize_slope does, and the filling row of the Jacobian holds
+    # 2p and 2q; r and s are left free, for the shifted cocycles
     p, q = slope.p, slope.q
     if q == 0:
         raise ZeroDenominatorError(_MERIDIAN_MSG)
-    if math.gcd(p, q) != 1:
+    if q < 0 or math.gcd(p, q) != 1:
         raise ValidationError(_LOWEST_MSG % slope)
     _check_float_range(2 * p, "slope p and q")
     _check_float_range(2 * q, "slope p and q")
@@ -293,9 +293,8 @@ def solve_complete(
             pt = make_point(spec, conj_values)
             cp = CriticalPoint(pt, _resid_inf(pt), cp.newton_iters)
             vol = signed_d_sum(spec, pt)
-        if vol > _FLAT_TOL and all(
-            abs(cp.point.tracked_values[j].imag) > 1e-9 for _, j in spec.tables.dilogs
-        ):
+        args = cp.point.tracked_values[: spec.tables.dilog_arg_count]
+        if vol > _FLAT_TOL and all(abs(m.imag) > 1e-9 for m in args):
             # a seed's Newton path may wind a log: restart them principal
             logs = [*cp.point.logs.values(), *cp.point.tracked_logs]
             if any(ContinuedLog.from_value(lw).winding for lw in logs):
@@ -447,15 +446,14 @@ def solve_filling(
     >= _FLAT_TOL, and Im V_alpha is within max(_BRANCH_TOL, newton_tol)
     of the D-sum; otherwise it raises PathObstructionError: the slope is
     possibly exceptional. Raises ValidationError before anything is
-    solved on: a newton_tol as solve_complete refuses; a slope with
-    q < 0 or gcd(p, q) != 1, or q = 0 (ZeroDenominatorError, as
-    normalize_slope), its r and s unchecked; a slope whose 2p or 2q is
-    beyond float range (the filling row of the Jacobian holds both); or
-    a complete whose point belongs to a spec not equal to spec.
+    solved on: a newton_tol as solve_complete refuses; a slope that
+    _check_slope refuses, as report_for does: q < 0 or gcd(p, q) != 1,
+    or q = 0 (ZeroDenominatorError, as normalize_slope), its r and s
+    unchecked, or 2p or 2q beyond float range (the filling row of the
+    Jacobian holds both); or a complete whose point belongs to a spec
+    not equal to spec.
     """
     _check_newton_tol(newton_tol)
-    if slope.q < 0:
-        raise ValidationError(_LOWEST_MSG % slope)
     _check_slope(slope)
     p, q = slope.p, slope.q
     spec, pt = _start(spec, complete, newton_tol)

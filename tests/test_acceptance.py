@@ -221,13 +221,15 @@ def test_criterion_06_well_definedness(acceptance, spec, complete):
             max(abs(r) for r in reduced_residual(conj)),
             abs(slope.p * u + slope.q * v + _TWO_PI_I),
         )
-        # (b) V_alpha of the reversed slope at conj is the conjugate
+        # (b) V_alpha of the reversed slope at conj is the conjugate:
+        # its volume is negated and its cs class kept
         va = eval_v_alpha(spec, slope, pt)
+        va_rev = eval_v_alpha(spec, rev, conj)
         worst_conj = max(
             worst_conj,
-            abs(eval_v_alpha(spec, rev, conj) - va.conjugate()),
-            abs(report_for(spec, rev, conj).volume + rep.volume),
-            _dist_mod(report_for(spec, rev, conj).cs_value - rep.cs_value, 0.5),
+            abs(va_rev - va.conjugate()),
+            abs(va_rev.imag + rep.volume),
+            _dist_mod(-va_rev.real / (2 * math.pi**2) - rep.cs_value, 0.5),
         )
         # (c) the Bloch-Wigner route, which does not go through V_alpha
         worst_conj = max(

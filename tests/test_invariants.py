@@ -159,6 +159,19 @@ def test_cs_cocycle_invariance(spec, seven):
         assert abs(csk - cs0) < 1e-12
 
 
+def test_report_refuses_a_filling_of_another_slope(spec, seven):
+    # the 7/1 filling read as 8/1 would report a volume off its D-sum;
+    # a cocycle shift of 7/1 and the bare points are reported
+    with pytest.raises(ValidationError) as ei:
+        report_for(spec, normalize_slope(8, 1), seven)
+    assert str(ei.value) == "solution fills slope 7/1, not 8/1"
+    base = normalize_slope(7, 1)
+    report_for(spec, Slope(7, 1, base.r + 7, base.s + 1), seven)
+    for sol in (seven.critical, seven.critical.point):
+        rep = report_for(spec, normalize_slope(8, 1), sol)
+        assert rep.volume_from_shapes == report_for(spec, base, seven).volume_from_shapes
+
+
 def test_cs_cocycle_invariance_q_three(spec, complete):
     slope = normalize_slope(7, 3)
     sol = solve_filling(spec, slope, complete=complete)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
-from knotpot import cli, dilog, potential, selftest, solver
+from knotpot import cli, dilog, invariants, potential, selftest, solver
 from knotpot._records import RecordBase
 from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2, principal_log
 from knotpot.errors import (
@@ -722,7 +722,7 @@ def naive_rogers_combo(spec, pt):
 
 
 def naive_im_v_alpha_parts(spec, pt, slope=None):
-    # the body the im_v_alpha_parts kernel replaced, on plain readings
+    # the body of im_v_alpha_parts, on plain readings
     g = naive_log_gradient(spec, pt)
     if slope is not None:
         lx = pt.logs[spec.meridian]
@@ -864,6 +864,8 @@ def naive_fiber_step(spec, pt, tol):
 
 
 _SEVEN = normalize_slope(7, 1)
+# a slope whose q divides the meridian term by more than 1
+_FIVE_TWO = normalize_slope(5, 2)
 
 
 def _fiber_outcome(step, pt, tol):
@@ -901,6 +903,7 @@ def assert_matches_naive(spec, pt):
         (rogers_combo(spec, pt), naive_rogers_combo(spec, pt)),
         (im_v_alpha_parts(spec, pt), naive_im_v_alpha_parts(spec, pt)),
         (im_v_alpha_parts(spec, pt, _SEVEN), naive_im_v_alpha_parts(spec, pt, _SEVEN)),
+        (im_v_alpha_parts(spec, pt, _FIVE_TWO), naive_im_v_alpha_parts(spec, pt, _FIVE_TWO)),
     ]
     for got, want in pairs:
         assert _bits(got) == _bits(want)
@@ -1057,6 +1060,49 @@ def test_kernels_call_the_one_d_and_principal_log(spec):
     assert any(v is dilog.principal_log for v in bound)
 
 
+def test_no_kernel_text_names_a_slope():
+    # the slope's terms belong to the invariants layer, not the kernels
+    assert not [name for name, text in potential._KERNELS.items() if "slope" in text]
+
+
+def test_every_kernel_is_read_by_the_program():
+    # each kernel is called as <spec>.tables.<name> somewhere in the
+    # package outside the generator, so no kernel is kept for tests alone
+    src = os.path.dirname(potential.__file__)
+    read = set()
+    for fname in os.listdir(src):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname)) as f:
+            tree = ast.parse(f.read())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_compile_kernels":
+                skip.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "tables"
+                and id(node) not in skip
+            ):
+                read.add(node.attr)
+    assert set(potential._KERNELS) <= read, set(potential._KERNELS) - read
+
+
+def test_im_v_alpha_parts_takes_its_d_sum_from_signed_d_sum(spec, complete, monkeypatch):
+    # one D-sum routine: the first part is signed_d_sum's own result
+    calls, marker = [], object()
+
+    def counted(s, pt):
+        calls.append(pt)
+        return marker
+
+    monkeypatch.setattr(invariants, "signed_d_sum", counted)
+    assert im_v_alpha_parts(spec, complete.point)[0] is marker
+    assert calls == [complete.point]
+
+
 def test_every_kernel_binding_is_read():
     # each name _compile_kernels binds is read by some kernel of the
     # built-in, so no binding outlives the text that read it
@@ -1077,7 +1123,7 @@ def test_each_kernel_is_compiled_on_its_first_use(monkeypatch):
         assert cli.main(["fill", "--slope", "7/1"]) == 0
     compiled = set(fresh.tables.__dict__) & set(potential._KERNELS)
     assert "fiber_step" in compiled and "longitude" in compiled
-    assert not compiled & {"monomial_logs", "rogers_combo", "im_v_alpha_parts", "eta_log"}
+    assert not compiled & {"monomial_logs", "eta_log"}
 
 
 def test_each_kernel_constant_is_bound_once(spec):

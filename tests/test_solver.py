@@ -825,14 +825,13 @@ def test_filling_refuses_a_slope_that_is_not_normalized(
         (Slope(14, 2, -1, 0), ValidationError, "slope 14/2 is not in lowest terms with q >= 1"),
         (normalize_slope(10**400, 1), ValidationError,
          "slope p and q must be within float range"),
+        (Slope(7, -1, 1, 0), ValidationError, "slope 7/-1 is not in lowest terms with q >= 1"),
     ],
-    ids=["meridian", "not-lowest-terms", "float-range"],
+    ids=["meridian", "not-lowest-terms", "float-range", "negative-q"],
 )
 def test_report_refuses_a_slope_that_solve_filling_refuses(spec, complete, slope, error, msg):
     # report_for reads p and q as solve_filling does, so it judges the
-    # slope by the same check before it reads the point; only q < 0
-    # passes, for the reversed oriented slope (-p, -q, -r, -s) of the
-    # well-definedness criterion
+    # slope by the same check before it reads the point
     with pytest.raises(error) as ei:
         report_for(spec, slope, complete)
     assert str(ei.value) == msg
