@@ -21,11 +21,12 @@ invariants.rogers_combo all read them there.
 
 The evaluators do not interpret the spec. Each spec is lowered once,
 on first use, to index tables (PotentialSpec.tables, SpecTables), and
-from them to straight-line kernels (_compile_kernels), each the one
-implementation of what it computes and bit for bit the plain reading
-of the spec. Every point, built by make_point or advance_point_logs,
-evaluates each tracked monomial once and keeps its value and continued
-log(1 - m) beside the variable logs; the evaluators read them there.
+in the same step to straight-line kernels (_compile_kernels), each the
+one implementation of what it computes and bit for bit the plain
+reading of the spec. Every point, built by make_point or
+advance_point_logs, evaluates each tracked monomial once and keeps its
+value and continued log(1 - m) beside the variable logs; the
+evaluators read them there.
 """
 
 import cmath
@@ -146,9 +147,11 @@ class SpecTables:
     floats (complex for the hessian's constants), so each evaluator
     does the arithmetic of the plain reading of the spec.
 
-    Each kernel of _KERNELS is an attribute, compiled on its first use
+    Each kernel of _KERNELS is an attribute, all of them compiled here
     (_compile_kernels). A spec with no fiber variable, the meridian its
-    only variable, raises ValidationError: no solver can run it.
+    only variable, raises ValidationError: no solver can run it. So
+    does a spec whose kernels are too long for the compiler, which
+    raises RecursionError on them.
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -255,18 +258,13 @@ class SpecTables:
             residual.append((tuple((sigma * sa, j) for sa, j in rows), tuple(rhs)))
         self.residual = tuple(residual)
         self.spec = spec
-
-    @cached_property
-    def _kernel(self):
-        # kernel(name) compiles one kernel from the texts generated once
-        return _compile_kernels(self)
-
-    def __getattr__(self, name):
-        # each kernel, compiled on its first use
-        if name not in _KERNELS:
-            raise AttributeError(name)
-        kernel = self.__dict__[name] = self._kernel(name)
-        return kernel
+        try:
+            self.__dict__.update(_compile_kernels(self))
+        except RecursionError:
+            raise ValidationError(
+                "dilog_terms, quad_terms and longitude.factors: too many terms"
+                " to compile the spec's kernels"
+            ) from None
 
 
 class ParamPoint(RecordBase):
@@ -461,14 +459,16 @@ def load_spec(source) -> PotentialSpec:
     Accepts a str, bytes, or a readable file object. Unknown fields
     are rejected so typos fail loudly rather than silently changing
     the potential. Raises SpecFormatError for bytes that are not UTF-8
-    and text that is not JSON, and ValidationError for a document that
-    does not follow the format: among them an integer or a product of
-    exponents beyond float range, a dilog term or longitude factor
-    whose arg holds no variable, quad coefficients that give the
-    reduced residual a non-integer exponent, and a meridian declared
-    with no fiber variable before it. This is the one place a
-    spec's contents are judged; no evaluator or Newton loop raises
-    about a spec it returns.
+    and text that is not JSON or nests too deep to parse, and
+    ValidationError for a document that does not follow the format:
+    among them an integer or a product of exponents beyond float range,
+    a dilog term or longitude factor whose arg holds no variable, quad
+    coefficients that give the reduced residual a non-integer exponent,
+    a meridian declared with no fiber variable before it, and terms too
+    many to compile. This is the one place a spec's contents are
+    judged; no evaluator or Newton loop raises about a spec it returns.
+    The spec's kernels are compiled here, so a large spec costs its
+    compile time at load, not at its first solve.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -480,9 +480,10 @@ def load_spec(source) -> PotentialSpec:
         raise SpecFormatError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
         ) from e
-    except ValueError as e:
-        # bytes that are not UTF-8, or an integer literal longer than
-        # int() converts
+    except (ValueError, RecursionError) as e:
+        # bytes that are not UTF-8, an integer literal longer than
+        # int() converts, or arrays and objects nested deeper than the
+        # parser recurses
         raise SpecFormatError("parse error: %s" % e) from e
 
     _check_fields(doc, _TOP_FIELDS, "document")
@@ -535,7 +536,8 @@ def load_spec(source) -> PotentialSpec:
         longitude=_parse_longitude(doc["longitude"], variables),
     )
     # lowered here, so an exponent product beyond float range, a non-integer
-    # residual exponent or a lone meridian is refused where the document is read
+    # residual exponent, a lone meridian or kernels too long to compile are
+    # refused where the document is read
     spec.tables
     return spec
 
@@ -697,19 +699,19 @@ def _indented(lines, indent: str) -> str:
 
 
 # The kernels' sources by name, one text per kernel, filled in once per
-# spec by _compile_kernels and each compiled on its first use: a process
-# compiles only the kernels it calls, and the compiler's peak memory is
-# the largest kernel's. Locals: l<i> and w<i> the log and value of
-# variable i, k the number of build_point's deltas, m<j> and t<j>
-# tracked monomial j and its continued log(1 - m), q<j> that log at
-# prev, r<i> reduced residual row i and r the largest modulus of the
-# rows, f<t> = sign * m / (1 - m) of dilog term t, h<u>_<v> and g<u> a
-# hessian cell u <= v and a gradient entry, e<k> term k of log eta,
-# a<j> the Li2 of dilog argument j, d<j> its D and p<j> the continued
-# log m<j>; each power and square is named after its base (_power),
-# w<i>, u<j> = 1 - m<j> or v<i> = values of variable i, and fiber_step's
-# elimination names its own (_solve_source). Globals: _k<n> the spec's
-# constants, each bound once, and the helpers bound by _compile_kernels.
+# spec by _compile_kernels and each compiled on its own, so the
+# compiler's peak memory is the largest kernel's. Locals: l<i> and w<i>
+# the log and value of variable i, k the number of build_point's deltas,
+# m<j> and t<j> tracked monomial j and its continued log(1 - m), q<j>
+# that log at prev, r<i> reduced residual row i and r the largest
+# modulus of the rows, f<t> = sign * m / (1 - m) of dilog term t,
+# h<u>_<v> and g<u> a hessian cell u <= v and a gradient entry, e<k>
+# term k of log eta, a<j> the Li2 of dilog argument j, d<j> its D and
+# p<j> the continued log m<j>; each power and square is named after its
+# base (_power), w<i>, u<j> = 1 - m<j> or v<i> = values of variable i,
+# and fiber_step's elimination names its own (_solve_source). Globals:
+# _k<n> the spec's constants, each bound once, and the helpers bound by
+# _compile_kernels.
 _KERNELS = {
     "build_point": """\
 def build_point(logmap, prev, deltas=(), scale=1.0):
@@ -833,11 +835,11 @@ _MONOMIAL_LOG = """
         p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
 
 
-def _compile_kernels(tab: SpecTables):
-    """kernel(name): the kernel of tab's spec so named (_KERNELS), compiled.
+def _compile_kernels(tab: SpecTables) -> dict:
+    """{name: kernel} of tab's spec, for each name of _KERNELS, compiled.
 
-    The source texts of all the kernels are generated here, once; each
-    call of kernel compiles one of them, into the namespace they share.
+    The source texts of all the kernels are generated here, and each is
+    compiled by a call of its own, into the namespace they share.
     Each text writes out, per row and cell, the operations of the plain
     reading of the spec in its order and grouping, starting every sum
     from 0j (a sum of moduli from 0.0) and every product from 1 + 0j
@@ -1057,12 +1059,7 @@ def _compile_kernels(tab: SpecTables):
         ),
         ps="".join("p%d, " % j for j in idx),
     )
-    sources = {name: text.format(**fields) for name, text in _KERNELS.items()}
-
-    def kernel(name):
-        return _compile(sources[name], ns)[name]
-
-    return kernel
+    return {name: _compile(text.format(**fields), ns)[name] for name, text in _KERNELS.items()}
 
 
 # ------------------------------------------------------------- points
@@ -1190,15 +1187,6 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
     row.
     """
     return spec.tables.eta_log(pt)
-
-
-def d_eta_log(spec: PotentialSpec, pt: ParamPoint) -> list:
-    """Derivatives v d(log eta)/dv over spec.variables (Jacobian row).
-
-    A fresh list of complex, one per variable in spec order, from the
-    spec's compiled longitude kernel (SpecTables).
-    """
-    return spec.tables.longitude(pt)[2]
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:

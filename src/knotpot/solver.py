@@ -148,11 +148,8 @@ def normalize_slope(p_raw: int, q_raw: int) -> Slope:
     p, q = p_raw // g, q_raw // g
     if q < 0:
         p, q = -p, -q
-    if q == 1:
-        s, r = 0, -1
-    else:
-        s = pow(p, -1, q)  # exists since gcd(p, q) = 1
-        r = (p * s - 1) // q
+    s = pow(p, -1, q)  # exists since gcd(p, q) = 1; 0 where q = 1
+    r = (p * s - 1) // q
     return Slope(p, q, r, s)
 
 

@@ -39,7 +39,7 @@ remains.
 import pytest
 
 import _apoly
-from knotpot.potential import d_eta_log, eval_eta, log_hessian, reduced_residual
+from knotpot.potential import eval_eta, log_hessian, reduced_residual
 from test_scan_digest import scan_runs
 from test_trace_digest import trace_runs
 
@@ -64,7 +64,7 @@ def _eta_error(spec, pt) -> float:
     rounding = EPS * (8 + sum(abs(m) / abs(1 - m) for m in pt.tracked_values))
     size = abs(pt.values["xi"]) ** 2
     (a, b), (c, e) = (row[:2] for row in log_hessian(spec, pt)[:2])
-    d = d_eta_log(spec, pt)
+    d = spec.tables.longitude(pt)[2]
     det = a * e - b * c
     w = ((d[0] * e - d[1] * c) / det, (d[1] * a - d[0] * b) / det)
     residual = reduced_residual(pt)

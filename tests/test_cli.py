@@ -15,6 +15,7 @@ from knotpot import cli, selftest, solver
 from knotpot.cli import CSV_HEADER, main, parse_slope, parse_u_end
 from knotpot.errors import NoConvergenceError, ValidationError
 from knotpot.potential import builtin_five_two, dump_spec, load_spec
+from test_potential import _balanced_terms
 
 
 def run(capsys, *argv):
@@ -112,11 +113,28 @@ def test_spec_file_of_the_wrong_kind_exits_usage(capsys, tmp_path):
         b"\x80" + text.encode(),  # not UTF-8
         text.replace('"sign": -1', '"sign": ' + "1" * 5000, 1).encode(),  # int() refuses
         json.dumps(doc).encode(),
+        b"[" * 3000 + b"]" * 3000,  # nested deeper than the parser recurses
     ):
         path.write_bytes(data)
         code, out, err = run(capsys, "--spec", str(path), "complete")
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spec_too_long_to_compile_exits_usage(capsys, tmp_path):
+    # 3,000 more dilog terms on one argument: refused where the spec is
+    # read, not as a RecursionError where a solve compiles its kernels
+    doc = json.loads(dump_spec(builtin_five_two()))
+    doc["dilog_terms"] += _balanced_terms(3000)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["complete"], ["fill", "--slope=7/1"]):
+        code, out, err = run(capsys, "--spec", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: dilog_terms, quad_terms and longitude.factors: too many terms"
+            " to compile the spec's kernels\n"
+        )
 
 
 _COLLIDING = os.path.join(
@@ -911,7 +929,8 @@ _SELFTEST_FAULTS = [
     ("knotpot.selftest", "log_gradient", _scale_gradient, "derivative-checks"),
     # the sign of Im Li2 in D, where the signed_d_sum kernel forms D from
     # the stored Li2, trips the volume checks: the fault is in the D a
-    # spec's kernels bind on first use, and selftest builds a fresh spec
+    # spec's kernels bind when it is lowered, and selftest builds a fresh
+    # spec
     ("knotpot.potential", "_d_from_li2", lambda f: lambda z, a: f(z, -a),
      "complete-structure"),
 ]

@@ -172,6 +172,14 @@ def test_report_refuses_a_filling_of_another_slope(spec, seven):
         assert rep.volume_from_shapes == report_for(spec, base, seven).volume_from_shapes
 
 
+def test_report_refuses_what_is_no_solution_or_point(spec, seven):
+    # a point's values or logs are no point
+    pt = seven.critical.point
+    for sol in (pt.values, pt.logs, None):
+        with pytest.raises(TypeError, match="expected a solution or point, got"):
+            report_for(spec, normalize_slope(7, 1), sol)
+
+
 def test_cs_cocycle_invariance_q_three(spec, complete):
     slope = normalize_slope(7, 3)
     sol = solve_filling(spec, slope, complete=complete)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
+import knotpot
 from knotpot import cli, dilog, invariants, potential, selftest, solver
 from knotpot._records import RecordBase
 from knotpot.dilog import ContinuedLog, bloch_wigner_d, li2, principal_log
@@ -32,7 +33,6 @@ from knotpot.potential import (
     ParamPoint,
     advance_point_logs,
     builtin_five_two,
-    d_eta_log,
     dump_spec,
     eta_log,
     eval_eta,
@@ -247,6 +247,12 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
             "longitude: unknown field(s) ['alternate']",
         ),
         (lambda d: d.update(variables=["x", "x", "xi"]), "variables: names must be distinct"),
+        (lambda d: d.update(variables="xi"), "variables: must be a non-empty list of strings"),
+        (lambda d: d.update(variables=[]), "variables: must be a non-empty list of strings"),
+        (
+            lambda d: d.update(variables=["x", 2, "xi"]),
+            "variables: must be a non-empty list of strings",
+        ),
         (
             lambda d: d["dilog_terms"][0].update(arg=[1, 2]),
             "dilog_terms[0]: monomial must be a var -> exponent map",
@@ -267,6 +273,9 @@ def test_load_spec_accepts_a_meridian_in_no_quad_term():
         "no_prefactor",
         "alternate_refused",
         "repeated_variable",
+        "variables_a_string",
+        "variables_empty",
+        "variables_hold_a_number",
         "arg_not_a_map",
         "vars_not_a_pair",
         "meridian_alone",
@@ -309,6 +318,42 @@ def test_load_spec_rejects_an_integer_too_long_to_convert(spec):
 def test_load_spec_parse_error_has_position():
     with pytest.raises(SpecFormatError, match="line"):
         load_spec('{"name": "x",')
+
+
+def test_load_spec_rejects_a_document_nested_too_deep():
+    # deeper than the JSON parser recurses, at the top or in a field
+    deep = "[" * 3000 + "]" * 3000
+    for text in (deep, '{"name": %s}' % deep):
+        with pytest.raises(SpecFormatError, match="parse error: maximum recursion depth"):
+            load_spec(text)
+
+
+def _balanced_terms(count):
+    # count dilog terms on one argument, of alternating sign: each adds
+    # a product to the same hessian cell
+    return [{"sign": 1 - 2 * (k % 2), "arg": {"x": 1, "xi": -1}} for k in range(count)]
+
+
+def test_load_spec_refuses_terms_too_many_to_compile(spec, complete):
+    # a hessian cell of 3,000 products is an expression nested deeper
+    # than the compiler recurses: refused where the spec is lowered, by
+    # load_spec or the first tables read of a spec built in code
+    doc = _doc(spec)
+    doc["dilog_terms"] += _balanced_terms(3000)
+    message = "too many terms to compile the spec's kernels"
+    with pytest.raises(ValidationError, match=message):
+        load_spec(json.dumps(doc))
+    extra = tuple(DilogTerm(t["sign"], Monomial.from_dict(t["arg"])) for t in _balanced_terms(3000))
+    built = potential.PotentialSpec(
+        spec.name, spec.variables, spec.dilog_terms + extra,
+        spec.quad_terms, spec.constant_pi2, spec.longitude,
+    )
+    with pytest.raises(ValidationError, match=message):
+        built.tables
+    # 1,000 such terms, which cancel, compile and solve to the built-in's root
+    doc["dilog_terms"][5:] = _balanced_terms(1000)
+    got = solver.solve_complete(load_spec(json.dumps(doc))).point.values
+    assert all(abs(got[v] - complete.point.values[v]) < 1e-12 for v in spec.variables)
 
 
 # -------------------------------------------------------------- points
@@ -536,7 +581,7 @@ def test_array_evaluators_return_plain_lists(spec, complete):
     n = len(spec.variables)
     for pt in regular_points(spec, 5, seed=131) + [complete.point]:
         g = log_gradient(spec, pt)
-        d = d_eta_log(spec, pt)
+        d = spec.tables.longitude(pt)[2]
         h = log_hessian(spec, pt)
         assert type(g) is list and type(d) is list and type(h) is list
         assert len(g) == len(d) == len(h) == n
@@ -896,7 +941,7 @@ def assert_matches_naive(spec, pt):
         (log_hessian(spec, pt), naive_log_hessian(spec, pt)),
         (reduced_residual(pt), naive_reduced_residual(pt)),
         (eta_log(spec, pt), naive_eta_log(spec, pt)),
-        (d_eta_log(spec, pt), naive_d_eta_log(spec, pt)),
+        (spec.tables.longitude(pt)[2], naive_d_eta_log(spec, pt)),
         (eval_v(spec, pt), naive_eval_v(spec, pt)),
         (signed_d_sum(spec, pt), naive_signed_d_sum(spec, pt)),
         (spec.tables.monomial_logs(pt), naive_monomial_logs(spec, pt)),
@@ -1090,6 +1135,29 @@ def test_every_kernel_is_read_by_the_program():
     assert set(potential._KERNELS) <= read, set(potential._KERNELS) - read
 
 
+def test_every_public_name_is_exported_or_read():
+    # each public function or class of a knotpot module is in
+    # knotpot.__all__ or named in the package's code, so no function is
+    # kept for tests alone
+    src = os.path.dirname(potential.__file__)
+    defined, named = {}, set()
+    for fname in os.listdir(src):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname)) as f:
+            tree = ast.parse(f.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defined[node.name] = fname
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unread = {n: f for n, f in defined.items() if n not in knotpot.__all__ and n not in named}
+    assert not unread, unread
+
+
 def test_im_v_alpha_parts_takes_its_d_sum_from_signed_d_sum(spec, complete, monkeypatch):
     # one D-sum routine: the first part is signed_d_sum's own result
     calls, marker = [], object()
@@ -1114,16 +1182,26 @@ def test_every_kernel_binding_is_read():
     assert bound and bound <= read, bound - read
 
 
-def test_each_kernel_is_compiled_on_its_first_use(monkeypatch):
-    # a fill compiles the kernels it calls and no other: not the
-    # per-sample kernels of trace
+def test_every_kernel_is_compiled_when_the_spec_is_lowered(monkeypatch):
+    # load_spec, or the first tables read of a spec built in code,
+    # compiles every kernel, and no command compiles one after it
     fresh = builtin_five_two()
+    for lowered in (load_spec(dump_spec(fresh)), fresh):
+        assert set(potential._KERNELS) <= set(lowered.tables.__dict__)
+    texts = []
+    compile_ = potential._compile
+
+    def record(source, namespace):
+        texts.append(source)
+        return compile_(source, namespace)
+
+    monkeypatch.setattr(potential, "_compile", record)
     monkeypatch.setitem(potential.BUILTINS, "5_2", lambda: fresh)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["fill", "--slope", "7/1"]) == 0
-    compiled = set(fresh.tables.__dict__) & set(potential._KERNELS)
-    assert "fiber_step" in compiled and "longitude" in compiled
-    assert not compiled & {"monomial_logs", "eta_log"}
+        for argv in (["fill", "--slope", "7/1"], ["complete"], ["trace", "--u-end=0.1i"]):
+            assert cli.main(argv) == 0
+    kernels = tuple("def %s(" % name for name in potential._KERNELS)
+    assert not [text for text in texts if text.startswith(kernels)]
 
 
 def test_each_kernel_constant_is_bound_once(spec):
@@ -1213,7 +1291,7 @@ _EVALUATORS = (
     log_gradient,
     log_hessian,
     eta_log,
-    d_eta_log,
+    lambda s, pt: s.tables.longitude(pt)[2],
     rogers_combo,
     lambda s, pt: im_v_alpha_parts(s, pt, _SLOPE_7_1),
 )

@@ -258,8 +258,12 @@ def test_load_spec_on_mutated_bytes_raises_only_spec_errors(edits):
 # --------------------------------------------------- compiled kernels
 
 
-def _kernel_source(spec):
-    """The source texts compiled for spec's kernels, joined."""
+def _kernel_source(doc):
+    """The source texts compiled for the kernels of doc's spec, joined.
+
+    load_spec lowers the spec, and so compiles its kernels, while
+    potential._compile records what it is given: one text per kernel.
+    """
     texts = []
     compile_ = potential._compile
 
@@ -269,10 +273,10 @@ def _kernel_source(spec):
 
     potential._compile = record
     try:
-        for name in potential._KERNELS:
-            getattr(spec.tables, name)
+        load_spec(json.dumps(doc))
     finally:
         potential._compile = compile_
+    assert [t[:t.index("(")] for t in texts] == ["def " + name for name in potential._KERNELS]
     return "".join(texts)
 
 
@@ -322,7 +326,7 @@ def test_kernels_match_the_plain_reading(doc, data):
     # order, compiles to the same text
     order = sorted(spec.variables)
     new = {v: "v%d" % order.index(v) for v in spec.variables}
-    assert _kernel_source(spec) == _kernel_source(load_spec(json.dumps(_renamed(doc, new))))
+    assert _kernel_source(doc) == _kernel_source(_renamed(doc, new))
     points = []
     try:
         pt = make_point(spec, {v: data.draw(_point_values) for v in spec.variables})
