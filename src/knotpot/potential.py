@@ -148,10 +148,9 @@ class SpecTables:
     does the arithmetic of the plain reading of the spec.
 
     Each kernel of _KERNELS is an attribute, all of them compiled here
-    (_compile_kernels). A spec with no fiber variable, the meridian its
-    only variable, raises ValidationError: no solver can run it. So
-    does a spec whose kernels are too long for the compiler, which
-    raises RecursionError on them.
+    (_compile_kernels), whatever the spec's length and however deep the
+    caller's stack. A spec with no fiber variable, the meridian its
+    only variable, raises ValidationError: no solver can run it.
     """
 
     def __init__(self, spec: PotentialSpec):
@@ -258,13 +257,7 @@ class SpecTables:
             residual.append((tuple((sigma * sa, j) for sa, j in rows), tuple(rhs)))
         self.residual = tuple(residual)
         self.spec = spec
-        try:
-            self.__dict__.update(_compile_kernels(self))
-        except RecursionError:
-            raise ValidationError(
-                "dilog_terms, quad_terms and longitude.factors: too many terms"
-                " to compile the spec's kernels"
-            ) from None
+        self.__dict__.update(_compile_kernels(self))
 
 
 class ParamPoint(RecordBase):
@@ -464,11 +457,11 @@ def load_spec(source) -> PotentialSpec:
     among them an integer or a product of exponents beyond float range,
     a dilog term or longitude factor whose arg holds no variable, quad
     coefficients that give the reduced residual a non-integer exponent,
-    a meridian declared with no fiber variable before it, and terms too
-    many to compile. This is the one place a spec's contents are
-    judged; no evaluator or Newton loop raises about a spec it returns.
-    The spec's kernels are compiled here, so a large spec costs its
-    compile time at load, not at its first solve.
+    and a meridian declared with no fiber variable before it. This is
+    the one place a spec's contents are judged; no evaluator or Newton
+    loop raises about a spec it returns. The spec's kernels are compiled
+    here, a spec of any length wherever load_spec is called from, so a
+    large spec costs its compile time at load, not at its first solve.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -536,8 +529,8 @@ def load_spec(source) -> PotentialSpec:
         longitude=_parse_longitude(doc["longitude"], variables),
     )
     # lowered here, so an exponent product beyond float range, a non-integer
-    # residual exponent, a lone meridian or kernels too long to compile are
-    # refused where the document is read
+    # residual exponent or a lone meridian is refused where the document
+    # is read
     spec.tables
     return spec
 
@@ -603,7 +596,8 @@ def _solve_source(a: list, b: list):
     as pivot the first row from c down of greatest modulus, swaps it
     with row c and subtracts f = m<r>_<c> / pivot times it from each
     row below, entries c + 1 to n; back substitution then forms x<c> =
-    (m<c>_<n> - m<c>_<c+1> x<c+1> - ...) / m<c>_<c>. An exactly zero
+    m<c>_<n> - m<c>_<c+1> x<c+1> - ..., a chain (_chain), and divides it
+    by m<c>_<c>. An exactly zero
     pivot raises _SingularJacobian, which the caller's namespace binds
     to SingularJacobianError.
     """
@@ -632,8 +626,8 @@ def _solve_source(a: list, b: list):
             src.append("f = %s / %s" % (m[r][c], m[c][c]))
             src += ["%s -= f * %s" % (m[r][j], m[c][j]) for j in range(c + 1, n + 1)]
     for c in range(n - 1, -1, -1):
-        terms = "".join(" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n))
-        src.append("x%d = (%s%s) / %s" % (c, m[c][n], terms, m[c][c]))
+        terms = [" - %s * x%d" % (m[c][j], j) for j in range(c + 1, n)]
+        src += [_chain("x%d" % c, m[c][n], terms), "x%d /= %s" % (c, m[c][c])]
     xs = ", ".join("x%d" % c for c in range(n))
     return _indented(src, "    "), "[%s]" % xs
 
@@ -693,6 +687,16 @@ def _power(lines: dict, base: str, e: int, finite=False) -> str:
     return name
 
 
+# the most operations that one statement of a generated chain applies
+_CHAIN = 32
+
+
+def _chain(name: str, start: str, ops: list) -> str:
+    """The statements that set name to `start op op ...` (see _compile_kernels)."""
+    ops = ["".join(ops[k:k + _CHAIN]) for k in range(0, len(ops), _CHAIN)] or [""]
+    return "\n".join("%s = %s%s" % (name, name if k else start, op) for k, op in enumerate(ops))
+
+
 def _indented(lines, indent: str) -> str:
     # each line of each text on a line of its own, indented
     return "".join("\n" + indent + line for text in lines for line in text.split("\n"))
@@ -703,11 +707,13 @@ def _indented(lines, indent: str) -> str:
 # compiler's peak memory is the largest kernel's. Locals: l<i> and w<i>
 # the log and value of variable i, k the number of build_point's deltas,
 # m<j> and t<j> tracked monomial j and its continued log(1 - m), q<j>
-# that log at prev, r<i> reduced residual row i and r the largest
-# modulus of the rows, f<t> = sign * m / (1 - m) of dilog term t,
-# h<u>_<v> and g<u> a hessian cell u <= v and a gradient entry, e<k>
-# term k of log eta, a<j> the Li2 of dilog argument j, d<j> its D and
-# p<j> the continued log m<j>; each power and square is named after its
+# that log at prev, r<i> reduced residual row i, s<i> the product of
+# its right side and r the largest modulus of the rows, f<t> = sign * m
+# / (1 - m) of dilog term t, h<u>_<v> and g<u> a hessian cell u <= v
+# and a gradient entry, e<k> term k of log eta, eta their sum and c<i>
+# entry i of its row, v the value of V, a<j> the Li2 of dilog argument
+# j, d<j> its D, p<j> the continued log m<j> and s the sum e log v over
+# m<j>'s factors; each power and square is named after its
 # base (_power), w<i>, u<j> = 1 - m<j> or v<i> = values of variable i,
 # and fiber_step's elimination names its own (_solve_source). Globals:
 # _k<n> the spec's constants, each bound once, and the helpers bound by
@@ -730,8 +736,8 @@ def build_point(logmap, prev, deltas=(), scale=1.0):
 def reduced_residual(pt):
     ({ms}) = pt.tracked_values
     values = pt.values
-    try:{powers}
-        return ({residuals})
+    try:{powers}{residuals}
+        return ({rs})
     except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
 """,
@@ -739,8 +745,7 @@ def reduced_residual(pt):
 def fiber_step(pt, tol):
     ({ms}), ({ts}) = _tracked(_spec, pt)
     values = pt.values
-    try:{powers}
-        ({rs}) = ({residuals}){norm}
+    try:{powers}{residuals}{norm}
     except (OverflowError, ZeroDivisionError) as e:
         raise _StepTooLarge('residual overflow (%s)' % e) from e
     if not r > tol:{poles}
@@ -762,24 +767,23 @@ def log_hessian(pt):
     "longitude": """\
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
-    logs = pt.logs{eta_terms}
-    size = 0.0{eta_size}
+    logs = pt.logs{eta}{eta_size}
     if not size < _inf:
-        raise _StepTooLarge('longitude overflow (term size %r)' % size)
-    return 0j{eta_sum}, size, [{d_eta}]
+        raise _StepTooLarge('longitude overflow (term size %r)' % size){d_eta}
+    return eta, size, [{cs}]
 """,
     "eta_log": """\
 def eta_log(pt):
     ({ts}) = _tracked(_spec, pt)[1]
-    logs = pt.logs{eta_terms}
-    return 0j{eta_sum}
+    logs = pt.logs{eta}
+    return eta
 """,
     "eval_v": """\
 def eval_v(pt):
     _tracked(_spec, pt)
     ({as_}) = pt.li2_values
-    logs = pt.logs
-    return 0j{v_terms} + {constant}
+    logs = pt.logs{v}
+    return v
 """,
     "signed_d_sum": """\
 def signed_d_sum(pt):
@@ -828,11 +832,11 @@ _TRACKED_LOG = """
                     raise _StepTooLarge('log continuation jump %.3f >= pi/2' % d)"""
 # the principal log of m moved by the winding k that brings it nearest
 # s, the sum e log v over its factors
-_MONOMIAL_LOG = """
-    p{j} = _principal_log(m{j})
-    k = round((0j{s} - p{j}).imag / _TWO_PI)
-    if k:
-        p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
+_MONOMIAL_LOG = """\
+p{j} = _principal_log(m{j})
+k = round((s - p{j}).imag / _TWO_PI)
+if k:
+    p{j} = complex(p{j}.real, p{j}.imag + _TWO_PI * k)"""
 
 
 def _compile_kernels(tab: SpecTables) -> dict:
@@ -845,6 +849,17 @@ def _compile_kernels(tab: SpecTables) -> dict:
     from 0j (a sum of moduli from 0.0) and every product from 1 + 0j
     and keeping each factor of +-1, so every result is bit for bit that
     reading's: (1 + 0j) * w is not w where a part of w is -0.0.
+
+    Every sum and product over a spec's terms, variables or factors is
+    one chain, start op op ..., each op an operator and its operand
+    and none binding tighter than an operator before it, and _chain
+    writes each chain the one way: a statement `name = start op ...` of
+    its first _CHAIN ops, then `name = name op ...` for each next
+    _CHAIN. These are the chain's operations in its order and grouping,
+    so each value is bit for bit the one expression's, while no
+    expression nests deeper for a longer spec: Python's compiler limits
+    nesting by the recursion limit less the frames on the caller's
+    stack, and every spec compiles from any stack.
 
     build_point(logmap, prev, deltas=(), scale=1.0) assembles a
     ParamPoint from explicit log values. Variable logs are taken
@@ -961,9 +976,9 @@ def _compile_kernels(tab: SpecTables) -> dict:
             if t in used
         ]
         for iu, iv, prods, consts in cells:
-            terms = "".join(" + %s * f%d" % (_int(aa), t) for aa, t in prods)
-            terms += "".join(" + " + const(c) for c in consts)
-            lines.append("h%d_%d = 0j%s" % (iu, iv, terms))
+            terms = [" + %s * f%d" % (_int(aa), t) for aa, t in prods]
+            terms += [" + " + const(c) for c in consts]
+            lines.append(_chain("h%d_%d" % (iu, iv), "0j", terms))
         rows = [["h%d_%d" % (min(r, c), max(r, c)) for c in range(n)] for r in range(n)]
         return _indented(lines, "    "), rows
 
@@ -971,9 +986,9 @@ def _compile_kernels(tab: SpecTables) -> dict:
         # the lines and the names of the first n entries
         lines = []
         for i, (rows, quads) in enumerate(tab.gradient[:n]):
-            terms = "".join(" - %s * t%d" % (_int(sa), j) for sa, j in rows)
-            terms += "".join(" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads)
-            lines.append("g%d = 0j%s" % (i, terms))
+            terms = [" - %s * t%d" % (_int(sa), j) for sa, j in rows]
+            terms += [" + %s * logs[%s]" % (const(c), names[w]) for c, w in quads]
+            lines.append(_chain("g%d" % i, "0j", terms))
         return _indented(lines, "    "), ["g%d" % i for i in range(n)]
 
     def listed(names):
@@ -985,31 +1000,39 @@ def _compile_kernels(tab: SpecTables) -> dict:
     # as _exp gave it), a 1 - m<j> or a variable value
     build = {}
     for j, row in enumerate(tab.monomial_rows):
-        factors = "".join(" * " + _power(build, "w%d" % i, e, True) for i, e in row)
-        build["m%d" % j] = "m%d = (1 + 0j)%s" % (j, factors)
+        factors = [" * " + _power(build, "w%d" % i, e, True) for i, e in row]
+        build["m%d" % j] = _chain("m%d" % j, "(1 + 0j)", factors)
     powers = {}
 
     def power(base, load, e):
         powers.setdefault(base, "%s = %s" % (base, load))
         return _power(powers, base, e)
 
-    residuals = "".join(
-        "(1 + 0j)%s - (1 + 0j)%s, " % (
-            "".join(" * " + power("u%d" % j, "1 - m%d" % j, e) for e, j in lhs),
-            "".join(" * " + power("v%d" % spec.variables.index(v), "values[%s]" % names[v], e)
-                    for v, e in rhs),
-        )
-        for lhs, rhs in tab.residual
-    )
-    # log eta's terms, in the order they are summed, and its row
+    # row i of the residual, r<i>, is the left side's product minus s<i>,
+    # the right side's
+    residuals = []
+    for i, (lhs, rhs) in enumerate(tab.residual):
+        left = [" * " + power("u%d" % j, "1 - m%d" % j, e) for e, j in lhs]
+        right = [" * " + power("v%d" % spec.variables.index(v), "values[%s]" % names[v], e)
+                 for v, e in rhs]
+        residuals += [_chain("s%d" % i, "(1 + 0j)", right),
+                      _chain("r%d" % i, "(1 + 0j)", left + [" - s%d" % i])]
+    # log eta's terms, in the order they are summed, their sum, the sum
+    # of their moduli and its row
     terms = ["%s * logs[%s]" % (_int(e), names[v]) for v, e in tab.eta_prefactor]
     terms += ["%s * t%d" % (_int(e), j) for e, j in tab.eta_factors]
+    eta = ["e%d = %s" % kt for kt in enumerate(terms)]
+    eta.append(_chain("eta", "0j", [" + e%d" % k for k in range(len(terms))]))
+    size = _chain("size", "0.0", [" + abs(e%d)" % k for k in range(len(terms))])
     d_eta = [
-        const(acc) + "".join(" - %s * m%d / (1 - m%d)" % (_int(ea), j, j) for ea, j in rows)
-        for acc, rows in tab.d_eta
+        _chain("c%d" % i, const(c), [" - %s * m%d / (1 - m%d)" % (_int(a), j, j) for a, j in row])
+        for i, (c, row) in enumerate(tab.d_eta)
     ]
     args = range(tab.dilog_arg_count)
     mlogs = ["logs = pt.logs"] + ["l%d = logs[%s]" % ve for ve in enumerate(names.values())]
+    for j, row in enumerate(tab.monomial_rows):
+        mlogs += [_chain("s", "0j", [" + %s * l%d" % (_int(e), i) for i, e in row])]
+        mlogs += [_MONOMIAL_LOG.format(j=j)]
     n = len(names)
     # max(map(abs, rows)) written out
     norm = ["r = abs(r0)"]
@@ -1017,6 +1040,9 @@ def _compile_kernels(tab: SpecTables) -> dict:
         norm += ["size = abs(r%d)" % i, "if size > r:", "    r = size"]
     hess, grad = hessian(n), gradient(n)
     fiber_h, fiber_g = hessian(n - 1), gradient(n - 1)
+    # V's terms, before its constant
+    v = [" + %s * a%d" % (_int(sign), j) for sign, j in tab.dilogs]
+    v += [" + %s * logs[%s] * logs[%s]" % (const(c), names[a], names[b]) for c, a, b in tab.quads]
     fields = dict(
         variables="".join(
             _VARIABLE.format(i=i, name=name) for i, name in enumerate(names.values())
@@ -1029,7 +1055,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
         ms="".join("m%d, " % j for j in idx),
         ts="".join("t%d, " % j for j in idx),
         powers=_indented(powers.values(), " " * 8),
-        residuals=residuals,
+        residuals=_indented(residuals, " " * 8),
         rs="".join("r%d, " % i for i in range(n - 1)),
         norm=_indented(norm, " " * 8),
         poles="".join(_POLE.format(name=name) for name in names.values()),
@@ -1040,23 +1066,15 @@ def _compile_kernels(tab: SpecTables) -> dict:
         hess_rows=listed(hess[1]),
         grad=grad[0],
         grad_row=listed(grad[1]),
-        eta_terms="".join("\n    e%d = %s" % (k, term) for k, term in enumerate(terms)),
-        eta_sum="".join(" + e%d" % k for k in range(len(terms))),
-        eta_size="".join(" + abs(e%d)" % k for k in range(len(terms))),
-        d_eta=", ".join(d_eta),
+        eta=_indented(eta, "    "),
+        eta_size=_indented([size], "    "),
+        d_eta=_indented(d_eta, "    "),
+        cs=", ".join("c%d" % i for i in range(n)),
         as_="".join("a%d, " % j for j in args),
-        constant=const(tab.constant),
-        v_terms="".join(" + %s * a%d" % (_int(sign), j) for sign, j in tab.dilogs)
-        + "".join(
-            " + %s * logs[%s] * logs[%s]" % (const(c), names[a], names[b])
-            for c, a, b in tab.quads
-        ),
+        v=_indented([_chain("v", "0j", v + [" + " + const(tab.constant)])], "    "),
         ds="".join("\n    d%d = _d(m%d, a%d)" % (j, j, j) for j in args),
         d_terms="".join("%s * d%d, " % (_int(sign), j) for sign, j in tab.dilogs),
-        mlogs=_indented(mlogs, " " * 4) + "".join(
-            _MONOMIAL_LOG.format(j=j, s="".join(" + %s * l%d" % (_int(e), i) for i, e in row))
-            for j, row in enumerate(tab.monomial_rows)
-        ),
+        mlogs=_indented(mlogs, " " * 4),
         ps="".join("p%d, " % j for j in idx),
     )
     return {name: _compile(text.format(**fields), ns)[name] for name, text in _KERNELS.items()}

@@ -121,20 +121,18 @@ def test_spec_file_of_the_wrong_kind_exits_usage(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_spec_too_long_to_compile_exits_usage(capsys, tmp_path):
-    # 3,000 more dilog terms on one argument: refused where the spec is
-    # read, not as a RecursionError where a solve compiles its kernels
+def test_a_long_spec_solves(capsys, tmp_path):
+    # 3,000 more dilog terms on one argument, which cancel: the spec
+    # compiles where it is read and solves to the built-in's volume
     doc = json.loads(dump_spec(builtin_five_two()))
     doc["dilog_terms"] += _balanced_terms(3000)
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
     for argv in (["complete"], ["fill", "--slope=7/1"]):
-        code, out, err = run(capsys, "--spec", str(path), *argv)
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: dilog_terms, quad_terms and longitude.factors: too many terms"
-            " to compile the spec's kernels\n"
-        )
+        code, out, err = run(capsys, "--spec", str(path), "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        want = json.loads(run(capsys, "--format", "json", *argv)[1])["volume"]
+        assert abs(json.loads(out)["volume"] - want) < 1e-12
 
 
 _COLLIDING = os.path.join(

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -334,26 +335,87 @@ def _balanced_terms(count):
     return [{"sign": 1 - 2 * (k % 2), "arg": {"x": 1, "xi": -1}} for k in range(count)]
 
 
-def test_load_spec_refuses_terms_too_many_to_compile(spec, complete):
-    # a hessian cell of 3,000 products is an expression nested deeper
-    # than the compiler recurses: refused where the spec is lowered, by
-    # load_spec or the first tables read of a spec built in code
+def _at_depth(frames, f):
+    # f() called from `frames` more Python frames down the stack
+    return f() if frames == 0 else _at_depth(frames - 1, f)
+
+
+def test_a_long_spec_loads_and_solves_at_any_stack_depth(spec, complete):
+    # 3,000 more terms make the hessian cells and gradient entries they
+    # enter chains of 3,000 operations, which the kernels write in
+    # statements of at most _CHAIN: the spec compiles however deep the
+    # stack it is lowered from (the compiler's nesting limit is the
+    # recursion limit less the frames in use), through load_spec and as
+    # a spec built in code, and solves as the built-in does
     doc = _doc(spec)
     doc["dilog_terms"] += _balanced_terms(3000)
-    message = "too many terms to compile the spec's kernels"
-    with pytest.raises(ValidationError, match=message):
-        load_spec(json.dumps(doc))
     extra = tuple(DilogTerm(t["sign"], Monomial.from_dict(t["arg"])) for t in _balanced_terms(3000))
-    built = potential.PotentialSpec(
-        spec.name, spec.variables, spec.dilog_terms + extra,
-        spec.quad_terms, spec.constant_pi2, spec.longitude,
-    )
-    with pytest.raises(ValidationError, match=message):
-        built.tables
+    seven = normalize_slope(7, 1)
+    volume = report_for(spec, seven, solver.solve_filling(spec, seven, complete)).volume
+    for frames in (0, 200):
+        built = potential.PotentialSpec(
+            spec.name, spec.variables, spec.dilog_terms + extra,
+            spec.quad_terms, spec.constant_pi2, spec.longitude,
+        )
+        _at_depth(frames, lambda: built.tables)
+        for long in (_at_depth(frames, lambda: load_spec(json.dumps(doc))), built):
+            got = _at_depth(frames, lambda: solver.solve_complete(long))
+            assert all(abs(got.point.values[v] - complete.point.values[v]) < 1e-12 for v in spec.variables)
+            fill = _at_depth(frames, lambda: solver.solve_filling(long, seven, got))
+            assert abs(report_for(long, seven, fill).volume - volume) < 1e-12
     # 1,000 such terms, which cancel, compile and solve to the built-in's root
     doc["dilog_terms"][5:] = _balanced_terms(1000)
     got = solver.solve_complete(load_spec(json.dumps(doc))).point.values
     assert all(abs(got[v] - complete.point.values[v]) < 1e-12 for v in spec.variables)
+
+
+_KASHAEV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "spec_5_2_kashaev.json")
+
+
+def _v_terms(spec, pt):
+    # the terms V sums, in the plain reading's order
+    return (
+        [t.sign * li2(t.argument.evaluate(pt.values)) for t in spec.dilog_terms]
+        + [float(t.coeff) * pt.logs[t.var_a] * pt.logs[t.var_b] for t in spec.quad_terms]
+        + [float(spec.constant_pi2) * PI * PI]
+    )
+
+
+def _d_terms(spec, pt):
+    return [t.sign * bloch_wigner_d(t.argument.evaluate(pt.values)) for t in spec.dilog_terms]
+
+
+def _error_bound(value, terms, spec, pt):
+    """How far value(spec, pt) can be from its value at the exact root
+    that pt, a solved point, stands for.
+
+    The fiber Newton step from pt, J^-1 times the residual left at pt,
+    is to first order the distance to that root: the bound is the
+    value's change over that step plus the rounding of a sum of its
+    terms, n eps sum |term| for n terms.
+    """
+    moved = solver._damped_step(pt, spec.tables.fiber_step(pt, -1.0)[1])
+    parts = terms(spec, pt)
+    rounding = len(parts) * sys.float_info.epsilon * sum(map(abs, parts))
+    return abs(value(spec, moved) - value(spec, pt)) + rounding
+
+
+def test_the_kashaev_potential_has_the_builtins_critical_values(spec, complete):
+    # V_K(x, y) = 2 (pi^2/6 - Li2(y)) + (pi^2/6 - Li2(1/x)) - log x log y,
+    # read off the summand of 5_2's Kashaev sum, is a second source for
+    # the 5_2 potential that shares no term with the built-in: at its
+    # complete structure its D-sum is the built-in's, and its V minus
+    # the conjugate of the built-in's. Its meridian m enters no term; a
+    # placeholder, so no slope of it is filled
+    with open(_KASHAEV) as fh:
+        kashaev = load_spec(fh)
+    got = solver.solve_complete(kashaev)
+    for value, terms, sign in ((signed_d_sum, _d_terms, 1), (eval_v, _v_terms, -1)):
+        want = value(spec, complete.point)
+        want = want if sign > 0 else -want.conjugate()
+        bound = _error_bound(value, terms, kashaev, got.point)
+        bound += _error_bound(value, terms, spec, complete.point)
+        assert abs(value(kashaev, got.point) - want) <= bound
 
 
 # -------------------------------------------------------------- points
@@ -1019,6 +1081,16 @@ def test_tables_match_plain_reading_bit_for_bit(spec, which):
                 break
             assert_matches_naive(vspec, pt)
 
+
+
+@pytest.mark.parametrize("chain", [1, 2])
+@pytest.mark.parametrize("which", range(6), ids=_VARIANT_IDS)
+def test_tables_match_plain_reading_at_every_chain_split(which, chain, monkeypatch):
+    # the kernels with every chain split after each 1 or 2 operations,
+    # so every statement boundary of _chain meets the plain reading: of
+    # a built-in lowered afresh, as the fixture's tables are lowered
+    monkeypatch.setattr(potential, "_CHAIN", chain)
+    test_tables_match_plain_reading_bit_for_bit(builtin_five_two(), which)
 
 def test_fiber_step_refuses_a_converged_log_pole(spec, complete):
     # the first try of a trace to u = -2000 in 3 samples: the fiber

@@ -6,6 +6,7 @@ microseconds, and that one draws few, small examples, so the suite
 stays fast.
 """
 
+import ast
 import cmath
 import contextlib
 import functools
@@ -13,6 +14,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,7 @@ from knotpot.solver import (
     trace_deformation,
 )
 from test_potential import (
+    _balanced_terms,
     _bits,
     naive_eta_log,
     naive_eval_v,
@@ -280,6 +283,36 @@ def _kernel_source(doc):
     return "".join(texts)
 
 
+def _expression_depth(tree):
+    # the most expressions nested one in another in tree
+    deepest, stack = 0, [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += isinstance(node, ast.expr)
+        deepest = max(deepest, depth)
+        stack += [(child, depth) for child in ast.iter_child_nodes(node)
+                  if not isinstance(child, ast.expr_context)]
+    return deepest
+
+
+def test_kernel_text_nests_no_deeper_for_a_longer_spec():
+    # each chain of operations is written in statements of at most
+    # _CHAIN, so no kernel expression nests deeper with more terms: with
+    # every chain split after each operation, the built-in's deepest and
+    # that of the built-in plus 3,000 terms are the same, and at the
+    # default the longer spec's is at most _CHAIN more
+    long = json.loads(json.dumps(_BUILTIN_DOC))
+    long["dilog_terms"] += _balanced_terms(3000)
+
+    def deepest(doc):
+        return _expression_depth(ast.parse(_kernel_source(doc)))
+
+    with mock.patch.object(potential, "_CHAIN", 1):
+        floor = deepest(_BUILTIN_DOC)
+        assert deepest(long) == floor
+    assert deepest(long) <= floor + potential._CHAIN
+
+
 def _renamed(doc, new):
     """doc with each variable v called new[v], and another name."""
     if isinstance(doc, list):
@@ -320,6 +353,23 @@ _point_values = st.complex_numbers(min_magnitude=0.25, max_magnitude=4)
 @_few
 @given(spec_documents(), st.data())
 def test_kernels_match_the_plain_reading(doc, data):
+    _check_kernels_match_the_plain_reading(doc, data)
+
+
+@_few
+@given(spec_documents(), st.data())
+def test_kernels_match_the_plain_reading_at_every_chain_split(doc, data):
+    # the kernels with every chain split after each 1 or 2 operations;
+    # the plain reading's elimination, solver._solve, is compiled
+    # unsplit for every fiber size first
+    for n in range(1, 4):
+        potential._solver_of(n)
+    for chain in (1, 2):
+        with mock.patch.object(potential, "_CHAIN", chain):
+            _check_kernels_match_the_plain_reading(doc, data)
+
+
+def _check_kernels_match_the_plain_reading(doc, data):
     spec = load_spec(json.dumps(doc))
     # no text of the spec reaches the source: the same document under
     # other names, sorted alike so every monomial keeps its factor

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import _oracles as O
-from knotpot import solver
+from knotpot import potential, solver
 from knotpot.cli import main
 from knotpot.dilog import ContinuedLog
 from knotpot.errors import (
@@ -250,6 +250,16 @@ def test_solve_matches_the_elimination_loop_bit_for_bit(n):
         singular += want.startswith("singular")
         assert _solve_outcome(solver._solve, a, b) == want, (a, b)
     assert singular  # the zero-pivot exit is reached at every size
+
+
+@pytest.mark.parametrize("chain", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_solve_matches_the_elimination_loop_at_every_chain_split(n, chain, monkeypatch):
+    # the back substitution's chains split after each 1 or 2 operations,
+    # compiled apart from the per-size cache
+    monkeypatch.setattr(potential, "_CHAIN", chain)
+    monkeypatch.setattr(solver, "_solve", potential._solver_of.__wrapped__(n))
+    test_solve_matches_the_elimination_loop_bit_for_bit(n)
 
 
 # ------------------------------------------------------- solve_complete
