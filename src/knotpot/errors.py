@@ -21,8 +21,11 @@ class StepTooLargeError(KnotpotError):
     Raised when the point build cannot continue a log to a branch
     within a quarter turn, and when a point build, reduced_residual, the
     longitude or a Newton system overflows or meets a log that is not
-    finite. Signals the continuation driver to halve its step; it is not
-    a user-facing failure unless halving bottoms out.
+    finite: the longitude kernel raises it, wherever log eta is read,
+    for a log eta whose terms, or v = 2 log eta, can leave float range.
+    Signals the continuation driver (a filling or a deformation trace)
+    to halve its step; it is not a user-facing failure unless halving
+    bottoms out.
     """
 
 

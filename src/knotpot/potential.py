@@ -767,16 +767,13 @@ def log_hessian(pt):
     "longitude": """\
 def longitude(pt):
     ({ms}), ({ts}) = _tracked(_spec, pt)
-    logs = pt.logs{eta}{eta_size}
-    if not size < _inf:
-        raise _StepTooLarge('longitude overflow (term size %r)' % size){d_eta}
-    return eta, size, [{cs}]
-""",
-    "eta_log": """\
-def eta_log(pt):
-    ({ts}) = _tracked(_spec, pt)[1]
     logs = pt.logs{eta}
-    return eta
+    try:{eta_size}
+    except OverflowError as e:
+        raise _StepTooLarge('longitude overflow (%s)' % e) from e
+    if not 2 * size < _inf:
+        raise _StepTooLarge('longitude overflow (term size %r)' % (2 * size)){d_eta}
+    return eta, size, [{cs}]
 """,
     "eval_v": """\
 def eval_v(pt):
@@ -906,11 +903,12 @@ def _compile_kernels(tab: SpecTables) -> dict:
     terms, a fresh list of the rows of tab.d_eta): the terms e log(var)
     of tab.eta_prefactor and e log(1 - m) of tab.eta_factors, summed in
     that order, and per variable its prefactor exponent minus
-    e a m / (1 - m) per row entry. Where the sum of the moduli is not
-    finite, log eta has no finite value, and it raises
-    StepTooLargeError; a term whose modulus overflows raises
-    OverflowError, which solver._newton refuses the same way.
-    eta_log(pt) is log eta alone, the same text.
+    e a m / (1 - m) per row entry. Where a term's modulus overflows,
+    or twice the sum of the moduli (that of v = 2 log eta, which
+    bounds |v|'s parts) is not finite, v has no finite value, and it
+    raises StepTooLargeError('longitude overflow (...)').
+    It is the one reading of log eta: potential.eta_log, the filling
+    Newton and the deformation trace all take it from here.
 
     eval_v(pt) and signed_d_sum(pt) are the bodies of potential.eval_v
     and potential.signed_d_sum, on the point's stored Li2 values.
@@ -1067,7 +1065,7 @@ def _compile_kernels(tab: SpecTables) -> dict:
         grad=grad[0],
         grad_row=listed(grad[1]),
         eta=_indented(eta, "    "),
-        eta_size=_indented([size], "    "),
+        eta_size=_indented([size], " " * 8),
         d_eta=_indented(d_eta, "    "),
         cs=", ".join("c%d" % i for i in range(n)),
         as_="".join("a%d, " % j for j in args),
@@ -1199,12 +1197,13 @@ def eta_log(spec: PotentialSpec, pt: ParamPoint) -> complex:
 
     Built as a sum of the stored continued logs, so it is continuous
     along any path the point was continued over and equals 0 at a
-    complete structure reached with principal branches. The body is
-    the spec's compiled eta_log kernel (SpecTables): the text of the
-    longitude kernel's log eta, without its term sizes and Jacobian
-    row.
+    complete structure reached with principal branches. It is the
+    first element of the spec's compiled longitude kernel (SpecTables),
+    the one reading of log eta, so it raises StepTooLargeError where a
+    term's modulus, or twice the sum of the moduli, leaves float range:
+    there v = 2 log eta has no finite value.
     """
-    return spec.tables.eta_log(pt)
+    return spec.tables.longitude(pt)[0]
 
 
 def shapes_from_point(pt: ParamPoint) -> Shapes:

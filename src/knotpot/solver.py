@@ -39,7 +39,6 @@ from .potential import (
     _solve,
     _tracked,
     advance_point_logs,
-    eta_log,
     eval_v_alpha,
     log_gradient,
     log_hessian,
@@ -337,9 +336,12 @@ def trace_deformation(
     solve fails, up to 20 times per sample, after which it raises
     PathObstructionError carrying the samples emitted so far as its
     partial trace. A fiber solve that cycles without converging (see
-    _newton) counts as a failed solve and halves the step. Emits
-    one DeformationSample per target. A newton_tol as solve_complete
-    refuses, a non-finite u_end, samples < 1 or above _MAX_SAMPLES, or
+    _newton) counts as a failed solve and halves the step, and so does
+    a solved point whose log eta the spec's longitude kernel refuses
+    (past float range): each sub-step reads v = 2 log eta from that
+    kernel, as the filling Newton does, so no sample holds a v that is
+    not finite. Emits one DeformationSample per target. A newton_tol
+    as solve_complete refuses, a non-finite u_end, samples < 1 or above _MAX_SAMPLES, or
     a complete whose point belongs to a spec not equal to spec raises
     ValidationError before anything is solved.
     """
@@ -362,6 +364,7 @@ def trace_deformation(
             nxt = min(target, t + step)
             try:
                 cp = _newton_fiber(spec, pt, (nxt * u_end) / 2.0, newton_tol)
+                v = 2 * spec.tables.longitude(cp.point)[0]
                 pt = cp.point
                 t = nxt
             except KnotpotError as e:
@@ -374,7 +377,7 @@ def trace_deformation(
                         t_reached=t,
                         partial=out,
                     ) from e
-        out.append(DeformationSample(t * u_end, pt, 2 * eta_log(spec, pt)))
+        out.append(DeformationSample(t * u_end, pt, v))
     return out
 
 
@@ -388,7 +391,7 @@ def _newton_filling(spec, pt, p, q, t, tol):
     """
     k = len(spec.variables) - 1
     # the filling equation sums n terms, p u and q times each term of
-    # v = 2 eta_log; each is rounded to eps of itself, so the sum is
+    # v = 2 log eta; each is rounded to eps of itself, so the sum is
     # known to about n eps times their summed magnitudes; |q| is
     # scaled by n eps before it meets size, so no product overflows
     n = 1 + len(spec.tables.eta_prefactor) + len(spec.tables.eta_factors)

@@ -328,32 +328,68 @@ def test_overflowing_primary_longitude_fails_complete(capsys, tmp_path):
     assert err == "error: longitude overflow (complex exponentiation)\n"
 
 
+def _prefactor_spec(tmp_path, prefactor):
+    # the built-in with its longitude prefactor exponents updated
+    doc = json.loads(dump_spec(builtin_five_two()))
+    doc["longitude"]["prefactor"].update(prefactor)
+    path = tmp_path / "prefactor.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_LONGITUDE_TERM = {"y": 17 * 10**307}
+_LONGITUDE_SUM = {"x": 692 * 10**305, "y": 10**307}
+
+
 @pytest.mark.parametrize(
     "prefactor, slope, reason",
     [
-        ({"y": 17 * 10**307}, "7/1", "Newton system overflow (absolute value too large)"),
+        (_LONGITUDE_TERM, "7/1", "longitude overflow (absolute value too large)"),
         ({"y": 41 * 10**306}, "1/2", "Newton system overflow (absolute value too large)"),
-        ({"x": 692 * 10**305, "y": 10**307}, "0/1", "longitude overflow (term size inf)"),
+        (_LONGITUDE_SUM, "0/1", "longitude overflow (term size inf)"),
     ],
     ids=["longitude_term", "filling_equation", "longitude_sum"],
 )
 def test_overflowing_longitude_obstructs_fill(capsys, tmp_path, prefactor, slope, reason):
     # the built-in with longitude prefactor exponents near float range:
-    # a term of log eta, or q v in the filling equation, has finite
-    # parts but a modulus beyond it, which the Newton loop refuses as a
-    # step too large, or log eta's terms sum to an infinite size, which
-    # the longitude kernel refuses; the filling halves and the slope is
-    # reported obstructed
-    doc = json.loads(dump_spec(builtin_five_two()))
-    doc["longitude"]["prefactor"].update(prefactor)
-    path = tmp_path / "prefactor.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "--spec", str(path), "fill", "--slope", slope)
+    # a term of log eta has finite parts but a modulus beyond it, or
+    # log eta's terms sum to an infinite size, which the longitude
+    # kernel refuses, or q v in the filling equation has a modulus
+    # beyond it, which the Newton loop refuses as a step too large; the
+    # filling halves and the slope is reported obstructed
+    path = _prefactor_spec(tmp_path, prefactor)
+    code, out, err = run(capsys, "--spec", path, "fill", "--slope", slope)
     assert (code, out) == (3, "")
     assert err == (
         "slope %s: filling path for %s obstructed at t = 0.000000 (%s); "
         "slope possibly exceptional\n" % (slope, slope, reason)
     )
+
+
+@pytest.mark.parametrize(
+    "prefactor, reason",
+    [
+        (_LONGITUDE_TERM, "longitude overflow (absolute value too large)"),
+        (_LONGITUDE_SUM, "longitude overflow (term size inf)"),
+    ],
+    ids=["longitude_term", "longitude_sum"],
+)
+def test_overflowing_longitude_obstructs_trace(capsys, tmp_path, prefactor, reason):
+    # the longitude kernel that refuses the filling refuses the trace's
+    # v = 2 log eta alike: the step halves until the trace is obstructed
+    # before its first sample, and no row holds a v that is not finite
+    path = _prefactor_spec(tmp_path, prefactor)
+    want = "trace obstructed: deformation path obstructed at u = 0j (%s)\n" % reason
+    argv = ["trace", "--u-end=0.5i", "--samples", "2"]
+    code, out, err = run(capsys, "--spec", path, "--format", "csv", *argv)
+    assert (code, err) == (3, want)
+    assert out.splitlines() == [
+        "u_re,u_im,x_re,x_im,y_re,y_im,v_re,v_im,im_v,sum_d,defect_re,defect_im,residual"
+    ]
+    code, out, err = run(capsys, "--spec", path, "--format", "json", *argv)
+    assert (code, err) == (3, want)
+    assert "NaN" not in out and "Infinity" not in out
+    assert json.loads(out)["samples"] == []
 
 
 def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):

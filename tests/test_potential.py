@@ -694,6 +694,40 @@ def test_eta_is_one_at_complete(spec, complete):
     assert empty is None
 
 
+@pytest.mark.parametrize(
+    "prefactor, reason",
+    [
+        ({"y": 8 * 10**307}, None),
+        ({"y": 9 * 10**307}, "term size inf"),
+        ({"x": 692 * 10**305, "y": 10**307}, "term size inf"),
+        ({"y": 17 * 10**307}, "absolute value too large"),
+    ],
+    ids=["in_range", "v_part", "term_sum", "term_modulus"],
+)
+def test_eta_log_refuses_where_v_leaves_float_range(spec, complete, prefactor, reason):
+    # longitude prefactor exponents near float range, at the complete
+    # structure's values: log eta is the plain reading's sum bit for bit
+    # where twice its summed term moduli is finite, which bounds the
+    # parts of v = 2 log eta; it is refused where a term's modulus
+    # overflows or that bound does (at 9 * 10**307 the plain sum is
+    # finite, but its imaginary part doubles past float range)
+    doc = _doc(spec)
+    doc["longitude"]["prefactor"].update(prefactor)
+    other = load_spec(json.dumps(doc))
+    pt = make_point(other, complete.point.values)
+    if reason is None:
+        assert _bits(eta_log(other, pt)) == _bits(naive_eta_log(other, pt))
+        assert cmath.isfinite(2 * eta_log(other, pt))
+        return
+    with pytest.raises(StepTooLargeError, match=r"^longitude overflow \(%s\)$" % reason):
+        eta_log(other, pt)
+    if reason == "absolute value too large":
+        with pytest.raises(OverflowError, match=reason):
+            naive_eta_size(other, pt)
+    else:
+        assert 2 * naive_eta_size(other, pt) == math.inf
+
+
 # -------------------------------------------------------------- shapes
 
 
@@ -916,8 +950,13 @@ def naive_d_eta_log(spec, pt):
 
 
 def naive_longitude(spec, pt):
-    # the triple of the compiled longitude kernel
-    return naive_eta_log(spec, pt), naive_eta_size(spec, pt), naive_d_eta_log(spec, pt)
+    # the triple of the compiled longitude kernel, which refuses a log
+    # eta whose v = 2 log eta may leave float range: where a term's
+    # modulus overflows (abs raises) or twice the summed moduli does
+    size = naive_eta_size(spec, pt)
+    if not 2 * size < math.inf:
+        raise StepTooLargeError("longitude overflow (term size %r)" % (2 * size))
+    return naive_eta_log(spec, pt), size, naive_d_eta_log(spec, pt)
 
 
 def naive_reduced_residual(pt):

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from knotpot import potential
@@ -55,7 +55,6 @@ from knotpot.solver import (
 from test_potential import (
     _balanced_terms,
     _bits,
-    naive_eta_log,
     naive_eval_v,
     naive_fiber_step,
     naive_im_v_alpha_parts,
@@ -408,7 +407,8 @@ def _check_kernels_match_the_plain_reading(doc, data):
                 lambda s, pt: im_v_alpha_parts(s, pt, seven),
                 lambda s, pt: naive_im_v_alpha_parts(s, pt, seven),
             ),
-            (eta_log, naive_eta_log),
+            # log eta, refused where the longitude kernel refuses it
+            (eta_log, lambda s, pt: naive_longitude(s, pt)[0]),
         ):
             assert _outcome(got, spec, pt) == _outcome(want, spec, pt)
 
@@ -601,25 +601,36 @@ _edge_band = st.tuples(
 _site_values = st.one_of(st.integers(-6, 6), _edge_band)
 
 
+_log_eta_exponents = st.lists(
+    _site_values, min_size=len(_LOG_ETA_SITES), max_size=len(_LOG_ETA_SITES)
+)
+_term_edits = st.lists(st.tuples(st.sampled_from(_TERM_SITES), _site_values), max_size=2)
+
+
+def _edited_builtin(eta, edits):
+    # the built-in document with each (path, value) of edits set, then
+    # log eta's exponents set to eta
+    doc = json.loads(json.dumps(_BUILTIN_DOC))
+    for path, k in edits + list(zip(_LOG_ETA_SITES, eta)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = k
+    return doc
+
+
 @_few
 @given(
-    st.lists(_site_values, min_size=len(_LOG_ETA_SITES), max_size=len(_LOG_ETA_SITES)),
-    st.lists(st.tuples(st.sampled_from(_TERM_SITES), _site_values), max_size=2),
+    _log_eta_exponents,
+    _term_edits,
     st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 4)), min_size=1, max_size=3),
 )
 def test_solve_filling_raises_only_knotpot_errors_on_any_admitted_slope(eta, edits, slopes):
     # a spec load_spec admits and a slope solve_filling's checks admit:
     # each filling is accepted and reported, or refused with a
     # KnotpotError
-    doc = json.loads(json.dumps(_BUILTIN_DOC))
-    edits += list(zip(_LOG_ETA_SITES, eta))
-    for path, k in edits:
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = k
     try:
-        spec = load_spec(json.dumps(doc))
+        spec = load_spec(json.dumps(_edited_builtin(eta, edits)))
         complete = solve_complete(spec)
     except KnotpotError:
         return
@@ -629,6 +640,22 @@ def test_solve_filling_raises_only_knotpot_errors_on_any_admitted_slope(eta, edi
             report_for(spec, slope, solve_filling(spec, slope, complete=complete))
         except KnotpotError:
             pass
+
+
+@_few
+@given(_log_eta_exponents, _term_edits, st.complex_numbers(max_magnitude=3))
+@example([-1, 17 * 10**307, 6, 1], [], 0.5j)
+def test_trace_emits_only_finite_v_on_any_admitted_spec(eta, edits, u_end):
+    # a spec load_spec admits: each trace is refused with a KnotpotError
+    # or returns samples whose v = 2 log eta is finite. The example's
+    # log eta term y^(17 * 10**307) has finite parts and a modulus
+    # beyond float range
+    try:
+        spec = load_spec(json.dumps(_edited_builtin(eta, edits)))
+        samples = trace_deformation(spec, u_end, 3)
+    except KnotpotError:
+        return
+    assert all(cmath.isfinite(s.v) for s in samples)
 
 
 # normalized slopes, and records of any four integers
