@@ -65,6 +65,7 @@ from .solver import (
     FillingSolution,
     Slope,
     normalize_slope,
+    scan_fillings,
     solve_complete,
     solve_filling,
     trace_deformation,
@@ -117,6 +118,7 @@ __all__ = [
     "report_for",
     "rogers_combo",
     "rogers_r",
+    "scan_fillings",
     "shapes_from_point",
     "signed_d_sum",
     "solve_complete",

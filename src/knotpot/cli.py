@@ -9,10 +9,9 @@ Exit codes: 0 success, 1 usage or I/O, 2 complete-structure failure,
 
 Each solving command parses its own argument and calls the one library
 entry point for its job: complete solve_complete, fill solve_filling,
-trace trace_deformation, and scan solve_complete once and then
-solve_filling per slope. The library judges the slope's range, u_end,
-samples and newton_tol before it solves anything, so a usage error
-exits 1 first.
+scan scan_fillings and trace trace_deformation. The library judges the
+slope's range, the scan's box, u_end, samples and newton_tol before it
+solves anything, so a usage error exits 1 first.
 
 All numeric output is printed with 15 significant digits; scans are
 byte-deterministic so repeated runs can be diffed.
@@ -41,7 +40,6 @@ from .errors import (
 from .invariants import report_for, rogers_combo
 from .potential import (
     BUILTINS,
-    _check_float_range,
     eval_eta,
     eval_v,
     load_spec,
@@ -53,6 +51,7 @@ from .solver import (
     _check_newton_tol,
     _resid_inf,
     normalize_slope,
+    scan_fillings,
     solve_complete,
     solve_filling,
     trace_deformation,
@@ -67,9 +66,6 @@ EXIT_SELFTEST = 4
 CSV_HEADER = "p,q,r,s,converged,volume,cs_mod_half,length,torsion,residual,steps"
 
 _SCAN_COLUMNS = [(k, k) for k in CSV_HEADER.split(",")]
-# scan collects every row before it prints one, so a larger box would
-# run for days without output
-_MAX_SCAN_SLOPES = 10**6
 
 # per command that prints the spec's variables, the keys it writes
 # beside them: field keys and csv column stems (variable v fills
@@ -225,13 +221,6 @@ def parse_u_end(text: str) -> complex:
     return u_end
 
 
-def _scan_slopes(pmax: int, qmax: int):
-    for q in range(1, qmax + 1):
-        for p in range(-pmax, pmax + 1):
-            if math.gcd(p, q) == 1:
-                yield normalize_slope(p, q)
-
-
 def _check_variable_names(spec, command):
     """Refuse variable names that command cannot print beside its keys,
     and for complete a spec name that would forge or split a line."""
@@ -312,24 +301,10 @@ def cmd_fill(args, spec):
 
 
 def cmd_scan(args, spec):
-    if args.pmax < 1 or args.qmax < 1:
-        raise ValidationError("scan bounds must be >= 1")
-    # each slope's filling Jacobian holds 2p and 2q
-    _check_float_range(2 * args.pmax, "scan bounds")
-    _check_float_range(2 * args.qmax, "scan bounds")
-    slopes = (2 * args.pmax + 1) * args.qmax
-    if slopes > _MAX_SCAN_SLOPES:
-        raise ValidationError(
-            "scan box holds (2 pmax + 1) qmax = %d candidate slopes, more than 10**6"
-            % slopes
-        )
-    complete = solve_complete(spec, newton_tol=args.newton_tol)
     rows = []
-    for slope in _scan_slopes(args.pmax, args.qmax):
+    for slope, sol in scan_fillings(spec, args.pmax, args.qmax, newton_tol=args.newton_tol):
         head = [slope.p, slope.q, slope.r, slope.s]
-        try:
-            sol = solve_filling(spec, slope, complete=complete, newton_tol=args.newton_tol)
-        except PathObstructionError:
+        if isinstance(sol, PathObstructionError):
             rows.append(head + [False] + [None] * (len(_SCAN_COLUMNS) - 5))
             continue
         rep = report_for(spec, slope, sol)

@@ -1,11 +1,13 @@
 """Newton solver and continuation driver.
 
 Three entry points, all built on damped Newton iterations in the log
-coordinates of the parameter point:
+coordinates of the parameter point, and a fourth that walks a box of
+slopes:
 
   solve_complete    the complete structure, meridian pinned to 1
   trace_deformation samples of the deformation space along a u-segment
   solve_filling     the Dehn-filling critical point for a slope p/q
+  scan_fillings     solve_filling on every slope of a box, as knotpot scan
 
 Throughout, u = log xi^2 and v = log eta^2 are the branch-continued
 log-holonomies of meridian and longitude, seeded u = v = 0 at the
@@ -58,9 +60,14 @@ _MAX_NEWTON_TOL = 1e-3
 
 _EPS = sys.float_info.epsilon
 
-# trace_deformation returns every sample at once, and the CLI prints
-# none before the last, so a larger count would run for days unseen
+# trace_deformation and scan_fillings return every result at once, and
+# the CLI prints none before the last. A trace sample holds about 1.5 kB,
+# so 10**6 samples run about 30 s and hold about 1.5 GB; a scan solves
+# about 5,000 slopes a second and holds about 2.4 kB per solution, so a
+# box of 10**6 candidates, about 6 * 10**5 slopes in lowest terms, runs
+# about 2 minutes and holds about 1.5 GB
 _MAX_SAMPLES = 10**6
+_MAX_SCAN_SLOPES = 10**6
 
 # a converged endpoint whose total shape volume is below this is a
 # flat representation, not a hyperbolic filling; the smallest genuine
@@ -338,12 +345,14 @@ def trace_deformation(
     partial trace. A fiber solve that cycles without converging (see
     _newton) counts as a failed solve and halves the step, and so does
     a solved point whose log eta the spec's longitude kernel refuses
-    (past float range): each sub-step reads v = 2 log eta from that
-    kernel, as the filling Newton does, so no sample holds a v that is
-    not finite. Emits one DeformationSample per target. A newton_tol
-    as solve_complete refuses, a non-finite u_end, samples < 1 or above _MAX_SAMPLES, or
-    a complete whose point belongs to a spec not equal to spec raises
-    ValidationError before anything is solved.
+    (past float range), or whose (u/2)(v/2), a term of the Rogers
+    defect, is not finite: each sub-step reads v = 2 log eta from that
+    kernel, as the filling Newton does, so no sample holds a v or a
+    (u/2)(v/2) that is not finite. Emits one DeformationSample per
+    target. A newton_tol as solve_complete refuses, a non-finite u_end,
+    samples < 1 or above _MAX_SAMPLES, or a complete whose point
+    belongs to a spec not equal to spec raises ValidationError before
+    anything is solved.
     """
     _check_newton_tol(newton_tol)
     u_end = complex(u_end)
@@ -365,6 +374,9 @@ def trace_deformation(
             try:
                 cp = _newton_fiber(spec, pt, (nxt * u_end) / 2.0, newton_tol)
                 v = 2 * spec.tables.longitude(cp.point)[0]
+                # the Rogers defect of the sample holds (u/2)(v/2)
+                if not cmath.isfinite((nxt * u_end / 2) * (v / 2)):
+                    raise StepTooLargeError("(u/2)(v/2) overflow")
                 pt = cp.point
                 t = nxt
             except KnotpotError as e:
@@ -504,3 +516,37 @@ def solve_filling(
         path_steps=steps,
         filling_tol=fill_tol,
     )
+
+
+def scan_fillings(spec, pmax, qmax, complete=None, newton_tol=_NEWTON_TOL):
+    """solve_filling on every slope p/q with |p| <= pmax, 1 <= q <= qmax
+    and gcd(p, q) = 1, in `knotpot scan` order: q outer, p ascending.
+
+    Returns a list of (slope, FillingSolution, or the
+    PathObstructionError that refused the slope). Each slope continues
+    from complete, or from the complete structure of spec solved once
+    at newton_tol. Raises ValidationError before anything is solved on:
+    a newton_tol as solve_complete refuses; a bound below 1; 2 pmax or
+    2 qmax beyond float range (each slope's filling Jacobian holds 2p
+    and 2q); a box of more than _MAX_SCAN_SLOPES candidate slopes,
+    (2 pmax + 1) qmax; or a complete whose point belongs to a spec not
+    equal to spec.
+    """
+    _check_newton_tol(newton_tol)
+    if pmax < 1 or qmax < 1:
+        raise ValidationError("scan bounds must be >= 1")
+    _check_float_range(2 * max(pmax, qmax), "scan bounds")
+    slopes = (2 * pmax + 1) * qmax
+    if slopes > _MAX_SCAN_SLOPES:
+        msg = "scan box holds (2 pmax + 1) qmax = %d candidate slopes, more than 10**6"
+        raise ValidationError(msg % slopes)
+    if complete is None:
+        complete = solve_complete(spec, newton_tol=newton_tol)
+    rows = []
+    box = ((p, q) for q in range(1, qmax + 1) for p in range(-pmax, pmax + 1))
+    for slope in (normalize_slope(p, q) for p, q in box if math.gcd(p, q) == 1):
+        try:
+            rows.append((slope, solve_filling(spec, slope, complete, newton_tol)))
+        except PathObstructionError as e:
+            rows.append((slope, e))
+    return rows

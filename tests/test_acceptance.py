@@ -35,8 +35,10 @@ from knotpot.potential import (
     shapes_from_point,
 )
 from knotpot.solver import (
+    FillingSolution,
     Slope,
     normalize_slope,
+    scan_fillings,
     solve_filling,
     trace_deformation,
 )
@@ -69,18 +71,10 @@ def scan(spec, complete):
     Returns (rows, elapsed) where rows are (slope, solution or None).
     """
     t0 = time.perf_counter()
-    rows = []
-    for q in (1, 2, 3):
-        for p in range(-8, 9):
-            if math.gcd(p, q) != 1:
-                continue
-            slope = normalize_slope(p, q)
-            try:
-                sol = solve_filling(spec, slope, complete=complete)
-            except (PathObstructionError, NoConvergenceError):
-                rows.append((slope, None))
-            else:
-                rows.append((slope, sol))
+    rows = [
+        (slope, sol if isinstance(sol, FillingSolution) else None)
+        for slope, sol in scan_fillings(spec, 8, 3, complete=complete)
+    ]
     return rows, time.perf_counter() - t0
 
 

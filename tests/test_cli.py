@@ -337,6 +337,12 @@ def _prefactor_spec(tmp_path, prefactor):
     return str(path)
 
 
+def _refuse_constant(name):
+    # json.loads calls this on NaN, Infinity and -Infinity, which are
+    # not JSON
+    raise ValueError("%s is not JSON" % name)
+
+
 _LONGITUDE_TERM = {"y": 17 * 10**307}
 _LONGITUDE_SUM = {"x": 692 * 10**305, "y": 10**307}
 
@@ -390,6 +396,22 @@ def test_overflowing_longitude_obstructs_trace(capsys, tmp_path, prefactor, reas
     assert (code, err) == (3, want)
     assert "NaN" not in out and "Infinity" not in out
     assert json.loads(out)["samples"] == []
+
+
+def test_overflowing_defect_obstructs_trace(capsys, tmp_path):
+    # v is finite, but the Rogers defect's (u/2)(v/2) is not at the
+    # eighth sample: the trace refuses that sub-step as it refuses a v
+    # past float range, and prints the seven samples before it
+    path = _prefactor_spec(tmp_path, {"y": 4 * 10**306})
+    argv = ["trace", "--u-end=-8", "--samples", "8"]
+    want = "trace obstructed: deformation path obstructed at u = "
+    code, out, err = run(capsys, "--spec", path, "--format", "csv", *argv)
+    assert code == 3 and err.startswith(want) and err.endswith(" ((u/2)(v/2) overflow)\n")
+    assert len(out.splitlines()) == 1 + 7
+    assert "inf" not in out and "nan" not in out
+    code, out, err = run(capsys, "--spec", path, "--format", "json", *argv)
+    assert code == 3 and err.startswith(want)
+    assert len(json.loads(out, parse_constant=_refuse_constant)["samples"]) == 7
 
 
 def test_spec_with_fractional_quad_exponent_exits_usage(capsys, tmp_path):

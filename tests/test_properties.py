@@ -645,17 +645,21 @@ def test_solve_filling_raises_only_knotpot_errors_on_any_admitted_slope(eta, edi
 @_few
 @given(_log_eta_exponents, _term_edits, st.complex_numbers(max_magnitude=3))
 @example([-1, 17 * 10**307, 6, 1], [], 0.5j)
+@example([-1, 4 * 10**306, 6, 1], [], -8)
 def test_trace_emits_only_finite_v_on_any_admitted_spec(eta, edits, u_end):
     # a spec load_spec admits: each trace is refused with a KnotpotError
-    # or returns samples whose v = 2 log eta is finite. The example's
-    # log eta term y^(17 * 10**307) has finite parts and a modulus
-    # beyond float range
+    # or returns samples whose v = 2 log eta and whose (u/2)(v/2), a
+    # term of the Rogers defect, are finite. The first example's log
+    # eta term y^(17 * 10**307) has finite parts and a modulus beyond
+    # float range; in the second, v stays finite to u = -8 while
+    # (u/2)(v/2) passes float range before it
     try:
         spec = load_spec(json.dumps(_edited_builtin(eta, edits)))
         samples = trace_deformation(spec, u_end, 3)
     except KnotpotError:
         return
     assert all(cmath.isfinite(s.v) for s in samples)
+    assert all(cmath.isfinite((s.u / 2) * (s.v / 2)) for s in samples)
 
 
 # normalized slopes, and records of any four integers

@@ -1,9 +1,10 @@
 """Bit-for-bit pin of the scan 40x8 fillings.
 
 The CLI snapshots cover scan 8x3 only. This test solves every slope of
-`knotpot scan --pmax 40 --qmax 8` in-process and hashes, per slope,
-the repr of what the solver and the invariants produce (or the type
-and message of the error that stopped the slope). The sha256 of that
+`knotpot scan --pmax 40 --qmax 8` in-process, by `scan_fillings`, the
+walk that command runs, and hashes, per slope, the repr of what the
+solver and the invariants produce (or the type and message of the
+error that stopped the slope). The sha256 of that
 text is committed, so a change to any digit of any of the 415 results
 shows up here.
 
@@ -19,13 +20,11 @@ output change is intended:
 
 import functools
 import hashlib
-import math
 import os
 
-from knotpot.errors import NoConvergenceError, PathObstructionError
 from knotpot.invariants import report_for
 from knotpot.potential import builtin_five_two
-from knotpot.solver import normalize_slope, solve_complete, solve_filling
+from knotpot.solver import FillingSolution, scan_fillings, solve_complete
 
 DIGEST = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "scan_40x8.sha256"
@@ -36,23 +35,15 @@ PMAX, QMAX = 40, 8
 
 @functools.cache
 def scan_runs():
-    """The complete structure and, per slope of the scan in `knotpot
-    scan` order, (slope, FillingSolution or the error that stopped it,
-    InvariantReport or None)."""
+    """The complete structure and, per row of scan_fillings, (slope,
+    FillingSolution or the error that stopped it, InvariantReport or
+    None)."""
     spec = builtin_five_two()
     complete = solve_complete(spec)
     runs = []
-    for q in range(1, QMAX + 1):
-        for p in range(-PMAX, PMAX + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            slope = normalize_slope(p, q)
-            try:
-                sol = solve_filling(spec, slope, complete=complete)
-            except (PathObstructionError, NoConvergenceError) as e:
-                runs.append((slope, e, None))
-                continue
-            runs.append((slope, sol, report_for(spec, slope, sol)))
+    for slope, sol in scan_fillings(spec, PMAX, QMAX, complete=complete):
+        rep = report_for(spec, slope, sol) if isinstance(sol, FillingSolution) else None
+        runs.append((slope, sol, rep))
     return complete, tuple(runs)
 
 

@@ -39,8 +39,10 @@ from knotpot.potential import (
     signed_d_sum,
 )
 from knotpot.solver import (
+    FillingSolution,
     Slope,
     normalize_slope,
+    scan_fillings,
     solve_complete,
     solve_filling,
     trace_deformation,
@@ -303,16 +305,10 @@ def _x_inverted(spec):
 def _scan_8x3(spec, complete):
     """{(p, q): volume Im V_alpha, or None where the filling is refused}."""
     out = {}
-    for q in (1, 2, 3):
-        for p in range(-8, 9):
-            if math.gcd(p, q) == 1:
-                slope = normalize_slope(p, q)
-                try:
-                    pt = solve_filling(spec, slope, complete=complete).critical.point
-                except (PathObstructionError, NoConvergenceError):
-                    out[p, q] = None
-                else:
-                    out[p, q] = eval_v_alpha(spec, slope, pt).imag
+    for slope, sol in scan_fillings(spec, 8, 3, complete=complete):
+        out[slope.p, slope.q] = None
+        if isinstance(sol, FillingSolution):
+            out[slope.p, slope.q] = eval_v_alpha(spec, slope, sol.critical.point).imag
     return out
 
 
@@ -857,6 +853,63 @@ def test_solves_refuse_a_complete_of_another_spec(spec, complete, monkeypatch):
         solve_filling(renamed, normalize_slope(7, 1), complete=complete)
     with pytest.raises(ValidationError, match=msg):
         trace_deformation(renamed, 0.1j, 4, complete=complete)
+
+
+# ---------------------------------------------------------------- scan
+
+
+def _refuse_solves(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a solve was entered")
+
+    monkeypatch.setattr(solver, "solve_complete", fail)
+    monkeypatch.setattr(solver, "solve_filling", fail)
+
+
+@pytest.mark.parametrize(
+    "bounds, kwargs, msg",
+    [
+        ((0, 1), {}, "scan bounds must be >= 1"),
+        ((1, 0), {}, "scan bounds must be >= 1"),
+        ((10**400, 1), {}, "scan bounds must be within float range"),
+        ((1, 9 * 10**307), {}, "scan bounds must be within float range"),
+        ((2, 200001), {},
+         "scan box holds (2 pmax + 1) qmax = 1000005 candidate slopes, more than 10**6"),
+        ((0, 1), {"newton_tol": 0},
+         "newton_tol must be at most 0.001 and greater than 0, got 0"),
+    ],
+    ids=["pmax-0", "qmax-0", "pmax-1e400", "qmax-past-half", "box", "newton_tol"],
+)
+def test_scan_refuses_its_arguments_before_solving(spec, monkeypatch, bounds, kwargs, msg):
+    # the messages `knotpot scan` prints, in its order: newton_tol
+    # first, then the bounds, then the box
+    _refuse_solves(monkeypatch)
+    with pytest.raises(ValidationError) as ei:
+        scan_fillings(spec, *bounds, **kwargs)
+    assert str(ei.value) == msg
+
+
+def test_scan_refuses_a_complete_of_another_spec(spec, complete, monkeypatch):
+    renamed = load_spec(dump_spec(spec).replace('"x"', '"a"'))
+    _refuse_newton(monkeypatch)
+    with pytest.raises(ValidationError, match="^point belongs to a spec other than '5_2'$"):
+        scan_fillings(renamed, 8, 3, complete=complete)
+
+
+def test_scan_rows_are_the_cli_rows(spec, complete, capsys):
+    # every coprime (p, q) of the box once, q outer and p ascending, and
+    # a row converged exactly where `knotpot scan` prints one so
+    rows = scan_fillings(spec, 8, 3, complete=complete)
+    want = [(p, q) for q in (1, 2, 3) for p in range(-8, 9) if math.gcd(p, q) == 1]
+    assert [(slope.p, slope.q) for slope, _ in rows] == want
+    assert all(slope == normalize_slope(slope.p, slope.q) for slope, _ in rows)
+    assert all(isinstance(sol, (FillingSolution, PathObstructionError)) for _, sol in rows)
+    assert main(["--format", "json", "scan", "--qmax", "3"]) == 0
+    printed = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["p"], r["q"]) for r in printed] == want
+    assert [r["converged"] for r in printed] == [
+        isinstance(sol, FillingSolution) for _, sol in rows
+    ]
 
 
 def test_solves_take_a_complete_of_an_equal_spec(spec, complete):
