@@ -60,12 +60,13 @@ _MAX_NEWTON_TOL = 1e-3
 
 _EPS = sys.float_info.epsilon
 
-# trace_deformation and scan_fillings return every result at once, and
-# the CLI prints none before the last. A trace sample holds about 1.5 kB,
-# so 10**6 samples run about 30 s and hold about 1.5 GB; a scan solves
-# about 5,000 slopes a second and holds about 2.4 kB per solution, so a
-# box of 10**6 candidates, about 6 * 10**5 slopes in lowest terms, runs
-# about 2 minutes and holds about 1.5 GB
+# trace_deformation returns every sample at once, and the CLI prints
+# none before the last; knotpot scan, too, keeps every row it prints.
+# A trace sample holds about 1.5 kB, so 10**6 samples run about 30 s and
+# hold about 1.5 GB; a scan solves about 5,000 slopes a second and its
+# CLI holds about 0.75 kB per row, so a box of 10**6 candidates, about
+# 6 * 10**5 slopes in lowest terms, runs about 2 minutes and holds about
+# 0.5 GB
 _MAX_SAMPLES = 10**6
 _MAX_SCAN_SLOPES = 10**6
 
@@ -518,19 +519,20 @@ def solve_filling(
     )
 
 
-def scan_fillings(spec, pmax, qmax, complete=None, newton_tol=_NEWTON_TOL):
+def scan_fillings(spec, pmax, qmax, newton_tol=_NEWTON_TOL):
     """solve_filling on every slope p/q with |p| <= pmax, 1 <= q <= qmax
     and gcd(p, q) = 1, in `knotpot scan` order: q outer, p ascending.
 
-    Returns a list of (slope, FillingSolution, or the
-    PathObstructionError that refused the slope). Each slope continues
-    from complete, or from the complete structure of spec solved once
-    at newton_tol. Raises ValidationError before anything is solved on:
-    a newton_tol as solve_complete refuses; a bound below 1; 2 pmax or
+    Returns an iterator of (slope, FillingSolution, or the
+    PathObstructionError that refused the slope), which solves each
+    slope only when its row is asked for, so a caller holds one
+    solution at a time. Each slope continues from the complete
+    structure of spec, solved once at newton_tol before the iterator is
+    returned. Raises ValidationError before anything is solved on: a
+    newton_tol as solve_complete refuses; a bound below 1; 2 pmax or
     2 qmax beyond float range (each slope's filling Jacobian holds 2p
-    and 2q); a box of more than _MAX_SCAN_SLOPES candidate slopes,
-    (2 pmax + 1) qmax; or a complete whose point belongs to a spec not
-    equal to spec.
+    and 2q); or a box of more than _MAX_SCAN_SLOPES candidate slopes,
+    (2 pmax + 1) qmax.
     """
     _check_newton_tol(newton_tol)
     if pmax < 1 or qmax < 1:
@@ -540,13 +542,14 @@ def scan_fillings(spec, pmax, qmax, complete=None, newton_tol=_NEWTON_TOL):
     if slopes > _MAX_SCAN_SLOPES:
         msg = "scan box holds (2 pmax + 1) qmax = %d candidate slopes, more than 10**6"
         raise ValidationError(msg % slopes)
-    if complete is None:
-        complete = solve_complete(spec, newton_tol=newton_tol)
-    rows = []
-    box = ((p, q) for q in range(1, qmax + 1) for p in range(-pmax, pmax + 1))
-    for slope in (normalize_slope(p, q) for p, q in box if math.gcd(p, q) == 1):
-        try:
-            rows.append((slope, solve_filling(spec, slope, complete, newton_tol)))
-        except PathObstructionError as e:
-            rows.append((slope, e))
-    return rows
+    complete = solve_complete(spec, newton_tol=newton_tol)
+
+    def rows():
+        box = ((p, q) for q in range(1, qmax + 1) for p in range(-pmax, pmax + 1))
+        for slope in (normalize_slope(p, q) for p, q in box if math.gcd(p, q) == 1):
+            try:
+                yield slope, solve_filling(spec, slope, complete, newton_tol)
+            except PathObstructionError as e:
+                yield slope, e
+
+    return rows()

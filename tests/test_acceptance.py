@@ -65,7 +65,7 @@ def _conjugate_point(pt):
 
 
 @pytest.fixture(scope="module")
-def scan(spec, complete):
+def scan(spec):
     """Full scan pmax=8 qmax=3, shared by criteria 4 and 5.
 
     Returns (rows, elapsed) where rows are (slope, solution or None).
@@ -73,7 +73,7 @@ def scan(spec, complete):
     t0 = time.perf_counter()
     rows = [
         (slope, sol if isinstance(sol, FillingSolution) else None)
-        for slope, sol in scan_fillings(spec, 8, 3, complete=complete)
+        for slope, sol in scan_fillings(spec, 8, 3)
     ]
     return rows, time.perf_counter() - t0
 

@@ -41,7 +41,7 @@ def scan_runs():
     spec = builtin_five_two()
     complete = solve_complete(spec)
     runs = []
-    for slope, sol in scan_fillings(spec, PMAX, QMAX, complete=complete):
+    for slope, sol in scan_fillings(spec, PMAX, QMAX):
         rep = report_for(spec, slope, sol) if isinstance(sol, FillingSolution) else None
         runs.append((slope, sol, rep))
     return complete, tuple(runs)

@@ -302,17 +302,17 @@ def _x_inverted(spec):
     return load_spec(json.dumps(doc))
 
 
-def _scan_8x3(spec, complete):
+def _scan_8x3(spec):
     """{(p, q): volume Im V_alpha, or None where the filling is refused}."""
     out = {}
-    for slope, sol in scan_fillings(spec, 8, 3, complete=complete):
+    for slope, sol in scan_fillings(spec, 8, 3):
         out[slope.p, slope.q] = None
         if isinstance(sol, FillingSolution):
             out[slope.p, slope.q] = eval_v_alpha(spec, slope, sol.critical.point).imag
     return out
 
 
-def test_complete_structure_has_principal_logs(spec, complete):
+def test_complete_structure_has_principal_logs(spec):
     # the default grid reaches the built-in's root on the x -> 1/x copy
     # with log x one turn off; the returned point starts every log on
     # its principal sheet, so the copy fills exactly like the built-in
@@ -322,7 +322,7 @@ def test_complete_structure_has_principal_logs(spec, complete):
     assert abs(eta_log(inv, cp.point)) <= 1e-12
     for lw in [*cp.point.logs.values(), *cp.point.tracked_logs]:
         assert ContinuedLog.from_value(lw).winding == 0
-    got, want = _scan_8x3(inv, cp), _scan_8x3(spec, complete)
+    got, want = _scan_8x3(inv), _scan_8x3(spec)
     assert [k for k in got if got[k] is None] == [k for k in want if want[k] is None]
     for k, vol in want.items():
         if vol is not None:
@@ -889,27 +889,14 @@ def test_scan_refuses_its_arguments_before_solving(spec, monkeypatch, bounds, kw
     assert str(ei.value) == msg
 
 
-def test_scan_refuses_a_complete_of_another_spec(spec, complete, monkeypatch):
-    renamed = load_spec(dump_spec(spec).replace('"x"', '"a"'))
-    _refuse_newton(monkeypatch)
-    with pytest.raises(ValidationError, match="^point belongs to a spec other than '5_2'$"):
-        scan_fillings(renamed, 8, 3, complete=complete)
-
-
-def test_scan_rows_are_the_cli_rows(spec, complete, capsys):
-    # every coprime (p, q) of the box once, q outer and p ascending, and
-    # a row converged exactly where `knotpot scan` prints one so
-    rows = scan_fillings(spec, 8, 3, complete=complete)
+def test_scan_rows_are_every_coprime_slope_in_scan_order(spec):
+    # every coprime (p, q) of the box once, normalized, q outer and p
+    # ascending
+    rows = list(scan_fillings(spec, 8, 3))
     want = [(p, q) for q in (1, 2, 3) for p in range(-8, 9) if math.gcd(p, q) == 1]
     assert [(slope.p, slope.q) for slope, _ in rows] == want
     assert all(slope == normalize_slope(slope.p, slope.q) for slope, _ in rows)
     assert all(isinstance(sol, (FillingSolution, PathObstructionError)) for _, sol in rows)
-    assert main(["--format", "json", "scan", "--qmax", "3"]) == 0
-    printed = json.loads(capsys.readouterr().out)["rows"]
-    assert [(r["p"], r["q"]) for r in printed] == want
-    assert [r["converged"] for r in printed] == [
-        isinstance(sol, FillingSolution) for _, sol in rows
-    ]
 
 
 def test_solves_take_a_complete_of_an_equal_spec(spec, complete):
@@ -1022,10 +1009,10 @@ def test_filling_conjugate_point_solves_negated_target(spec, complete):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-8, 1e-6])
-def test_filling_accepts_what_a_looser_newton_tol_converges(spec, complete, tol):
+def test_filling_accepts_what_a_looser_newton_tol_converges(spec, tol):
     # newton_tol is the one tolerance: every slope the default accepts
     # is accepted at a looser one, within it and at the same volume
-    want = {k: vol for k, vol in _scan_8x3(spec, complete).items() if vol is not None}
+    want = {k: vol for k, vol in _scan_8x3(spec).items() if vol is not None}
     assert len(want) == 30
     loose = solve_complete(spec, newton_tol=tol)
     for (p, q), vol in want.items():
@@ -1037,11 +1024,11 @@ def test_filling_accepts_what_a_looser_newton_tol_converges(spec, complete, tol)
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-4, 1e-3])
-def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, complete, tol):
+def test_loose_newton_tol_reports_no_hyperbolic_slope_exceptional(spec, tol):
     # the volume routes agree to the accuracy of the solve, newton_tol,
     # so a tolerance looser than _BRANCH_TOL refuses no slope that the
     # default accepts, and accepts none that it refuses
-    want = _scan_8x3(spec, complete)
+    want = _scan_8x3(spec)
     assert sum(vol is not None for vol in want.values()) == 30
     loose = solve_complete(spec, newton_tol=tol)
     for (p, q), vol in want.items():
